@@ -14,8 +14,7 @@ Six subcommands cover the whole harness without writing Python:
   occupancy/utilization section (recorded by e.g. the ``bottleneck``
   experiment) as an extra table.
 * ``python -m repro cache [--clear]`` — inspect or wipe the outcome cache
-  (absorbs the older ``python -m repro.harness.cache`` entry point, which
-  still works).
+  (location, entry count, total bytes).
 * ``python -m repro serve [--host H] [--port P] [--jobs auto|N]
   [--workers N] [--session-workers N] [cache flags]`` — run the
   JSON-over-HTTP service (:mod:`repro.api.service`) until SIGINT/SIGTERM.
@@ -352,9 +351,15 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.harness.cache import main as cache_main
+    from repro.store.disk import DiskStore
 
-    return cache_main(["--clear"] if args.clear else [])
+    cache = DiskStore()
+    print(f"cache root:  {cache.root}")
+    print(f"entries:     {len(cache)}")
+    print(f"total bytes: {cache.size_bytes()}")
+    if args.clear:
+        print(f"removed:     {cache.clear()}")
+    return 0
 
 
 def _cmd_serve(args) -> int:

@@ -34,10 +34,9 @@ from repro.isa.instruction import (
     DF_MOVE,
     DF_REG_IMM_ADD,
     DF_STORE,
-    Instruction,
     decode_op,
 )
-from repro.isa.opcodes import OpClass, Opcode
+from repro.isa.opcodes import Opcode
 from repro.isa.registers import NUM_LOGICAL_REGS
 from repro.isa.semantics import fits_signed
 from repro.uarch.rename import RenameResult, Renamer
@@ -291,44 +290,12 @@ class RenoRenamer(Renamer):
                         return (kind, source.preg, new_disp, False)
                     self.stats["overflow_cancellations"] += 1
 
-        # Inlined _it_lookup_eligible.
+        # Loads always probe the IT; ALU work only under the full policy.
         if self.integration_table is not None and (
                 flags & DF_LOAD
                 or (self._policy_full and flags & DF_IT_ALU)):
             return self._try_integrate(dyn, op, source_mappings)
         return None
-
-    def _try_fold(
-        self,
-        instruction: Instruction,
-        source_logicals: tuple[int, ...],
-        source_mappings: list[Mapping],
-    ) -> tuple[str, int, int, bool] | None:
-        """RENO_ME / RENO_CF fold check (compat wrapper for unit tests).
-
-        The pipeline path runs the same decision inlined in
-        :meth:`_try_eliminate`; this wrapper keeps the original standalone
-        signature for tests that probe folding in isolation.
-        """
-        spec = instruction.spec
-        if not spec.is_reg_imm_add:
-            return None
-        is_move = spec.is_move
-        if is_move:
-            if not self._fold_moves:
-                return None
-        elif not self._fold_adds:
-            return None
-        if (source_logicals[0] in self._group_eliminated_logicals
-                and not self._allow_dependent):
-            self.stats["dependent_elimination_blocks"] += 1
-            return None
-        source = source_mappings[0]
-        new_disp = source.disp + instruction.folded_displacement
-        if not fits_signed(new_disp, self._disp_bits):
-            self.stats["overflow_cancellations"] += 1
-            return None
-        return ("move" if is_move else "cf", source.preg, new_disp, False)
 
     def _try_integrate(
         self, dyn: DynamicInstruction, op: tuple, source_mappings: list[Mapping]
@@ -355,14 +322,6 @@ class RenoRenamer(Renamer):
     # ------------------------------------------------------------------
     # Integration-table maintenance
     # ------------------------------------------------------------------
-
-    def _it_lookup_eligible(self, instruction: Instruction) -> bool:
-        """Which instructions probe the IT under the configured policy."""
-        if instruction.spec.is_load:
-            return True
-        if self.config.integration_policy != IT_POLICY_FULL:
-            return False
-        return instruction.spec.op_class in (OpClass.ALU, OpClass.SHIFT)
 
     def _it_key(self, op: tuple, source_mappings: list[Mapping]) -> tuple:
         # Inlined IntegrationTable.make_key: the signature is the plain

@@ -24,9 +24,8 @@ the same protocol and are selected by locator (``sqlite://<path>``,
 ``http://host:port``) or by the ``$REPRO_STORE`` environment variable.
 
 The disk tier defaults to ``~/.cache/repro-reno`` and is overridden by
-the ``REPRO_CACHE_DIR`` environment variable.  ``python -m
-repro.harness.cache`` prints the location and entry count; ``--clear``
-wipes it.
+the ``REPRO_CACHE_DIR`` environment variable.  ``python -m repro cache``
+prints the location and entry count; ``--clear`` wipes it.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ __all__ = [
     "SimulationCache",
     "default_cache_root",
     "file_lock",
-    "main",
     "outcome_key",
     "program_digest",
     "resolve_cache",
@@ -143,25 +141,3 @@ def resolve_cache(cache):
         return cache
     raise TypeError(f"cache must be None, bool, a locator or a result store, "
                     f"got {cache!r}")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Tiny CLI: report the cache location/size, optionally clear it."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--clear", action="store_true", help="delete every cache entry")
-    args = parser.parse_args(argv)
-
-    cache = SimulationCache()
-    count = len(cache)
-    print(f"cache root:  {cache.root}")
-    print(f"entries:     {count}")
-    print(f"total bytes: {cache.size_bytes()}")
-    if args.clear:
-        print(f"removed:     {cache.clear()}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry point
-    raise SystemExit(main())

@@ -81,7 +81,7 @@ from repro.uarch.observe import (
     TimelineRecorder,
 )
 from repro.uarch.regfile import NOT_READY, PhysicalRegisterFile
-from repro.uarch.rename import BaselineRenamer, RenameResult, Renamer
+from repro.uarch.rename import BaselineRenamer, Renamer
 from repro.uarch.rob import ReorderBuffer
 from repro.uarch.scheduler import IssueQueue
 from repro.uarch.snapshot import PipelineSnapshot
@@ -468,8 +468,17 @@ class Pipeline:
         * ``baseline_fast`` — conventional renaming (map table + free list)
           is inlined when the renamer is the stock ``BaselineRenamer``; the
           slot's ``rename`` entry stays None and commit releases the
-          previous mapping directly.  Any other renamer (RENO) goes through
-          the ``rename_next()`` interface unchanged.
+          previous mapping directly.  Any other renamer — the RENO renamer
+          included — goes through ``begin_group()``/``rename_next()``/
+          ``commit()``, so :class:`repro.core.renamer.RenoRenamer` is the
+          one Python definition of RENO renaming (the compiled backend's
+          generated C is tested against it).
+
+        Each fast path stays because it pays for its code (2 vCPU, Python
+        3.11): the inlined queue is worth ≈20% of a base+RENO run (0.341 s
+        vs 0.439 s over five workloads), and inlined conventional renaming
+        ≈5% of a fig9 request pass (1.98 s vs 2.09 s).  Inlining the RENO
+        renamer as well bought only ≈1–3%, not enough for a second copy.
 
         Neither fast path changes any modelled behaviour — they remove
         Python call and object overhead only, which the scheduler
@@ -512,7 +521,6 @@ class Pipeline:
 
         renamer = self.renamer
         baseline_fast = inline_iq and type(renamer) is BaselineRenamer
-        reno_mode = not baseline_fast
         rename_next = renamer.rename_next
         renamer_begin = renamer.begin_group
         renamer_end = renamer.end_group
@@ -525,43 +533,6 @@ class Pipeline:
             bfree_append = bfree.append
         else:
             bmap = bfree = bfree_popleft = bfree_append = None
-        # Commit-side fast path for the stock RENO renamer: the refcount
-        # release is inlined against its arrays (same body as
-        # RenoRenamer.commit); other renamers go through commit().
-        reno_fast = False
-        rc_counts = rc_free_append = it_index = it_invalidate = None
-        reno_free = group_elim = None
-        rn_rc = rn_map = rn_stats = rn_zero = rn_try_elim = None
-        rn_insert_it = rn_it = rn_config = None
-        rn_elig = 0
-        rn_policy_full = False
-        fusion_extra = elim_keys = Mapping = None
-        if reno_mode:
-            from repro.core.fusion import fusion_extra_latency as fusion_extra
-            from repro.core.maptable import Mapping
-            from repro.core.renamer import _ELIM_STATS_KEYS as elim_keys
-            from repro.core.renamer import RenoRenamer
-
-            if type(renamer) is RenoRenamer:
-                reno_fast = True
-                rn_rc = renamer.refcounts
-                rc_counts = rn_rc.counts
-                reno_free = renamer._free_list
-                rc_free_append = reno_free.append
-                group_elim = renamer._group_eliminated_logicals
-                rn_map = renamer.map_table._entries
-                rn_stats = renamer.stats
-                rn_zero = renamer._zero_maps
-                rn_elig = renamer._elig_mask
-                rn_try_elim = renamer._try_eliminate
-                rn_insert_it = renamer._insert_it_entries
-                rn_config = renamer.config
-                rn_policy_full = renamer._policy_full
-                table = rn_it = renamer.integration_table
-                if table is not None:
-                    it_index = table._preg_index
-                    it_invalidate = table.invalidate_preg
-        df_mem = DF_LOAD | DF_STORE
 
         mask = self._w_mask
         w_dispatch = self._w_dispatch
@@ -756,27 +727,13 @@ class Pipeline:
                     if flags & DF_LOAD and not elim:
                         lq_discard(committed)
                         lq_len -= 1
-                    # Renamer hand-back.  The fast modes release the
-                    # previous mapping straight from the flattened arrays;
-                    # other renamers get the commit() interface call.
+                    # Renamer hand-back.  Conventional renaming releases the
+                    # previous mapping straight from the flattened array;
+                    # other renamers (RENO) get the commit() interface call.
                     if baseline_fast:
                         prev = w_prev[slot]
                         if prev >= 0:
                             bfree_append(prev)
-                    elif reno_fast:
-                        # Inlined RenoRenamer.commit (refcount release).
-                        prev = w_prev[slot]
-                        if prev >= 0:
-                            count = rc_counts[prev]
-                            if count == 1:
-                                rc_counts[prev] = 0
-                                rc_free_append(prev)
-                                if it_index is not None and prev in it_index:
-                                    it_invalidate(prev)
-                            elif count > 1:
-                                rc_counts[prev] = count - 1
-                            else:
-                                renamer_commit(w_rename[slot])  # raises underflow
                     else:
                         renamer_commit(w_rename[slot])
                     if elim:
@@ -1011,7 +968,7 @@ class Pipeline:
                     ns = w_nsrc[slot]
                     value0 = value1 = 0
                     fextra = 0
-                    if reno_mode:
+                    if not baseline_fast:
                         fused = False
                         if ns:
                             value0 = prf_values[w_s0p[slot]]
@@ -1197,11 +1154,7 @@ class Pipeline:
                     taken_branches = 0
                     dispatched = 0
                     pregs_allocated = 0
-                    if reno_fast:
-                        # Inlined RenoRenamer.begin_group.
-                        if group_elim:
-                            group_elim.clear()
-                    elif not baseline_fast:
+                    if not baseline_fast:
                         renamer_begin()
                     while dispatched < rename_width and fetch_index < total:
                         op = trace_ops[fetch_index]
@@ -1293,110 +1246,9 @@ class Pipeline:
                             w_rename[slot] = None
                             eliminated = False
                             sources = None
-                        elif reno_fast:
-                            # Inlined RenoRenamer.rename_next, kept in
-                            # lockstep with the method (both are exercised
-                            # by the rename-invariant and scheduler
-                            # equivalence property tests).
-                            srcs = op[9]
-                            sources = [rn_map[logical] for logical in srcs]
-                            dest_logical = op[4]
-                            elimination = None
-                            if dest_logical >= 0:
-                                if flags & rn_elig:
-                                    elimination = rn_try_elim(
-                                        dyn, op, sources, dest_logical)
-                                if elimination is None and not reno_free:
-                                    stats.rename_stall_cycles += 1
-                                    break
-                            result = RenameResult.__new__(RenameResult)
-                            result.sources = sources
-                            result.dest_preg = None
-                            result.dest_disp = 0
-                            result.prev_dest_preg = None
-                            result.allocated = False
-                            result.eliminated = False
-                            result.elim_kind = None
-                            result.needs_reexecution = False
-                            result.fusion_extra_latency = 0
-                            if elimination is not None:
-                                kind, shared_preg, out_disp, needs_reexec = \
-                                    elimination
-                                # Inlined refcount share.
-                                count = rc_counts[shared_preg]
-                                if count <= 0:
-                                    rn_rc.share(shared_preg)   # raises
-                                else:
-                                    count += 1
-                                    rc_counts[shared_preg] = count
-                                    rn_rc.total_shares += 1
-                                    if count > rn_rc.max_observed_count:
-                                        rn_rc.max_observed_count = count
-                                previous = rn_map[dest_logical]
-                                rn_map[dest_logical] = (
-                                    rn_zero[shared_preg] if out_disp == 0
-                                    else Mapping(shared_preg, out_disp))
-                                prev_preg = previous.preg
-                                result.dest_preg = shared_preg
-                                result.dest_disp = out_disp
-                                result.prev_dest_preg = prev_preg
-                                result.eliminated = True
-                                result.elim_kind = kind
-                                result.needs_reexecution = needs_reexec
-                                group_elim.add(dest_logical)
-                                rn_stats[elim_keys[kind]] += 1
-                                eliminated = True
-                                w_prev[slot] = prev_preg
-                                w_elim[slot] = (_ELIM_IDS[kind]
-                                                | (_ELIM_REEXEC if needs_reexec
-                                                   else 0))
-                                w_dest[slot] = -1
-                            else:
-                                if dest_logical >= 0:
-                                    # Inlined refcount allocate.
-                                    new_preg = reno_free.popleft()
-                                    if rc_counts[new_preg] != 0:
-                                        reno_free.appendleft(new_preg)
-                                        rn_rc.allocate()       # raises
-                                    rc_counts[new_preg] = 1
-                                    rn_rc.total_allocations += 1
-                                    previous = rn_map[dest_logical]
-                                    rn_map[dest_logical] = rn_zero[new_preg]
-                                    prev_preg = previous.preg
-                                    result.dest_preg = new_preg
-                                    result.prev_dest_preg = prev_preg
-                                    result.allocated = True
-                                    prf_ready[new_preg] = NOT_READY
-                                    w_dest[slot] = new_preg
-                                    w_prev[slot] = prev_preg
-                                    if collect_timing:
-                                        preg_writer[new_preg] = seq
-                                    pregs_allocated += 1
-                                else:
-                                    w_dest[slot] = -1
-                                    w_prev[slot] = -1
-                                w_elim[slot] = 0
-                                eliminated = False
-                                for mapping in sources:
-                                    if mapping.disp:
-                                        result.fusion_extra_latency = \
-                                            fusion_extra(
-                                                op[6],
-                                                [m.disp for m in sources],
-                                                rn_config)
-                                        break
-                                if rn_it is not None and (flags & df_mem
-                                                          or rn_policy_full):
-                                    rn_insert_it(dyn, op, sources, result)
-                            w_rename[slot] = result
-                            if collect_timing:
-                                record_producers(seq, result)
-                                w_issue[slot] = -1
-                                w_dcache[slot] = 0
-                                w_mispred[slot] = False
-                                w_latency[slot] = op[2]
                         else:
-                            # Pluggable renaming: one interface call per
+                            # Interface renaming (RENO and any substituted
+                            # renamer): one rename_next() call per
                             # instruction.
                             result = rename_next(dyn, op)
                             if result is None:
@@ -1608,7 +1460,7 @@ class Pipeline:
                         dispatched += 1
                         if stop_after:
                             break
-                    if not (baseline_fast or reno_fast):
+                    if not baseline_fast:
                         renamer_end()     # RenoRenamer.end_group is a no-op
                     if dispatched:
                         fetched_total += dispatched
@@ -1619,8 +1471,6 @@ class Pipeline:
                         # allocation-free cycles skip the check.
                         if baseline_fast:
                             in_use = num_pregs - len(bfree)
-                        elif reno_fast:
-                            in_use = num_pregs - len(reno_free)
                         else:
                             in_use = num_pregs - free_count()
                         if in_use > stats.max_pregs_in_use:
@@ -1635,8 +1485,6 @@ class Pipeline:
                 iq_now = iq_count if inline_iq else issue_queue._count
                 if baseline_fast:
                     prf_used = num_pregs - len(bfree)
-                elif reno_fast:
-                    prf_used = num_pregs - len(reno_free)
                 else:
                     prf_used = num_pregs - free_count()
                 occ_rob[rob_now] += 1
@@ -1704,8 +1552,6 @@ class Pipeline:
                 iq_now = iq_count if inline_iq else issue_queue._count
                 if baseline_fast:
                     prf_used = num_pregs - len(bfree)
-                elif reno_fast:
-                    prf_used = num_pregs - len(reno_free)
                 else:
                     prf_used = num_pregs - free_count()
                 occ_rob[rob_now] += skipped

@@ -16,6 +16,7 @@ No hypothesis dependency: sequences come from seeded ``random.Random``
 generators, so every case is reproducible from its seed.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from repro.functional.simulator import FunctionalSimulator
 from repro.isa.assembler import Assembler
 from repro.isa.registers import NUM_LOGICAL_REGS
 from repro.uarch.config import MachineConfig
+from repro.uarch.core import Pipeline
 
 #: General-purpose registers the generator may use as sources/destinations
 #: (temporaries + callee-saved + argument registers; avoids sp/gp/ra/zero).
@@ -90,25 +92,62 @@ def rename_with_rob_window(renamer: RenoRenamer, trace, group_size=4, window=16)
         renamer.commit(result)
 
 
+def rename_in_pipeline(renamer: RenoRenamer, seed: int, machine: MachineConfig):
+    """Run the whole program through ``Pipeline.run()`` on the python cycle
+    loop, so rename and commit take the pipeline's own renamer calls."""
+    program = random_program(seed).assemble()
+    trace = FunctionalSimulator(program).run().trace
+    pipeline = Pipeline(program, trace, machine, renamer=renamer,
+                        backend="python")
+    assert pipeline.backend_name == "python"
+    result = pipeline.run()
+    assert result.stats.committed == len(trace)
+
+
+def assert_no_leak_and_counts_match_map_table(renamer: RenoRenamer, num_pregs: int):
+    refcounts = renamer.refcounts
+    # Conservation: every register is either free or positively referenced,
+    # the free list and the counts agree, and nothing was double-freed.
+    refcounts.check_conservation()
+    assert refcounts.free_count() + refcounts.in_use_count() == num_pregs
+
+    # With no instructions in flight, the only references left are map-table
+    # entries: each register's count must equal the number of logical
+    # registers currently mapped to it.
+    references = [0] * num_pregs
+    for preg, _disp in renamer.map_table.snapshot():
+        references[preg] += 1
+    assert references == refcounts.counts
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("config_name", list(CONFIGS))
 def test_no_leak_or_double_free_and_counts_match_map_table(seed, config_name):
     renamer = RenoRenamer(96, CONFIGS[config_name])
     rename_with_rob_window(renamer, trace_for(seed))
+    assert_no_leak_and_counts_match_map_table(renamer, 96)
 
-    refcounts = renamer.refcounts
-    # Conservation: every register is either free or positively referenced,
-    # the free list and the counts agree, and nothing was double-freed.
-    refcounts.check_conservation()
-    assert refcounts.free_count() + refcounts.in_use_count() == 96
 
-    # With no instructions in flight, the only references left are map-table
-    # entries: each register's count must equal the number of logical
-    # registers currently mapped to it.
-    references = [0] * 96
-    for preg, _disp in renamer.map_table.snapshot():
-        references[preg] += 1
-    assert references == refcounts.counts
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("config_name", list(CONFIGS))
+@pytest.mark.parametrize("prf", ["default", "tiny"])
+def test_no_leak_or_double_free_and_counts_match_map_table_after_pipeline_run(
+        seed, config_name, prf):
+    """The same invariants, driven by a full ``Pipeline.run()``: the cycle
+    loop's own begin_group/rename_next/commit sequence must leave the
+    renamer as consistent as the ROB-window driver does.  The tiny register
+    file (four registers beyond the logical ones) makes the move-only
+    configuration stall renaming and recycle every register many times."""
+    # A leaked register deadlocks renaming; the small cycle cap turns that
+    # into a prompt runaway error (these programs retire in < 3k cycles).
+    machine = dataclasses.replace(MachineConfig.default_4wide(),
+                                  max_cycles=100_000)
+    if prf == "tiny":
+        machine = dataclasses.replace(
+            machine, num_physical_regs=NUM_LOGICAL_REGS + 4)
+    renamer = RenoRenamer(machine.num_physical_regs, CONFIGS[config_name])
+    rename_in_pipeline(renamer, seed, machine)
+    assert_no_leak_and_counts_match_map_table(renamer, machine.num_physical_regs)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])

@@ -250,25 +250,3 @@ def test_speedup_raises_the_same_error_for_missing_baseline():
     matrix = run_matrix(SMALL[:1], MACHINES, {"RENO": RenoConfig.reno_default()})
     with pytest.raises(MatrixLookupError, match="BASE"):
         matrix.speedup("micro_addi_chain", "4wide", "RENO")
-
-
-# ---------------------------------------------------------------------------
-# The deprecated parallel shim
-# ---------------------------------------------------------------------------
-
-
-def test_parallel_shim_warns_and_still_reexports_the_engine():
-    """Importing repro.harness.parallel must raise DeprecationWarning while
-    keeping the original names aliased to repro.harness.executors."""
-    import importlib
-
-    import repro.harness.executors as executors
-    import repro.harness.parallel as shim
-
-    with pytest.warns(DeprecationWarning, match="repro.harness.executors"):
-        shim = importlib.reload(shim)
-    assert shim.execute_grid is executors.execute_grid
-    assert shim.run_workload_block is executors.run_workload_block
-    assert shim.WorkloadTask is executors.WorkloadTask
-    assert shim.resolve_jobs is executors.resolve_jobs
-    assert shim.JOBS_ENV == executors.JOBS_ENV
