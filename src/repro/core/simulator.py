@@ -20,6 +20,7 @@ from repro.functional.simulator import ExecutionResult, FunctionalSimulator
 from repro.isa.program import Program
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline, SimResult
+from repro.uarch.tables import TraceTables
 from repro.workloads.base import Workload, get_workload
 
 
@@ -69,6 +70,7 @@ def simulate(
     max_instructions: int = 2_000_000,
     verify: bool = True,
     backend: str | None = None,
+    tables: TraceTables | None = None,
 ) -> SimulationOutcome:
     """Run ``program`` through the functional and timing simulators.
 
@@ -90,6 +92,10 @@ def simulate(
             ``"compiled"``), or None to consult ``$REPRO_BACKEND`` and
             default to ``python`` — see :mod:`repro.uarch.backend`.
             Results are backend-independent; only speed changes.
+        tables: The read-only tables of (``program``, ``trace.trace``)
+            (:class:`~repro.uarch.tables.TraceTables`), built once by a
+            caller that runs several cells on one trace; None builds them
+            for this cell alone.
 
     Returns:
         A :class:`SimulationOutcome`.
@@ -105,6 +111,7 @@ def simulate(
         collect_timing=collect_timing,
         record_stats=record_stats,
         backend=backend,
+        tables=tables,
     )
     timing = pipeline.run()
     if verify:
@@ -141,16 +148,18 @@ def run_config_comparison(
 ) -> dict[str, SimulationOutcome]:
     """Run one workload under several RENO configurations.
 
-    The functional trace is computed once and shared, so every configuration
-    sees exactly the same dynamic instruction stream.
+    The functional trace and the tables derived from it are computed once
+    and shared, so every configuration sees exactly the same dynamic
+    instruction stream.
     """
     if isinstance(workload, str):
         workload = get_workload(workload)
     program = workload.build(scale)
     functional = FunctionalSimulator(program, kwargs.pop("max_instructions", 2_000_000)).run()
+    tables = TraceTables(program, functional.trace)
     outcomes: dict[str, SimulationOutcome] = {}
     for label, reno in configs.items():
         outcomes[label] = simulate(
-            program, machine, reno, trace=functional, **kwargs
+            program, machine, reno, trace=functional, tables=tables, **kwargs
         )
     return outcomes

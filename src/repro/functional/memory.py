@@ -7,6 +7,27 @@ PAGE_SIZE = 4096
 _PAGE_MASK = PAGE_SIZE - 1
 
 
+def _pages_of(initial: dict[int, int]) -> dict[int, bytearray]:
+    """Byte address -> value pairs laid out as pages, in first-touch order."""
+    pages: dict[int, bytearray] = {}
+    for address, value in initial.items():
+        page = pages.get(address >> 12)
+        if page is None:
+            page = pages[address >> 12] = bytearray(PAGE_SIZE)
+        page[address & _PAGE_MASK] = value & 0xFF
+    return pages
+
+
+def page_image(initial: dict[int, int]) -> dict[int, bytes]:
+    """The read-only page image of a program's initial memory.
+
+    Built once per program and handed to :meth:`Memory.from_image` by every
+    memory that starts from it; the pages are ``bytes``, so no memory's
+    stores can reach the shared image.
+    """
+    return {number: bytes(page) for number, page in _pages_of(initial).items()}
+
+
 class Memory:
     """A sparse 64-bit byte-addressable memory.
 
@@ -16,10 +37,14 @@ class Memory:
     """
 
     def __init__(self, initial: dict[int, int] | None = None):
-        self._pages: dict[int, bytearray] = {}
-        if initial:
-            for address, value in initial.items():
-                self.write(address, 1, value)
+        self._pages: dict[int, bytearray] = _pages_of(initial) if initial else {}
+
+    @classmethod
+    def from_image(cls, image: dict[int, bytes]) -> "Memory":
+        """A memory holding its own writable copy of a :func:`page_image`."""
+        memory = cls()
+        memory._pages = {number: bytearray(page) for number, page in image.items()}
+        return memory
 
     # -- internal page helpers -------------------------------------------
 

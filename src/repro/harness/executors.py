@@ -60,6 +60,7 @@ from repro.harness.cache import (
 from repro.store.base import open_store, store_locator
 from repro.uarch.backend import DEFAULT_BACKEND, resolve_backend
 from repro.uarch.config import MachineConfig
+from repro.uarch.tables import TraceTables
 from repro.workloads.base import Workload
 
 #: Environment variable supplying the default worker count for ``jobs=None``
@@ -218,9 +219,12 @@ def run_workload_block(
                 misses += 1
             points.append((grid_key, key, outcome))
 
-    functional = None
+    # The trace and its read-only tables are built once and shared by every
+    # computed cell; they are dropped when the block returns.
+    functional = tables = None
     if misses:
         functional = FunctionalSimulator(program, task.max_instructions).run()
+        tables = TraceTables(program, functional.trace)
 
     machines = dict(task.machines)
     renos = dict(task.renos)
@@ -236,6 +240,7 @@ def run_workload_block(
                 machines[machine_label],
                 renos[reno_label],
                 trace=functional,
+                tables=tables,
                 collect_timing=task.collect_timing,
                 record_stats=task.record_stats,
                 max_instructions=task.max_instructions,

@@ -82,8 +82,9 @@ class CycleLoopBackend:
     def prepare(self, pipeline: "Pipeline") -> None:
         """One-time per-pipeline hook, called from ``Pipeline.__init__``.
 
-        Backends use this to build or fetch per-trace caches outside the
-        timed region (the benchmark probes time :meth:`run_cycles` only).
+        Backends use this to build or fetch per-trace state before the
+        first slice; it costs time in every cell, but the cycle-loop probes
+        of ``scripts/benchmark_engine.py`` time :meth:`run_cycles` only.
         The base implementation does nothing.
         """
 

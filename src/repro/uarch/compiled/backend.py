@@ -57,11 +57,14 @@ class CompiledBackend(CycleLoopBackend):
         return type(pipeline.renamer) in (BaselineRenamer, RenoRenamer)
 
     def prepare(self, pipeline) -> None:
-        """Build the flat ABI buffers for this pipeline ahead of time.
+        """Build this pipeline's flat ABI buffers before its first slice.
 
-        Called from ``Pipeline.__init__`` so the static flattening (trace
-        tables, geometry, buffer allocation) happens outside the timed
-        region.  Also forces the one-time kernel compile/load.
+        Called from ``Pipeline.__init__``, so its cost is part of every
+        simulated cell (and of every request that simulates one).  The
+        static trace columns are built once per trace and shared through
+        ``pipeline.tables``; per cell this only writes the geometry and
+        allocates the dynamic buffers.  Also forces the one-time kernel
+        compile/load.
         """
         if build.load_kernel() is None or not self.supports(pipeline):
             return

@@ -1,11 +1,13 @@
 """Marshalling between the :class:`~repro.uarch.core.Pipeline` object graph
 and the compiled kernel's flat int64 ABI.
 
+The static columns — the dynamic trace, the decoded-op tables and the
+per-opcode tables — are flattened once per trace into a
+:class:`KernelTables` that every pipeline replaying that trace shares.
 One :class:`KernelState` is built per pipeline (cached by the backend in a
-``WeakKeyDictionary``).  Construction flattens everything *static* — the
-dynamic trace, the decoded-op tables, the per-opcode tables, the machine
-geometry — and allocates every dynamic buffer once, so a ``run_cycles``
-call only copies the *live* simulation state in and out.
+``WeakKeyDictionary``): it registers pointers to the shared columns, writes
+the machine geometry and allocates every dynamic buffer once, so a
+``run_cycles`` call only copies the *live* simulation state in and out.
 
 The contract that makes the no-side-effects-on-error strategy work:
 :meth:`KernelState.marshal_in` never mutates any Python object — it only
@@ -28,7 +30,10 @@ marshal-out:
 from __future__ import annotations
 
 import ctypes
+import functools
 from array import array
+from itertools import compress
+from operator import attrgetter
 
 from repro.core.integration import IntegrationEntry
 from repro.core.maptable import Mapping
@@ -121,8 +126,111 @@ def _fill_zero(arr: array) -> None:
     ctypes.memset(address, 0, length * arr.itemsize)
 
 
+def _occupied(sets: list[list], lens: array) -> list[int]:
+    """Indices of the sets that hold ways in Python or in the buffers.
+
+    Marshal-out rebuilds only these: a set empty on both sides needs no
+    work, and one that is empty on just one side must still be rewritten.
+    """
+    indices = range(len(sets))
+    return sorted({*compress(indices, sets), *compress(indices, lens)})
+
+
+@functools.cache
+def _opcode_columns() -> dict[str, array]:
+    """The ``O_*`` per-opcode columns (constant: built once per process)."""
+    tables = emit.opcode_tables()
+    return {name: array("q", tables[key])
+            for name, key in (("O_CRC", "crc"), ("O_FUSECAT", "fusecat"),
+                              ("O_S2L", "s2l"), ("O_BRANCH", "branch"),
+                              ("O_CTL", "ctl"))}
+
+
+class KernelTables:
+    """The kernel's read-only columns for one trace, shared by its cells.
+
+    ``T_*`` (one entry per trace record), ``S_*`` (one per static
+    instruction) and ``O_*`` (one per opcode) are never written by the
+    kernel, so every :class:`KernelState` replaying the same
+    :class:`~repro.uarch.tables.TraceTables` registers pointers to these
+    arrays instead of building its own.
+
+    Attributes:
+        arrays: Pointer-block name -> array for every ``T_*``, ``S_*`` and
+            ``O_*`` member.
+        store_pages: Every page any store in the trace can create or
+            dirty, so each marshal-in can build a page pool covering all
+            pages the kernel might write, including straddles.
+    """
+
+    def __init__(self, tables):
+        """Flatten the trace, decoded-op and per-opcode tables."""
+        trace = tables.trace
+        total = len(trace)
+
+        def column(attr):
+            return list(map(attrgetter(attr), trace))
+
+        def present(values):
+            return array("q", [value is not None for value in values])
+
+        def or_zero(values):
+            return array("Q", [0 if value is None else value
+                               for value in values])
+
+        results = column("result")
+        eff_addrs = column("eff_addr")
+        store_values = column("store_value")
+        targets = column("target_pc")
+        arrays = {
+            "T_PC": array("Q", column("pc")),
+            "T_SIDX": array("q", column("index")),
+            "T_RES": or_zero(results), "T_RHAS": present(results),
+            "T_EFF": or_zero(eff_addrs),
+            "T_SV": or_zero(store_values), "T_SVHAS": present(store_values),
+            "T_RS1": array("Q", column("rs1_value")),
+            # rs1_value is always materialised in the trace (default 0), so
+            # the has-flag is constant 1; kept as an array for ABI
+            # uniformity.
+            "T_RS1HAS": array("q", (1,) * total),
+            "T_TAKEN": array("q", [-1 if taken is None else int(taken)
+                                   for taken in column("taken")]),
+            "T_TGT": or_zero(targets), "T_THAS": present(targets),
+        }
+
+        decoded = tables.decoded
+        for name, field in (("S_FLAGS", 0), ("S_CLASS", 1), ("S_LAT", 2),
+                            ("S_MEMB", 3), ("S_DEST", 4), ("S_IMM", 5),
+                            ("S_FOLD", 7)):
+            arrays[name] = array("q", [op[field] for op in decoded])
+        arrays["S_OPC"] = array("q", [emit.OP_ID[op[6]] for op in decoded])
+        arrays["S_MMASK"] = array("Q", [op[8] for op in decoded])
+        arrays["S_NSRC"] = array("q", [len(op[9]) for op in decoded])
+        arrays["S_SRC0"] = array("q", [op[9][0] if op[9] else 0
+                                       for op in decoded])
+        arrays["S_SRC1"] = array("q", [op[9][1] if len(op[9]) > 1 else 0
+                                       for op in decoded])
+        arrays.update(_opcode_columns())
+        self.arrays = arrays
+
+        pages = set()
+        for op, eff_addr in zip(tables.trace_ops, eff_addrs):
+            if op[0] & DF_STORE:
+                pages.add(eff_addr >> 12)
+                pages.add((eff_addr + op[3] - 1) >> 12)
+        self.store_pages = frozenset(pages)
+
+    @classmethod
+    def of(cls, tables) -> "KernelTables":
+        """The kernel columns of ``tables``, built on first use and kept on
+        ``tables`` (so they live exactly as long as the trace tables)."""
+        if tables.kernel is None:
+            tables.kernel = cls(tables)
+        return tables.kernel
+
+
 class KernelState:
-    """Flat ABI buffers for one pipeline, static tables prebuilt.
+    """Flat ABI buffers for one pipeline over shared static columns.
 
     Attributes:
         sc: The scalar block (``int64_t *sc``), indexed by :data:`emit.SC`.
@@ -131,7 +239,7 @@ class KernelState:
     """
 
     def __init__(self, pipeline):
-        """Flatten the static tables and allocate every dynamic buffer."""
+        """Adopt the shared static columns and allocate every dynamic buffer."""
         config = pipeline.config
         window = pipeline.window
         iq_cap = config.issue_queue_size
@@ -175,14 +283,15 @@ class KernelState:
         self.sc = array("q", bytes(8 * len(SCALARS)))
         self.arr: dict[str, array] = {}
         self.pt = (ctypes.c_void_p * len(POINTERS))()
-        self._build_static(pipeline)
+        static = KernelTables.of(pipeline.tables)
+        self.arr.update(static.arrays)
+        self._store_pages = static.store_pages
         self._alloc_dynamic(config)
         self._seed_geometry(pipeline)
         # Page-pool buffers grow on demand (see _ensure_pages).
         self._page_capacity = 0
         self._pages_buf = b""
         self._pages_view = None
-        self._store_pages = self._collect_store_pages(pipeline)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -199,73 +308,6 @@ class KernelState:
         pt = self.pt
         for name, index in PT.items():
             pt[index] = self.arr[name].buffer_info()[0]
-
-    def _build_static(self, pipeline) -> None:
-        """Flatten the trace, decoded-op and per-opcode tables."""
-        total = self.total
-        trace = pipeline.trace
-        self._new("T_PC", "Q", total)[:] = array(
-            "Q", (dyn.pc for dyn in trace))
-        self._new("T_SIDX", "q", total)[:] = array(
-            "q", (dyn.index for dyn in trace))
-        self._new("T_RES", "Q", total)[:] = array(
-            "Q", (0 if dyn.result is None else dyn.result for dyn in trace))
-        self._new("T_RHAS", "q", total)[:] = array(
-            "q", (0 if dyn.result is None else 1 for dyn in trace))
-        self._new("T_EFF", "Q", total)[:] = array(
-            "Q", (0 if dyn.eff_addr is None else dyn.eff_addr for dyn in trace))
-        self._new("T_SV", "Q", total)[:] = array(
-            "Q", (0 if dyn.store_value is None else dyn.store_value
-                  for dyn in trace))
-        self._new("T_SVHAS", "q", total)[:] = array(
-            "q", (0 if dyn.store_value is None else 1 for dyn in trace))
-        self._new("T_RS1", "Q", total)[:] = array(
-            "Q", (dyn.rs1_value for dyn in trace))
-        # rs1_value is always materialised in the trace (default 0), so the
-        # has-flag is constant 1; kept as an array for ABI uniformity.
-        self._new("T_RS1HAS", "q", total)[:] = array("q", (1,) * total)
-        self._new("T_TAKEN", "q", total)[:] = array(
-            "q", (-1 if dyn.taken is None else int(dyn.taken)
-                  for dyn in trace))
-        self._new("T_TGT", "Q", total)[:] = array(
-            "Q", (0 if dyn.target_pc is None else dyn.target_pc
-                  for dyn in trace))
-        self._new("T_THAS", "q", total)[:] = array(
-            "q", (0 if dyn.target_pc is None else 1 for dyn in trace))
-
-        decoded = pipeline._decoded
-        n_static = len(decoded)
-        self._new("S_FLAGS", "q", n_static)[:] = array(
-            "q", (op[0] for op in decoded))
-        self._new("S_CLASS", "q", n_static)[:] = array(
-            "q", (op[1] for op in decoded))
-        self._new("S_LAT", "q", n_static)[:] = array(
-            "q", (op[2] for op in decoded))
-        self._new("S_MEMB", "q", n_static)[:] = array(
-            "q", (op[3] for op in decoded))
-        self._new("S_DEST", "q", n_static)[:] = array(
-            "q", (op[4] for op in decoded))
-        self._new("S_IMM", "q", n_static)[:] = array(
-            "q", (op[5] for op in decoded))
-        self._new("S_OPC", "q", n_static)[:] = array(
-            "q", (emit.OP_ID[op[6]] for op in decoded))
-        self._new("S_FOLD", "q", n_static)[:] = array(
-            "q", (op[7] for op in decoded))
-        self._new("S_MMASK", "Q", n_static)[:] = array(
-            "Q", (op[8] for op in decoded))
-        self._new("S_NSRC", "q", n_static)[:] = array(
-            "q", (len(op[9]) for op in decoded))
-        self._new("S_SRC0", "q", n_static)[:] = array(
-            "q", (op[9][0] if op[9] else 0 for op in decoded))
-        self._new("S_SRC1", "q", n_static)[:] = array(
-            "q", (op[9][1] if len(op[9]) > 1 else 0 for op in decoded))
-
-        tables = emit.opcode_tables()
-        n_ops = len(emit.OPCODES)
-        for name, key in (("O_CRC", "crc"), ("O_FUSECAT", "fusecat"),
-                          ("O_S2L", "s2l"), ("O_BRANCH", "branch"),
-                          ("O_CTL", "ctl")):
-            self._new(name, "q", n_ops)[:] = array("q", tables[key])
 
     def _alloc_dynamic(self, config) -> None:
         """Allocate every live-state buffer once (addresses stay stable)."""
@@ -408,22 +450,6 @@ class KernelState:
         put("WK_MASK", self.wk_mask)
         put("HEAP_CAP", self.node_cap)
         put("VIO_CAP", self.vio_cap)
-
-    @staticmethod
-    def _collect_store_pages(pipeline) -> frozenset:
-        """Every page any store in the trace can create or dirty.
-
-        Precomputed once so each marshal-in can build a page pool covering
-        all pages the kernel might write, including straddles.
-        """
-        decoded = pipeline._decoded
-        pages = set()
-        for dyn in pipeline.trace:
-            op = decoded[dyn.index]
-            if op[0] & DF_STORE:
-                pages.add(dyn.eff_addr >> 12)
-                pages.add((dyn.eff_addr + op[3] - 1) >> 12)
-        return frozenset(pages)
 
     def _ensure_pages(self, npool: int) -> None:
         """Size the page-pool buffers for ``npool`` pages (grow-only)."""
@@ -593,9 +619,12 @@ class KernelState:
         a["BP_CHOOSER"][:] = array("q", predictor.chooser._counters)
         sc[SC["BP_HIST"]] = predictor.history
         btb_tag, btb_tgt, btb_thas = a["BTB_TAG"], a["BTB_TGT"], a["BTB_THAS"]
+        btb_sets = branch.btb._sets
         btb_len = a["BTB_LEN"]
+        _fill_zero(btb_len)
         assoc = self.btb_assoc
-        for set_index, ways in enumerate(branch.btb._sets):
+        for set_index in compress(range(len(btb_sets)), btb_sets):
+            ways = btb_sets[set_index]
             btb_len[set_index] = len(ways)
             base = set_index * assoc
             for way, (tag, target) in enumerate(ways):
@@ -613,12 +642,14 @@ class KernelState:
         # -- caches + MSHR ---------------------------------------------
         for short, cache, cfg in self._cache_map(pipeline):
             tags, lens = a[f"CT_{short}"], a[f"CL_{short}"]
+            sets = cache._sets
+            _fill_zero(lens)
             cassoc = cfg.associativity
-            for set_index, ways in enumerate(cache._sets):
+            for set_index in compress(range(len(sets)), sets):
+                ways = sets[set_index]
                 lens[set_index] = len(ways)
                 base = set_index * cassoc
-                for way, tag in enumerate(ways):
-                    tags[base + way] = tag
+                tags[base:base + len(ways)] = array("Q", ways)
             sc[SC[f"{short}_HITS"]] = cache.hits
             sc[SC[f"{short}_MISSES"]] = cache.misses
         times = pipeline.caches._mshr.completion_times
@@ -987,11 +1018,12 @@ class KernelState:
         predictor.chooser._counters[:] = a["BP_CHOOSER"].tolist()
         predictor.history = sc[SC["BP_HIST"]]
         btb_tag, btb_tgt, btb_thas = a["BTB_TAG"], a["BTB_TGT"], a["BTB_THAS"]
+        btb_sets = branch.btb._sets
         btb_len = a["BTB_LEN"]
         assoc = self.btb_assoc
-        for set_index, ways in enumerate(branch.btb._sets):
+        for set_index in _occupied(btb_sets, btb_len):
             base = set_index * assoc
-            ways[:] = [
+            btb_sets[set_index][:] = [
                 (btb_tag[base + way],
                  btb_tgt[base + way] if btb_thas[base + way] else None)
                 for way in range(btb_len[set_index])
@@ -1001,10 +1033,11 @@ class KernelState:
         # -- caches + MSHR ---------------------------------------------
         for short, cache, cfg in self._cache_map(pipeline):
             tags, lens = a[f"CT_{short}"], a[f"CL_{short}"]
+            sets = cache._sets
             cassoc = cfg.associativity
-            for set_index, ways in enumerate(cache._sets):
+            for set_index in _occupied(sets, lens):
                 base = set_index * cassoc
-                ways[:] = tags[base:base + lens[set_index]].tolist()
+                sets[set_index][:] = tags[base:base + lens[set_index]].tolist()
         mshr = pipeline.caches._mshr
         mshr.completion_times[:] = a["MSHR_T"][:sc[SC["MSHR_LEN"]]].tolist()
 

@@ -60,7 +60,6 @@ from repro.isa.instruction import (
     DF_MEM_SIGNED,
     DF_NO_EXECUTE,
     DF_STORE,
-    decode_program,
 )
 from repro.isa.opcodes import Opcode
 from repro.isa.program import DATA_BASE, STACK_BASE, Program
@@ -87,6 +86,7 @@ from repro.uarch.scheduler import IssueQueue
 from repro.uarch.snapshot import PipelineSnapshot
 from repro.uarch.stats import SimStats
 from repro.uarch.storesets import StoreSets
+from repro.uarch.tables import TraceTables
 
 #: Sentinel for "front end stalled until further notice" (mispredicted branch
 #: still unresolved).
@@ -153,6 +153,7 @@ class Pipeline:
         timeline_stride: int = 0,
         timeline_capacity: int = DEFAULT_TIMELINE_CAPACITY,
         backend: "str | CycleLoopBackend | None" = None,
+        tables: TraceTables | None = None,
     ):
         """Create a pipeline for one program run.
 
@@ -181,6 +182,10 @@ class Pipeline:
                 (:class:`~repro.uarch.observe.TimelineRecorder`; implies
                 ``record_stats``).
             timeline_capacity: Ring-buffer size for the timeline recorder.
+            tables: The read-only tables derived from ``program`` and
+                ``trace`` (:class:`~repro.uarch.tables.TraceTables`), shared
+                by every pipeline that replays the same trace; None builds
+                them for this pipeline alone.
         """
         self.config = config or MachineConfig.default_4wide()
         self.config.validate()
@@ -192,12 +197,16 @@ class Pipeline:
         self.record_stats = bool(record_stats) or timeline_stride > 0
         self.timeline_stride = timeline_stride
         self._trace_length = len(trace)
-        #: Decoded-op cache: one immutable tuple per static instruction,
-        #: indexed by the trace records' static index (== PC/4 offset).
-        self._decoded = decode_program(program.instructions)
-        #: The same cache pre-resolved per trace record, so dispatch reaches
-        #: the decoded tuple with one subscript on the fetch index.
-        self._trace_ops = [self._decoded[dyn.index] for dyn in trace]
+        if tables is None:
+            tables = TraceTables(program, trace)
+        elif tables.program is not program or tables.trace is not trace:
+            raise ValueError(
+                "trace tables were built for another program or trace")
+        #: Shared read-only tables of (program, trace); never written here.
+        self.tables = tables
+        #: The decoded-op tuple of every trace record, so dispatch reaches
+        #: it with one subscript on the fetch index.
+        self._trace_ops = tables.trace_ops
 
         initial_regs = [0] * NUM_LOGICAL_REGS
         initial_regs[RegisterNames.SP] = STACK_BASE
@@ -223,7 +232,7 @@ class Pipeline:
         self.rob = ReorderBuffer(self.config.rob_size, self.window)
         self.store_queue = StoreQueue(self.config.store_queue_size)
         self.load_queue = LoadQueue(self.config.load_queue_size)
-        self.memory = Memory(program.initial_memory)
+        self.memory = Memory.from_image(tables.memory_image)
 
         self.stats = SimStats()
         if self.record_stats:
@@ -398,7 +407,7 @@ class Pipeline:
     #: attribute is accounted for in exactly one of the two tuples.
     _SNAPSHOT_EXEMPT = (
         "config", "program", "trace", "collect_timing", "record_stats",
-        "timeline_stride", "_trace_length", "_decoded", "_trace_ops",
+        "timeline_stride", "_trace_length", "tables", "_trace_ops",
         "_sched_latency", "_commit_width", "_retire_dcache_ports",
         "_rename_width", "_taken_branch_limit", "_fetch_block_bytes",
         "_front_end_depth", "_rob_capacity", "backend", "backend_name",
@@ -1704,7 +1713,7 @@ class Pipeline:
                         and ssit[(entry.pc >> 2) & ss_mask] == load_set):
                     return False
         check = self.store_queue.check_load(
-            seq, dyn.eff_addr, self._decoded[dyn.index][3])
+            seq, dyn.eff_addr, self._trace_ops[seq][3])
         action = check.action
         if action == "memory" or action == "forward":
             return True

@@ -77,11 +77,32 @@ def assert_results_identical(compiled, python):
     assert compiled.finished and python.finished
 
 
+@pytest.fixture
+def no_silent_replays(monkeypatch):
+    """Fail the test when a compiled pipeline runs a slice on the python loop.
+
+    The compiled backend replays any slice it cannot finish (unsupported
+    pipeline, marshal error, nonzero kernel return) through
+    ``Pipeline._run_cycles``, and the replay produces the reference's
+    results — so without this guard an equivalence test would pass while
+    the kernel never ran.
+    """
+    reference_loop = Pipeline._run_cycles
+
+    def guarded(pipeline, stop_cycle=None):
+        if pipeline.backend_name == "compiled":
+            pytest.fail("a compiled slice fell back to Pipeline._run_cycles")
+        return reference_loop(pipeline, stop_cycle)
+
+    monkeypatch.setattr(Pipeline, "_run_cycles", guarded)
+
+
 # ---------------------------------------------------------------------------
 # Backend-vs-backend equivalence
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("no_silent_replays")
 @needs_compiled
 @pytest.mark.parametrize("config_name", list(CONFIGS))
 @pytest.mark.parametrize("seed", SEEDS)
@@ -95,6 +116,7 @@ def test_compiled_matches_python(seed, config_name):
     assert_results_identical(compiled, python)
 
 
+@pytest.mark.usefixtures("no_silent_replays")
 @needs_compiled
 @pytest.mark.parametrize("machine_name", list(MACHINES))
 def test_compiled_matches_python_across_machines(machine_name):
@@ -107,6 +129,7 @@ def test_compiled_matches_python_across_machines(machine_name):
     assert_results_identical(compiled, python)
 
 
+@pytest.mark.usefixtures("no_silent_replays")
 @needs_compiled
 @pytest.mark.parametrize("config_name", list(CONFIGS))
 def test_occupancy_histograms_identical(config_name):
@@ -176,6 +199,7 @@ def canonical_snapshot(pipeline):
     return to_plain(snapshot.state)
 
 
+@pytest.mark.usefixtures("no_silent_replays")
 @needs_compiled
 @pytest.mark.parametrize("seed", [SEEDS[0]])
 def test_lockstep_snapshots_match_every_slice(seed):
@@ -208,6 +232,7 @@ def test_lockstep_snapshots_match_every_slice(seed):
     assert_results_identical(compiled, python)
 
 
+@pytest.mark.usefixtures("no_silent_replays")
 @needs_compiled
 @pytest.mark.parametrize("config_name", list(CONFIGS))
 def test_snapshot_handoff_across_backends(config_name):
