@@ -11,7 +11,8 @@ library internals that may change between versions.  It has four pieces:
   :class:`~repro.api.schema.JobStatus`, :class:`~repro.api.schema.JobState`
   (:mod:`repro.api.schema`).
 * The HTTP front-end behind ``python -m repro serve``
-  (:mod:`repro.api.service`).
+  (:mod:`repro.api.service`), on the HTTP layer it shares with the fleet
+  broker and ``repro store-serve`` (:mod:`repro.api.http`).
 * Incremental simulation — time-sliced, checkpointable pipeline runs
   (:mod:`repro.api.checkpoint`, re-exporting
   :class:`~repro.uarch.snapshot.PipelineSnapshot`).
@@ -36,83 +37,37 @@ Quick start::
         report = job.result()
 """
 
-from repro.api.checkpoint import resume_sliced, run_sliced
-from repro.api.fleet import (
-    FleetBroker,
-    FleetError,
-    FleetExecutor,
-    FleetSaturated,
-    FleetServer,
-    FleetStalled,
-    FleetTaskError,
-    WorkerRejected,
-    make_fleet_server,
-    shared_fleet,
-)
-from repro.api.schema import (
-    WIRE_SCHEMA_VERSION,
-    ExperimentRequest,
-    JobState,
-    JobStatus,
-    SchemaError,
-    TaskLease,
-    TaskResult,
-    WorkerHello,
-)
-from repro.api.service import make_server, serve
-from repro.api.worker import FleetWorker
-from repro.store import (
-    DiskStore,
-    HTTPStore,
-    ResultStore,
-    SqliteStore,
-    open_store,
-    store_locator,
-)
-from repro.api.session import (
-    Job,
-    JobCancelled,
-    JobFailed,
-    Session,
-    default_session,
-)
-from repro.uarch.snapshot import PipelineSnapshot, SnapshotError
+import importlib
 
-__all__ = [
-    "WIRE_SCHEMA_VERSION",
-    "ExperimentRequest",
-    "JobState",
-    "JobStatus",
-    "SchemaError",
-    "Session",
-    "Job",
-    "JobCancelled",
-    "JobFailed",
-    "default_session",
-    "serve",
-    "make_server",
-    "run_sliced",
-    "resume_sliced",
-    "PipelineSnapshot",
-    "SnapshotError",
-    "WorkerHello",
-    "TaskLease",
-    "TaskResult",
-    "FleetBroker",
-    "FleetServer",
-    "FleetExecutor",
-    "FleetWorker",
-    "FleetError",
-    "FleetSaturated",
-    "FleetStalled",
-    "FleetTaskError",
-    "WorkerRejected",
-    "make_fleet_server",
-    "shared_fleet",
-    "ResultStore",
-    "DiskStore",
-    "SqliteStore",
-    "HTTPStore",
-    "open_store",
-    "store_locator",
-]
+#: Every public name, by the module that defines it.  Names resolve on
+#: first use, so importing one submodule (``repro.store.http`` builds its
+#: server on :mod:`repro.api.http`) does not pull in the whole package —
+#: eager imports here would be circular.
+_EXPORTS = {
+    "repro.api.schema": ("WIRE_SCHEMA_VERSION", "ExperimentRequest",
+                         "JobState", "JobStatus", "SchemaError",
+                         "WorkerHello", "TaskLease", "TaskResult"),
+    "repro.api.session": ("Session", "Job", "JobCancelled", "JobFailed",
+                          "default_session"),
+    "repro.api.service": ("serve", "make_server"),
+    "repro.api.checkpoint": ("run_sliced", "resume_sliced"),
+    "repro.uarch.snapshot": ("PipelineSnapshot", "SnapshotError"),
+    "repro.api.fleet": ("FleetBroker", "FleetServer", "FleetExecutor",
+                        "FleetError", "FleetSaturated", "FleetStalled",
+                        "FleetTaskError", "WorkerRejected",
+                        "make_fleet_server", "shared_fleet"),
+    "repro.api.worker": ("FleetWorker",),
+    "repro.store": ("ResultStore", "DiskStore", "SqliteStore", "HTTPStore",
+                    "open_store", "store_locator"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Resolve a public name from its defining module."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_HOME[name]), name)

@@ -11,9 +11,19 @@ repro worker`` pullers over the versioned HTTP wire schema
   (round-robin across concurrent submissions), expiring leases with
   heartbeat renewal, bounded retry of expired/failed leases, backpressure
   (queue-depth cap), and exactly-once commit per cell.
-* :class:`FleetServer` — a dependency-free ``http.server`` front-end
-  mapping the broker onto ``/fleet/hello``, ``/fleet/lease``,
-  ``/fleet/result``, ``/fleet/heartbeat`` and ``/fleet/stats``.
+* :class:`FleetServer` — the broker's route table on the shared HTTP
+  layer (:mod:`repro.api.http`):
+
+  ========  =====================  ====================================
+  method    path                   behaviour
+  ========  =====================  ====================================
+  GET       ``/healthz``           liveness probe
+  GET       ``/fleet/stats``       broker queue/lease/worker snapshot
+  POST      ``/fleet/hello``       worker registration + negotiation
+  POST      ``/fleet/lease``       pull one lease (long-polls ``wait``)
+  POST      ``/fleet/result``      commit one result (exactly-once)
+  POST      ``/fleet/heartbeat``   extend leases, receive directives
+  ========  =====================  ====================================
 * :class:`FleetExecutor` — an :class:`~repro.harness.executors.Executor`
   implementation: it boots (or attaches to) a broker, keeps a target
   number of worker subprocesses alive, enqueues cell leases, and
@@ -49,9 +59,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from repro.api.http import JSONServer, RouteError, clamp_wait
 from repro.api.schema import (
     WIRE_SCHEMA_VERSION,
     SchemaError,
@@ -87,6 +97,9 @@ DEFAULT_MAX_QUEUE_DEPTH = 4096
 
 #: Default cycle budget per worker slice (the checkpoint granularity).
 DEFAULT_SLICE_CYCLES = 50_000
+
+#: Upper bound on a lease request's long-poll ``wait`` (seconds).
+MAX_LEASE_WAIT_S = 30.0
 
 
 class FleetError(RuntimeError):
@@ -633,125 +646,47 @@ class FleetBroker:
 # ---------------------------------------------------------------------------
 
 
-class FleetServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`FleetBroker`."""
-
-    daemon_threads = True
+class FleetServer(JSONServer):
+    """The fleet endpoints (module docstring) over one :class:`FleetBroker`."""
 
     def __init__(self, address, broker: FleetBroker):
         """Bind to ``address`` and serve ``broker``."""
         self.broker = broker
-        super().__init__(address, FleetRequestHandler)
+        super().__init__(address, [
+            ("GET", "/fleet/stats", lambda request: (200, broker.stats())),
+            ("POST", "/fleet/hello", self._hello),
+            ("POST", "/fleet/lease", self._lease),
+            ("POST", "/fleet/result", self._result),
+            ("POST", "/fleet/heartbeat", self._heartbeat),
+        ], WIRE_SCHEMA_VERSION,
+            errors={SchemaError: 400, FleetProtocolError: 409})
 
-    def handle_error(self, request, client_address) -> None:
-        """Swallow disconnect noise: a SIGKILLed worker tears its socket
-        down mid-long-poll, which is chaos-by-design, not a server bug."""
-        exc = sys.exc_info()[1]
-        if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
-            return
-        super().handle_error(request, client_address)
-
-    @property
-    def url(self) -> str:
-        """The server's base URL (host resolved after an ephemeral bind)."""
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-
-class FleetRequestHandler(BaseHTTPRequestHandler):
-    """Routes the fleet endpoints (one request per connection thread).
-
-    ========  =====================  ====================================
-    method    path                   behaviour
-    ========  =====================  ====================================
-    GET       ``/healthz``           liveness probe
-    GET       ``/fleet/stats``       broker queue/lease/worker snapshot
-    POST      ``/fleet/hello``       worker registration + negotiation
-    POST      ``/fleet/lease``       pull one lease (long-polls ``wait``)
-    POST      ``/fleet/result``      commit one result (exactly-once)
-    POST      ``/fleet/heartbeat``   extend leases, receive directives
-    ========  =====================  ====================================
-    """
-
-    server: FleetServer
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        """Suppress the default per-request stderr chatter."""
-
-    def _reply(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, code: int, message: str) -> None:
-        self._reply(code, {"schema_version": WIRE_SCHEMA_VERSION,
-                           "error": message})
-
-    def _read_json(self) -> dict | None:
+    def _hello(self, request) -> tuple[int, dict]:
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = 0
-        if length <= 0:
-            self._error(400, "request body required")
-            return None
-        try:
-            return json.loads(self.rfile.read(length))
-        except (ValueError, UnicodeDecodeError) as error:
-            self._error(400, f"malformed JSON body: {error}")
-            return None
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        """GET router: ``/healthz`` and ``/fleet/stats``."""
-        path = self.path.partition("?")[0]
-        if path == "/healthz":
-            self._reply(200, {"schema_version": WIRE_SCHEMA_VERSION,
-                              "ok": True})
-            return
-        if path == "/fleet/stats":
-            self._reply(200, self.server.broker.stats())
-            return
-        self._error(404, f"unknown path {path!r}")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        """POST router: hello / lease / result / heartbeat."""
-        path = self.path.partition("?")[0]
-        payload = self._read_json()
-        if payload is None:
-            return
-        broker = self.server.broker
-        try:
-            if path == "/fleet/hello":
-                self._reply(200, broker.register(WorkerHello.from_dict(payload)))
-            elif path == "/fleet/lease":
-                worker_id = payload.get("worker_id", "")
-                wait = float(payload.get("wait", 0.0) or 0.0)
-                lease = broker.lease(worker_id, wait=min(max(wait, 0.0), 30.0))
-                self._reply(200, {
-                    "schema_version": WIRE_SCHEMA_VERSION,
-                    "lease": lease.to_dict() if lease is not None else None,
-                    "shutdown": broker.draining,
-                })
-            elif path == "/fleet/result":
-                accepted = broker.complete(TaskResult.from_dict(payload))
-                self._reply(200, {"schema_version": WIRE_SCHEMA_VERSION,
-                                  "accepted": accepted})
-            elif path == "/fleet/heartbeat":
-                worker_id = payload.get("worker_id", "")
-                lease_ids = payload.get("leases") or []
-                self._reply(200, broker.heartbeat(worker_id, list(lease_ids)))
-            else:
-                self._error(404, f"unknown path {path!r}")
-        except SchemaError as error:
-            self._error(400, str(error))
+            hello = WorkerHello.from_dict(request.read_json())
+            return 200, self.broker.register(hello)
         except WorkerRejected as error:
-            self._reply(426, error.payload)
-        except FleetProtocolError as error:
-            self._error(409, str(error))
+            return 426, error.payload
+
+    def _lease(self, request) -> tuple[int, dict]:
+        payload = request.read_json()
+        wait = clamp_wait(payload.get("wait"), MAX_LEASE_WAIT_S)
+        lease = self.broker.lease(str(payload.get("worker_id", "")), wait=wait)
+        return 200, {"schema_version": WIRE_SCHEMA_VERSION,
+                     "lease": lease.to_dict() if lease is not None else None,
+                     "shutdown": self.broker.draining}
+
+    def _result(self, request) -> tuple[int, dict]:
+        accepted = self.broker.complete(TaskResult.from_dict(request.read_json()))
+        return 200, {"schema_version": WIRE_SCHEMA_VERSION, "accepted": accepted}
+
+    def _heartbeat(self, request) -> tuple[int, dict]:
+        payload = request.read_json()
+        lease_ids = payload.get("leases") or []
+        if not isinstance(lease_ids, list):
+            raise RouteError(400, "leases must be a list of lease ids")
+        return 200, self.broker.heartbeat(str(payload.get("worker_id", "")),
+                                          [str(lease_id) for lease_id in lease_ids])
 
 
 def make_fleet_server(host: str = "127.0.0.1", port: int = 0,

@@ -1,7 +1,7 @@
 """``python -m repro serve``: JSON-over-HTTP front-end for a Session.
 
-A deliberately dependency-free service (stdlib ``http.server`` only) that
-maps the :class:`~repro.api.session.Session` facade onto five endpoints:
+A route table on the shared HTTP layer (:mod:`repro.api.http`) that maps
+the :class:`~repro.api.session.Session` facade onto these endpoints:
 
 ========  =======================  ==========================================
 method    path                     behaviour
@@ -40,12 +40,7 @@ in-flight claim markers (see ``docs/store.md``).
 
 from __future__ import annotations
 
-import json
-import signal
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import unquote
-
+from repro.api.http import JSONServer, RouteError, clamp_wait, run_until_signalled
 from repro.api.schema import WIRE_SCHEMA_VERSION, ExperimentRequest, SchemaError
 from repro.api.session import Session
 
@@ -59,190 +54,99 @@ DEFAULT_PORT = 8765
 MAX_WAIT_S = 60.0
 
 
-class ReproServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`Session`."""
-
-    daemon_threads = True
+class ReproServer(JSONServer):
+    """The endpoint table in the module docstring over one :class:`Session`."""
 
     def __init__(self, address, session: Session):
         """Bind to ``address`` and serve ``session``."""
         self.session = session
-        super().__init__(address, ReproRequestHandler)
+        super().__init__(address, [
+            ("GET", "/experiments", self._experiments),
+            ("POST", "/experiments", self._submit),
+            ("GET", "/jobs/<id>", self._status),
+            ("POST", "/jobs/<id>/cancel", self._cancel),
+            ("GET", "/fleet", self._fleet),
+            ("GET", "/store/stats", self._store_stats),
+        ], WIRE_SCHEMA_VERSION, errors={SchemaError: 400})
 
+    def _experiments(self, request) -> tuple[int, dict]:
+        from repro.harness.spec import list_experiments
 
-class ReproRequestHandler(BaseHTTPRequestHandler):
-    """Routes the endpoint table in the module docstring (one per request)."""
+        return 200, {
+            "schema_version": WIRE_SCHEMA_VERSION,
+            "experiments": [
+                {"name": entry.name, "title": entry.title,
+                 "description": entry.description,
+                 "default_suite": entry.default_suite}
+                for entry in list_experiments()
+            ],
+        }
 
-    server: ReproServer
-    protocol_version = "HTTP/1.1"
+    def _submit(self, request) -> tuple[int, dict]:
+        from repro.api.fleet import FleetSaturated
 
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        """Suppress the default per-request stderr chatter."""
-
-    def _reply(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, code: int, message: str) -> None:
-        self._reply(code, {"schema_version": WIRE_SCHEMA_VERSION,
-                           "error": message})
-
-    def _read_json(self) -> dict | None:
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = 0
-        if length <= 0:
-            self._error(400, "request body required")
-            return None
-        try:
-            return json.loads(self.rfile.read(length))
-        except (ValueError, UnicodeDecodeError) as error:
-            self._error(400, f"malformed JSON body: {error}")
-            return None
-
-    # ------------------------------------------------------------------
-    # Routes
-    # ------------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        """GET router: ``/healthz``, ``/experiments``, ``/jobs/<id>``,
-        ``/fleet``, ``/store/stats``."""
-        path, _, query = self.path.partition("?")
-        if path == "/healthz":
-            self._reply(200, {"schema_version": WIRE_SCHEMA_VERSION, "ok": True})
-            return
-        if path == "/experiments":
-            from repro.harness.spec import list_experiments
-
-            self._reply(200, {
+            job = self.session.submit(
+                ExperimentRequest.from_dict(request.read_json()))
+        except FleetSaturated as error:
+            # Backpressure, not failure: the fleet queue is full.  The
+            # structured body carries the live numbers so clients can
+            # back off intelligently instead of hammering the edge.
+            return 429, {
                 "schema_version": WIRE_SCHEMA_VERSION,
-                "experiments": [
-                    {"name": entry.name, "title": entry.title,
-                     "description": entry.description,
-                     "default_suite": entry.default_suite}
-                    for entry in list_experiments()
-                ],
-            })
-            return
-        if path == "/fleet":
-            broker = getattr(self.server.session.executor, "broker", None)
-            if broker is None:
-                self._error(404, "this session does not run on a worker "
-                                 "fleet; start one with `repro serve "
-                                 "--workers N`")
-                return
-            self._reply(200, broker.stats())
-            return
-        if path == "/store/stats":
-            store = self.server.session.cache
-            if store is None:
-                self._error(404, "this session has no result store; start "
-                                 "one with `repro serve --cache-dir DIR` or "
-                                 "`--store URL`")
-                return
-            self._reply(200, store.stats_payload())
-            return
-        if path.startswith("/jobs/"):
-            job_id = unquote(path[len("/jobs/"):])
-            job = self.server.session.job(job_id)
-            if job is None:
-                self._error(404, f"unknown job {job_id!r}")
-                return
-            wait = _parse_wait(query)
-            if wait is None:
-                self._error(400, f"malformed wait= parameter in {query!r}; "
-                                 f"expected a number of seconds")
-                return
-            if wait:
-                job.wait(wait)
-            self._reply(200, job.status().to_dict())
-            return
-        self._error(404, f"unknown path {path!r}")
+                "error": str(error),
+                "queue_depth": error.queue_depth,
+                "max_queue_depth": error.max_queue_depth,
+                "retry_after_s": 5.0,
+            }
+        except KeyError as error:
+            # A bare ``KeyError()`` has no args; fall back to the
+            # exception itself rather than crashing the handler.
+            raise RouteError(404, str(error.args[0] if error.args else error))
+        return 202, {
+            "schema_version": WIRE_SCHEMA_VERSION,
+            "job_id": job.job_id,
+            "state": job.state,
+            "coalesced": job.submissions > 1,
+        }
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        """POST router: ``/experiments`` (submit), ``/jobs/<id>/cancel``."""
-        path = self.path.partition("?")[0]
-        if path == "/experiments":
-            payload = self._read_json()
-            if payload is None:
-                return
-            from repro.api.fleet import FleetSaturated
+    def _job(self, job_id: str):
+        job = self.session.job(job_id)
+        if job is None:
+            raise RouteError(404, f"unknown job {job_id!r}")
+        return job
 
-            try:
-                request = ExperimentRequest.from_dict(payload)
-                job = self.server.session.submit(request)
-            except SchemaError as error:
-                self._error(400, str(error))
-            except FleetSaturated as error:
-                # Backpressure, not failure: the fleet queue is full.  The
-                # structured body carries the live numbers so clients can
-                # back off intelligently instead of hammering the edge.
-                self._reply(429, {
-                    "schema_version": WIRE_SCHEMA_VERSION,
-                    "error": str(error),
-                    "queue_depth": error.queue_depth,
-                    "max_queue_depth": error.max_queue_depth,
-                    "retry_after_s": 5.0,
-                })
-            except KeyError as error:
-                # A bare ``KeyError()`` has no args; fall back to the
-                # exception itself rather than crashing the handler.
-                detail = error.args[0] if error.args else error
-                self._error(404, str(detail))
-            else:
-                self._reply(202, {
-                    "schema_version": WIRE_SCHEMA_VERSION,
-                    "job_id": job.job_id,
-                    "state": job.state,
-                    "coalesced": job.submissions > 1,
-                })
-            return
-        if path.startswith("/jobs/") and path.endswith("/cancel"):
-            job_id = unquote(path[len("/jobs/"):-len("/cancel")])
-            job = self.server.session.job(job_id)
-            if job is None:
-                self._error(404, f"unknown job {job_id!r}")
-                return
-            accepted = job.cancel()
-            self._reply(200, {
-                "schema_version": WIRE_SCHEMA_VERSION,
-                "job_id": job.job_id,
-                "cancelled": accepted,
-                "state": job.state,
-            })
-            return
-        self._error(404, f"unknown path {path!r}")
+    def _status(self, request, job_id: str) -> tuple[int, dict]:
+        job = self._job(job_id)
+        wait = clamp_wait(request.query("wait"), MAX_WAIT_S)
+        if wait:
+            job.wait(wait)
+        return 200, job.status().to_dict()
 
+    def _cancel(self, request, job_id: str) -> tuple[int, dict]:
+        job = self._job(job_id)
+        accepted = job.cancel()
+        return 200, {
+            "schema_version": WIRE_SCHEMA_VERSION,
+            "job_id": job.job_id,
+            "cancelled": accepted,
+            "state": job.state,
+        }
 
-def _parse_wait(query: str) -> float | None:
-    """Extract the ``wait=<seconds>`` long-poll duration from a query string.
+    def _fleet(self, request) -> tuple[int, dict]:
+        broker = getattr(self.session.executor, "broker", None)
+        if broker is None:
+            raise RouteError(404, "this session does not run on a worker "
+                                  "fleet; start one with `repro serve "
+                                  "--workers N`")
+        return 200, broker.stats()
 
-    Returns 0.0 when no ``wait=`` is present, the clamped duration
-    otherwise — negatives clamp to 0 and oversized values to
-    :data:`MAX_WAIT_S` — and **None** when the value is malformed
-    (non-numeric, empty, or NaN), so the handler can answer 400 instead of
-    silently ignoring a request it did not understand.
-    """
-    for part in query.split("&"):
-        key, _, value = part.partition("=")
-        if key == "wait":
-            try:
-                wait = float(unquote(value))
-            except ValueError:
-                return None
-            if wait != wait:          # NaN: no meaningful duration
-                return None
-            return max(0.0, min(MAX_WAIT_S, wait))
-    return 0.0
+    def _store_stats(self, request) -> tuple[int, dict]:
+        if self.session.cache is None:
+            raise RouteError(404, "this session has no result store; start "
+                                  "one with `repro serve --cache-dir DIR` or "
+                                  "`--store URL`")
+        return 200, self.session.cache.stats_payload()
 
 
 def make_server(
@@ -269,28 +173,6 @@ def serve(host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
     HTTP handlers and closes the session.
     """
     server = make_server(host, port, session)
-    bound_host, bound_port = server.server_address[:2]
-    print(f"repro serve: listening on http://{bound_host}:{bound_port}",
-          flush=True)
-
-    def _request_stop(signum, frame):
-        # shutdown() must not run on the serve_forever thread.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[signum] = signal.signal(signum, _request_stop)
-        except ValueError:            # non-main thread (tests)
-            pass
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        server.server_close()
-        server.session.close(wait=False)
-    print("repro serve: shut down cleanly", flush=True)
-    return 0
+    print(f"repro serve: listening on {server.url}", flush=True)
+    return run_until_signalled(server, "repro serve",
+                               lambda: server.session.close(wait=False))

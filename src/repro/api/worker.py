@@ -27,7 +27,8 @@ Failure-tolerance mechanics (what the chaos harness exercises):
   memo (the broker queues a grid's cells adjacently, so the memo behaves
   like the per-workload trace sharing of the in-process executors).
 
-The worker is deliberately dependency-free (stdlib ``urllib``) and exits
+The worker is deliberately dependency-free (its one HTTP call is
+:func:`repro.api.http.request`, over stdlib ``urllib``) and exits
 with distinct codes: 0 on a clean drain/shutdown, 2 on registration
 rejection (schema mismatch), 3 when the broker becomes unreachable.
 """
@@ -35,24 +36,16 @@ rejection (schema mismatch), 3 when the broker becomes unreachable.
 from __future__ import annotations
 
 import argparse
-import http.client
 import json
 import os
 import sys
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
-from repro.api.schema import (
-    WIRE_SCHEMA_VERSION,
-    SchemaError,
-    TaskLease,
-    TaskResult,
-    WorkerHello,
-)
+from repro.api.http import TransportError, request
+from repro.api.schema import TaskLease, TaskResult, WorkerHello
 from repro.core.config import RenoConfig
 from repro.core.renamer import RenoRenamer
 from repro.core.simulator import SimulationOutcome
@@ -78,6 +71,15 @@ class _Abandoned(Exception):
 
 class _BrokerUnreachable(Exception):
     """Internal: the broker did not answer within the retry budget."""
+
+
+class _BrokerRefused(Exception):
+    """Internal: the broker answered an error status (message: its body)."""
+
+    def __init__(self, status: int, detail: str):
+        """Record the status next to the broker's answer."""
+        super().__init__(detail)
+        self.status = status
 
 
 class FleetWorker:
@@ -135,22 +137,17 @@ class FleetWorker:
     # ------------------------------------------------------------------
 
     def _post(self, path: str, payload: dict, timeout: float | None = None) -> dict:
-        """POST JSON to the broker; raise :class:`_BrokerUnreachable` after
-        :data:`MAX_TRANSPORT_FAILURES` consecutive connection failures."""
-        body = json.dumps(payload).encode()
-        request = urllib.request.Request(
-            self.server_url + path, data=body,
-            headers={"Content-Type": "application/json"}, method="POST")
+        """POST JSON to the broker and decode its answer.
+
+        An error status raises :class:`_BrokerRefused`.  A transport
+        failure sleeps briefly and answers ``{"_retry": True}``, until
+        :data:`MAX_TRANSPORT_FAILURES` consecutive ones raise
+        :class:`_BrokerUnreachable`.
+        """
         try:
-            with urllib.request.urlopen(
-                    request, timeout=timeout or (self.poll_wait_s + 30)) as response:
-                self._failures = 0
-                return json.loads(response.read())
-        except urllib.error.HTTPError:
-            self._failures = 0
-            raise
-        except (urllib.error.URLError, http.client.HTTPException,
-                OSError, TimeoutError) as error:
+            status, body = request("POST", self.server_url + path, payload,
+                                   timeout=timeout or (self.poll_wait_s + 30))
+        except TransportError as error:
             self._failures += 1
             if self._failures >= MAX_TRANSPORT_FAILURES:
                 raise _BrokerUnreachable(
@@ -158,6 +155,10 @@ class FleetWorker:
                     f"({self._failures} consecutive failures): {error}")
             time.sleep(min(0.2 * self._failures, 1.0))
             return {"_retry": True}
+        self._failures = 0
+        if status >= 400:
+            raise _BrokerRefused(status, body.decode(errors="replace"))
+        return json.loads(body)
 
     def _hello(self) -> bool:
         """Register with the broker; False means rejected (schema mismatch)."""
@@ -165,10 +166,9 @@ class FleetWorker:
                             host="localhost")
         try:
             answer = self._post("/fleet/hello", hello.to_dict())
-        except urllib.error.HTTPError as error:
-            detail = error.read().decode(errors="replace")
+        except _BrokerRefused as error:
             print(f"worker {self.worker_id}: registration rejected "
-                  f"({error.code}): {detail}", file=sys.stderr)
+                  f"({error.status}): {error}", file=sys.stderr)
             return False
         if answer.get("_retry"):
             return self._hello()
@@ -194,8 +194,8 @@ class FleetWorker:
                         "worker_id": self.worker_id,
                         "wait": self.poll_wait_s,
                     })
-                except urllib.error.HTTPError as error:
-                    if error.code == 409:
+                except _BrokerRefused as error:
+                    if error.status == 409:
                         # Broker restarted (or never met us): re-register.
                         if not self._hello():
                             return 2
@@ -244,7 +244,7 @@ class FleetWorker:
             stop_heartbeat.set()
         try:
             self._post("/fleet/result", result.to_dict())
-        except urllib.error.HTTPError:
+        except _BrokerRefused:
             pass  # a refused result is by definition late; the retry owns it
         self.cells_done += 1
 
@@ -259,7 +259,7 @@ class FleetWorker:
                     "worker_id": self.worker_id,
                     "leases": [lease.lease_id],
                 }, timeout=10)
-            except (urllib.error.HTTPError, _BrokerUnreachable):
+            except (_BrokerRefused, _BrokerUnreachable):
                 return
             if answer.get("_retry"):
                 continue

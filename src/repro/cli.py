@@ -426,26 +426,22 @@ def _server_url(args) -> str:
 
 def _http_json(url: str, payload: dict | None = None, timeout: float = 120.0) -> dict:
     """One JSON request against a running service (POST when payload given)."""
-    import urllib.error
-    import urllib.request
+    from repro.api.http import TransportError, request
 
-    data = json.dumps(payload).encode() if payload is not None else None
-    request = urllib.request.Request(
-        url, data=data, headers={"Content-Type": "application/json"},
-        method="POST" if payload is not None else "GET")
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        try:
-            detail = json.loads(error.read()).get("error", "")
-        except Exception:
-            detail = ""
-        raise SystemExit(f"error: server returned {error.code} for {url}"
-                         + (f": {detail}" if detail else ""))
-    except urllib.error.URLError as error:
-        raise SystemExit(f"error: cannot reach {url} ({error.reason}); "
+        status, body = request("POST" if payload is not None else "GET", url,
+                               payload, timeout=timeout)
+    except TransportError as error:
+        raise SystemExit(f"error: cannot reach {url} ({error}); "
                          f"is `python -m repro serve` running?")
+    if status >= 400:
+        try:
+            detail = json.loads(body).get("error", "")
+        except (ValueError, AttributeError):
+            detail = ""
+        raise SystemExit(f"error: server returned {status} for {url}"
+                         + (f": {detail}" if detail else ""))
+    return json.loads(body)
 
 
 def _write_artifact(text: str, json_path: str) -> None:

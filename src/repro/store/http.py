@@ -34,18 +34,17 @@ from __future__ import annotations
 
 import json
 import os
-import signal
-import threading
-import urllib.error
-import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import unquote
 
+from repro.api.http import (
+    JSONServer,
+    RouteError,
+    TransportError,
+    request,
+    run_until_signalled,
+)
 from repro.core.simulator import SimulationOutcome
 from repro.store.base import StoreStats, decode_payload, encode_payload
 from repro.store.schema import (
-    AUTH_HEADER,
-    AUTH_SCHEME,
     STORE_SCHEMA_VERSION,
     TOKEN_ENV,
     BlobPutReply,
@@ -96,30 +95,31 @@ class HTTPStore:
     # Transport
     # ------------------------------------------------------------------
 
-    def _request(self, method: str, path: str, body: bytes | None = None,
-                 content_type: str = "application/json"):
-        headers = {"Content-Type": content_type}
-        if self.token:
-            headers[AUTH_HEADER] = f"{AUTH_SCHEME} {self.token}"
-        request = urllib.request.Request(
-            self.base_url + path, data=body, headers=headers, method=method)
+    def _request(self, method: str, path: str, body: dict | bytes | None = None,
+                 *, missing_ok: bool = False) -> bytes | None:
+        """One request; the reply body, or None for a 404 when ``missing_ok``."""
         try:
-            return urllib.request.urlopen(request, timeout=self.timeout_s)
-        except urllib.error.HTTPError as error:
-            if error.code == 401:
-                detail = error.read().decode(errors="replace")
-                raise StoreAuthError(
-                    f"store at {self.base_url} refused this client's "
-                    f"credentials (set ${TOKEN_ENV}): {detail}") from None
-            raise
-        except (urllib.error.URLError, OSError) as error:
+            status, reply = request(method, self.base_url + path, body,
+                                    token=self.token, timeout=self.timeout_s)
+        except TransportError as error:
             raise StoreError(
                 f"store at {self.base_url} unreachable: {error}") from None
+        if status == 401:
+            raise StoreAuthError(
+                f"store at {self.base_url} refused this client's "
+                f"credentials (set ${TOKEN_ENV}): "
+                f"{reply.decode(errors='replace')}")
+        if status == 404 and missing_ok:
+            return None
+        if status >= 400:
+            raise StoreError(
+                f"store at {self.base_url} answered {status} to {method} "
+                f"{path}: {reply.decode(errors='replace')}")
+        return reply
 
-    def _json(self, method: str, path: str, payload: dict | None = None) -> dict:
-        body = json.dumps(payload).encode() if payload is not None else None
-        with self._request(method, path, body) as response:
-            return json.loads(response.read())
+    def _json(self, method: str, path: str,
+              body: dict | bytes | None = None) -> dict:
+        return json.loads(self._request(method, path, body))
 
     # ------------------------------------------------------------------
     # The ResultStore protocol
@@ -127,15 +127,8 @@ class HTTPStore:
 
     def get(self, key: str) -> SimulationOutcome | None:
         """Fetch and decode the payload under ``key`` (None on 404)."""
-        try:
-            with self._request("GET", f"/store/blob/{key}") as response:
-                blob = response.read()
-        except urllib.error.HTTPError as error:
-            if error.code == 404:
-                self.stats.misses += 1
-                return None
-            raise
-        outcome = decode_payload(blob)
+        blob = self._request("GET", f"/store/blob/{key}", missing_ok=True)
+        outcome = decode_payload(blob) if blob is not None else None
         if outcome is None:
             self.stats.misses += 1
             return None
@@ -144,10 +137,8 @@ class HTTPStore:
 
     def put(self, key: str, outcome: SimulationOutcome) -> bool:
         """Conditionally upload the payload for ``key`` (first put wins)."""
-        blob = encode_payload(outcome)
-        with self._request("PUT", f"/store/blob/{key}", blob,
-                           content_type="application/octet-stream") as response:
-            reply = BlobPutReply.from_dict(json.loads(response.read()))
+        reply = BlobPutReply.from_dict(self._json(
+            "PUT", f"/store/blob/{key}", encode_payload(outcome)))
         if reply.stored:
             self.stats.stores += 1
         else:
@@ -156,13 +147,8 @@ class HTTPStore:
 
     def contains(self, key: str) -> bool:
         """HEAD-probe whether an entry for ``key`` exists."""
-        try:
-            with self._request("HEAD", f"/store/blob/{key}"):
-                return True
-        except urllib.error.HTTPError as error:
-            if error.code == 404:
-                return False
-            raise
+        return self._request("HEAD", f"/store/blob/{key}",
+                             missing_ok=True) is not None
 
     def claim(self, token: str, owner: str, ttl_s: float) -> bool:
         """Acquire the in-flight marker ``token`` on the server."""
@@ -203,223 +189,82 @@ class HTTPStore:
 # ---------------------------------------------------------------------------
 
 
-class StoreServer(ThreadingHTTPServer):
-    """A threading HTTP server fronting one backing store."""
-
-    daemon_threads = True
+class StoreServer(JSONServer):
+    """The endpoint table in the module docstring over one backing store."""
 
     def __init__(self, address, backing, token: str | None = None):
         """Bind to ``address`` and serve ``backing`` (token = require auth)."""
         self.backing = backing
-        self.token = token
-        super().__init__(address, StoreRequestHandler)
+        super().__init__(address, [
+            ("GET", "/store/blob/<key>", self._get_blob),
+            ("HEAD", "/store/blob/<key>", self._has_blob),
+            ("PUT", "/store/blob/<key>", self._put_blob),
+            ("GET", "/store/stats", self._stats),
+            ("POST", "/store/claim", self._claim),
+            ("POST", "/store/release", self._release),
+            ("GET", "/store/meta/<name>", self._get_meta),
+            ("POST", "/store/meta/<name>", self._merge_meta),
+        ], STORE_SCHEMA_VERSION, token=token)
 
-    @property
-    def url(self) -> str:
-        """The server's base URL."""
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-
-class StoreRequestHandler(BaseHTTPRequestHandler):
-    """Routes the endpoint table in the module docstring (one per request)."""
-
-    server: StoreServer
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        """Suppress the default per-request stderr chatter."""
-
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-
-    def _reply_json(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_bytes(self, code: int, blob: bytes, head_only: bool = False) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(blob)))
-        self.end_headers()
-        if not head_only:
-            self.wfile.write(blob)
-
-    def _error(self, code: int, message: str) -> None:
-        self._reply_json(code, {"schema_version": STORE_SCHEMA_VERSION,
-                                "error": message})
-
-    def _authorized(self) -> bool:
-        """Check the bearer token; answer the 401 when it fails."""
-        expected = self.server.token
-        if not expected:
-            return True
-        supplied = self.headers.get(AUTH_HEADER, "")
-        scheme, _, credential = supplied.partition(" ")
-        if scheme == AUTH_SCHEME and credential.strip() == expected:
-            return True
-        self._error(401, f"missing or invalid {AUTH_SCHEME} token in the "
-                         f"{AUTH_HEADER} header")
-        return False
-
-    def _read_body(self) -> bytes:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = 0
-        return self.rfile.read(length) if length > 0 else b""
-
-    def _read_json(self) -> dict | None:
-        try:
-            payload = json.loads(self._read_body())
-        except (ValueError, UnicodeDecodeError) as error:
-            self._error(400, f"malformed JSON body: {error}")
-            return None
-        if not isinstance(payload, dict):
-            self._error(400, "JSON body must be an object")
-            return None
-        return payload
-
-    # ------------------------------------------------------------------
-    # Routes
-    # ------------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        """GET router: ``/healthz``, ``/store/blob``, ``/store/stats``,
-        ``/store/meta``."""
-        path = self.path.partition("?")[0]
-        if path == "/healthz":
-            self._reply_json(200, {"schema_version": STORE_SCHEMA_VERSION,
-                                   "ok": True})
-            return
-        if not self._authorized():
-            return
-        if path.startswith("/store/blob/"):
-            key = unquote(path[len("/store/blob/"):])
-            blob = self._raw_blob(key)
-            if blob is None:
-                self._error(404, f"no entry for key {key!r}")
-                return
-            self._reply_bytes(200, blob)
-            return
-        if path == "/store/stats":
-            self._reply_json(200, StoreStatsReply(
-                **self.server.backing.stats_payload()).to_dict())
-            return
-        if path.startswith("/store/meta/"):
-            name = unquote(path[len("/store/meta/"):])
-            self._reply_json(200, MetaReply(
-                name=name,
-                entries=self.server.backing.get_meta(name)).to_dict())
-            return
-        self._error(404, f"unknown path {path!r}")
-
-    def do_HEAD(self) -> None:  # noqa: N802 - stdlib naming
-        """HEAD router: ``/store/blob/<key>`` existence probes."""
-        path = self.path.partition("?")[0]
-        if not self._authorized():
-            return
-        if path.startswith("/store/blob/"):
-            key = unquote(path[len("/store/blob/"):])
-            if self.server.backing.contains(key):
-                self._reply_bytes(200, b"", head_only=True)
-            else:
-                self._reply_bytes(404, b"", head_only=True)
-            return
-        self._reply_bytes(404, b"", head_only=True)
-
-    def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
-        """PUT router: ``/store/blob/<key>`` conditional payload uploads."""
-        path = self.path.partition("?")[0]
-        if not self._authorized():
-            return
-        if not path.startswith("/store/blob/"):
-            self._error(404, f"unknown path {path!r}")
-            return
-        key = unquote(path[len("/store/blob/"):])
-        blob = self._read_body()
-        outcome = decode_payload(blob)
+    def _get_blob(self, request, key: str) -> tuple[int, bytes]:
+        # Round-trips through the backing store's ``get`` so hit/miss/TTL
+        # accounting happens exactly once, then re-encodes: the payload
+        # codec is deterministic, so the bytes a client receives equal
+        # the bytes any other tier would serve.
+        outcome = self.backing.get(key)
         if outcome is None:
-            self._error(400, f"payload for {key!r} is not a valid "
-                             f"cache-format entry")
-            return
-        stored = self.server.backing.put(key, outcome)
-        self._reply_json(200, BlobPutReply(
-            key=key, stored=stored, duplicate=not stored).to_dict())
+            raise RouteError(404, f"no entry for key {key!r}")
+        return 200, encode_payload(outcome)
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        """POST router: ``/store/claim``, ``/store/release``,
-        ``/store/meta/<name>`` merges."""
-        path = self.path.partition("?")[0]
-        if not self._authorized():
-            return
-        if path == "/store/claim":
-            payload = self._read_json()
-            if payload is None:
-                return
-            token = str(payload.get("token", ""))
-            owner = str(payload.get("owner", ""))
-            try:
-                ttl_s = float(payload.get("ttl_s", 60.0))
-            except (TypeError, ValueError):
-                self._error(400, "ttl_s must be a number")
-                return
-            granted = self.server.backing.claim(token, owner, ttl_s)
-            holder = owner if granted else self._holder(token)
-            self._reply_json(200, ClaimReply(
-                token=token, granted=granted, holder=holder).to_dict())
-            return
-        if path == "/store/release":
-            payload = self._read_json()
-            if payload is None:
-                return
-            token = str(payload.get("token", ""))
-            owner = str(payload.get("owner", ""))
-            self.server.backing.release(token, owner)
-            self._reply_json(200, ClaimReply(
-                token=token, granted=False,
-                holder=self._holder(token)).to_dict())
-            return
-        if path.startswith("/store/meta/"):
-            payload = self._read_json()
-            if payload is None:
-                return
-            entries = payload.get("entries")
-            if not isinstance(entries, dict):
-                self._error(400, "entries must be an object")
-                return
-            name = unquote(path[len("/store/meta/"):])
-            merged = self.server.backing.merge_meta(name, entries)
-            self._reply_json(200, MetaReply(name=name,
-                                            entries=merged).to_dict())
-            return
-        self._error(404, f"unknown path {path!r}")
+    def _has_blob(self, request, key: str) -> tuple[int, bytes]:
+        return (200 if self.backing.contains(key) else 404), b""
 
-    # ------------------------------------------------------------------
-    # Backing-store helpers
-    # ------------------------------------------------------------------
-
-    def _raw_blob(self, key: str) -> bytes | None:
-        """The raw payload bytes for ``key`` via the backing store.
-
-        Round-trips through the backing store's ``get`` so hit/miss/TTL
-        accounting happens exactly once, then re-encodes — the payload
-        codec is deterministic, so the bytes a client receives equal the
-        bytes any other tier would serve.
-        """
-        outcome = self.server.backing.get(key)
+    def _put_blob(self, request, key: str) -> tuple[int, dict]:
+        outcome = decode_payload(request.read_body())
         if outcome is None:
-            return None
-        return encode_payload(outcome)
+            raise RouteError(400, f"payload for {key!r} is not a valid "
+                                  f"cache-format entry")
+        stored = self.backing.put(key, outcome)
+        return 200, BlobPutReply(key=key, stored=stored,
+                                 duplicate=not stored).to_dict()
+
+    def _stats(self, request) -> tuple[int, dict]:
+        return 200, StoreStatsReply(**self.backing.stats_payload()).to_dict()
+
+    def _claim(self, request) -> tuple[int, dict]:
+        payload = request.read_json()
+        token = str(payload.get("token", ""))
+        owner = str(payload.get("owner", ""))
+        try:
+            ttl_s = float(payload.get("ttl_s", 60.0))
+        except (TypeError, ValueError):
+            raise RouteError(400, "ttl_s must be a number") from None
+        granted = self.backing.claim(token, owner, ttl_s)
+        holder = owner if granted else self._holder(token)
+        return 200, ClaimReply(token=token, granted=granted,
+                               holder=holder).to_dict()
+
+    def _release(self, request) -> tuple[int, dict]:
+        payload = request.read_json()
+        token = str(payload.get("token", ""))
+        self.backing.release(token, str(payload.get("owner", "")))
+        return 200, ClaimReply(token=token, granted=False,
+                               holder=self._holder(token)).to_dict()
+
+    def _get_meta(self, request, name: str) -> tuple[int, dict]:
+        return 200, MetaReply(name=name,
+                              entries=self.backing.get_meta(name)).to_dict()
+
+    def _merge_meta(self, request, name: str) -> tuple[int, dict]:
+        entries = request.read_json().get("entries")
+        if not isinstance(entries, dict):
+            raise RouteError(400, "entries must be an object")
+        return 200, MetaReply(name=name, entries=self.backing.merge_meta(
+            name, entries)).to_dict()
 
     def _holder(self, token: str) -> str | None:
         """Current marker owner when the backing store can say (else None)."""
-        probe = getattr(self.server.backing, "holder", None)
+        probe = getattr(self.backing, "holder", None)
         return probe(token) if probe is not None else None
 
 
@@ -479,28 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     server = StoreServer((options.host, options.port), backing, token=token)
     print(f"repro store-serve: listening on {server.url} "
           f"(db {options.db}, auth {'on' if token else 'off'})", flush=True)
-
-    def _request_stop(signum, frame):
-        # shutdown() must not run on the serve_forever thread.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[signum] = signal.signal(signum, _request_stop)
-        except ValueError:            # non-main thread (tests)
-            pass
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        server.server_close()
-        backing.close()
-    print("repro store-serve: shut down cleanly", flush=True)
-    return 0
+    return run_until_signalled(server, "repro store-serve", backing.close)
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution guard

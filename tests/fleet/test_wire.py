@@ -178,3 +178,24 @@ def test_http_stats_lists_registered_workers(fleet_server):
     assert "w-stats" in stats["workers"]
     assert stats["workers"]["w-stats"]["pid"] == 123
     assert stats["counters"]["commits"] == 0
+
+
+@pytest.mark.parametrize("path,payload", [
+    ("/fleet/lease", [1]),
+    ("/fleet/lease", "w-input"),
+    ("/fleet/heartbeat", [1]),
+    ("/fleet/heartbeat", None),
+    ("/fleet/result", [1]),
+    ("/fleet/lease", {"worker_id": "w-input", "wait": "soon"}),
+    ("/fleet/lease", {"worker_id": "w-input", "wait": float("nan")}),
+    ("/fleet/lease", {"worker_id": "w-input", "wait": [5]}),
+    ("/fleet/heartbeat", {"worker_id": "w-input", "leases": 7}),
+])
+def test_http_malformed_input_is_a_structured_400(fleet_server, path, payload):
+    # A registered worker, so only the malformed input can be refused.
+    _post(fleet_server, "/fleet/hello",
+          {"schema_version": WIRE_SCHEMA_VERSION, "worker_id": "w-input"})
+    code, body = _post(fleet_server, path, payload)
+    assert code == 400
+    assert body["schema_version"] == WIRE_SCHEMA_VERSION
+    assert body["error"]
