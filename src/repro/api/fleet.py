@@ -80,7 +80,6 @@ from repro.harness.executors import (
     ExecutionCancelled,
     SerialExecutor,
     WorkloadTask,
-    _delegate,
     _progress_emitter,
 )
 from repro.store.base import open_store, store_locator
@@ -936,7 +935,8 @@ class FleetExecutor:
         if not tasks:
             return []
         if not self._tasks_shippable(tasks):
-            return _delegate(SerialExecutor(), tasks, cache, progress, cancel)
+            return SerialExecutor().execute(tasks, cache, progress=progress,
+                                            cancel=cancel)
         cache = cache if cache is not None else self._default_cache()
         self.ensure_started()
         emit = _progress_emitter(progress)

@@ -1,9 +1,8 @@
 """The ``Session``/``Job`` facade: the supported programmatic API surface.
 
-A :class:`Session` owns the three pieces of engine state every caller used
-to wire up by hand — an execution backend, an outcome cache, and the
-cross-run cost model — and exposes one submission surface in front of the
-experiment registry:
+A :class:`Session` owns the engine state every caller used to wire up by
+hand — an execution backend and an outcome cache — and exposes one
+submission surface in front of the experiment registry:
 
 * :meth:`Session.submit` returns a :class:`Job` immediately; the experiment
   runs on a background worker with per-cell progress streaming
@@ -30,12 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.api.schema import ExperimentRequest, JobState, JobStatus
 from repro.harness.cache import SimulationCache, resolve_cache
-from repro.harness.executors import (
-    CostModel,
-    ExecutionCancelled,
-    Executor,
-    resolve_executor,
-)
+from repro.harness.executors import ExecutionCancelled, Executor, resolve_executor
 from repro.harness.spec import Experiment, get_experiment
 
 #: How long a session's cross-session request claim stays live without
@@ -376,12 +370,6 @@ class Session:
     def executor(self) -> Executor:
         """The session's execution backend (resolved per access)."""
         return resolve_executor(self._jobs_arg, self._executor_arg)
-
-    @property
-    def cost_model(self) -> CostModel | None:
-        """The cross-run cost model in the cache's store (None without one)."""
-        cache = self.cache
-        return CostModel(cache) if cache is not None else None
 
     # ------------------------------------------------------------------
     # Submission

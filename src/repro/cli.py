@@ -96,8 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "run", help="run a registered experiment and print / save its report")
     _add_grid_flags(run)
     run.add_argument("--jobs", default=None, metavar="N|auto",
-                     help="worker processes: an integer or 'auto' (adaptive; "
-                          "the default)")
+                     help="worker processes: an integer, 'auto' (one per "
+                          "CPU; the default) or 'fleet'")
     run.add_argument("--backend", default=None, metavar="NAME",
                      help="cycle-loop backend: python|compiled (default: "
                           "$REPRO_BACKEND, else python; an unavailable "

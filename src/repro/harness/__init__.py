@@ -9,8 +9,8 @@ The harness is organised around three layers:
   ``python -m repro`` CLI.
 * **The engine** (:mod:`repro.harness.executors`,
   :mod:`repro.harness.cache`): pluggable execution backends (serial /
-  process pool / adaptive ``"auto"``) over a content-addressed on-disk
-  outcome cache.
+  process pool, which ``"auto"`` sizes to the CPU count) over a
+  content-addressed on-disk outcome cache.
 * **Compat wrappers** (:mod:`repro.harness.experiments`): the original
   ``figure*`` functions, now thin shims over the registry, still returning
   :class:`~repro.harness.experiments.ExperimentReport` objects whose rows
@@ -20,7 +20,6 @@ The harness is organised around three layers:
 
 from repro.harness.cache import SimulationCache, file_lock, outcome_key, program_digest
 from repro.harness.executors import (
-    AutoExecutor,
     CancelFn,
     ExecutionCancelled,
     Executor,
@@ -77,7 +76,6 @@ __all__ = [
     "CancelFn",
     "SerialExecutor",
     "ProcessExecutor",
-    "AutoExecutor",
     "resolve_executor",
     "SweepSpec",
     "Experiment",

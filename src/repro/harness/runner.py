@@ -159,9 +159,9 @@ def run_matrix(
             :mod:`repro.uarch.observe`).
         max_instructions: Functional-simulation budget per workload.
         jobs: Worker processes to fan workloads out over: an int, ``"auto"``
-            (adaptive backend selection, see
-            :class:`repro.harness.executors.AutoExecutor`), or None to read
-            ``$REPRO_JOBS`` (unset defaults to ``"auto"``).  Simulated
+            (one per CPU, see
+            :func:`repro.harness.executors.resolve_executor`), or None to
+            read ``$REPRO_JOBS`` (unset defaults to ``"auto"``).  Simulated
             results and their ordering are identical for every ``jobs``
             value, but outcomes computed by worker processes are *slim*
             (``outcome.program``/``outcome.functional`` are None — the

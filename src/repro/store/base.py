@@ -31,9 +31,9 @@ rest of the stack builds on:
   first holder instead of simulating, then reads pure store hits.
 * **meta documents** (:meth:`ResultStore.get_meta` /
   :meth:`ResultStore.merge_meta`) — small shared JSON maps merged
-  server-side (last write per key wins), which is how the
-  :class:`~repro.harness.executors.CostModel` shares probe timings
-  between fleet workers.
+  server-side (last write per key wins), so processes and hosts sharing
+  one store can share small documents without losing each other's
+  entries.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ class StoreStats:
     """Hit/miss/store/eviction counters for one store instance.
 
     The first three fields keep the historical
-    :class:`repro.harness.cache.CacheStats` shape (executors merge them
-    across worker processes); the rest are store-tier additions.
+    :class:`repro.harness.cache.CacheStats` shape; the rest are store-tier
+    additions.  A process pool adds every field of its workers' stats into
+    the parent's.
     """
 
     hits: int = 0
@@ -185,7 +186,9 @@ def open_store(locator, token: str | None = None):
 
     * ``http://`` / ``https://`` — an :class:`~repro.store.http.HTTPStore`
       client (``token`` or ``$REPRO_STORE_TOKEN`` authenticates it);
-    * ``sqlite://<path>`` — a :class:`~repro.store.sqlite.SqliteStore`;
+    * ``sqlite://<path>[?max_bytes=N&ttl_s=T]`` — a
+      :class:`~repro.store.sqlite.SqliteStore` with that eviction policy
+      (an unknown or non-numeric parameter raises ``ValueError``);
     * any other string or :class:`~pathlib.Path` — a
       :class:`~repro.store.disk.DiskStore` rooted there;
     * an object already implementing the protocol passes through.
@@ -205,7 +208,7 @@ def open_store(locator, token: str | None = None):
     if text.startswith("sqlite://"):
         from repro.store.sqlite import SqliteStore
 
-        return SqliteStore(text[len("sqlite://"):])
+        return SqliteStore.from_locator(text)
     from repro.store.disk import DiskStore
 
     return DiskStore(text)

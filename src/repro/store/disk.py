@@ -13,7 +13,7 @@ The cooperative facilities map onto files:
   the owner id and a wall-clock deadline; expired markers are replaced
   under a :func:`file_lock` so two waiters never both "take over";
 * **meta documents** are ``root/<name>.json`` files merged under the same
-  lock — the cost model's ``costs.json`` is meta document ``costs``.
+  lock.
 
 Every failure path degrades instead of raising: an unreadable entry is a
 miss (and is deleted — a corrupt payload must cost one recomputation, not
@@ -298,7 +298,7 @@ class DiskStore:
             pass
 
     # ------------------------------------------------------------------
-    # Meta documents (shared JSON maps; the cost model lives here)
+    # Meta documents (shared JSON maps)
     # ------------------------------------------------------------------
 
     def _meta_path(self, name: str) -> Path:

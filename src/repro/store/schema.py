@@ -130,8 +130,7 @@ class ClaimReply:
 class MetaReply:
     """The ``GET``/``POST /store/meta/<name>`` payload: one shared JSON doc.
 
-    Carries the full merged document after a read or a server-side merge
-    (the cost model's shared probe data travels this way).
+    Carries the full merged document after a read or a server-side merge.
     """
 
     schema_version: int = STORE_SCHEMA_VERSION

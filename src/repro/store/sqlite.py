@@ -49,6 +49,11 @@ CREATE TABLE IF NOT EXISTS meta (
 );
 """
 
+#: The eviction-policy arguments a ``sqlite://`` locator carries, with their
+#: parsers, so pool and fleet workers re-open a store with the same cap and
+#: TTL as the store they were handed.
+_LOCATOR_POLICY = {"max_bytes": int, "ttl_s": float}
+
 
 class SqliteStore:
     """A single-file shared result store with LRU eviction and TTL.
@@ -83,8 +88,35 @@ class SqliteStore:
 
     @property
     def locator(self) -> str:
-        """The ``sqlite://<path>`` locator that re-opens this store."""
-        return f"sqlite://{self.path}"
+        """The ``sqlite://<path>`` locator that re-opens this store, with
+        its size cap and TTL as ``?max_bytes=N&ttl_s=T`` when set."""
+        query = "&".join(f"{name}={getattr(self, name)}"
+                         for name in _LOCATOR_POLICY
+                         if getattr(self, name) is not None)
+        return f"sqlite://{self.path}" + (f"?{query}" if query else "")
+
+    @classmethod
+    def from_locator(cls, locator: str) -> "SqliteStore":
+        """Open the store a :attr:`locator` string names.
+
+        Raises:
+            ValueError: The query string has a parameter other than
+                ``max_bytes``/``ttl_s``, or a value that is not a number.
+        """
+        path, _, query = locator[len("sqlite://"):].partition("?")
+        policy = {}
+        for item in filter(None, query.split("&")):
+            name, _, value = item.partition("=")
+            if name not in _LOCATOR_POLICY:
+                raise ValueError(
+                    f"unknown sqlite locator parameter {name!r}; expected "
+                    f"one of {', '.join(_LOCATOR_POLICY)}")
+            try:
+                policy[name] = _LOCATOR_POLICY[name](value)
+            except ValueError:
+                raise ValueError(f"sqlite locator parameter {name}={value!r} "
+                                 f"is not a number") from None
+        return cls(path, **policy)
 
     def close(self) -> None:
         """Close the underlying database connection."""

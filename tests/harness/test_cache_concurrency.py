@@ -2,10 +2,10 @@
 
 Parallel Sessions sharing one ``$REPRO_CACHE_DIR`` write two kinds of
 shared files: content-addressed outcome entries (atomic temp-file + rename,
-last-writer-wins is fine because the content is identical) and the cost
-model's ``costs.json`` (read-modify-write, guarded by the ``flock`` file
-lock).  These tests hammer both from real processes and assert nothing is
-lost or torn.
+last-writer-wins is fine because the content is identical) and meta
+documents (``DiskStore.merge_meta``: read-modify-write of
+``<root>/<name>.json``, guarded by the ``flock`` file lock).  These tests
+hammer both from real processes and assert nothing is lost or torn.
 """
 
 import json
@@ -15,26 +15,16 @@ import pickle
 import pytest
 
 from repro.harness.cache import SimulationCache, file_lock
-from repro.harness.executors import CostModel, WorkloadTask
-from repro.workloads.base import get_workload
+from repro.store import DiskStore
 
 WRITERS = 4
 RECORDS_PER_WRITER = 6
 
 
-def _task_for(writer: int, index: int) -> WorkloadTask:
-    return WorkloadTask(
-        workload=get_workload("micro_addi_chain"),
-        scale=1 + writer * RECORDS_PER_WRITER + index,
-        machines=(), renos=(), collect_timing=False,
-        max_instructions=1000, cache_root=None,
-    )
-
-
-def _hammer_cost_model(root: str, writer: int) -> None:
-    model = CostModel(root)
+def _hammer_meta(root: str, writer: int) -> None:
+    store = DiskStore(root)
     for index in range(RECORDS_PER_WRITER):
-        model.record(_task_for(writer, index), 0.001 * (writer + 1))
+        store.merge_meta("shared", {f"w{writer}-{index}": 0.001 * (writer + 1)})
 
 
 def _hammer_cache_puts(root: str, writer: int) -> None:
@@ -68,9 +58,9 @@ def spawn_context():
                                       else methods[0])
 
 
-def test_parallel_cost_model_records_lose_nothing(tmp_path, spawn_context):
+def test_parallel_meta_merges_lose_nothing(tmp_path, spawn_context):
     processes = [
-        spawn_context.Process(target=_hammer_cost_model,
+        spawn_context.Process(target=_hammer_meta,
                               args=(str(tmp_path), writer))
         for writer in range(WRITERS)
     ]
@@ -80,9 +70,9 @@ def test_parallel_cost_model_records_lose_nothing(tmp_path, spawn_context):
         process.join(timeout=120)
         assert process.exitcode == 0
 
-    stored = json.loads((tmp_path / "costs.json").read_text())
+    stored = json.loads((tmp_path / "shared.json").read_text())
     expected = {
-        CostModel.key(_task_for(writer, index))
+        f"w{writer}-{index}"
         for writer in range(WRITERS)
         for index in range(RECORDS_PER_WRITER)
     }

@@ -210,6 +210,22 @@ def test_parallel_run_aggregates_worker_cache_stats(tmp_path):
     assert cache.stats.hits == expected
 
 
+def test_parallel_run_merges_every_worker_stats_field(tmp_path, monkeypatch):
+    """Workers' duplicate puts (and every other counter) reach the parent:
+    with reads forced to miss, a warm pooled re-run re-puts every cell."""
+    from repro.store import DiskStore
+
+    cache = SimulationCache(tmp_path)
+    run_matrix(SMALL, MACHINES, RENOS, jobs=1, cache=cache)
+    cells = len(SMALL) * len(MACHINES) * len(RENOS)
+    # fork carries the patch into the pool's workers.
+    monkeypatch.setattr(DiskStore, "get", lambda self, key: None)
+    pooled = SimulationCache(tmp_path)
+    run_matrix(SMALL, MACHINES, RENOS, jobs=2, cache=pooled)
+    assert pooled.stats.duplicate_puts == cells
+    assert pooled.stats.stores == 0
+
+
 def test_cache_env_var_controls_default(tmp_path, monkeypatch):
     monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
     assert resolve_cache(None) is None                # off by default

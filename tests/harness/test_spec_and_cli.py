@@ -3,8 +3,9 @@
 Covers: SweepSpec dict/JSON round-trips and validation, registry
 completeness (every figure experiment is registered and visible to
 ``python -m repro list``), ExperimentReport JSON round-trips (including
-tuple data keys), the grid-runner label/zero-cycle guards, AutoExecutor
-backend selection, and CLI smoke tests (in-process and via subprocess).
+tuple data keys), the grid-runner label/zero-cycle guards, executor
+selection and the process pool's serial fallback, and CLI smoke tests
+(in-process and via subprocess).
 """
 
 import json
@@ -19,7 +20,6 @@ from repro.cli import main as cli_main
 from repro.core.config import RenoConfig
 from repro.core.simulator import SimulationOutcome
 from repro.harness import (
-    AutoExecutor,
     ExperimentReport,
     MatrixResult,
     ProcessExecutor,
@@ -32,7 +32,7 @@ from repro.harness import (
     run_experiment,
     run_matrix,
 )
-from repro.harness.executors import JOBS_ENV, build_tasks
+from repro.harness.executors import FLEET_ENV, JOBS_ENV, build_tasks
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import SimResult
 from repro.uarch.stats import SimStats
@@ -250,72 +250,50 @@ def micro_tasks(count: int = 2):
     return build_tasks(workloads, MACHINES, RENOS)
 
 
-def test_autoexecutor_picks_serial_on_one_cpu():
-    assert isinstance(AutoExecutor(cpu_count=1).static_choice(micro_tasks()),
-                      SerialExecutor)
+class _NoPoolContext:
+    """A fork context stand-in whose ``Pool`` fails the test if used."""
+
+    def Pool(self, *args, **kwargs):
+        raise AssertionError("a process pool was created")
 
 
-def test_autoexecutor_picks_serial_for_tiny_grids():
-    assert isinstance(AutoExecutor(cpu_count=8).static_choice(micro_tasks(1)),
-                      SerialExecutor)
+def _assert_runs_in_process(executor, tasks, monkeypatch, fork=True):
+    """Run ``tasks`` and check they ran serially, without a pool: in-process
+    blocks keep each computed outcome's functional trace."""
+    from repro.harness import executors
 
-
-def test_autoexecutor_probe_keeps_cheap_grids_serial(monkeypatch):
-    def fail(self, tasks, cache):
-        raise AssertionError("pool chosen for a cheap grid")
-
-    monkeypatch.setattr(ProcessExecutor, "execute", fail)
-    executor = AutoExecutor(cpu_count=8, probe_threshold_s=float("inf"))
-    assert executor.static_choice(micro_tasks()) is None   # probe path taken
-    blocks = executor.execute(micro_tasks(), cache=None)
-    assert len(blocks) == 2
-    serial = SerialExecutor().execute(micro_tasks(), cache=None)
+    monkeypatch.setattr(executors, "_fork_context",
+                        lambda: _NoPoolContext() if fork else None)
+    blocks = executor.execute(tasks, cache=None)
+    serial = SerialExecutor().execute(tasks, cache=None)
+    assert len(blocks) == len(tasks)
     for block, reference in zip(blocks, serial):
         assert [(key, outcome.cycles) for key, outcome in block] == \
                [(key, outcome.cycles) for key, outcome in reference]
+        assert all(outcome.functional is not None for _, outcome in block)
 
 
-def test_autoexecutor_probe_sends_expensive_grids_to_pool(monkeypatch):
-    called = {}
-
-    def record(self, tasks, cache):
-        called["tasks"] = len(tasks)
-        called["jobs"] = self.jobs
-        return SerialExecutor().execute(tasks, cache)
-
-    monkeypatch.setattr(ProcessExecutor, "execute", record)
-    executor = AutoExecutor(cpu_count=4, probe_threshold_s=0.0)
-    executor.execute(micro_tasks(), cache=None)
-    assert called["tasks"] == 1            # first task was the in-process probe
-    assert called["jobs"] >= 1
+def test_process_executor_with_one_job_runs_in_process(monkeypatch):
+    _assert_runs_in_process(ProcessExecutor(1), micro_tasks(), monkeypatch)
 
 
-def test_autoexecutor_probe_skips_all_hit_blocks(tmp_path, monkeypatch):
-    """A warm first workload must not fool the probe into reading the whole
-    remainder as free: the probe consumes all-hit blocks and costs the rest
-    from the first block that actually computes."""
-    from repro.harness.cache import SimulationCache
+def test_process_executor_with_one_task_runs_in_process(monkeypatch):
+    _assert_runs_in_process(ProcessExecutor(8), micro_tasks(1), monkeypatch)
 
-    names = ["micro_addi_chain", "micro_call_spill", "micro_moves"]
-    workloads = [get_workload(name) for name in names]
-    cache = SimulationCache(tmp_path)
-    # Warm only the first workload's grid points.
-    run_matrix(names[:1], MACHINES, RENOS, jobs=1, cache=cache)
 
-    called = {}
+def test_process_executor_without_fork_runs_in_process(monkeypatch):
+    _assert_runs_in_process(ProcessExecutor(8), micro_tasks(), monkeypatch,
+                            fork=False)
 
-    def record(self, tasks, cache):
-        called["tasks"] = len(tasks)
-        return SerialExecutor().execute(tasks, cache)
 
-    monkeypatch.setattr(ProcessExecutor, "execute", record)
-    tasks = build_tasks(workloads, MACHINES, RENOS, cache_root=str(tmp_path))
-    executor = AutoExecutor(cpu_count=4, probe_threshold_s=0.0)
-    blocks = executor.execute(tasks, cache)
-    assert len(blocks) == 3
-    # Block 1 was all hits (consumed by the probe), block 2 was the real
-    # probe; only the last task reaches the pool.
-    assert called["tasks"] == 1
+def test_process_executor_with_unpicklable_task_runs_in_process(monkeypatch):
+    from repro.workloads.base import Workload
+
+    base = get_workload("micro_addi_chain")
+    adhoc = Workload(name="adhoc_closure", suite="example",
+                     builder=lambda scale: base.builder(scale))
+    tasks = build_tasks([adhoc, get_workload(SMALL[1])], MACHINES, RENOS)
+    _assert_runs_in_process(ProcessExecutor(8), tasks, monkeypatch)
 
 
 def test_figure_wrappers_accept_adhoc_workload_objects():
@@ -331,17 +309,40 @@ def test_figure_wrappers_accept_adhoc_workload_objects():
 
 def test_resolve_executor_forms(monkeypatch):
     monkeypatch.delenv(JOBS_ENV, raising=False)
-    assert isinstance(resolve_executor(None), AutoExecutor)
-    assert isinstance(resolve_executor("auto"), AutoExecutor)
+    monkeypatch.delenv(FLEET_ENV, raising=False)
+    cpus = os.cpu_count() or 1
+    for jobs in (None, "auto", "AUTO"):
+        executor = resolve_executor(jobs)
+        assert isinstance(executor, ProcessExecutor)
+        assert executor.jobs == cpus
     assert isinstance(resolve_executor(1), SerialExecutor)
     assert isinstance(resolve_executor(4), ProcessExecutor)
     assert isinstance(resolve_executor("4"), ProcessExecutor)
     monkeypatch.setenv(JOBS_ENV, "2")
-    assert isinstance(resolve_executor(None), ProcessExecutor)
+    assert resolve_executor(None).jobs == 2
     monkeypatch.setenv(JOBS_ENV, "auto")
-    assert isinstance(resolve_executor(None), AutoExecutor)
+    assert resolve_executor(None).jobs == cpus
     explicit = SerialExecutor()
     assert resolve_executor(8, executor=explicit) is explicit
+
+
+@pytest.mark.parametrize("jobs", ["8x", "fuor", "", "2.5"])
+def test_resolve_executor_rejects_unparseable_jobs(jobs):
+    with pytest.raises(ValueError, match="an integer, 'auto' or 'fleet'"):
+        resolve_executor(jobs)
+
+
+def test_resolve_executor_rejects_unparseable_env_jobs(monkeypatch):
+    monkeypatch.setenv(JOBS_ENV, "fuor")
+    with pytest.raises(ValueError, match="'fuor'"):
+        resolve_executor(None)
+
+
+def test_cli_rejects_unparseable_jobs(capsys):
+    assert cli_main(["run", "fig8", "--suite", "micro",
+                     "--workloads", "micro_addi_chain",
+                     "--jobs", "8x", "--no-cache", "--quiet"]) == 2
+    assert "an integer, 'auto' or 'fleet'" in capsys.readouterr().err
 
 
 def test_jobs_auto_matches_serial_rows():

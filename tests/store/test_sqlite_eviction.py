@@ -1,13 +1,14 @@
 """Eviction policy of the sqlite tier: LRU size cap, TTL, claim expiry.
 
 All clock-driven behaviour runs on an injected fake clock, so the tests
-exercise expiry and recency ordering without sleeping.
+exercise expiry and recency ordering without sleeping.  The policy also
+travels in the store's locator, so pool workers re-open it capped.
 """
 
 import pytest
 
 from repro.core.simulator import simulate_workload
-from repro.store import SqliteStore, encode_payload
+from repro.store import SqliteStore, encode_payload, open_store
 
 
 class FakeClock:
@@ -87,4 +88,42 @@ def test_expired_claims_are_reclaimable(tmp_path):
     assert store.holder("request/x") is None
     assert store.claim("request/x", "bob", ttl_s=10.0) is True
     assert store.holder("request/x") == "bob"
+    store.close()
+
+
+@pytest.mark.parametrize("policy", [
+    {}, {"max_bytes": 4096}, {"ttl_s": 2.5}, {"max_bytes": 1, "ttl_s": 60.0},
+])
+def test_locator_round_trips_the_eviction_policy(tmp_path, policy):
+    store = SqliteStore(tmp_path / "s.db", **policy)
+    reopened = open_store(store.locator)
+    assert isinstance(reopened, SqliteStore)
+    assert reopened.path == store.path
+    assert reopened.max_bytes == policy.get("max_bytes")
+    assert reopened.ttl_s == policy.get("ttl_s")
+    assert reopened.locator == store.locator
+    if not policy:
+        assert "?" not in store.locator
+    reopened.close()
+    store.close()
+
+
+@pytest.mark.parametrize("query", ["size=10", "max_bytes=ten", "ttl_s="])
+def test_locator_rejects_bad_policy_parameters(tmp_path, query):
+    with pytest.raises(ValueError, match="sqlite locator parameter"):
+        open_store(f"sqlite://{tmp_path / 's.db'}?{query}")
+
+
+def test_pooled_run_respects_the_size_cap(tmp_path):
+    from repro.core.config import RenoConfig
+    from repro.harness import run_matrix
+    from repro.uarch.config import MachineConfig
+
+    store = SqliteStore(tmp_path / "s.db", max_bytes=1)
+    run_matrix(["micro_addi_chain", "micro_call_spill", "micro_moves"],
+               {"4wide": MachineConfig.default_4wide()},
+               {"BASE": None, "RENO": RenoConfig.reno_default()},
+               jobs=2, cache=store)
+    assert store.size_bytes() <= store.max_bytes
+    assert len(store) == 0
     store.close()

@@ -12,7 +12,6 @@ import threading
 import pytest
 
 from repro.core.simulator import simulate_workload
-from repro.harness.executors import COSTS_META, CostModel, WorkloadTask
 from repro.store import (
     STORE_SCHEMA_VERSION,
     DiskStore,
@@ -23,8 +22,6 @@ from repro.store import (
     open_store,
     store_locator,
 )
-from repro.uarch.backend import DEFAULT_BACKEND
-from repro.workloads.base import get_workload
 
 KEY = "ab" * 32
 OTHER_KEY = "cd" * 32
@@ -161,37 +158,3 @@ def test_sqlite_corrupt_payload_is_miss_and_deleted(tmp_path, outcome):
     assert len(store) == 0
     assert store.put(KEY, outcome) is True
     store.close()
-
-
-# ---------------------------------------------------------------------------
-# The cost model rides the store (satellite: shared probe data)
-# ---------------------------------------------------------------------------
-
-
-def _task(scale: int = 1) -> WorkloadTask:
-    return WorkloadTask(
-        workload=get_workload("micro_addi_chain"), scale=scale,
-        machines=(), renos=(), collect_timing=False,
-        max_instructions=1000, cache_root=None)
-
-
-def test_cost_model_shared_through_store(store):
-    writer = CostModel(store)
-    writer.record(_task(1), 0.125)
-    # A second model over the same store sees the entry — through the
-    # HTTP tier that means a *different worker* shares the probe data.
-    reader = CostModel(store)
-    costs = reader.load()
-    assert costs[CostModel.key(_task(1))] == 0.125
-
-
-def test_cost_model_v1_entries_migrate_to_backend_keys(store):
-    v2_key = CostModel.key(_task(1))
-    v1_key = v2_key.split("|backend=")[0]
-    store.merge_meta(COSTS_META, {v1_key: 0.25})
-    costs = CostModel(store).load()
-    assert costs[f"{v1_key}|backend={DEFAULT_BACKEND}"] == 0.25
-    # A real (v2) entry is never shadowed by the migrated v1 value.
-    store.merge_meta(COSTS_META, {v2_key: 0.5})
-    costs = CostModel(store).load()
-    assert costs[v2_key] == 0.5
