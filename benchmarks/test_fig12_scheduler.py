@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.harness import figure12_scheduler
+from repro.harness import run_experiment
 
 
 @pytest.mark.benchmark(group="figure12")
 def test_figure12_specint(benchmark, suite_subsets, save_report):
     spec, _ = suite_subsets
     report = benchmark.pedantic(
-        figure12_scheduler, args=("specint",),
-        kwargs={"workloads": spec}, rounds=1, iterations=1,
+        run_experiment, args=("fig12",),
+        kwargs={"suite": "specint", "workloads": spec},
+        rounds=1, iterations=1,
     )
     save_report(report, "fig12_specint.txt")
     # The slow scheduler hurts the baseline; RENO recovers part of the loss.
@@ -22,8 +23,9 @@ def test_figure12_specint(benchmark, suite_subsets, save_report):
 def test_figure12_mediabench(benchmark, suite_subsets, save_report):
     _, media = suite_subsets
     report = benchmark.pedantic(
-        figure12_scheduler, args=("mediabench",),
-        kwargs={"workloads": media}, rounds=1, iterations=1,
+        run_experiment, args=("fig12",),
+        kwargs={"suite": "mediabench", "workloads": media},
+        rounds=1, iterations=1,
     )
     save_report(report, "fig12_mediabench.txt")
     assert report.data[("RENO", "sched2")] >= report.data[("BASE", "sched2")]

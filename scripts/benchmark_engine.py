@@ -43,7 +43,8 @@ import time
 from pathlib import Path
 
 import repro.uarch.core as uarch_core
-from repro.harness import SimulationCache, run_experiment, run_scale_sweep
+from repro.harness import run_experiment, run_scale_sweep
+from repro.store import DiskStore
 
 #: The registered figure experiments being timed (the paper's evaluation).
 FIGURES = ["fig8", "fig9", "fig10", "fig11_regs", "fig11_width", "fig12"]
@@ -257,7 +258,7 @@ def time_backends(workloads, repeats: int = 3):
 
 def time_scale_sweep(workloads, jobs, cache_dir, backend=None):
     """Cold/warm scale-sweep timings; returns (report, cold_s, warm_s)."""
-    cache = SimulationCache(cache_dir)
+    cache = DiskStore(cache_dir)
     start = time.perf_counter()
     cold_report = run_scale_sweep("specint", workloads=workloads,
                                   scales=SCALES, jobs=jobs, cache=cache,
@@ -357,7 +358,7 @@ def main(argv=None) -> int:
     cache_dir = Path(tempfile.mkdtemp(prefix="repro-engine-timing-"))
     scale_cache_dir = Path(tempfile.mkdtemp(prefix="repro-scale-timing-"))
     try:
-        cache = SimulationCache(cache_dir)
+        cache = DiskStore(cache_dir)
 
         serial_reports, serial_s = run_sweep(args.workloads, args.scale, 1, False,
                                              backend=args.backend)

@@ -27,8 +27,8 @@ repro worker`` pullers over the versioned HTTP wire schema
 * :class:`FleetExecutor` — an :class:`~repro.harness.executors.Executor`
   implementation: it boots (or attaches to) a broker, keeps a target
   number of worker subprocesses alive, enqueues cell leases, and
-  assembles the deterministic grid-ordered blocks every consumer of
-  :func:`~repro.harness.executors.execute_grid` expects.
+  assembles the deterministic grid-ordered blocks
+  :func:`~repro.harness.runner.run_matrix` expects of every executor.
 
 Determinism contract: results are **byte-identical** to
 :class:`~repro.harness.executors.SerialExecutor` no matter how workers
@@ -69,11 +69,6 @@ from repro.api.schema import (
     TaskResult,
     WorkerHello,
 )
-from repro.harness.cache import (
-    SimulationCache,
-    outcome_key,
-    program_digest,
-)
 from repro.harness.executors import (
     FLEET_ENV,
     Block,
@@ -81,8 +76,11 @@ from repro.harness.executors import (
     SerialExecutor,
     WorkloadTask,
     _progress_emitter,
+    outcome_key,
+    program_digest,
 )
-from repro.store.base import open_store, store_locator
+from repro.store.base import ResultStore, open_store, store_locator
+from repro.store.disk import DiskStore
 
 #: Default seconds a lease stays valid without a heartbeat.
 DEFAULT_LEASE_TTL_S = 10.0
@@ -769,7 +767,7 @@ class FleetExecutor:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
         slice_cycles: int = DEFAULT_SLICE_CYCLES,
-        cache: SimulationCache | str | Path | None = None,
+        cache: ResultStore | str | Path | None = None,
         respawn: bool = True,
         stall_timeout_s: float = 300.0,
         broker: FleetBroker | None = None,
@@ -927,7 +925,7 @@ class FleetExecutor:
     def execute(
         self,
         tasks: list[WorkloadTask],
-        cache: SimulationCache | None,
+        cache: ResultStore | None,
         progress=None,
         cancel=None,
     ) -> list[Block]:
@@ -1059,7 +1057,7 @@ class FleetExecutor:
                 return False
         return True
 
-    def _default_cache(self) -> SimulationCache:
+    def _default_cache(self) -> ResultStore:
         """The executor's fallback shared store (runs that supply none).
 
         Accepts any result-store instance or locator — a directory path,
@@ -1073,7 +1071,7 @@ class FleetExecutor:
                 self._own_cache_dir = tempfile.mkdtemp(
                     prefix="repro-fleet-cache-")
             own_cache_dir = self._own_cache_dir
-        return SimulationCache(own_cache_dir)
+        return DiskStore(own_cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -1087,20 +1085,27 @@ _shared_fleet_lock = threading.Lock()
 def shared_fleet() -> FleetExecutor:
     """The lazily created process-wide fleet behind ``jobs="fleet"``.
 
-    Worker count comes from ``$REPRO_FLEET`` (an integer; unset or
-    unparseable means 2).  One fleet per process: repeated grid runs reuse
+    Worker count comes from ``$REPRO_FLEET`` (an integer >= 1; unset or
+    empty means 2).  One fleet per process: repeated grid runs reuse
     the same broker, server and worker pool instead of booting a fleet per
     call.  The fleet is closed at interpreter exit — draining the broker
     tells the workers to shut down cleanly instead of dying mid-poll when
     the daemon server thread disappears.
+
+    Raises:
+        ValueError: ``$REPRO_FLEET`` is set to anything but an integer >= 1.
     """
+    value = os.environ.get(FLEET_ENV, "").strip() or "2"
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(
+            f"invalid ${FLEET_ENV} value {value!r}: expected an integer >= 1")
     global _shared_fleet
     with _shared_fleet_lock:
         if _shared_fleet is None or _shared_fleet._closed:
-            try:
-                workers = int(os.environ.get(FLEET_ENV, "") or 2)
-            except ValueError:
-                workers = 2
-            _shared_fleet = FleetExecutor(workers=max(1, workers))
+            _shared_fleet = FleetExecutor(workers=workers)
             atexit.register(_shared_fleet.close)
         return _shared_fleet

@@ -15,9 +15,9 @@ submission surface in front of the experiment registry:
   repeats recompute through the content-addressed outcome cache — so an
   experiment grid executes once no matter how many clients ask for it.
 
-The legacy entry points (``run_experiment``, the ``figure*`` wrappers, the
-``python -m repro run`` CLI) are thin clients of this facade; ``python -m
-repro serve`` (:mod:`repro.api.service`) maps it onto HTTP.
+The library entry point (``run_experiment``) and the ``python -m repro run``
+CLI are thin clients of this facade; ``python -m repro serve``
+(:mod:`repro.api.service`) maps it onto HTTP.
 """
 
 from __future__ import annotations
@@ -28,9 +28,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.api.schema import ExperimentRequest, JobState, JobStatus
-from repro.harness.cache import SimulationCache, resolve_cache
-from repro.harness.executors import ExecutionCancelled, Executor, resolve_executor
+from repro.harness.executors import (
+    ExecutionCancelled,
+    Executor,
+    resolve_cache,
+    resolve_executor,
+)
 from repro.harness.spec import Experiment, get_experiment
+from repro.store.base import ResultStore
 
 #: How long a session's cross-session request claim stays live without
 #: renewal.  A holder that crashes without releasing blocks identical
@@ -268,7 +273,7 @@ class Session:
             an int, ``"auto"``, or None (read ``$REPRO_JOBS``; unset means
             auto), exactly as :func:`repro.harness.runner.run_matrix` takes.
         cache: Default result store, in any form
-            :func:`repro.harness.cache.resolve_cache` accepts — a store
+            :func:`repro.harness.executors.resolve_cache` accepts — a store
             instance, a locator (path, ``sqlite://<path>``,
             ``http://host:port``), or a bool.  The session resolves it
             lazily per run, so ``None`` keeps tracking the
@@ -316,7 +321,7 @@ class Session:
         self,
         *,
         jobs: int | str | None = None,
-        cache: SimulationCache | bool | str | None = None,
+        cache: ResultStore | bool | str | None = None,
         executor: Executor | None = None,
         backend: str | None = None,
         workers: int = 2,
@@ -331,7 +336,7 @@ class Session:
             raise ValueError(f"job_ttl_s must be positive or None, got {job_ttl_s}")
         self._jobs_arg = jobs
         self._cache_arg = cache
-        self._cache_resolved: SimulationCache | None | object = _UNRESOLVED
+        self._cache_resolved: ResultStore | None | object = _UNRESOLVED
         self._executor_arg = executor
         self._backend_arg = backend
         self._workers = max(1, workers)
@@ -350,7 +355,7 @@ class Session:
     # ------------------------------------------------------------------
 
     @property
-    def cache(self) -> SimulationCache | None:
+    def cache(self) -> ResultStore | None:
         """The session's result store (resolved from the constructor arg).
 
         Any :class:`repro.store.base.ResultStore` tier, not just the
@@ -469,7 +474,7 @@ class Session:
             return list(self._jobs_by_id.values())
 
     # ------------------------------------------------------------------
-    # Thin-client passthrough (run_experiment / figure* / CLI)
+    # Thin-client passthrough (run_experiment / CLI)
     # ------------------------------------------------------------------
 
     def run_experiment(
@@ -480,7 +485,7 @@ class Session:
         workloads: list | None = None,
         scale: int = 1,
         jobs: int | str | None = None,
-        cache: SimulationCache | bool | str | None = None,
+        cache: ResultStore | bool | str | None = None,
         executor: Executor | None = None,
         backend: str | None = None,
         progress=None,
@@ -489,29 +494,29 @@ class Session:
     ):
         """Run a registered experiment with the session's defaults applied.
 
-        This is the compatibility surface behind
-        :func:`repro.harness.spec.run_experiment` and the ``figure*``
-        wrappers: every argument keeps its historical meaning, the session
-        only supplies its own ``jobs``/``cache``/``executor`` defaults when
-        the caller left them unset.  Unlike :meth:`run` it accepts ad-hoc
+        This is the surface behind :func:`repro.harness.spec.run_experiment`
+        and the CLI: the session supplies its own ``jobs``/``cache``/
+        ``executor``/``backend`` defaults only where the caller left them
+        unset.  ``jobs`` is resolved to one executor here, so every
+        experiment rejects a malformed value (``ValueError``), ``mix``
+        included.  Unlike :meth:`run` it accepts ad-hoc
         :class:`~repro.workloads.base.Workload` *objects* and arbitrary
         Python params, which cannot cross the wire.
         """
         if jobs is None and executor is None:
             jobs, executor = self._jobs_arg, self._executor_arg
-        if cache is None:
-            # Forward the memoized store *instance*, not the constructor
-            # arg: a locator would re-open a fresh store (new connection,
-            # zeroed counters) on every run.  False (caching explicitly
-            # off) resolves to None and must stay False downstream.
-            cache = self.cache
-            if cache is None:
-                cache = self._cache_arg
+        executor = resolve_executor(jobs, executor)
+        # Forward a store *instance*: a locator would re-open a fresh store
+        # (new connection, zeroed counters) on every run.  An explicit "off"
+        # must stay False downstream, where None would re-read the env.
+        store = self.cache if cache is None else resolve_cache(cache)
+        if store is None:
+            store = self._cache_arg if cache is None else False
         if backend is None:
             backend = self._backend_arg
         return get_experiment(name).run(
-            suite=suite, workloads=workloads, scale=scale, jobs=jobs,
-            cache=cache, executor=executor, progress=progress, cancel=cancel,
+            suite=suite, workloads=workloads, scale=scale, cache=store,
+            executor=executor, progress=progress, cancel=cancel,
             backend=backend, **params,
         )
 
@@ -701,10 +706,9 @@ _default_session_lock = threading.Lock()
 def default_session() -> Session:
     """The lazily created process-wide session the thin clients use.
 
-    Constructed with all-default arguments, so ``run_experiment`` and the
-    ``figure*`` wrappers behave exactly as they did before the facade
-    existed: backend from ``jobs=``/``$REPRO_JOBS``, cache from
-    ``$REPRO_CACHE_DIR``.
+    Constructed with all-default arguments, so ``run_experiment`` takes its
+    backend from ``jobs=``/``$REPRO_JOBS`` and its store from
+    ``$REPRO_STORE``/``$REPRO_CACHE_DIR``.
     """
     global _default_session
     with _default_session_lock:

@@ -33,10 +33,10 @@ class ArchitecturalMismatchError(Exception):
 class SimulationOutcome:
     """Functional + timing results for one (program, machine, RENO) run.
 
-    Outcomes loaded from the experiment cache (see
-    :mod:`repro.harness.cache`) are *slim*: ``program`` and ``functional``
-    are None (the cache stores only the timing result), and ``cached`` is
-    True.  All report-facing accessors (``stats``, ``ipc``, ``cycles``,
+    Outcomes loaded from the result store (see
+    :mod:`repro.harness.executors`) are *slim*: ``program`` and
+    ``functional`` are None (the store keeps only the timing result), and
+    ``cached`` is True.  All report-facing accessors (``stats``, ``ipc``, ``cycles``,
     ``timing.timing_records``) behave identically for slim outcomes.
     """
 

@@ -1,24 +1,31 @@
 """Experiment harness: regenerates every figure of the paper's evaluation.
 
-The harness is organised around three layers:
+The harness is organised in two layers:
 
-* **Specs and the registry** (:mod:`repro.harness.spec`): every figure is a
-  declarative :class:`SweepSpec` grid plus a pure reducer, registered under
-  a short name (``fig8`` ... ``fig12``, ``mix``, ``fusion``, ``it_cost``,
-  ``scale_sweep``) and runnable via :func:`run_experiment` or the
-  ``python -m repro`` CLI.
-* **The engine** (:mod:`repro.harness.executors`,
-  :mod:`repro.harness.cache`): pluggable execution backends (serial /
-  process pool, which ``"auto"`` sizes to the CPU count) over a
-  content-addressed on-disk outcome cache.
-* **Compat wrappers** (:mod:`repro.harness.experiments`): the original
-  ``figure*`` functions, now thin shims over the registry, still returning
-  :class:`~repro.harness.experiments.ExperimentReport` objects whose rows
-  mirror the paper's figures.  The benchmarks in ``benchmarks/`` and the
-  examples in ``examples/`` build on these layers.
+* **Specs and the registry** (:mod:`repro.harness.spec`,
+  :mod:`repro.harness.experiments`): every figure is a declarative
+  :class:`SweepSpec` grid plus a pure reducer, registered under a short
+  name (``fig8`` ... ``fig12``, ``mix``, ``fusion``, ``it_cost``,
+  ``scale_sweep``).  :func:`run_experiment` (or the ``python -m repro``
+  CLI) is the one way to run any of them, and each returns an
+  :class:`~repro.harness.experiments.ExperimentReport` whose rows mirror
+  the paper's figure::
+
+      from repro.harness import run_experiment
+
+      report = run_experiment("fig8", suite="micro",
+                              workloads=["micro_addi_chain"], jobs=1)
+
+* **The engine** (:mod:`repro.harness.runner`,
+  :mod:`repro.harness.executors`): :func:`run_matrix` runs a grid on a
+  pluggable execution backend (serial / process pool, which ``"auto"``
+  sizes to the CPU count) over a content-addressed result store
+  (:mod:`repro.store`).
+
+The benchmarks in ``benchmarks/`` and the examples in ``examples/`` build on
+these layers.
 """
 
-from repro.harness.cache import SimulationCache, file_lock, outcome_key, program_digest
 from repro.harness.executors import (
     CancelFn,
     ExecutionCancelled,
@@ -26,7 +33,8 @@ from repro.harness.executors import (
     ProcessExecutor,
     ProgressFn,
     SerialExecutor,
-    execute_grid,
+    outcome_key,
+    program_digest,
     resolve_executor,
 )
 from repro.harness.runner import (
@@ -47,15 +55,7 @@ from repro.harness.spec import (
 )
 from repro.harness.experiments import (
     ExperimentReport,
-    figure8_elimination_and_speedup,
-    figure9_critical_path,
-    figure10_division_of_labor,
-    figure11_register_file,
-    figure11_issue_width,
-    figure12_scheduler,
     instruction_mix,
-    fusion_sensitivity,
-    integration_table_cost,
     run_scale_sweep,
 )
 
@@ -65,9 +65,6 @@ __all__ = [
     "SPEEDUP_BASELINE",
     "MatrixLookupError",
     "ZeroCycleError",
-    "SimulationCache",
-    "execute_grid",
-    "file_lock",
     "outcome_key",
     "program_digest",
     "Executor",
@@ -85,14 +82,6 @@ __all__ = [
     "list_experiments",
     "run_experiment",
     "ExperimentReport",
-    "figure8_elimination_and_speedup",
-    "figure9_critical_path",
-    "figure10_division_of_labor",
-    "figure11_register_file",
-    "figure11_issue_width",
-    "figure12_scheduler",
     "instruction_mix",
-    "fusion_sensitivity",
-    "integration_table_cost",
     "run_scale_sweep",
 ]

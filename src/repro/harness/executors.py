@@ -1,15 +1,32 @@
-"""Pluggable execution backends for experiment grids.
+"""The experiment engine: outcome keys, the store argument and executors.
 
-:func:`execute_grid` is the machinery behind
-:func:`repro.harness.runner.run_matrix`: it splits the (workload × machine ×
-RENO config) grid into one :class:`WorkloadTask` per workload, consults the
-on-disk outcome cache, and hands the task list to an :class:`Executor`:
+:func:`repro.harness.runner.run_matrix` splits the (workload × machine ×
+RENO config) grid into one :class:`WorkloadTask` per workload
+(:func:`build_tasks`) and hands the task list to an :class:`Executor`:
 
 * :class:`SerialExecutor` runs every task in-process (keeping full outcomes).
 * :class:`ProcessExecutor` fans tasks out over a ``fork`` multiprocessing
   pool, falling back to serial when there is one worker or one task, the
   platform lacks ``fork``, or a task cannot be pickled.  ``jobs="auto"``
   (the default) is a :class:`ProcessExecutor` over every CPU.
+
+Every grid point is deterministic, so its outcome is stored in a
+content-addressed result store (:mod:`repro.store`) under
+:func:`outcome_key`: a SHA-256 over
+
+* :func:`program_digest` of the assembled program (instructions, entry
+  point, initial memory) — the workload name is deliberately *not* part
+  of the key, so two workloads assembling the identical program share an
+  entry;
+* :meth:`MachineConfig.digest` and :meth:`RenoConfig.digest` (behavioural
+  fields only; report labels are excluded);
+* the functional-simulation instruction budget, and whether timing
+  records and occupancy statistics were collected;
+* :data:`~repro.store.base.CACHE_FORMAT_VERSION` (bumped whenever the
+  stored payload shape or this key material changes).
+
+:func:`resolve_cache` maps the engine's ``cache=`` argument onto a store
+tier.
 
 Design points:
 
@@ -22,7 +39,7 @@ Design points:
   ``MatrixResult`` iteration order is identical to the serial runner's.
 * **Graceful fallback.**  Every executor degrades to in-process execution
   with identical results whenever a pool cannot help.
-* **Cache-aware workers.**  Each worker checks the cache per grid point and
+* **Cache-aware workers.**  Each worker checks the store per grid point and
   only computes (and stores) the misses; the functional trace is built only
   if at least one point of the workload misses.
 
@@ -35,23 +52,26 @@ original ``run_matrix`` behaviour for callers that inspect
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import multiprocessing
 import os
 import pickle
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.core.config import RenoConfig
 from repro.core.simulator import SimulationOutcome, simulate
 from repro.functional.simulator import FunctionalSimulator
-from repro.harness.cache import (
-    SimulationCache,
-    outcome_key,
-    program_digest,
-    resolve_cache,
+from repro.isa.program import Program
+from repro.store.base import (
+    CACHE_FORMAT_VERSION,
+    STORE_ENV,
+    ResultStore,
+    open_store,
 )
-from repro.store.base import open_store, store_locator
+from repro.store.disk import CACHE_DIR_ENV, DiskStore
 from repro.uarch.config import MachineConfig
 from repro.uarch.tables import TraceTables
 from repro.workloads.base import Workload
@@ -82,6 +102,78 @@ ProgressFn = Callable[[GridKey, bool], None]
 
 #: Cooperative cancellation probe: return True to abort the grid.
 CancelFn = Callable[[], bool]
+
+
+def program_digest(program: Program) -> str:
+    """Content hash of an assembled program.
+
+    Covers everything that influences simulation: the instruction stream
+    (with resolved targets), the entry point and the initial memory image.
+    The program *name* is a report label and is excluded.
+    """
+    hasher = hashlib.sha256()
+    hasher.update(str(program.entry).encode())
+    for instruction in program.instructions:
+        hasher.update(
+            f"{instruction.opcode.value}|{instruction.rd}|{instruction.rs1}|"
+            f"{instruction.rs2}|{instruction.imm}|{instruction.target}\n".encode()
+        )
+    for address in sorted(program.initial_memory):
+        hasher.update(f"@{address}={program.initial_memory[address]}".encode())
+    return hasher.hexdigest()
+
+
+def outcome_key(
+    prog_digest: str,
+    machine: MachineConfig,
+    reno: RenoConfig | None,
+    max_instructions: int,
+    collect_timing: bool,
+    record_stats: bool = False,
+) -> str:
+    """The result-store key for one grid point."""
+    reno_digest = reno.digest() if reno is not None else "baseline"
+    material = "|".join([
+        f"v{CACHE_FORMAT_VERSION}",
+        prog_digest,
+        machine.digest(),
+        reno_digest,
+        str(max_instructions),
+        "timing" if collect_timing else "notiming",
+        "stats" if record_stats else "nostats",
+    ])
+    return hashlib.sha256(material.encode()).hexdigest()
+
+
+def resolve_cache(cache) -> ResultStore | None:
+    """Normalise the ``cache=`` argument accepted by the experiment engine.
+
+    * ``None`` (the default): a store is active only when ``$REPRO_STORE``
+      names one (any locator) or ``$REPRO_CACHE_DIR`` is set (the disk
+      tier there), so casual runs and the existing test suite touch no
+      global state.
+    * ``True`` / ``False``: force the default-location disk tier on or off.
+    * a locator (``str`` / ``Path``): a path opens the disk tier there;
+      ``sqlite://<path>`` and ``http(s)://host:port`` open the shared
+      tiers (see :func:`repro.store.base.open_store`).
+    * a store instance (any :class:`repro.store.base.ResultStore`): used
+      as-is.
+    """
+    if cache is None:
+        locator = os.environ.get(STORE_ENV)
+        if locator:
+            return open_store(locator)
+        return DiskStore() if os.environ.get(CACHE_DIR_ENV) else None
+    if cache is False:
+        return None
+    if cache is True:
+        return DiskStore()
+    if isinstance(cache, (str, Path)):
+        return open_store(cache)
+    if hasattr(cache, "get") and hasattr(cache, "put"):
+        return cache
+    raise TypeError(f"cache must be None, bool, a locator or a result store, "
+                    f"got {cache!r}")
 
 
 class ExecutionCancelled(RuntimeError):
@@ -145,7 +237,7 @@ def run_workload_block(
     task: WorkloadTask,
     *,
     slim: bool,
-    cache: SimulationCache | None = None,
+    cache: ResultStore | None = None,
     progress: ProgressFn | None = None,
     cancel: CancelFn | None = None,
 ) -> Block:
@@ -294,7 +386,7 @@ class Executor(Protocol):
 
     Implementations must return one block per task, **in task order**, with
     each block's (machine, RENO) pairs in grid order — the deterministic
-    ordering contract every consumer of :func:`execute_grid` relies on.
+    ordering contract :func:`~repro.harness.runner.run_matrix` relies on.
 
     ``progress``/``cancel`` are optional keyword hooks (see
     :data:`ProgressFn` / :data:`CancelFn`); None means no callback.
@@ -303,7 +395,7 @@ class Executor(Protocol):
     def execute(
         self,
         tasks: list[WorkloadTask],
-        cache: SimulationCache | None,
+        cache: ResultStore | None,
         progress: ProgressFn | None = None,
         cancel: CancelFn | None = None,
     ) -> list[Block]:
@@ -317,7 +409,7 @@ class SerialExecutor:
     def execute(
         self,
         tasks: list[WorkloadTask],
-        cache: SimulationCache | None,
+        cache: ResultStore | None,
         progress: ProgressFn | None = None,
         cancel: CancelFn | None = None,
     ) -> list[Block]:
@@ -358,7 +450,7 @@ class ProcessExecutor:
     def execute(
         self,
         tasks: list[WorkloadTask],
-        cache: SimulationCache | None,
+        cache: ResultStore | None,
         progress: ProgressFn | None = None,
         cancel: CancelFn | None = None,
     ) -> list[Block]:
@@ -432,82 +524,3 @@ def resolve_executor(
     if jobs <= 1:
         return SerialExecutor()
     return ProcessExecutor(jobs)
-
-
-# ---------------------------------------------------------------------------
-# The grid entry point
-# ---------------------------------------------------------------------------
-
-
-def execute_grid(
-    workloads: list[Workload],
-    machines: dict[str, MachineConfig],
-    renos: dict[str, RenoConfig | None],
-    *,
-    scale: int = 1,
-    collect_timing: bool = False,
-    record_stats: bool = False,
-    max_instructions: int = 2_000_000,
-    jobs: int | str | None = None,
-    cache: SimulationCache | bool | str | None = None,
-    executor: Executor | None = None,
-    progress: ProgressFn | None = None,
-    cancel: CancelFn | None = None,
-    backend: str | None = None,
-) -> dict[GridKey, SimulationOutcome]:
-    """Run the full grid and return outcomes in deterministic grid order.
-
-    Args:
-        workloads: Resolved workload objects (one task each).
-        machines: Machine-label → configuration.
-        renos: RENO-label → configuration (None = baseline).
-        scale: Workload scale factor.
-        collect_timing: Keep per-instruction timing records.
-        record_stats: Record occupancy/utilization histograms per cell
-            (``outcome.stats.occupancy``; see :mod:`repro.uarch.observe`).
-        max_instructions: Functional-simulation budget.
-        jobs: Worker processes: an int, ``"auto"`` (one per CPU; the
-            default), ``"fleet"``, or None to read ``$REPRO_JOBS``.
-        cache: Outcome cache; accepts every form
-            :func:`repro.harness.cache.resolve_cache` understands
-            (instance / bool / path / None).
-        executor: Explicit :class:`Executor` instance (overrides ``jobs``).
-        progress: Optional per-cell completion callback
-            (:data:`ProgressFn`); this is what streams job progress out of
-            a :class:`repro.api.session.Session`.
-        cancel: Optional cancellation probe (:data:`CancelFn`); a True
-            return aborts the grid with :class:`ExecutionCancelled`.
-        backend: Cycle-loop backend name for every simulation in the grid
-            (see :mod:`repro.uarch.backend`); None defers to
-            ``$REPRO_BACKEND``/``python``.  Provenance only — outcome-cache
-            keys do not include it, because results are
-            backend-independent.
-
-    Returns:
-        ``{(workload name, machine label, reno label): outcome}`` ordered
-        exactly as the serial nested loops would produce it.  Outcomes
-        computed by worker processes or loaded from the cache are *slim*:
-        ``program``/``functional`` are None, while all timing-side fields
-        are byte-identical to an in-process run.
-    """
-    executor = resolve_executor(jobs, executor)
-    cache = resolve_cache(cache)
-    cache_root = store_locator(cache)
-    tasks = build_tasks(
-        workloads,
-        machines,
-        renos,
-        scale=scale,
-        collect_timing=collect_timing,
-        record_stats=record_stats,
-        max_instructions=max_instructions,
-        cache_root=cache_root,
-        backend=backend,
-    )
-    blocks = (executor.execute(tasks, cache, progress=progress, cancel=cancel)
-              if tasks else [])
-    outcomes: dict[GridKey, SimulationOutcome] = {}
-    for block in blocks:
-        for grid_key, outcome in block:
-            outcomes[grid_key] = outcome
-    return outcomes

@@ -6,8 +6,15 @@ from dataclasses import dataclass
 
 from repro.core.config import RenoConfig
 from repro.core.simulator import SimulationOutcome
-from repro.harness.cache import SimulationCache
-from repro.harness.executors import CancelFn, Executor, ProgressFn, execute_grid
+from repro.harness.executors import (
+    CancelFn,
+    Executor,
+    ProgressFn,
+    build_tasks,
+    resolve_cache,
+    resolve_executor,
+)
+from repro.store.base import ResultStore, store_locator
 from repro.uarch.config import MachineConfig
 from repro.workloads.base import Workload, get_workload
 
@@ -130,7 +137,7 @@ def run_matrix(
     record_stats: bool = False,
     max_instructions: int = 2_000_000,
     jobs: int | str | None = None,
-    cache: SimulationCache | bool | str | None = None,
+    cache: ResultStore | bool | str | None = None,
     executor: Executor | None = None,
     progress: ProgressFn | None = None,
     cancel: CancelFn | None = None,
@@ -168,10 +175,11 @@ def run_matrix(
             program and trace are not shipped back over the pipe); callers
             needing those fields should run with ``jobs=1`` and a cold
             cache, as cache hits are slim too.
-        cache: On-disk outcome cache.  None enables it only when
-            ``$REPRO_CACHE_DIR`` is set; True/False force it on/off; a path
-            or :class:`~repro.harness.cache.SimulationCache` selects a
-            specific cache.  See :mod:`repro.harness.cache`.
+        cache: Result store.  None enables one only when ``$REPRO_STORE``
+            or ``$REPRO_CACHE_DIR`` is set; True/False force the disk tier
+            on/off; a locator or a :class:`~repro.store.base.ResultStore`
+            selects a specific store.  See
+            :func:`repro.harness.executors.resolve_cache`.
         executor: Explicit :class:`~repro.harness.executors.Executor`
             backend (overrides ``jobs``).
         progress: Per-cell completion callback
@@ -187,7 +195,9 @@ def run_matrix(
     resolved = _resolve_workloads(workloads)
     machines = _normalize_axis(machines, "machine")
     renos = _normalize_axis(renos, "RENO")
-    outcomes = execute_grid(
+    executor = resolve_executor(jobs, executor)
+    store = resolve_cache(cache)
+    tasks = build_tasks(
         resolved,
         machines,
         renos,
@@ -195,13 +205,13 @@ def run_matrix(
         collect_timing=collect_timing,
         record_stats=record_stats,
         max_instructions=max_instructions,
-        jobs=jobs,
-        cache=cache,
-        executor=executor,
-        progress=progress,
-        cancel=cancel,
+        cache_root=store_locator(store),
         backend=backend,
     )
+    blocks = (executor.execute(tasks, store, progress=progress, cancel=cancel)
+              if tasks else [])
+    outcomes = {grid_key: outcome
+                for block in blocks for grid_key, outcome in block}
     return MatrixResult(
         outcomes=outcomes,
         workloads=[workload.name for workload in resolved],

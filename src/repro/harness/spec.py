@@ -2,8 +2,7 @@
 
 A :class:`SweepSpec` captures one full experiment grid — (workloads ×
 machines × RENO configs × scale) plus the simulation budget — as a plain,
-hashable, JSON-round-trippable value.  Where the ``figure*`` functions used
-to hand-roll ``run_matrix`` plumbing, each figure is now registered as an
+hashable, JSON-round-trippable value.  Each figure is registered as an
 :class:`Experiment`: a *spec builder* (parameters → :class:`SweepSpec`) plus
 a *pure reducer* (:class:`~repro.harness.runner.MatrixResult` →
 :class:`~repro.harness.experiments.ExperimentReport`).  That split is what
@@ -37,9 +36,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.config import RenoConfig
-from repro.harness.cache import SimulationCache
 from repro.harness.executors import CancelFn, Executor, ProgressFn
 from repro.harness.runner import MatrixResult, _require_unique, run_matrix
+from repro.store.base import ResultStore
 from repro.uarch.config import MachineConfig
 from repro.workloads.base import Workload
 from repro.workloads.suites import suite_by_name
@@ -100,7 +99,7 @@ class SweepSpec:
         record_stats: bool = False,
         max_instructions: int = 2_000_000,
     ) -> "SweepSpec":
-        """Build a spec from the arguments the ``figure*`` functions take.
+        """Build a spec from an experiment's grid arguments.
 
         ``workloads=None`` resolves to the full named suite; explicit
         entries may be names or :class:`~repro.workloads.base.Workload`
@@ -208,7 +207,7 @@ class SweepSpec:
     def run(
         self,
         jobs: int | str | None = None,
-        cache: SimulationCache | bool | str | None = None,
+        cache: ResultStore | bool | str | None = None,
         executor: Executor | None = None,
         progress: ProgressFn | None = None,
         cancel: CancelFn | None = None,
@@ -259,8 +258,9 @@ class Experiment:
             may only read the matrix and spec, never re-run simulations.
         run_fn: Custom runner for experiments that are not a single grid
             (signature ``(suite, workloads=, scale=, jobs=, cache=,
-            executor=, **params) -> ExperimentReport``); when set,
-            ``build_spec``/``reduce`` are unused.
+            executor=, progress=, cancel=, backend=, **params) ->
+            ExperimentReport``); when set, ``build_spec``/``reduce`` are
+            unused.
     """
 
     name: str
@@ -277,7 +277,7 @@ class Experiment:
         workloads: list[str] | None = None,
         scale: int = 1,
         jobs: int | str | None = None,
-        cache: SimulationCache | bool | str | None = None,
+        cache: ResultStore | bool | str | None = None,
         executor: Executor | None = None,
         progress: ProgressFn | None = None,
         cancel: CancelFn | None = None,
@@ -295,40 +295,28 @@ class Experiment:
         """
         suite = suite or self.default_suite
         if self.run_fn is not None:
-            # Pass the hooks only when set, so externally registered run_fn
-            # callables with the pre-hook signature keep working for plain
-            # runs (mirrors the executors' two-argument compat shape).
-            hooks = {}
-            if progress is not None:
-                hooks["progress"] = progress
-            if cancel is not None:
-                hooks["cancel"] = cancel
-            if backend is not None:
-                hooks["backend"] = backend
             report = self.run_fn(
                 suite, workloads=workloads, scale=scale, jobs=jobs,
-                cache=cache, executor=executor, **hooks, **params,
+                cache=cache, executor=executor, progress=progress,
+                cancel=cancel, backend=backend, **params,
             )
             spec_dict = None
         else:
             spec = self.build_spec(suite, workloads, scale, **params)
-            if workloads is not None and any(
-                    isinstance(entry, Workload) for entry in workloads):
-                # Ad-hoc Workload objects may not be in the registry, so the
-                # grid runs with the objects themselves; the spec still
-                # records their names for provenance.
-                matrix = run_matrix(
-                    list(workloads), spec.machines, spec.renos,
-                    scale=spec.scale, collect_timing=spec.collect_timing,
-                    record_stats=spec.record_stats,
-                    max_instructions=spec.max_instructions,
-                    jobs=jobs, cache=cache, executor=executor,
-                    progress=progress, cancel=cancel, backend=backend,
-                )
-            else:
-                matrix = spec.run(jobs=jobs, cache=cache, executor=executor,
-                                  progress=progress, cancel=cancel,
-                                  backend=backend)
+            # Ad-hoc Workload objects may not be in the registry, so the
+            # grid runs with the objects themselves; the spec still records
+            # their names for provenance.
+            adhoc = {entry.name: entry for entry in workloads or ()
+                     if isinstance(entry, Workload)}
+            matrix = run_matrix(
+                [adhoc.get(name, name) for name in spec.workloads],
+                spec.machines, spec.renos,
+                scale=spec.scale, collect_timing=spec.collect_timing,
+                record_stats=spec.record_stats,
+                max_instructions=spec.max_instructions,
+                jobs=jobs, cache=cache, executor=executor,
+                progress=progress, cancel=cancel, backend=backend,
+            )
             report = self.reduce(matrix, spec)
             spec_dict = spec.to_dict()
         report.experiment = self.name

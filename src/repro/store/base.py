@@ -1,7 +1,7 @@
 """``repro.store`` core: the ``ResultStore`` protocol and payload codec.
 
 A *result store* is a content-addressed map from :func:`outcome keys
-<repro.harness.cache.outcome_key>` to slim
+<repro.harness.executors.outcome_key>` to slim
 :class:`~repro.core.simulator.SimulationOutcome` payloads, speaking the
 on-disk cache format (:data:`CACHE_FORMAT_VERSION`).  Three tiers
 implement the protocol:
@@ -62,10 +62,9 @@ STORE_ENV = "REPRO_STORE"
 class StoreStats:
     """Hit/miss/store/eviction counters for one store instance.
 
-    The first three fields keep the historical
-    :class:`repro.harness.cache.CacheStats` shape; the rest are store-tier
-    additions.  A process pool adds every field of its workers' stats into
-    the parent's.
+    ``hits``/``misses``/``stores`` count lookups and writes; the rest count
+    evictions, duplicate puts and claims.  A process pool adds every field
+    of its workers' stats into the parent's.
     """
 
     hits: int = 0

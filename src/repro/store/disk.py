@@ -2,9 +2,7 @@
 
 A :class:`DiskStore` is a directory of pickled slim simulation outcomes,
 addressed by key with a two-level fan-out (``root/ab/abcd....pkl``, like
-git).  It is the tier behind ``$REPRO_CACHE_DIR`` and the compatibility
-home of :class:`repro.harness.cache.SimulationCache`, which is now an
-alias of this class.
+git).  It is the tier behind ``$REPRO_CACHE_DIR``.
 
 The cooperative facilities map onto files:
 

@@ -20,7 +20,7 @@ from repro.api import (
     Session,
 )
 from repro.api.schema import JobStatus
-from repro.harness import figure8_elimination_and_speedup, run_experiment
+from repro.harness import run_experiment
 from repro.harness.experiments import ExperimentReport
 
 SMALL = ["micro_addi_chain", "micro_call_spill"]
@@ -71,8 +71,8 @@ def test_job_status_roundtrip():
 
 
 def test_report_schema_version_is_stamped_and_checked():
-    report = figure8_elimination_and_speedup("micro", workloads=SMALL[:1],
-                                             jobs=1, cache=False)
+    report = run_experiment("fig8", suite="micro", workloads=SMALL[:1],
+                            jobs=1, cache=False)
     payload = report.to_dict()
     assert payload["schema_version"] == 2
     assert ExperimentReport.from_dict(payload) == report
@@ -208,15 +208,17 @@ def test_session_rejects_bad_submissions(tmp_path):
 
 
 def test_legacy_entry_points_route_through_the_session(tmp_path):
+    from repro.api.session import default_session
+
     with Session(jobs=1, cache=tmp_path / "cache") as session:
         facade = session.run(small_request())
     legacy = run_experiment("fig8", suite="micro", workloads=SMALL[:1],
                             jobs=1, cache=False)
-    wrapper = figure8_elimination_and_speedup("micro", workloads=SMALL[:1],
-                                              jobs=1, cache=False)
-    assert legacy.rows == facade.rows == wrapper.rows
-    assert legacy.data == facade.data == wrapper.data
-    assert legacy.to_dict() == wrapper.to_dict()
+    direct = default_session().run_experiment(
+        "fig8", suite="micro", workloads=SMALL[:1], jobs=1, cache=False)
+    assert legacy.rows == facade.rows == direct.rows
+    assert legacy.data == facade.data == direct.data
+    assert legacy.to_dict() == direct.to_dict()
 
 
 def test_session_estimates_grid_totals():

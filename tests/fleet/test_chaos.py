@@ -18,7 +18,8 @@ from repro.api.schema import WIRE_SCHEMA_VERSION, ExperimentRequest, TaskLease
 from repro.api.session import JobCancelled, Session
 from repro.api.worker import FleetWorker
 from repro.core.simulator import simulate
-from repro.harness.cache import SimulationCache, outcome_key, program_digest
+from repro.harness.executors import outcome_key, program_digest
+from repro.store.disk import DiskStore
 from repro.uarch.config import MachineConfig
 from repro.workloads.base import get_workload
 
@@ -163,7 +164,7 @@ def test_checkpoint_migrates_between_workers(tmp_path):
     assert result.outcome_key == key
     assert not checkpoint.exists()       # consumed on completion
 
-    outcome = SimulationCache(cache_root).get(key)
+    outcome = DiskStore(cache_root).get(key)
     assert outcome is not None
     assert outcome.timing.cycles == reference.timing.cycles
     assert outcome.timing.final_registers == reference.timing.final_registers

@@ -14,8 +14,7 @@ import pickle
 
 import pytest
 
-from repro.harness.cache import SimulationCache, file_lock
-from repro.store import DiskStore
+from repro.store import DiskStore, file_lock
 
 WRITERS = 4
 RECORDS_PER_WRITER = 6
@@ -29,13 +28,13 @@ def _hammer_meta(root: str, writer: int) -> None:
 
 def _hammer_cache_puts(root: str, writer: int) -> None:
     """Everyone writes the same keys concurrently (the racing-worker case)."""
-    cache = SimulationCache(root)
+    cache = DiskStore(root)
     payload_dir = cache.root
     payload_dir.mkdir(parents=True, exist_ok=True)
     for round_number in range(RECORDS_PER_WRITER):
         for key_number in range(4):
             # Reach the atomic write machinery directly with a tiny stand-in
-            # payload: SimulationCache.put pickles (version, timing, reno).
+            # payload: DiskStore.put pickles (version, timing, reno).
             path = cache.path_for(f"{key_number:02x}" + "ab" * 31)
             path.parent.mkdir(parents=True, exist_ok=True)
             cache._store_failure_warned = True
@@ -93,7 +92,7 @@ def test_parallel_same_key_entry_writes_never_tear(tmp_path, spawn_context):
         process.join(timeout=120)
         assert process.exitcode == 0
 
-    cache = SimulationCache(tmp_path / "cache")
+    cache = DiskStore(tmp_path / "cache")
     entries = cache.entries()
     assert len(entries) == 4
     for path in entries:

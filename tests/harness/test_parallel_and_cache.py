@@ -17,18 +17,13 @@ import pytest
 from repro.core.config import RenoConfig
 from repro.harness import (
     MatrixLookupError,
-    SimulationCache,
-    figure8_elimination_and_speedup,
-    figure9_critical_path,
-    figure10_division_of_labor,
-    figure11_issue_width,
-    figure11_register_file,
-    figure12_scheduler,
     outcome_key,
     program_digest,
+    run_experiment,
     run_matrix,
 )
-from repro.harness.cache import CACHE_DIR_ENV, resolve_cache
+from repro.harness.executors import resolve_cache
+from repro.store.disk import CACHE_DIR_ENV, DiskStore
 from repro.uarch.config import MachineConfig
 from repro.workloads.base import get_workload
 
@@ -37,14 +32,7 @@ MACHINES = {"4wide": MachineConfig.default_4wide()}
 RENOS = {"BASE": None, "RENO": RenoConfig.reno_default()}
 
 #: The full figure sweep of the paper's evaluation (fig8–fig12).
-FIGURES = [
-    figure8_elimination_and_speedup,
-    figure9_critical_path,
-    figure10_division_of_labor,
-    figure11_register_file,
-    figure11_issue_width,
-    figure12_scheduler,
-]
+FIGURES = ["fig8", "fig9", "fig10", "fig11_regs", "fig11_width", "fig12"]
 
 
 def outcome_fields(outcome) -> dict:
@@ -63,13 +51,16 @@ def outcome_fields(outcome) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("figure", FIGURES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("figure", FIGURES)
 def test_golden_figures_parallel_and_cached_match_serial(figure, tmp_path):
-    cache = SimulationCache(tmp_path / "cache")
-    serial = figure("micro", workloads=SMALL, jobs=1, cache=cache)
+    cache = DiskStore(tmp_path / "cache")
+    serial = run_experiment(figure, suite="micro", workloads=SMALL, jobs=1,
+                            cache=cache)
     assert cache.stats.stores > 0          # cold run populated the cache
-    parallel = figure("micro", workloads=SMALL, jobs=2, cache=False)
-    warm = figure("micro", workloads=SMALL, jobs=2, cache=cache)
+    parallel = run_experiment(figure, suite="micro", workloads=SMALL, jobs=2,
+                              cache=False)
+    warm = run_experiment(figure, suite="micro", workloads=SMALL, jobs=2,
+                          cache=cache)
 
     assert parallel.rows == serial.rows
     assert warm.rows == serial.rows
@@ -79,7 +70,7 @@ def test_golden_figures_parallel_and_cached_match_serial(figure, tmp_path):
 
 
 def test_warm_cache_run_computes_nothing(tmp_path):
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     run_matrix(SMALL, MACHINES, RENOS, cache=cache)
     stores_after_cold = cache.stats.stores
     assert stores_after_cold == len(SMALL) * len(MACHINES) * len(RENOS)
@@ -139,7 +130,7 @@ def test_simulation_is_deterministic_across_processes():
 
 
 def test_cache_roundtrip_preserves_timing_results(tmp_path):
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     matrix = run_matrix(SMALL[:1], MACHINES, RENOS, collect_timing=True, cache=cache)
     warm = run_matrix(SMALL[:1], MACHINES, RENOS, collect_timing=True, cache=cache)
     for key in matrix.outcomes:
@@ -159,6 +150,20 @@ def test_cache_key_separates_configs_and_budgets():
         outcome_key(digest, machine, None, 2_000_000, True),
     }
     assert len(keys) == 6
+
+
+def test_outcome_key_bytes_are_pinned():
+    """Every existing store is addressed by these bytes: a change here must
+    come with a ``CACHE_FORMAT_VERSION`` bump, never by accident."""
+    digest = program_digest(get_workload("micro_addi_chain").build(1))
+    assert digest == ("ee6c992f74c8c8b08e23d99774cf7008"
+                      "e2938a6a7c430ca43f57ed352c74d070")
+    machine = MachineConfig.default_4wide()
+    assert outcome_key(digest, machine, None, 2_000_000, False, False) == (
+        "c67bdc133967a26b83b2cf4363b7256fd5a941c332b5032c7ee4145fe58448ab")
+    assert outcome_key(digest, machine, RenoConfig.reno_default(), 2_000_000,
+                       True, True) == (
+        "1eff88569e1ac32eb336dcc8f8e4866646da1b36e0c487fb8faff03b242317d2")
 
 
 def test_config_digest_ignores_label_but_not_behaviour():
@@ -191,7 +196,7 @@ def test_program_digest_tracks_content_not_name():
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     import pickle
 
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     run_matrix(SMALL[:1], MACHINES, {"BASE": None}, cache=cache)
     entry = cache.entries()[0]
     entry.write_bytes(b"not a pickle")
@@ -201,7 +206,7 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
 
 
 def test_parallel_run_aggregates_worker_cache_stats(tmp_path):
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     run_matrix(SMALL, MACHINES, RENOS, jobs=2, cache=cache)
     expected = len(SMALL) * len(MACHINES) * len(RENOS)
     assert cache.stats.stores == expected
@@ -213,14 +218,12 @@ def test_parallel_run_aggregates_worker_cache_stats(tmp_path):
 def test_parallel_run_merges_every_worker_stats_field(tmp_path, monkeypatch):
     """Workers' duplicate puts (and every other counter) reach the parent:
     with reads forced to miss, a warm pooled re-run re-puts every cell."""
-    from repro.store import DiskStore
-
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     run_matrix(SMALL, MACHINES, RENOS, jobs=1, cache=cache)
     cells = len(SMALL) * len(MACHINES) * len(RENOS)
     # fork carries the patch into the pool's workers.
     monkeypatch.setattr(DiskStore, "get", lambda self, key: None)
-    pooled = SimulationCache(tmp_path)
+    pooled = DiskStore(tmp_path)
     run_matrix(SMALL, MACHINES, RENOS, jobs=2, cache=pooled)
     assert pooled.stats.duplicate_puts == cells
     assert pooled.stats.stores == 0
@@ -234,11 +237,11 @@ def test_cache_env_var_controls_default(tmp_path, monkeypatch):
     assert resolved is not None and resolved.root == tmp_path
     assert resolve_cache(False) is None               # explicit off wins
     run_matrix(SMALL[:1], MACHINES, {"BASE": None})   # cache=None → env cache
-    assert len(SimulationCache(tmp_path)) == 1
+    assert len(DiskStore(tmp_path)) == 1
 
 
 def test_cache_clear(tmp_path):
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     run_matrix(SMALL[:1], MACHINES, RENOS, cache=cache)
     assert len(cache) == 2
     assert cache.clear() == 2

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -129,26 +130,6 @@ def test_every_figure_function_is_registered():
     registered = {entry.name for entry in list_experiments()}
     assert {"fig8", "fig9", "fig10", "fig11_regs", "fig11_width", "fig12",
             "mix", "fusion", "it_cost", "scale_sweep"} <= registered
-
-
-def test_registered_experiments_match_figure_wrappers():
-    from repro.harness import experiments as module
-
-    wrappers = {
-        "fig8": module.figure8_elimination_and_speedup,
-        "fig9": module.figure9_critical_path,
-        "fig10": module.figure10_division_of_labor,
-        "fig11_regs": module.figure11_register_file,
-        "fig11_width": module.figure11_issue_width,
-        "fig12": module.figure12_scheduler,
-    }
-    for name, wrapper in wrappers.items():
-        direct = run_experiment(name, suite="micro", workloads=SMALL[:1],
-                                jobs=1, cache=False)
-        compat = wrapper("micro", workloads=SMALL[:1], jobs=1, cache=False)
-        assert compat.rows == direct.rows
-        assert compat.data == direct.data
-        assert compat.experiment == name
 
 
 def test_spec_experiments_carry_spec_provenance():
@@ -296,13 +277,13 @@ def test_process_executor_with_unpicklable_task_runs_in_process(monkeypatch):
     _assert_runs_in_process(ProcessExecutor(8), tasks, monkeypatch)
 
 
-def test_figure_wrappers_accept_adhoc_workload_objects():
-    from repro.harness import figure12_scheduler
+def test_run_experiment_accepts_adhoc_workload_objects():
     from repro.workloads.base import Workload
 
     base = get_workload("micro_addi_chain")
     adhoc = Workload(name="adhoc_kernel", suite="example", builder=base.builder)
-    report = figure12_scheduler("micro", workloads=[adhoc], jobs=1, cache=False)
+    report = run_experiment("fig12", suite="micro", workloads=[adhoc],
+                            jobs=1, cache=False)
     assert report.rows
     assert SweepSpec.from_dict(report.spec).workloads == ("adhoc_kernel",)
 
@@ -324,6 +305,22 @@ def test_resolve_executor_forms(monkeypatch):
     assert resolve_executor(None).jobs == cpus
     explicit = SerialExecutor()
     assert resolve_executor(8, executor=explicit) is explicit
+    monkeypatch.delenv(JOBS_ENV)
+    for value in ("fuor", "2.5", "0"):
+        monkeypatch.setenv(FLEET_ENV, value)
+        with pytest.raises(ValueError,
+                           match=r"\$REPRO_FLEET.*an integer >= 1"):
+            resolve_executor(None)
+
+
+def test_jobs_fleet_defaults_to_two_workers(monkeypatch):
+    from repro.api import fleet
+
+    monkeypatch.delenv(FLEET_ENV, raising=False)
+    monkeypatch.setattr(fleet, "_shared_fleet", None)
+    monkeypatch.setattr(fleet, "FleetExecutor", lambda workers: SimpleNamespace(
+        workers=workers, _closed=False, close=lambda: None))
+    assert resolve_executor("fleet").workers == 2
 
 
 @pytest.mark.parametrize("jobs", ["8x", "fuor", "", "2.5"])
@@ -339,10 +336,19 @@ def test_resolve_executor_rejects_unparseable_env_jobs(monkeypatch):
 
 
 def test_cli_rejects_unparseable_jobs(capsys):
-    assert cli_main(["run", "fig8", "--suite", "micro",
-                     "--workloads", "micro_addi_chain",
-                     "--jobs", "8x", "--no-cache", "--quiet"]) == 2
-    assert "an integer, 'auto' or 'fleet'" in capsys.readouterr().err
+    # mix uses no executor, but a malformed jobs is still an error.
+    for name in ("fig8", "mix"):
+        assert cli_main(["run", name, "--suite", "micro",
+                         "--workloads", "micro_addi_chain",
+                         "--jobs", "8x", "--no-cache", "--quiet"]) == 2
+        assert "an integer, 'auto' or 'fleet'" in capsys.readouterr().err
+
+
+def test_mix_rejects_unparseable_jobs():
+    """``mix`` uses no executor, but a malformed ``jobs`` is still an error."""
+    with pytest.raises(ValueError, match="an integer, 'auto' or 'fleet'"):
+        run_experiment("mix", suite="micro", workloads=["micro_moves"],
+                       jobs="8x")
 
 
 def test_jobs_auto_matches_serial_rows():
@@ -396,16 +402,17 @@ def test_cli_scale_flag_on_scale_sweep_runs_that_one_scale(capsys):
 
 
 def test_cli_leaves_jobs_unset_so_env_applies(monkeypatch, capsys):
-    import repro.harness.executors as executors_module
+    import repro.api.session as session_module
 
     seen = {}
-    real = executors_module.resolve_executor
+    real = session_module.resolve_executor
 
     def spy(jobs=None, executor=None):
         seen["jobs"] = jobs
         return real(jobs, executor)
 
-    monkeypatch.setattr(executors_module, "resolve_executor", spy)
+    # The session resolves jobs once per run and passes the instance down.
+    monkeypatch.setattr(session_module, "resolve_executor", spy)
     assert cli_main(["run", "fig8", "--suite", "micro",
                      "--workloads", "micro_addi_chain",
                      "--no-cache", "--quiet"]) == 0
@@ -434,7 +441,7 @@ def test_cli_rejects_unknown_experiment_and_workload(capsys):
 
 
 def test_cli_cache_subcommand_reports_and_clears(tmp_path, capsys, monkeypatch):
-    from repro.harness.cache import CACHE_DIR_ENV
+    from repro.store.disk import CACHE_DIR_ENV
 
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
     run_matrix(SMALL[:1], MACHINES, {"BASE": None}, cache=True)
@@ -463,28 +470,3 @@ def test_cli_run_smoke_via_subprocess(tmp_path):
     report = ExperimentReport.from_json(out.read_text())
     assert report.experiment == "fig8"
     assert report.rows
-
-
-def test_legacy_run_fn_signature_still_works():
-    """Externally registered experiments whose run_fn predates the
-    progress/cancel hooks must keep working for plain runs (the hooks are
-    only passed when a caller actually supplies them)."""
-    from repro.harness.spec import EXPERIMENTS, Experiment
-
-    def legacy_run_fn(suite, workloads=None, scale=1, jobs=None, cache=None,
-                      executor=None):
-        return ExperimentReport(name="legacy", description=suite,
-                                headers=["x"], rows=[["1"]])
-
-    entry = Experiment(name="_legacy_test", title="t", description="d",
-                       run_fn=legacy_run_fn)
-    EXPERIMENTS[entry.name] = entry
-    try:
-        report = run_experiment("_legacy_test", suite="micro")
-        assert report.name == "legacy"
-        # With a hook supplied the legacy signature fails loudly (the
-        # feature genuinely needs the new parameter) ...
-        with pytest.raises(TypeError):
-            entry.run(suite="micro", progress=lambda key, cached: None)
-    finally:
-        del EXPERIMENTS[entry.name]
