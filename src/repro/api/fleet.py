@@ -79,7 +79,7 @@ from repro.harness.executors import (
     outcome_key,
     program_digest,
 )
-from repro.store.base import ResultStore, open_store, store_locator
+from repro.store.base import ResultStore, open_store, process_local, store_locator
 from repro.store.disk import DiskStore
 
 #: Default seconds a lease stays valid without a heartbeat.
@@ -717,8 +717,10 @@ class FleetExecutor:
     time, worker placement and outcome slimness (cache-loaded outcomes
     have ``program``/``functional`` None, like every pooled backend)
     differ.  Tasks whose workloads are not in the registry (ad-hoc
-    Workload objects) cannot be named on the wire and fall back to the
-    serial path, mirroring :class:`ProcessExecutor`'s pickling fallback.
+    Workload objects) cannot be named on the wire, and workers cannot
+    reach a store that exists only in this process (``sqlite://:memory:``);
+    both fall back to the serial path, mirroring
+    :class:`ProcessExecutor`'s fallbacks.
 
     Args:
         workers: Worker subprocesses to keep alive (0 = externally
@@ -932,7 +934,7 @@ class FleetExecutor:
         """Run every task's cells on the fleet (deterministic block order)."""
         if not tasks:
             return []
-        if not self._tasks_shippable(tasks):
+        if process_local(cache) or not self._tasks_shippable(tasks):
             return SerialExecutor().execute(tasks, cache, progress=progress,
                                             cancel=cancel)
         cache = cache if cache is not None else self._default_cache()

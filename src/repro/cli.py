@@ -13,8 +13,9 @@ Six subcommands cover the whole harness without writing Python:
   round-trip via ``from_json``).  ``--stats`` renders the report's
   occupancy/utilization section (recorded by e.g. the ``bottleneck``
   experiment) as an extra table.
-* ``python -m repro cache [--clear]`` — inspect or wipe the outcome cache
-  (location, entry count, total bytes).
+* ``python -m repro cache [--clear]`` — inspect or wipe the result store
+  (``$REPRO_STORE`` when set, else the ``$REPRO_CACHE_DIR`` store): its
+  locator, entry count and total bytes.
 * ``python -m repro serve [--host H] [--port P] [--jobs auto|N]
   [--workers N] [--session-workers N] [cache flags]`` — run the
   JSON-over-HTTP service (:mod:`repro.api.service`) until SIGINT/SIGTERM.
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -351,14 +353,21 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_cache(args) -> int:
+    from repro.store.base import STORE_ENV, open_store
     from repro.store.disk import DiskStore
 
-    cache = DiskStore()
-    print(f"cache root:  {cache.root}")
-    print(f"entries:     {len(cache)}")
-    print(f"total bytes: {cache.size_bytes()}")
+    locator = os.environ.get(STORE_ENV)
+    store = open_store(locator) if locator else DiskStore()
+    payload = store.stats_payload()
+    print(f"store:       {store.locator}")
+    print(f"entries:     {payload['entries']}")
+    print(f"total bytes: {payload['bytes']}")
     if args.clear:
-        print(f"removed:     {cache.clear()}")
+        if not hasattr(store, "clear"):
+            print(f"error: the store at {store.locator} cannot be cleared "
+                  f"from here", file=sys.stderr)
+            return 2
+        print(f"removed:     {store.clear()}")
     return 0
 
 

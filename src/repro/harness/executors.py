@@ -7,8 +7,9 @@ RENO config) grid into one :class:`WorkloadTask` per workload
 * :class:`SerialExecutor` runs every task in-process (keeping full outcomes).
 * :class:`ProcessExecutor` fans tasks out over a ``fork`` multiprocessing
   pool, falling back to serial when there is one worker or one task, the
-  platform lacks ``fork``, or a task cannot be pickled.  ``jobs="auto"``
-  (the default) is a :class:`ProcessExecutor` over every CPU.
+  platform lacks ``fork``, the store exists only in this process, or a
+  task cannot be pickled.  ``jobs="auto"`` (the default) is a
+  :class:`ProcessExecutor` over every CPU.
 
 Every grid point is deterministic, so its outcome is stored in a
 content-addressed result store (:mod:`repro.store`) under
@@ -70,6 +71,7 @@ from repro.store.base import (
     STORE_ENV,
     ResultStore,
     open_store,
+    process_local,
 )
 from repro.store.disk import CACHE_DIR_ENV, DiskStore
 from repro.uarch.config import MachineConfig
@@ -435,6 +437,8 @@ class ProcessExecutor:
 
     Falls back to :class:`SerialExecutor` whenever a pool cannot help or
     cannot work: a single task, ``jobs <= 1``, a platform without ``fork``,
+    a store that exists only in this process (workers would each open an
+    empty one of their own; see :func:`repro.store.base.process_local`),
     or tasks that cannot be pickled.  This is the whole selection rule
     behind ``jobs="auto"``, which is this executor over every CPU.
 
@@ -457,7 +461,8 @@ class ProcessExecutor:
         """Run the tasks on a worker pool (serial fallback when impossible)."""
         jobs = min(self.jobs, len(tasks))
         context = _fork_context()
-        if jobs <= 1 or context is None or not _tasks_picklable(tasks):
+        if (jobs <= 1 or context is None or process_local(cache)
+                or not _tasks_picklable(tasks)):
             return SerialExecutor().execute(tasks, cache, progress=progress,
                                             cancel=cancel)
         blocks: list[Block] = []

@@ -1,19 +1,21 @@
 """``repro.store`` — the shared content-addressed result store.
 
-One protocol (:class:`~repro.store.base.ResultStore`), three tiers:
+One protocol (:class:`~repro.store.base.ResultStore`), two
+implementations:
 
-* :class:`~repro.store.disk.DiskStore` — the local-disk outcome cache
-  (``$REPRO_CACHE_DIR``);
-* :class:`~repro.store.sqlite.SqliteStore` — a single shared file with
-  LRU eviction, TTL and a size cap;
+* :class:`~repro.store.sqlite.SqliteStore` — one sqlite database file
+  shared by every process on a host, with optional LRU eviction, TTL and
+  a size cap; :class:`~repro.store.disk.DiskStore` is the same store
+  rooted at a directory (``<root>/store.sqlite3``, default
+  ``$REPRO_CACHE_DIR``);
 * :class:`~repro.store.http.HTTPStore` — the client for ``python -m
   repro store-serve``, with bearer-token auth and exactly-once
   conditional puts, so fleet workers need no shared filesystem.
 
 Stores travel through the engine as *locator* strings
 (:func:`~repro.store.base.open_store` /
-:func:`~repro.store.base.store_locator`): a path, ``sqlite://<path>``,
-or ``http(s)://host:port``.  See ``docs/store.md``.
+:func:`~repro.store.base.store_locator`): a directory path,
+``sqlite://<path>``, or ``http(s)://host:port``.  See ``docs/store.md``.
 """
 
 from repro.store.base import (
@@ -31,7 +33,6 @@ from repro.store.disk import (
     DEFAULT_CACHE_DIR,
     DiskStore,
     default_cache_root,
-    file_lock,
 )
 from repro.store.http import HTTPStore, StoreAuthError, StoreError, StoreServer, make_store_server
 from repro.store.schema import (
@@ -62,7 +63,6 @@ __all__ = [
     "decode_payload",
     "default_cache_root",
     "encode_payload",
-    "file_lock",
     "make_store_server",
     "open_store",
     "store_locator",

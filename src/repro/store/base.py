@@ -2,22 +2,23 @@
 
 A *result store* is a content-addressed map from :func:`outcome keys
 <repro.harness.executors.outcome_key>` to slim
-:class:`~repro.core.simulator.SimulationOutcome` payloads, speaking the
-on-disk cache format (:data:`CACHE_FORMAT_VERSION`).  Three tiers
-implement the protocol:
+:class:`~repro.core.simulator.SimulationOutcome` payloads in one payload
+format (:data:`CACHE_FORMAT_VERSION`).  Two implementations speak the
+protocol:
 
-* :class:`repro.store.disk.DiskStore` — the historical local-disk
-  outcome cache (``$REPRO_CACHE_DIR``), now one tier among equals;
-* :class:`repro.store.sqlite.SqliteStore` — a single-file shared tier
-  with LRU eviction, per-entry TTL and a size cap;
+* :class:`repro.store.sqlite.SqliteStore` — one sqlite database file
+  with optional LRU eviction, per-entry TTL and a size cap.  Its
+  subclass :class:`repro.store.disk.DiskStore` is the same store rooted
+  at a directory (``<root>/store.sqlite3``, the ``$REPRO_CACHE_DIR``
+  tier);
 * :class:`repro.store.http.HTTPStore` — a network client for ``python -m
   repro store-serve``, so fleet workers on other hosts commit outcomes
   with no shared filesystem.
 
 Stores are named by *locators* — plain strings that travel in
 :class:`~repro.harness.executors.WorkloadTask` payloads and fleet cell
-dicts exactly where a cache-root path used to: a filesystem path opens a
-:class:`DiskStore`, ``sqlite:///path/to.db`` a :class:`SqliteStore`, and
+dicts: a directory path opens a :class:`DiskStore`,
+``sqlite:///path/to.db`` a :class:`SqliteStore`, and
 ``http(s)://host:port`` an :class:`HTTPStore`.  :func:`open_store` maps a
 locator to a store and :func:`store_locator` is its inverse.
 
@@ -189,7 +190,7 @@ def open_store(locator, token: str | None = None):
       :class:`~repro.store.sqlite.SqliteStore` with that eviction policy
       (an unknown or non-numeric parameter raises ``ValueError``);
     * any other string or :class:`~pathlib.Path` — a
-      :class:`~repro.store.disk.DiskStore` rooted there;
+      :class:`~repro.store.disk.DiskStore` rooted at that directory;
     * an object already implementing the protocol passes through.
     """
     if locator is None:
@@ -216,12 +217,12 @@ def open_store(locator, token: str | None = None):
 def store_locator(store) -> str | None:
     """The locator string that re-opens ``store`` (inverse of
     :func:`open_store`); None for no store."""
-    if store is None:
-        return None
-    locator = getattr(store, "locator", None)
-    if locator is not None:
-        return str(locator)
-    root = getattr(store, "root", None)
-    if root is not None:
-        return str(root)
-    raise TypeError(f"store {store!r} exposes neither a locator nor a root")
+    return None if store is None else str(store.locator)
+
+
+def process_local(store) -> bool:
+    """Whether ``store`` exists only in this process (an in-memory sqlite
+    database): a worker re-opening its locator would get a new, empty
+    store of its own, so work on such a store must stay in-process."""
+    return (store is not None
+            and store_locator(store).startswith("sqlite://:memory:"))

@@ -314,9 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     options = parser.parse_args(argv)
 
     if options.db is None:
-        from repro.store.disk import default_cache_root
+        from repro.store.disk import DiskStore, default_cache_root
 
-        options.db = str(default_cache_root() / "store.sqlite3")
+        options.db = str(default_cache_root() / DiskStore.DATABASE)
     token = options.token if options.token is not None \
         else os.environ.get(TOKEN_ENV)
     backing = SqliteStore(options.db, max_bytes=options.max_bytes,

@@ -9,6 +9,8 @@ tier with real eviction policy:
   put evicts least-recently-*accessed* entries until the new entry fits.
 * **TTL** — ``ttl_s`` expires entries that have not been touched for that
   long; expired entries read as misses and are deleted on sight.
+  A hit records its access time only under one of these two policies,
+  their only reader, so an unbounded store's reads never write.
 * **exactly-once puts** — ``INSERT OR IGNORE`` makes the first writer
   win; later puts of the same key are counted as duplicates and change
   nothing.
@@ -21,6 +23,7 @@ locking covering multi-process access to the same database file.
 from __future__ import annotations
 
 import json
+import logging
 import sqlite3
 import threading
 import time
@@ -29,6 +32,8 @@ from pathlib import Path
 from repro.core.simulator import SimulationOutcome
 from repro.store.base import StoreStats, decode_payload, encode_payload
 from repro.store.schema import STORE_SCHEMA_VERSION
+
+logger = logging.getLogger("repro.store")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS blobs (
@@ -60,7 +65,9 @@ class SqliteStore:
 
     Args:
         path: Database file (created on first use; parent directories
-            too).  ``":memory:"`` keeps everything in-process (tests).
+            too).  ``":memory:"`` keeps everything in this process, so
+            runs on it stay in-process too
+            (:func:`~repro.store.base.process_local`).
         max_bytes: Total payload-size cap; None disables the size cap.
         ttl_s: Idle-entry time-to-live in seconds; None disables expiry.
         clock: Wall-clock source (tests inject a fake to exercise TTL
@@ -133,7 +140,8 @@ class SqliteStore:
 
     def get(self, key: str) -> SimulationOutcome | None:
         """Load a stored outcome (None on a miss, an expired entry, or a
-        corrupt payload — corrupt and expired entries are deleted)."""
+        corrupt payload — corrupt and expired entries are deleted, a
+        corrupt one with a warning on the ``repro.store`` logger)."""
         with self._lock:
             row = self._db.execute(
                 "SELECT payload, last_access FROM blobs WHERE key = ?",
@@ -153,11 +161,15 @@ class SqliteStore:
                 self._db.execute("DELETE FROM blobs WHERE key = ?", (key,))
                 self._db.commit()
                 self.stats.misses += 1
+                logger.warning(
+                    "store entry %s in %s is corrupt or from another cache "
+                    "format; deleted (will be recomputed)", key[:12], self.path)
                 return None
-            self._db.execute(
-                "UPDATE blobs SET last_access = ? WHERE key = ?",
-                (self._clock(), key))
-            self._db.commit()
+            if self.max_bytes is not None or self.ttl_s is not None:
+                self._db.execute(
+                    "UPDATE blobs SET last_access = ? WHERE key = ?",
+                    (self._clock(), key))
+                self._db.commit()
             self.stats.hits += 1
             return outcome
 
@@ -173,7 +185,8 @@ class SqliteStore:
             if self.max_bytes is not None:
                 if len(blob) > self.max_bytes:
                     return False
-                self._evict_locked(need=len(blob))
+                if not self._live_locked(key):   # a duplicate evicts nothing
+                    self._evict_locked(need=len(blob))
             cursor = self._db.execute(
                 "INSERT OR IGNORE INTO blobs "
                 "(key, payload, nbytes, created, last_access) "
@@ -207,13 +220,15 @@ class SqliteStore:
             self.stats.evictions += 1
         self._db.commit()
 
+    def _live_locked(self, key: str) -> bool:
+        row = self._db.execute(
+            "SELECT last_access FROM blobs WHERE key = ?", (key,)).fetchone()
+        return row is not None and not self._expired(row[0])
+
     def contains(self, key: str) -> bool:
         """Whether a live (non-expired) entry for ``key`` exists."""
         with self._lock:
-            row = self._db.execute(
-                "SELECT last_access FROM blobs WHERE key = ?",
-                (key,)).fetchone()
-            return row is not None and not self._expired(row[0])
+            return self._live_locked(key)
 
     # ------------------------------------------------------------------
     # Claims
@@ -282,8 +297,14 @@ class SqliteStore:
         return payload if isinstance(payload, dict) else {}
 
     def merge_meta(self, name: str, entries: dict) -> dict:
-        """Merge ``entries`` into document ``name`` inside one transaction."""
-        with self._lock:
+        """Merge ``entries`` into document ``name`` inside one transaction.
+
+        ``BEGIN IMMEDIATE`` takes the database's write lock before the
+        read, so concurrent processes merging into one file serialise and
+        never lose each other's entries.
+        """
+        with self._lock, self._db:
+            self._db.execute("BEGIN IMMEDIATE")
             row = self._db.execute(
                 "SELECT payload FROM meta WHERE name = ?", (name,)).fetchone()
             merged: dict = {}
@@ -298,7 +319,6 @@ class SqliteStore:
             self._db.execute(
                 "INSERT OR REPLACE INTO meta (name, payload) VALUES (?, ?)",
                 (name, json.dumps(merged, sort_keys=True)))
-            self._db.commit()
         return merged
 
     # ------------------------------------------------------------------

@@ -1,51 +1,40 @@
-"""Multi-process stress tests for concurrent-writer safety in the cache.
+"""Multi-process stress tests for concurrent-writer safety in the store.
 
-Parallel Sessions sharing one ``$REPRO_CACHE_DIR`` write two kinds of
-shared files: content-addressed outcome entries (atomic temp-file + rename,
-last-writer-wins is fine because the content is identical) and meta
-documents (``DiskStore.merge_meta``: read-modify-write of
-``<root>/<name>.json``, guarded by the ``flock`` file lock).  These tests
-hammer both from real processes and assert nothing is lost or torn.
+Parallel Sessions and pool workers sharing one store write two kinds of
+shared rows: content-addressed outcome entries (conditional puts: the
+first writer wins, every later put of the key is a counted duplicate)
+and meta documents (``merge_meta``: a read-modify-write inside one
+``BEGIN IMMEDIATE`` transaction).  These tests hammer both from real
+processes and assert nothing is lost, torn or stored twice.
 """
 
-import json
 import multiprocessing
-import pickle
 
 import pytest
 
-from repro.store import DiskStore, file_lock
+from repro.core.simulator import simulate_workload
+from repro.store import DiskStore, open_store
 
 WRITERS = 4
 RECORDS_PER_WRITER = 6
+MERGES_PER_WRITER = 30
+KEYS = [f"{key_number:02x}" + "ab" * 31 for key_number in range(4)]
 
 
-def _hammer_meta(root: str, writer: int) -> None:
-    store = DiskStore(root)
-    for index in range(RECORDS_PER_WRITER):
+def _hammer_meta(locator: str, writer: int, start) -> None:
+    store = open_store(locator)
+    start.wait()                        # every writer merges at once
+    for index in range(MERGES_PER_WRITER):
         store.merge_meta("shared", {f"w{writer}-{index}": 0.001 * (writer + 1)})
 
 
-def _hammer_cache_puts(root: str, writer: int) -> None:
-    """Everyone writes the same keys concurrently (the racing-worker case)."""
-    cache = DiskStore(root)
-    payload_dir = cache.root
-    payload_dir.mkdir(parents=True, exist_ok=True)
-    for round_number in range(RECORDS_PER_WRITER):
-        for key_number in range(4):
-            # Reach the atomic write machinery directly with a tiny stand-in
-            # payload: DiskStore.put pickles (version, timing, reno).
-            path = cache.path_for(f"{key_number:02x}" + "ab" * 31)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            cache._store_failure_warned = True
-            import os
-            import tempfile
-            descriptor, temp_name = tempfile.mkstemp(dir=path.parent,
-                                                     suffix=".tmp")
-            with os.fdopen(descriptor, "wb") as handle:
-                pickle.dump({"version": 1, "writer": writer,
-                             "round": round_number}, handle)
-            os.replace(temp_name, path)
+def _hammer_cache_puts(root: str, outcome, results) -> None:
+    """Everyone puts the same keys concurrently (the racing-worker case)."""
+    store = DiskStore(root)
+    for _ in range(RECORDS_PER_WRITER):
+        for key in KEYS:
+            store.put(key, outcome)
+    results.put(store.stats())
 
 
 @pytest.fixture()
@@ -57,68 +46,52 @@ def spawn_context():
                                       else methods[0])
 
 
-def test_parallel_meta_merges_lose_nothing(tmp_path, spawn_context):
-    processes = [
-        spawn_context.Process(target=_hammer_meta,
-                              args=(str(tmp_path), writer))
-        for writer in range(WRITERS)
-    ]
+def _run_all(processes) -> None:
     for process in processes:
         process.start()
     for process in processes:
         process.join(timeout=120)
         assert process.exitcode == 0
 
-    stored = json.loads((tmp_path / "shared.json").read_text())
+
+@pytest.mark.parametrize("tier", ["disk", "sqlite"])
+def test_parallel_meta_merges_lose_nothing(tmp_path, spawn_context, tier):
+    locator = (str(tmp_path) if tier == "disk"
+               else f"sqlite://{tmp_path / 'meta.sqlite3'}")
+    start = spawn_context.Barrier(WRITERS)
+    _run_all([
+        spawn_context.Process(target=_hammer_meta,
+                              args=(locator, writer, start))
+        for writer in range(WRITERS)
+    ])
+
+    stored = open_store(locator).get_meta("shared")
     expected = {
         f"w{writer}-{index}"
         for writer in range(WRITERS)
-        for index in range(RECORDS_PER_WRITER)
+        for index in range(MERGES_PER_WRITER)
     }
-    # The whole point of the lock: every writer's entries survive.
+    # The whole point of the transaction: every writer's entries survive.
     assert expected <= set(stored)
     assert all(isinstance(value, float) for value in stored.values())
 
 
-def test_parallel_same_key_entry_writes_never_tear(tmp_path, spawn_context):
+def test_parallel_same_key_puts_store_each_key_once(tmp_path, spawn_context):
+    outcome = simulate_workload("micro_addi_chain", max_instructions=2000)
+    results = spawn_context.Queue()
     processes = [
         spawn_context.Process(target=_hammer_cache_puts,
-                              args=(str(tmp_path / "cache"), writer))
-        for writer in range(WRITERS)
+                              args=(str(tmp_path / "cache"), outcome, results))
+        for _ in range(WRITERS)
     ]
-    for process in processes:
-        process.start()
-    for process in processes:
-        process.join(timeout=120)
-        assert process.exitcode == 0
+    _run_all(processes)
+    stats = [results.get(timeout=10) for _ in processes]
 
-    cache = DiskStore(tmp_path / "cache")
-    entries = cache.entries()
-    assert len(entries) == 4
-    for path in entries:
-        payload = pickle.loads(path.read_bytes())   # never torn/partial
-        assert payload["version"] == 1
-        assert 0 <= payload["writer"] < WRITERS
-
-
-def test_file_lock_is_mutually_exclusive(tmp_path):
-    target = tmp_path / "shared.json"
-    with file_lock(target) as held:
-        assert held is True
-        # A second contender times out onto the degraded (unlocked) path.
-        with file_lock(target, timeout=0.05) as second:
-            assert second is False
-    # Released: the next acquisition succeeds immediately.
-    with file_lock(target, timeout=0.05) as held:
-        assert held is True
-
-
-def test_file_lock_ignores_a_dead_holders_leftover_file(tmp_path):
-    """Kernel flocks die with their holder, so a leftover ``.lock`` file
-    from a crashed process carries no lock and never blocks — the stale
-    state the old O_EXCL scheme had to detect cannot exist."""
-    target = tmp_path / "shared.json"
-    lock = tmp_path / "shared.json.lock"
-    lock.write_text("leftover from a dead process")
-    with file_lock(target, timeout=0.5) as held:
-        assert held is True             # acquired immediately
+    store = DiskStore(tmp_path / "cache")
+    assert len(store) == len(KEYS)
+    assert sum(entry["stores"] for entry in stats) == len(KEYS)
+    assert sum(entry["duplicate_puts"] for entry in stats) == (
+        WRITERS * RECORDS_PER_WRITER * len(KEYS) - len(KEYS))
+    for key in KEYS:                    # never torn or partial
+        loaded = store.get(key)
+        assert loaded is not None and loaded.cycles == outcome.cycles

@@ -23,6 +23,7 @@ from repro.harness import (
     run_matrix,
 )
 from repro.harness.executors import resolve_cache
+from repro.store import SqliteStore
 from repro.store.disk import CACHE_DIR_ENV, DiskStore
 from repro.uarch.config import MachineConfig
 from repro.workloads.base import get_workload
@@ -197,12 +198,18 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     import pickle
 
     cache = DiskStore(tmp_path)
-    run_matrix(SMALL[:1], MACHINES, {"BASE": None}, cache=cache)
-    entry = cache.entries()[0]
-    entry.write_bytes(b"not a pickle")
-    assert cache.get(entry.stem) is None
-    entry.write_bytes(pickle.dumps(["not", "a", "dict"]))
-    assert cache.get(entry.stem) is None
+    key = outcome_key(program_digest(get_workload(SMALL[0]).build(1)),
+                      MACHINES["4wide"], None, 2_000_000, False)
+    for blob in (b"not a pickle", pickle.dumps(["not", "a", "dict"])):
+        run_matrix(SMALL[:1], MACHINES, {"BASE": None}, cache=cache)
+        assert cache.contains(key)
+        with cache._lock:
+            cache._db.execute("UPDATE blobs SET payload = ? WHERE key = ?",
+                              (blob, key))
+            cache._db.commit()
+        assert cache.get(key) is None
+        assert not cache.contains(key)
+    assert cache.stats.stores == 2            # each corrupt entry recomputed
 
 
 def test_parallel_run_aggregates_worker_cache_stats(tmp_path):
@@ -227,6 +234,27 @@ def test_parallel_run_merges_every_worker_stats_field(tmp_path, monkeypatch):
     run_matrix(SMALL, MACHINES, RENOS, jobs=2, cache=pooled)
     assert pooled.stats.duplicate_puts == cells
     assert pooled.stats.stores == 0
+
+
+def test_in_memory_store_with_a_pool_runs_in_process():
+    """Workers re-opening ``sqlite://:memory:`` would each get an empty
+    database of their own: the outcomes must land in the caller's store."""
+    store = SqliteStore(":memory:")
+    cells = len(SMALL) * 4
+    run_experiment("fig8", suite="micro", workloads=SMALL, jobs=2, cache=store)
+    assert len(store) == store.stats.stores == cells
+    run_experiment("fig8", suite="micro", workloads=SMALL, jobs=2, cache=store)
+    assert store.stats.hits == cells and store.stats.stores == cells
+
+
+def test_in_memory_store_with_a_fleet_runs_in_process():
+    from repro.api.fleet import FleetExecutor
+
+    store = SqliteStore(":memory:")
+    with FleetExecutor(workers=0, respawn=False, stall_timeout_s=5.0) as fleet:
+        run_matrix(SMALL, MACHINES, RENOS, executor=fleet, cache=store)
+        assert fleet.url is None              # the fleet never started
+    assert len(store) == store.stats.stores == len(SMALL) * len(RENOS)
 
 
 def test_cache_env_var_controls_default(tmp_path, monkeypatch):

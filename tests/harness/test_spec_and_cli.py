@@ -451,6 +451,41 @@ def test_cli_cache_subcommand_reports_and_clears(tmp_path, capsys, monkeypatch):
     assert "removed:     1" in capsys.readouterr().out
 
 
+def test_cli_cache_inspects_the_repro_store_locator(tmp_path, capsys,
+                                                   monkeypatch):
+    from repro.store.base import STORE_ENV
+    from repro.store.disk import CACHE_DIR_ENV
+
+    locator = f"sqlite://{tmp_path / 'x.db'}"
+    monkeypatch.setenv(STORE_ENV, locator)
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "disk"))
+    run_matrix(SMALL[:1], MACHINES, RENOS)    # cache=None: $REPRO_STORE
+    assert cli_main(["cache"]) == 0
+    out = capsys.readouterr().out
+    assert f"store:       {locator}" in out
+    assert "entries:     2" in out
+
+
+def test_cli_cache_clear_refuses_an_http_store(capsys, monkeypatch):
+    import threading
+
+    from repro.store import make_store_server
+    from repro.store.base import STORE_ENV
+
+    server = make_store_server()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        monkeypatch.setenv(STORE_ENV, server.url)
+        assert cli_main(["cache"]) == 0
+        assert "entries:     0" in capsys.readouterr().out
+        assert cli_main(["cache", "--clear"]) == 2
+        assert "cannot be cleared" in capsys.readouterr().err
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_cli_module_entry_point_via_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "repro", "list"],

@@ -61,6 +61,28 @@ def test_lru_eviction_respects_size_cap(tmp_path, outcome):
     store.close()
 
 
+def test_duplicate_put_under_a_size_cap_evicts_nothing(outcome):
+    blob_size = len(encode_payload(outcome))
+    store = SqliteStore(":memory:", max_bytes=2 * blob_size + blob_size // 2)
+    assert store.put(key(0), outcome) is True
+    assert store.put(key(1), outcome) is True
+    assert store.put(key(1), outcome) is False
+    assert len(store) == 2
+    assert store.contains(key(0))             # the live entry survives
+    assert store.stats.evictions == 0
+    assert store.stats.duplicate_puts == 1
+    store.close()
+
+
+def test_hits_write_nothing_without_an_eviction_policy(outcome):
+    store = SqliteStore(":memory:")
+    store.put(key(0), outcome)
+    changes = store._db.total_changes
+    assert store.get(key(0)) is not None
+    assert store._db.total_changes == changes
+    store.close()
+
+
 def test_ttl_expires_idle_entries(tmp_path, outcome):
     clock = FakeClock()
     store = SqliteStore(tmp_path / "s.db", ttl_s=10.0, clock=clock)

@@ -124,24 +124,31 @@ def test_open_store_round_trips_locator(store):
 # ---------------------------------------------------------------------------
 
 
+def _overwrite_payload(store, key, blob) -> None:
+    """Replace the stored bytes of ``key`` behind the store's back."""
+    with store._lock:
+        store._db.execute("UPDATE blobs SET payload = ? WHERE key = ?",
+                          (blob, key))
+        store._db.commit()
+
+
 def test_disk_corrupt_payload_is_miss_deleted_and_logged(tmp_path, outcome,
                                                          caplog):
     store = DiskStore(tmp_path / "cache")
     store.put(KEY, outcome)
-    path = store.path_for(KEY)
-    path.write_bytes(b"\x80garbage not a pickle")
+    _overwrite_payload(store, KEY, b"\x80garbage not a pickle")
     with caplog.at_level(logging.WARNING, logger="repro.store"):
         assert store.get(KEY) is None
-    assert not path.exists()                  # deleted, not left to rot
+    assert not store.contains(KEY)            # deleted, not left to rot
     assert store.stats.misses == 1
     assert any("corrupt" in record.message.lower()
                for record in caplog.records)
     # A truncated (partially written) payload behaves the same way.
     store.put(KEY, outcome)
     blob = encode_payload(outcome)
-    store.path_for(KEY).write_bytes(blob[:len(blob) // 2])
+    _overwrite_payload(store, KEY, blob[:len(blob) // 2])
     assert store.get(KEY) is None
-    assert not store.path_for(KEY).exists()
+    assert not store.contains(KEY)
     # The slot is reusable after deletion.
     assert store.put(KEY, outcome) is True
     assert store.get(KEY) is not None
@@ -150,11 +157,43 @@ def test_disk_corrupt_payload_is_miss_deleted_and_logged(tmp_path, outcome,
 def test_sqlite_corrupt_payload_is_miss_and_deleted(tmp_path, outcome):
     store = SqliteStore(tmp_path / "store.sqlite3")
     store.put(KEY, outcome)
-    with store._lock:
-        store._db.execute("UPDATE blobs SET payload = ? WHERE key = ?",
-                          (b"\x80garbage", KEY))
-        store._db.commit()
+    _overwrite_payload(store, KEY, b"\x80garbage")
     assert store.get(KEY) is None
     assert len(store) == 0
     assert store.put(KEY, outcome) is True
     store.close()
+
+
+# ---------------------------------------------------------------------------
+# The disk tier: one database under a root directory
+# ---------------------------------------------------------------------------
+
+
+def test_disk_store_is_a_database_under_its_root(tmp_path, outcome):
+    store = DiskStore(tmp_path / "cache")
+    assert store.locator == str(tmp_path / "cache")
+    assert store.path == tmp_path / "cache" / "store.sqlite3"
+    store.put(KEY, outcome)
+    store.close()
+    # Any SqliteStore opening that file sees the same entries.
+    shared = SqliteStore(tmp_path / "cache" / "store.sqlite3")
+    assert shared.get(KEY) is not None
+    shared.close()
+
+
+def test_disk_unwritable_root_warns_once_and_runs_uncached(tmp_path):
+    """Tests run as root, so an unwritable root is one under a file."""
+    from repro.harness import run_experiment
+
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory")
+    workloads = ["micro_addi_chain", "micro_call_spill"]
+    with pytest.warns(RuntimeWarning) as caught:
+        report = run_experiment("fig8", suite="micro", workloads=workloads,
+                                jobs=2, cache=str(blocker / "cache"))
+    warned = [w for w in caught if w.category is RuntimeWarning]
+    assert len(warned) == 1 and "not writable" in str(warned[0].message)
+    uncached = run_experiment("fig8", suite="micro", workloads=workloads,
+                              jobs=1, cache=False)
+    assert report.rows == uncached.rows
+    assert blocker.read_text() == "not a directory"
