@@ -583,17 +583,6 @@ class FleetBroker:
             if job_tag in self._rr:
                 self._rr.remove(job_tag)
 
-    def job_cells(self, job_tag: str) -> list[_Cell]:
-        """Snapshot of a job's cell records (tests/observability)."""
-        with self._lock:
-            cells: list[_Cell] = []
-            for queue in self._queues.values():
-                cells.extend(c for c in queue if c.job_tag == job_tag)
-            for lease in self._leases.values():
-                if lease.cell.job_tag == job_tag:
-                    cells.append(lease.cell)
-            return cells
-
     def drain(self) -> None:
         """Stop granting leases; pollers are told to shut down."""
         with self._lock:

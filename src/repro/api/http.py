@@ -14,8 +14,10 @@ or raises :class:`RouteError`.  Every server gets, for free:
 * one structured error shape, ``{"schema_version": N, "error": "..."}``,
   for :class:`RouteError`, for the exception types the server maps to a
   status, for unknown paths (404), for a missing or wrong bearer token
-  (401, only when the server was given a token) and for a body over
-  :data:`MAX_BODY_BYTES` (413, answered before the body is read);
+  (401, only when the server was given a token), for a body over
+  :data:`MAX_BODY_BYTES` (413, answered before the body is read) and for
+  a body sent with ``Transfer-Encoding`` (411, then the connection
+  closes: bodies need a ``Content-Length``);
 * JSON bodies that must be objects (anything else is a 400);
 * replies that send the status line, headers and body in a **single
   write** — two writes on a keep-alive connection stall each reply about
@@ -23,13 +25,15 @@ or raises :class:`RouteError`.  Every server gets, for free:
 
 Client side, :func:`request` is the one urllib call: it returns
 ``(status, body)`` for every HTTP answer, errors included, and raises
-:class:`TransportError` when no answer arrives.  Callers keep only their
-own policy on top (the CLI's exit messages, the fleet worker's retry
-counter, the store client's typed errors).
+:class:`TransportError` when no answer arrives or its body is over
+:data:`MAX_BODY_BYTES`.  Callers keep only their own policy on top (the
+CLI's exit messages, the fleet worker's retry counter, the store
+client's typed errors).
 """
 
 from __future__ import annotations
 
+import hmac
 import http.client
 import json
 import re
@@ -41,11 +45,11 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote
 
-#: Largest request body any server reads; a longer ``Content-Length``
-#: answers 413 without reading.  The largest bodies are stored outcome
-#: payloads: about 2 KB in the test suite, but up to 1.4 MB for a scale-1
-#: workload that keeps fig9's timing records, so this leaves 8x headroom
-#: at scale 4.
+#: Largest request body any server reads, and largest response body
+#: :func:`request` reads; a longer ``Content-Length`` answers 413 without
+#: reading.  The largest bodies are stored outcome payloads: about 2 KB in
+#: the test suite, but up to 1.4 MB for a scale-1 workload that keeps
+#: fig9's timing records, so this leaves 8x headroom at scale 4.
 MAX_BODY_BYTES = 64 << 20
 
 
@@ -150,6 +154,13 @@ class _Handler(BaseHTTPRequestHandler):
         server = self.server
         self._body_read = False
         path, _, self.query_string = self.path.partition("?")
+        # A chunked body is never read, so it could not be skipped either:
+        # refuse it and close the connection rather than parse it as the
+        # next request.
+        self._chunked = "Transfer-Encoding" in self.headers
+        if self._chunked:
+            return self.fail(411, "request bodies need a Content-Length; "
+                                  "Transfer-Encoding is not supported")
         length = self._content_length()
         if length > MAX_BODY_BYTES:
             return self.fail(413, f"request body of {length} bytes exceeds "
@@ -177,7 +188,8 @@ class _Handler(BaseHTTPRequestHandler):
         from repro.store.schema import AUTH_HEADER, AUTH_SCHEME
 
         scheme, _, credential = self.headers.get(AUTH_HEADER, "").partition(" ")
-        if scheme == AUTH_SCHEME and credential.strip() == self.server.token:
+        if scheme == AUTH_SCHEME and hmac.compare_digest(
+                credential.strip().encode(), self.server.token.encode()):
             return True
         self.fail(401, f"missing or invalid {AUTH_SCHEME} token in the "
                        f"{AUTH_HEADER} header")
@@ -232,7 +244,7 @@ class _Handler(BaseHTTPRequestHandler):
         head = [f"{self.protocol_version} {status} {self.responses[status][0]}",
                 f"Content-Type: {content_type}",
                 f"Content-Length: {len(body)}"]
-        if not self._body_read and self._content_length():
+        if not self._body_read and (self._chunked or self._content_length()):
             self.close_connection = True
             head.append("Connection: close")
         message = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
@@ -275,7 +287,9 @@ def request(method: str, url: str, body: dict | bytes | None = None, *,
 
     A dict ``body`` is sent as JSON, ``bytes`` as
     ``application/octet-stream``; ``token`` adds the bearer header.
-    Raises :class:`TransportError` when no HTTP answer arrives.
+    Raises :class:`TransportError` when no HTTP answer arrives, or when
+    its body is over :data:`MAX_BODY_BYTES` (only the first
+    ``MAX_BODY_BYTES + 1`` bytes are read).
     """
     headers = {}
     if isinstance(body, dict):
@@ -293,9 +307,21 @@ def request(method: str, url: str, body: dict | bytes | None = None, *,
     try:
         try:
             with urllib.request.urlopen(prepared, timeout=timeout) as response:
-                return response.status, response.read()
+                return response.status, _read_capped(response)
         except urllib.error.HTTPError as error:
             with error:
-                return error.code, error.read()
+                return error.code, _read_capped(error)
     except (urllib.error.URLError, http.client.HTTPException, OSError) as error:
         raise TransportError(getattr(error, "reason", None) or error) from error
+
+
+def _read_capped(response) -> bytes:
+    """A response body of at most :data:`MAX_BODY_BYTES` bytes."""
+    body = response.read(MAX_BODY_BYTES + 1)
+    if len(body) > MAX_BODY_BYTES:
+        raise TransportError(f"response body exceeds the {MAX_BODY_BYTES}-"
+                             f"byte limit")
+    if getattr(response, "length", None):
+        # A bounded read returns a truncated body short instead of raising.
+        raise http.client.IncompleteRead(body, response.length)
+    return body

@@ -23,9 +23,10 @@ Failure-tolerance mechanics (what the chaos harness exercises):
 * when a heartbeat answer says ``abandon`` (the lease expired and was
   reassigned, or the job was cancelled) the worker stops at the next slice
   boundary, leaving the checkpoint for the new owner;
-* cells of one workload share a functional trace via a small worker-local
-  memo (the broker queues a grid's cells adjacently, so the memo behaves
-  like the per-workload trace sharing of the in-process executors).
+* cells of one workload share a functional trace and its read-only
+  :class:`~repro.uarch.tables.TraceTables` via a small worker-local memo
+  (the broker queues a grid's cells adjacently, so the memo behaves like
+  the per-workload trace sharing of the in-process executors).
 
 The worker is deliberately dependency-free (its one HTTP call is
 :func:`repro.api.http.request`, over stdlib ``urllib``) and exits
@@ -55,6 +56,7 @@ from repro.store.base import open_store
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
 from repro.uarch.snapshot import PipelineSnapshot, SnapshotError
+from repro.uarch.tables import TraceTables
 from repro.workloads.base import get_workload
 
 #: Consecutive transport failures after which the worker gives up on the
@@ -269,17 +271,18 @@ class FleetWorker:
                 return
 
     def _trace_for(self, name: str, scale: int, max_instructions: int):
-        """Build (or recall) a workload's program + functional run."""
+        """Build (or recall) a workload's program, functional run and tables."""
         memo_key = (name, scale, max_instructions)
         hit = self._traces.get(memo_key)
         if hit is not None:
             return hit
         program = get_workload(name).build(scale)
         functional = FunctionalSimulator(program, max_instructions).run()
+        tables = TraceTables(program, functional.trace)
         if len(self._traces) >= TRACE_MEMO_SLOTS:
             self._traces.pop(next(iter(self._traces)))
-        self._traces[memo_key] = (program, functional)
-        return program, functional
+        self._traces[memo_key] = (program, functional, tables)
+        return program, functional, tables
 
     def _store_for(self, locator: str):
         """Open (and memoise) the result store a cell's outcomes go to.
@@ -324,7 +327,7 @@ class FleetWorker:
                               worker_id=self.worker_id, ok=True,
                               outcome_key=key, cached=True)
 
-        program, functional = self._trace_for(
+        program, functional, tables = self._trace_for(
             cell["workload"], int(cell["scale"]), int(cell["max_instructions"]))
         machine = MachineConfig.from_dict(cell["machine"])
         reno = (RenoConfig.from_dict(cell["reno"])
@@ -332,7 +335,7 @@ class FleetWorker:
         renamer = (RenoRenamer(machine.num_physical_regs, reno)
                    if reno is not None else None)
         pipeline = Pipeline(
-            program, functional.trace, machine, renamer=renamer,
+            program, functional.trace, machine, renamer=renamer, tables=tables,
             collect_timing=bool(cell["collect_timing"]),
             record_stats=bool(cell.get("record_stats", False)),
             backend=self.backend or cell.get("backend"),

@@ -157,7 +157,3 @@ class IntegrationTable:
 
     def __len__(self) -> int:
         return sum(len(ways) for ways in self._sets)
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0

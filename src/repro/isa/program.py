@@ -15,10 +15,6 @@ DATA_BASE = 0x1000_0000
 #: Initial stack pointer value.  The stack grows toward lower addresses.
 STACK_BASE = 0x7FFF_F000
 
-#: Base address of the "heap" region workloads may use for dynamic-looking
-#: allocations (it is just a convention; there is no allocator in the ISA).
-HEAP_BASE = 0x2000_0000
-
 #: Instruction size in bytes.
 INSTRUCTION_BYTES = 4
 
@@ -55,10 +51,6 @@ class Program:
     def index_of(self, pc: int) -> int:
         """Instruction index of virtual address ``pc``."""
         return (pc - CODE_BASE) // INSTRUCTION_BYTES
-
-    def instruction_at(self, pc: int) -> Instruction:
-        """The instruction at virtual address ``pc``."""
-        return self.instructions[self.index_of(pc)]
 
     def static_mix(self) -> dict[str, int]:
         """Count static instructions by coarse category (for reporting)."""

@@ -190,7 +190,7 @@ class Checker:
         return []
 
 
-_REGISTRY: dict[str, Checker] = {}
+_CHECKERS: dict[str, Checker] = {}
 
 
 def register_checker(cls):
@@ -203,19 +203,19 @@ def register_checker(cls):
     checker = cls() if isinstance(cls, type) else cls
     if not checker.name:
         raise ValueError(f"checker {cls!r} has no rule name")
-    _REGISTRY[checker.name] = checker
+    _CHECKERS[checker.name] = checker
     return cls
 
 
 def all_checkers() -> list[Checker]:
     """Every registered checker, sorted by rule name (deterministic)."""
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+    return [_CHECKERS[name] for name in sorted(_CHECKERS)]
 
 
 def get_checker(name: str) -> Checker:
     """Look one checker up by rule name (raises ``KeyError`` with hints)."""
     try:
-        return _REGISTRY[name]
+        return _CHECKERS[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "none"
+        known = ", ".join(sorted(_CHECKERS)) or "none"
         raise KeyError(f"unknown lint rule {name!r}; known rules: {known}")

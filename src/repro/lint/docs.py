@@ -1,8 +1,8 @@
 """The ``docs`` checker: markdown links resolve, python fences parse.
 
-The dependency-free stand-in for ``mkdocs build --strict`` that used to
-live only in ``scripts/check_docs.py``, registered as a lint checker.  It
-walks every markdown file in ``docs/`` plus the README and verifies that
+The dependency-free stand-in for ``mkdocs build --strict``, registered
+as a lint checker.  It walks every markdown file in ``docs/`` plus the
+README and verifies that
 
 * every relative markdown link/image points at an existing file
   (``http(s)``/``mailto`` targets are skipped — CI must not touch the
@@ -11,8 +11,6 @@ walks every markdown file in ``docs/`` plus the README and verifies that
 * every fenced ``python`` code block parses (``ast.parse``), so cookbook
   examples cannot rot silently; fences tagged ``python noqa`` are skipped
   (intentional fragments).
-
-The legacy script now delegates here, keeping its CLI stable.
 """
 
 from __future__ import annotations
@@ -111,15 +109,6 @@ def _check_python_fences(path: Path, root: Path, rule: str,
             block.append(line)
 
 
-def check_docs_tree(root: Path, rule: str = "docs") -> list[Finding]:
-    """Every docs finding for one repo root (shared with the legacy CLI)."""
-    findings: list[Finding] = []
-    for path in markdown_files(root):
-        _check_links(path, root, rule, findings)
-        _check_python_fences(path, root, rule, findings)
-    return findings
-
-
 @register_checker
 class DocsChecker(Checker):
     """Relative links resolve and python fences parse, docs/ + README."""
@@ -131,4 +120,8 @@ class DocsChecker(Checker):
 
     def check_project(self, root: Path) -> list[Finding]:
         """Check the whole docs tree under ``root``."""
-        return check_docs_tree(root, self.name)
+        findings: list[Finding] = []
+        for path in markdown_files(root):
+            _check_links(path, root, self.name, findings)
+            _check_python_fences(path, root, self.name, findings)
+        return findings

@@ -1,14 +1,11 @@
 """The ``docstrings`` checker: coverage gate over the hot-path packages.
 
-The interrogate-style gate that used to live only in
-``scripts/check_docstrings.py``, registered as a lint checker so one
+An interrogate-style gate, registered as a lint checker so one
 ``python -m repro lint`` invocation runs every static gate.  Modules,
 classes and public functions/methods (names not starting with ``_``;
 ``__init__`` exempt — its contract belongs to the class docstring) count
 toward coverage; when a package set drops below the threshold, every
 undocumented definition becomes a finding so the gate is actionable.
-
-The legacy script now delegates here, keeping its CLI stable.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ dicts: a directory path opens a :class:`DiskStore`,
 ``http(s)://host:port`` an :class:`HTTPStore`.  :func:`open_store` maps a
 locator to a store and :func:`store_locator` is its inverse.
 
-Beyond ``get``/``put``, stores carry two small cooperative facilities the
+Beyond ``get``/``put``, stores carry one small cooperative facility the
 rest of the stack builds on:
 
 * **claims** (:meth:`ResultStore.claim` / :meth:`ResultStore.release`) —
@@ -30,11 +30,6 @@ rest of the stack builds on:
   ``request/<digest>`` before executing a grid, which extends request
   coalescing across processes and hosts: the second session waits for the
   first holder instead of simulating, then reads pure store hits.
-* **meta documents** (:meth:`ResultStore.get_meta` /
-  :meth:`ResultStore.merge_meta`) — small shared JSON maps merged
-  server-side (last write per key wins), so processes and hosts sharing
-  one store can share small documents without losing each other's
-  entries.
 """
 
 from __future__ import annotations
@@ -166,14 +161,6 @@ class ResultStore(Protocol):
 
     def release(self, token: str, owner: str) -> None:
         """Drop the marker ``token`` if ``owner`` still holds it."""
-        ...  # pragma: no cover - protocol definition
-
-    def get_meta(self, name: str) -> dict:
-        """The shared JSON document ``name`` (empty when absent/corrupt)."""
-        ...  # pragma: no cover - protocol definition
-
-    def merge_meta(self, name: str, entries: dict) -> dict:
-        """Merge ``entries`` into document ``name``; return the result."""
         ...  # pragma: no cover - protocol definition
 
     def stats_payload(self) -> dict:

@@ -19,8 +19,6 @@ PUT       ``/store/blob/<key>``      conditional put → ``BlobPutReply``
 GET       ``/store/stats``           ``StoreStatsReply`` counters + sizes
 POST      ``/store/claim``           acquire an in-flight marker
 POST      ``/store/release``         drop an in-flight marker
-GET       ``/store/meta/<name>``     one shared JSON document
-POST      ``/store/meta/<name>``     server-side merge into the document
 ========  =========================  =====================================
 
 Every route except ``/healthz`` requires the bearer token when the server
@@ -49,7 +47,6 @@ from repro.store.schema import (
     TOKEN_ENV,
     BlobPutReply,
     ClaimReply,
-    MetaReply,
     StoreStatsReply,
 )
 
@@ -167,18 +164,6 @@ class HTTPStore:
             "schema_version": STORE_SCHEMA_VERSION,
             "token": token, "owner": owner})
 
-    def get_meta(self, name: str) -> dict:
-        """Fetch the shared JSON document ``name``."""
-        reply = MetaReply.from_dict(self._json("GET", f"/store/meta/{name}"))
-        return reply.entries
-
-    def merge_meta(self, name: str, entries: dict) -> dict:
-        """Merge ``entries`` into document ``name`` server-side."""
-        reply = MetaReply.from_dict(self._json(
-            "POST", f"/store/meta/{name}",
-            {"schema_version": STORE_SCHEMA_VERSION, "entries": entries}))
-        return reply.entries
-
     def stats_payload(self) -> dict:
         """The *server's* ``/store/stats`` payload (fleet-wide counters)."""
         return self._json("GET", "/store/stats")
@@ -202,8 +187,6 @@ class StoreServer(JSONServer):
             ("GET", "/store/stats", self._stats),
             ("POST", "/store/claim", self._claim),
             ("POST", "/store/release", self._release),
-            ("GET", "/store/meta/<name>", self._get_meta),
-            ("POST", "/store/meta/<name>", self._merge_meta),
         ], STORE_SCHEMA_VERSION, token=token)
 
     def _get_blob(self, request, key: str) -> tuple[int, bytes]:
@@ -250,17 +233,6 @@ class StoreServer(JSONServer):
         self.backing.release(token, str(payload.get("owner", "")))
         return 200, ClaimReply(token=token, granted=False,
                                holder=self._holder(token)).to_dict()
-
-    def _get_meta(self, request, name: str) -> tuple[int, dict]:
-        return 200, MetaReply(name=name,
-                              entries=self.backing.get_meta(name)).to_dict()
-
-    def _merge_meta(self, request, name: str) -> tuple[int, dict]:
-        entries = request.read_json().get("entries")
-        if not isinstance(entries, dict):
-            raise RouteError(400, "entries must be an object")
-        return 200, MetaReply(name=name, entries=self.backing.merge_meta(
-            name, entries)).to_dict()
 
     def _holder(self, token: str) -> str | None:
         """Current marker owner when the backing store can say (else None)."""

@@ -128,9 +128,10 @@ class ClaimReply:
 
 @dataclass
 class MetaReply:
-    """The ``GET``/``POST /store/meta/<name>`` payload: one shared JSON doc.
+    """The retired ``/store/meta/<name>`` payload: one shared JSON doc.
 
-    Carries the full merged document after a read or a server-side merge.
+    No route serves it any more; it stays because the frozen wire schema
+    deprecates in place rather than removing a payload.
     """
 
     schema_version: int = STORE_SCHEMA_VERSION

@@ -1,9 +1,9 @@
 """The sqlite result-store tier: one shared file, LRU/TTL/size-capped.
 
-A :class:`SqliteStore` keeps payloads, claim markers and meta documents
-in a single sqlite database, giving many processes on one machine (or a
-``python -m repro store-serve`` front-end serving many hosts) a shared
-tier with real eviction policy:
+A :class:`SqliteStore` keeps payloads and claim markers in a single
+sqlite database, giving many processes on one machine (or a ``python -m
+repro store-serve`` front-end serving many hosts) a shared tier with
+real eviction policy:
 
 * **LRU size cap** — ``max_bytes`` bounds the total payload size; every
   put evicts least-recently-*accessed* entries until the new entry fits.
@@ -22,7 +22,6 @@ locking covering multi-process access to the same database file.
 
 from __future__ import annotations
 
-import json
 import logging
 import sqlite3
 import threading
@@ -47,10 +46,6 @@ CREATE TABLE IF NOT EXISTS markers (
     token TEXT PRIMARY KEY,
     owner TEXT NOT NULL,
     deadline REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS meta (
-    name TEXT PRIMARY KEY,
-    payload TEXT NOT NULL
 );
 """
 
@@ -278,48 +273,6 @@ class SqliteStore:
             if row is None or row[1] <= self._clock():
                 return None
             return row[0]
-
-    # ------------------------------------------------------------------
-    # Meta documents
-    # ------------------------------------------------------------------
-
-    def get_meta(self, name: str) -> dict:
-        """Read document ``name`` (empty when absent or unreadable)."""
-        with self._lock:
-            row = self._db.execute(
-                "SELECT payload FROM meta WHERE name = ?", (name,)).fetchone()
-        if row is None:
-            return {}
-        try:
-            payload = json.loads(row[0])
-        except ValueError:
-            return {}
-        return payload if isinstance(payload, dict) else {}
-
-    def merge_meta(self, name: str, entries: dict) -> dict:
-        """Merge ``entries`` into document ``name`` inside one transaction.
-
-        ``BEGIN IMMEDIATE`` takes the database's write lock before the
-        read, so concurrent processes merging into one file serialise and
-        never lose each other's entries.
-        """
-        with self._lock, self._db:
-            self._db.execute("BEGIN IMMEDIATE")
-            row = self._db.execute(
-                "SELECT payload FROM meta WHERE name = ?", (name,)).fetchone()
-            merged: dict = {}
-            if row is not None:
-                try:
-                    loaded = json.loads(row[0])
-                    if isinstance(loaded, dict):
-                        merged = loaded
-                except ValueError:
-                    pass
-            merged.update(entries)
-            self._db.execute(
-                "INSERT OR REPLACE INTO meta (name, payload) VALUES (?, ?)",
-                (name, json.dumps(merged, sort_keys=True)))
-        return merged
 
     # ------------------------------------------------------------------
     # Introspection

@@ -32,6 +32,7 @@ with and without a C toolchain.
 from __future__ import annotations
 
 import os
+import threading
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -56,7 +57,7 @@ class CycleLoopBackend:
     (``record_stats`` histograms, timeline rows) identical.
 
     Attributes:
-        name: Registry key and user-facing selector for this backend.
+        name: Lookup key and user-facing selector for this backend.
     """
 
     name: str = "abstract"
@@ -117,50 +118,44 @@ class PythonBackend(CycleLoopBackend):
         pipeline._run_cycles(stop_cycle)
 
 
-_REGISTRY: dict[str, CycleLoopBackend] = {}
-_BUILTINS_LOADED = False
+_BACKENDS: "dict[str, CycleLoopBackend] | None" = None
+_BACKENDS_LOCK = threading.Lock()
 
 
-def register_backend(backend: CycleLoopBackend) -> None:
-    """Add ``backend`` to the registry under ``backend.name``.
+def _backends() -> dict[str, CycleLoopBackend]:
+    """The built-in backends by name, one instance each per process.
 
-    Re-registering a name replaces the previous entry (used by tests to
-    substitute instrumented backends).
+    Built under a lock on first lookup.  The compiled backend is imported
+    lazily, which keeps ``repro.uarch.core`` import-time free of the
+    codegen machinery and avoids an import cycle.
     """
-    _REGISTRY[backend.name] = backend
+    global _BACKENDS
+    if _BACKENDS is None:
+        with _BACKENDS_LOCK:
+            if _BACKENDS is None:
+                from repro.uarch.compiled.backend import CompiledBackend
 
-
-def _ensure_builtins() -> None:
-    """Import the built-in non-reference backends exactly once.
-
-    The compiled backend lives in its own package and registers itself on
-    import; importing it lazily keeps ``repro.uarch.core`` import-time free
-    of the codegen machinery and avoids an import cycle.
-    """
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    _BUILTINS_LOADED = True
-    from repro.uarch.compiled import backend as _compiled  # noqa: F401
+                _BACKENDS = {"python": PythonBackend(),
+                             "compiled": CompiledBackend()}
+    return _BACKENDS
 
 
 def backend_names() -> list[str]:
-    """Sorted names of every registered backend (available or not)."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
+    """Sorted names of every backend (available or not)."""
+    return sorted(_backends())
 
 
 def get_backend(name: str) -> CycleLoopBackend:
     """Look up a backend by name.
 
     Raises:
-        ValueError: If no backend with that name is registered.
+        ValueError: If no backend has that name.
     """
-    _ensure_builtins()
+    backends = _backends()
     try:
-        return _REGISTRY[name]
+        return backends[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(sorted(backends))
         raise ValueError(f"unknown backend {name!r} (known: {known})") from None
 
 
@@ -181,15 +176,12 @@ def resolve_backend(
 
     Raises:
         ValueError: If a backend *name* was given (directly or via the
-            environment) that is not registered at all.
+            environment) that names no backend at all.
     """
     if isinstance(requested, CycleLoopBackend):
         return requested
     name = requested or os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
     backend = get_backend(name)
     if not backend.available():
-        backend = _REGISTRY[DEFAULT_BACKEND]
+        backend = _backends()[DEFAULT_BACKEND]
     return backend
-
-
-register_backend(PythonBackend())

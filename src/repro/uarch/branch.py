@@ -241,10 +241,3 @@ class BranchUnit:
             self.btb_misses += 1
             return _BTB
         return _OK
-
-    @property
-    def misprediction_rate(self) -> float:
-        """Direction mispredictions per conditional branch."""
-        if not self.conditional_branches:
-            return 0.0
-        return self.mispredictions / self.conditional_branches

@@ -94,11 +94,6 @@ class _Mshr:
         self.completion_times.append(now + stall + duration)
         return stall
 
-    @property
-    def outstanding(self) -> int:
-        """Misses currently in flight."""
-        return len(self.completion_times)
-
 
 class CacheHierarchy:
     """L1I + L1D + shared L2 + main memory, with a bounded miss window."""
@@ -152,12 +147,3 @@ class CacheHierarchy:
     def access_data_read(self, address: int, now: int) -> MemoryAccessResult:
         """Data load access."""
         return self._access(self.l1d, address, now, is_write=False)
-
-    def access_data_write(self, address: int, now: int) -> MemoryAccessResult:
-        """Data store access (performed at commit, write-allocate)."""
-        return self._access(self.l1d, address, now, is_write=True)
-
-    @property
-    def outstanding_misses(self) -> int:
-        """Misses currently occupying MSHR slots."""
-        return self._mshr.outstanding

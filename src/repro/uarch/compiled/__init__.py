@@ -11,5 +11,6 @@ Package layout:
   the pipeline's Python objects and the kernel's int64 arrays.
 * :mod:`repro.uarch.compiled.backend` — the
   :class:`~repro.uarch.backend.CycleLoopBackend` implementation that ties
-  the above together and registers itself as ``compiled``.
+  the above together; :mod:`repro.uarch.backend` serves it as
+  ``compiled``.
 """

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ctypes
 import weakref
 
-from repro.uarch.backend import CycleLoopBackend, register_backend
+from repro.uarch.backend import CycleLoopBackend
 from repro.uarch.compiled import build
 from repro.uarch.compiled.emit import ERR_OK
 from repro.uarch.compiled.marshal import KernelState, MarshalError
@@ -101,6 +101,3 @@ class CompiledBackend(CycleLoopBackend):
             # with the reference's exact exception; ERR_INTERNAL simply
             # runs the slice at reference speed.
             pipeline._run_cycles(stop_cycle)
-
-
-register_backend(CompiledBackend())

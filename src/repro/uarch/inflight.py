@@ -170,34 +170,6 @@ class InFlightWindow:
         """
         return fetched - committed
 
-    def reset_slot(self, slot: int) -> None:
-        """Full cosmetic reset of one slot (tests / debugging only).
-
-        The pipeline itself only resets ``complete_cycle`` at retirement and
-        selectively re-initialises fields at dispatch (see the module
-        docstring); this helper restores a slot to its freshly allocated
-        appearance for unit tests that inspect the arrays directly.
-        """
-        self.dispatch_cycle[slot] = 0
-        self.issue_cycle[slot] = -1
-        self.complete_cycle[slot] = NO_COMPLETE
-        self.retire_cycle[slot] = -1
-        self.latency[slot] = 1
-        self.value[slot] = None
-        self.eff_addr[slot] = 0
-        self.dcache_latency[slot] = 0
-        self.replayed[slot] = False
-        self.mispredicted[slot] = False
-        self.class_id[slot] = 0
-        self.waiting_ops[slot] = 0
-        self.rename[slot] = None
-        self.decoded[slot] = None
-        self.dest_preg[slot] = -1
-        self.prev_dest[slot] = -1
-        self.elim_info[slot] = 0
-        self.fusion_extra[slot] = 0
-        self.nsrc[slot] = 0
-
 
 @dataclass(slots=True)
 class TimingRecord:

@@ -29,11 +29,6 @@ def ranges_overlap(addr_a: int, size_a: int, addr_b: int, size_b: int) -> bool:
     return addr_a < addr_b + size_b and addr_b < addr_a + size_a
 
 
-def range_covers(addr_a: int, size_a: int, addr_b: int, size_b: int) -> bool:
-    """True if range A fully covers range B."""
-    return addr_a <= addr_b and addr_a + size_a >= addr_b + size_b
-
-
 @dataclass(slots=True)
 class LoadCheck:
     """Outcome of disambiguating a load against the store queue."""
@@ -92,10 +87,6 @@ class StoreQueue:
             raise KeyError(f"store {seq} not in the store queue")
         self.entries.remove(entry)
         return entry
-
-    def has_unexecuted_older(self, seq: int) -> bool:
-        """True if any store older than ``seq`` has not executed yet."""
-        return any(e.seq < seq and not e.executed for e in self.entries)
 
     def check_load(self, seq: int, addr: int, size: int) -> LoadCheck:
         """Disambiguate a load at address ``addr`` against older stores.

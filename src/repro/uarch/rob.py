@@ -67,10 +67,6 @@ class ReorderBuffer:
         """The oldest in-flight sequence number (None when empty)."""
         return self.head_seq if self.tail_seq > self.head_seq else None
 
-    def head_slot(self) -> int:
-        """The window slot of the oldest in-flight instruction."""
-        return self.head_seq & self.window.mask
-
     def pop_head(self) -> int:
         """Remove and return the (retiring) head sequence number.
 

@@ -3,10 +3,11 @@
 ``repro serve``, the fleet broker and ``repro store-serve`` are route
 tables over one server base.  Each is checked here for what the base
 promises: single-write replies that do not stall a keep-alive
-connection, a 413 for an oversized body before it is read, and a route
-table that equals the endpoint table in its module docstring and in its
-page under ``docs/``.  The client helper and the shared ``wait`` clamp
-are unit-tested at the end.
+connection, a 413 for an oversized body before it is read, one 411 and a
+closed connection for a chunked body, and a route table that equals the
+endpoint table in its module docstring and in its page under ``docs/``.
+The client helper and the shared ``wait`` clamp are unit-tested at the
+end.
 """
 
 import http.client
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import Session, fleet, make_fleet_server, make_server, service
+from repro.api import http as api_http
 from repro.api.http import (
     MAX_BODY_BYTES,
     RouteError,
@@ -28,8 +30,9 @@ from repro.api.http import (
     clamp_wait,
     request,
 )
+from repro.core.simulator import simulate_workload
+from repro.store import HTTPStore, make_store_server
 from repro.store import http as store_http
-from repro.store import make_store_server
 
 DOCS = Path(__file__).resolve().parent.parent.parent / "docs"
 
@@ -101,6 +104,33 @@ def test_oversized_body_answers_413_before_reading(running):
     assert str(MAX_BODY_BYTES) in payload["error"]
 
 
+def test_chunked_body_answers_one_411_and_closes(running):
+    """A body sent with Transfer-Encoding is refused, never parsed as the
+    next request: exactly one structured reply, then end of stream."""
+    _, server = running
+    method, path, _ = next(route for route in server.routes
+                           if route[0] == "POST")
+    body = json.dumps({"token": "request/x", "owner": "me"}).encode()
+    with socket.create_connection(server.server_address[:2],
+                                  timeout=30) as raw:
+        raw.sendall(f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+                    f"Transfer-Encoding: chunked\r\n\r\n"
+                    f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n")
+        data = b""
+        while chunk := raw.recv(65536):
+            data += chunk
+    head, _, rest = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    length = int(headers["Content-Length"])
+    assert lines[0].startswith("HTTP/1.1 411 "), data
+    assert headers["Connection"] == "close"
+    payload = json.loads(rest[:length])
+    assert payload == {"schema_version": server.schema_version,
+                       "error": payload["error"]}
+    assert rest[length:] == b"", data
+
+
 def documented_routes(text: str, row: str) -> set[tuple[str, str]]:
     return set(re.findall(row, text, flags=re.MULTILINE))
 
@@ -131,6 +161,30 @@ def test_request_raises_transport_error_when_nobody_answers():
         port = probe.getsockname()[1]
     with pytest.raises(TransportError):
         request("GET", f"http://127.0.0.1:{port}/healthz", timeout=5)
+
+
+def test_request_refuses_a_response_body_over_the_cap(monkeypatch):
+    server = make_store_server(port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        key = "ab" * 32
+        outcome = simulate_workload("micro_addi_chain", max_instructions=2000)
+        assert HTTPStore(server.url).put(key, outcome)
+        status, blob = request("GET", f"{server.url}/store/blob/{key}",
+                               timeout=30)
+        assert status == 200
+        monkeypatch.setattr(api_http, "MAX_BODY_BYTES", len(blob) - 1)
+        with pytest.raises(TransportError, match=str(len(blob) - 1)):
+            request("GET", f"{server.url}/store/blob/{key}", timeout=30)
+        with pytest.raises(TransportError, match="limit"):
+            request("GET", f"{server.url}/nope/" + "x" * len(blob),
+                    timeout=30)                 # an oversized error body
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        server.backing.close()
 
 
 @pytest.mark.parametrize("value,expected", [

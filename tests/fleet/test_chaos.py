@@ -17,10 +17,12 @@ from repro.api import worker as worker_mod
 from repro.api.schema import WIRE_SCHEMA_VERSION, ExperimentRequest, TaskLease
 from repro.api.session import JobCancelled, Session
 from repro.api.worker import FleetWorker
+from repro.core.config import RenoConfig
 from repro.core.simulator import simulate
 from repro.harness.executors import outcome_key, program_digest
 from repro.store.disk import DiskStore
 from repro.uarch.config import MachineConfig
+from repro.uarch.tables import TraceTables
 from repro.workloads.base import get_workload
 
 from harness import (
@@ -168,6 +170,41 @@ def test_checkpoint_migrates_between_workers(tmp_path):
     assert outcome is not None
     assert outcome.timing.cycles == reference.timing.cycles
     assert outcome.timing.final_registers == reference.timing.final_registers
+
+
+def test_worker_builds_trace_tables_once_per_workload(tmp_path, monkeypatch):
+    """Two cells of one workload share the worker's memoised trace tables."""
+    builds = []
+    original = TraceTables.__init__
+
+    def counting_init(self, program, trace):
+        builds.append(program.name)
+        original(self, program, trace)
+
+    monkeypatch.setattr(TraceTables, "__init__", counting_init)
+    name = "micro_addi_chain"
+    program = get_workload(name).build(1)
+    machine = MachineConfig()
+    worker = FleetWorker("http://127.0.0.1:1", worker_id="tables")
+    for label, reno in (("BASE", None), ("RENO", RenoConfig.reno_default())):
+        key = outcome_key(program_digest(program), machine, reno,
+                          2_000_000, False, False)
+        cell = {
+            "workload": name, "scale": 1,
+            "machine_label": "m", "machine": machine.to_dict(),
+            "reno_label": label,
+            "reno": reno.to_dict() if reno is not None else None,
+            "collect_timing": False, "record_stats": False,
+            "max_instructions": 2_000_000,
+            "outcome_key": key,
+            "cache_root": str(tmp_path / "cache"),
+            "checkpoint_path": str(tmp_path / f"{label}.ckpt"),
+        }
+        lease = TaskLease(lease_id=f"lease-{label}", job_tag="tables",
+                          cell=cell, lease_ttl_s=30.0, heartbeat_every_s=30.0)
+        result = worker._run_cell(lease, threading.Event())
+        assert result.ok and not result.cached
+    assert builds == [program.name]
 
 
 def test_cancel_mid_grid_drops_queued_cells(tmp_path):

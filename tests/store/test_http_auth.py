@@ -67,6 +67,15 @@ def test_wrong_and_missing_tokens_answer_401(server, outcome, monkeypatch):
             client.stats_payload()
 
 
+def test_near_miss_tokens_answer_401(server, monkeypatch):
+    """Same length, shared prefix or non-ASCII: only the exact token passes."""
+    monkeypatch.delenv(TOKEN_ENV, raising=False)
+    for token in ("sekrix", "sekri", "sekrit2", "s\u00e9krit"):
+        with pytest.raises(StoreAuthError):
+            HTTPStore(server.url, token=token).get(KEY)
+    assert HTTPStore(server.url, token=" sekrit ").get(KEY) is None
+
+
 def test_correct_token_unlocks_every_route(server, outcome):
     client = HTTPStore(server.url, token="sekrit")
     assert client.get(KEY) is None
@@ -74,7 +83,6 @@ def test_correct_token_unlocks_every_route(server, outcome):
     assert client.contains(KEY)
     assert client.claim("request/x", "me", 5.0) is True
     client.release("request/x", "me")
-    assert client.merge_meta("costs", {"a": 1.0}) == {"a": 1.0}
     stats = client.stats_payload()
     assert stats["schema_version"] == STORE_SCHEMA_VERSION
     assert stats["entries"] == 1
@@ -112,3 +120,18 @@ def test_invalid_payload_upload_is_rejected(server):
         urllib.request.urlopen(request, timeout=10)
     assert failure.value.code == 400
     assert client.contains(KEY) is False
+
+
+@pytest.mark.parametrize("method,body", [("GET", None), ("POST", b"{}")])
+def test_meta_routes_are_gone(server, method, body):
+    """``/store/meta/<name>`` has no handler left: a structured 404."""
+    request = urllib.request.Request(
+        f"{server.url}/store/meta/costs", data=body, method=method,
+        headers={"Content-Type": "application/json",
+                 "Authorization": "Bearer sekrit"})
+    with pytest.raises(urllib.error.HTTPError) as failure:
+        urllib.request.urlopen(request, timeout=10)
+    assert failure.value.code == 404
+    payload = json.loads(failure.value.read())
+    assert payload["schema_version"] == STORE_SCHEMA_VERSION
+    assert "/store/meta/costs" in payload["error"]

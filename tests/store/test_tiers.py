@@ -1,7 +1,7 @@
 """Protocol tests across all three result-store tiers.
 
 One behavioural suite — payload round-trip, conditional (exactly-once)
-puts, corrupt-entry handling, claims, meta documents, stats — run against
+puts, corrupt-entry handling, claims, stats — run against
 the disk, sqlite and HTTP tiers so the tiers cannot drift apart.  The
 HTTP tier runs against a real in-thread ``StoreServer``.
 """
@@ -89,14 +89,6 @@ def test_claim_conflict_renewal_and_release(store):
     assert store.claim("request/abc", "bob", 60.0) is True
 
 
-def test_meta_documents_merge(store):
-    assert store.get_meta("costs") == {}
-    assert store.merge_meta("costs", {"a": 1.0}) == {"a": 1.0}
-    merged = store.merge_meta("costs", {"b": 2.0})
-    assert merged == {"a": 1.0, "b": 2.0}
-    assert store.get_meta("costs") == {"a": 1.0, "b": 2.0}
-
-
 def test_stats_payload_shape(store, outcome):
     store.put(KEY, outcome)
     store.get(KEY)
@@ -179,6 +171,26 @@ def test_disk_store_is_a_database_under_its_root(tmp_path, outcome):
     shared = SqliteStore(tmp_path / "cache" / "store.sqlite3")
     assert shared.get(KEY) is not None
     shared.close()
+
+
+def test_database_with_an_orphan_meta_table_still_works(tmp_path, outcome):
+    """Older stores also created a ``meta`` table; nothing reads it now."""
+    path = tmp_path / "cache" / "store.sqlite3"
+    store = DiskStore(tmp_path / "cache")
+    store.put(KEY, outcome)
+    store._db.executescript(
+        "CREATE TABLE meta (name TEXT PRIMARY KEY, payload TEXT NOT NULL);"
+        "INSERT INTO meta VALUES ('costs', '{\"a\": 1.0}');")
+    store.close()
+    for reopened, stored in ((DiskStore(tmp_path / "cache"), True),
+                             (SqliteStore(path), False)):
+        assert reopened.get(KEY) is not None
+        assert reopened.put(OTHER_KEY, outcome) is stored
+        assert reopened.stats_payload()["entries"] == 2
+        assert reopened._db.execute(
+            "SELECT name, payload FROM meta").fetchall() == [
+                ("costs", '{"a": 1.0}')]
+        reopened.close()
 
 
 def test_disk_unwritable_root_warns_once_and_runs_uncached(tmp_path):

@@ -20,6 +20,7 @@ the degradation to python is silent and result-identical.
 """
 
 import pickle
+import threading
 from dataclasses import fields
 
 import pytest
@@ -27,6 +28,7 @@ from test_scheduler_equivalence import random_program
 
 from repro.core import RenoConfig, RenoRenamer
 from repro.functional.simulator import FunctionalSimulator
+from repro.uarch import backend as backend_module
 from repro.uarch.backend import backend_names, get_backend, resolve_backend
 from repro.uarch.compiled import build
 from repro.uarch.config import MachineConfig
@@ -265,6 +267,26 @@ def test_backend_registry_lists_both_backends():
     names = backend_names()
     assert "python" in names
     assert "compiled" in names
+
+
+def test_concurrent_first_lookups_share_one_instance(monkeypatch):
+    """The built-in table is built once, however many threads ask first."""
+    monkeypatch.setattr(backend_module, "_BACKENDS", None)
+    start = threading.Barrier(8)
+    found = []
+
+    def look_up():
+        start.wait()
+        found.append(get_backend("compiled"))
+
+    threads = [threading.Thread(target=look_up) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert len(found) == 8
+    assert all(backend is found[0] for backend in found)
+    assert resolve_backend("compiled") is found[0] or not found[0].available()
 
 
 def test_unknown_backend_name_raises():
