@@ -77,7 +77,7 @@ from repro.harness.executors import (
     WorkloadTask,
     _progress_emitter,
     outcome_key,
-    program_digest,
+    shared_program_digest,
 )
 from repro.store.base import ResultStore, open_store, process_local, store_locator
 from repro.store.disk import DiskStore
@@ -944,8 +944,7 @@ class FleetExecutor:
         disk_root = getattr(cache, "root", None)
         checkpoint_dir = str(disk_root / "fleet-ckpt") if disk_root is not None else ""
         for task in tasks:
-            program = task.workload.build(task.scale)
-            digest = program_digest(program)
+            digest = shared_program_digest(task.workload, task.scale)
             for machine_label, machine in task.machines:
                 for reno_label, reno in task.renos:
                     grid_key = (task.workload.name, machine_label, reno_label)

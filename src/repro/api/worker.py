@@ -52,6 +52,7 @@ from repro.core.renamer import RenoRenamer
 from repro.core.simulator import SimulationOutcome
 from repro.functional.simulator import FunctionalSimulator
 from repro.api.checkpoint import run_sliced
+from repro.harness.executors import shared_program
 from repro.store.base import open_store
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
@@ -276,7 +277,7 @@ class FleetWorker:
         hit = self._traces.get(memo_key)
         if hit is not None:
             return hit
-        program = get_workload(name).build(scale)
+        program = shared_program(get_workload(name), scale)
         functional = FunctionalSimulator(program, max_instructions).run()
         tables = TraceTables(program, functional.trace)
         if len(self._traces) >= TRACE_MEMO_SLOTS:

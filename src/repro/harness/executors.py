@@ -29,6 +29,14 @@ content-addressed result store (:mod:`repro.store`) under
 :func:`resolve_cache` maps the engine's ``cache=`` argument onto a store
 tier.
 
+A warm request rebuilds nothing: each process builds a ``(workload,
+scale)`` program and computes its :func:`program_digest` once
+(:func:`shared_program`, :func:`shared_program_digest`; every registered
+workload at one scale fits in :data:`PROGRAM_SLOTS`), and computes each
+config digest once (:func:`repro.confighash.dataclass_digest`).  Every
+caller, and every outcome simulated in-process, shares one
+:class:`~repro.isa.program.Program` object, which must not be mutated.
+
 Design points:
 
 * **Task granularity is one workload.**  All (machine, RENO) points of a
@@ -58,6 +66,7 @@ import inspect
 import multiprocessing
 import os
 import pickle
+import threading
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Protocol, runtime_checkable
@@ -123,6 +132,57 @@ def program_digest(program: Program) -> str:
     for address in sorted(program.initial_memory):
         hasher.update(f"@{address}={program.initial_memory[address]}".encode())
     return hasher.hexdigest()
+
+
+#: How many built programs (with their digests) one process keeps: every
+#: registered workload at one scale fits.
+PROGRAM_SLOTS = 64
+
+#: ``(workload, scale) -> [Program, program digest or None]``, oldest first.
+_programs: dict[tuple[Workload, int], list] = {}
+_programs_lock = threading.Lock()
+
+
+def _reset_programs_lock() -> None:
+    # A fork child inherits the lock in whatever state another parent
+    # thread left it; the memo's dict itself is always consistent.
+    global _programs_lock
+    _programs_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_programs_lock)
+
+
+def _program_slot(workload: Workload, scale: int) -> list:
+    """The memo slot of ``(workload, scale)``; the caller holds the lock."""
+    key = (workload, scale)
+    slot = _programs.get(key)
+    if slot is None:
+        slot = [workload.build(scale), None]
+        if len(_programs) >= PROGRAM_SLOTS:
+            del _programs[next(iter(_programs))]
+        _programs[key] = slot
+    return slot
+
+
+def shared_program(workload: Workload, scale: int) -> Program:
+    """``workload.build(scale)``, built once per process and shared.
+
+    Every caller gets the same :class:`Program` object (so do the outcomes
+    simulated from it): treat it as read-only.
+    """
+    with _programs_lock:
+        return _program_slot(workload, scale)[0]
+
+
+def shared_program_digest(workload: Workload, scale: int) -> str:
+    """:func:`program_digest` of :func:`shared_program`, computed once per
+    process."""
+    with _programs_lock:
+        slot = _program_slot(workload, scale)
+        if slot[1] is None:
+            slot[1] = program_digest(slot[0])
+        return slot[1]
 
 
 def outcome_key(
@@ -266,8 +326,8 @@ def run_workload_block(
         cache = open_store(task.cache_root)
     if cancel is not None and cancel():
         raise ExecutionCancelled(f"cancelled before workload {workload.name}")
-    program = workload.build(task.scale)
-    digest = program_digest(program) if cache is not None else ""
+    digest = (shared_program_digest(workload, task.scale)
+              if cache is not None else "")
 
     points: list[tuple[GridKey, str | None, SimulationOutcome | None]] = []
     misses = 0
@@ -287,8 +347,9 @@ def run_workload_block(
 
     # The trace and its read-only tables are built once and shared by every
     # computed cell; they are dropped when the block returns.
-    functional = tables = None
+    program = functional = tables = None
     if misses:
+        program = shared_program(workload, task.scale)
         functional = FunctionalSimulator(program, task.max_instructions).run()
         tables = TraceTables(program, functional.trace)
 

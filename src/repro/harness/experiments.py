@@ -30,6 +30,7 @@ from repro.analysis.report import (
 from repro.core.config import RenoConfig
 from repro.functional.simulator import FunctionalSimulator
 from repro.functional.trace import mix_statistics
+from repro.harness.executors import shared_program
 from repro.harness.runner import SPEEDUP_BASELINE, MatrixResult, run_matrix
 from repro.harness.spec import Experiment, SweepSpec, experiment, register_experiment
 from repro.uarch.config import MachineConfig
@@ -618,7 +619,7 @@ def instruction_mix(
         from repro.workloads.base import get_workload
 
         workload = get_workload(entry) if isinstance(entry, str) else entry
-        result = FunctionalSimulator(workload.build(scale), 2_000_000).run()
+        result = FunctionalSimulator(shared_program(workload, scale), 2_000_000).run()
         mix = mix_statistics(result.trace)
         values = [mix.move_fraction, mix.reg_imm_add_fraction, mix.load_fraction,
                   mix.store_fraction, mix.branch_fraction]

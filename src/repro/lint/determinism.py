@@ -11,11 +11,13 @@ checker catches all three statically:
   or an explicit stable digest instead.
 * **wall-clock / RNG in simulation code** — ``time.time``/``time_ns``,
   ``datetime.now`` and the ``random`` module have no place in the
-  simulation packages (``core``, ``uarch``, ``isa``, ``harness``): any
-  value they produce can leak into results.  ``time.monotonic`` and
-  ``time.perf_counter`` stay legal (duration measurement never escapes
-  into simulated numbers), as does a *seeded* ``random.Random(seed)``
-  instance (workload generators build deterministic pseudo-random data).
+  simulation packages (``core``, ``uarch``, ``isa``, ``harness``,
+  ``workloads``): any value they produce can leak into results, and
+  workload builders must be pure because each process builds a program
+  once and shares it.  ``time.monotonic`` and ``time.perf_counter`` stay
+  legal (duration measurement never escapes into simulated numbers), as
+  does a *seeded* ``random.Random(seed)`` instance (workload generators
+  build deterministic pseudo-random data).
 * **unordered ``set`` iteration** — iterating a set (or materialising one
   with ``list()``/``tuple()``) without ``sorted()`` produces
   hash-order-dependent sequences.  Flagged for set literals,
@@ -33,7 +35,7 @@ import ast
 from repro.lint.base import Checker, FileContext, Finding, register_checker
 
 #: Top-level ``src/repro`` packages in which wall-clock/RNG use is banned.
-SIMULATION_DIRS = frozenset({"core", "uarch", "isa", "harness"})
+SIMULATION_DIRS = frozenset({"core", "uarch", "isa", "harness", "workloads"})
 
 #: ``time`` attributes that read the wall clock (monotonic sources are fine).
 _WALL_CLOCK_ATTRS = frozenset({"time", "time_ns"})

@@ -51,6 +51,18 @@ def test_determinism_flags_wall_clock_and_rng_in_sim_dirs(tmp_path):
     assert any("random.random" in m for m in messages)
 
 
+def test_determinism_flags_wall_clock_in_workload_builders(tmp_path):
+    # Built programs are memoised per process, so a builder must be pure.
+    findings = lint_tree(tmp_path, {"workloads/kernel.py": """\
+        import time
+
+        def build(scale):
+            return int(time.time()) % scale
+    """}, rules=["determinism"])
+    assert len(findings) == 1
+    assert "time.time()" in findings[0].message
+
+
 def test_determinism_flags_unseeded_random_and_from_import(tmp_path):
     findings = lint_tree(tmp_path, {"harness/gen.py": """\
         import random
