@@ -53,20 +53,11 @@ class CriticalPathBreakdown:
         }
 
 
-def _bucket_for(record: TimingRecord, via_data_edge: bool) -> str:
-    if not via_data_edge:
-        return "fetch"
-    if record.is_load:
-        if record.eliminated:
-            return "alu_exec"
-        if record.dcache_latency > _MEMORY_LATENCY_THRESHOLD:
-            return "load_mem"
-        return "load_exec"
-    return "alu_exec"
-
-
 def analyze_critical_path(records: list[TimingRecord]) -> CriticalPathBreakdown:
     """Compute the critical-path bucket breakdown for one simulation.
+
+    The walk starts at the record with the highest ``seq``; ``records`` may
+    come in any order.
 
     Args:
         records: Timing records from a pipeline run with ``collect_timing``.
@@ -77,40 +68,48 @@ def analyze_critical_path(records: list[TimingRecord]) -> CriticalPathBreakdown:
     if not records:
         return CriticalPathBreakdown()
     by_seq = {record.seq: record for record in records}
-    ordered = sorted(records, key=lambda record: record.seq)
-    breakdown = CriticalPathBreakdown()
-
-    last = ordered[-1]
+    lookup = by_seq.get
+    last = by_seq[max(by_seq)]
     # Commit bucket: the tail between the last completion and retirement.
-    breakdown.commit += max(0, last.retire_cycle - last.complete_cycle)
+    commit = max(0, last.retire_cycle - last.complete_cycle)
+    fetch = alu_exec = load_exec = load_mem = path_length = 0
 
     current = last
     steps = 0
-    while steps < len(records) + 8:
+    limit = len(records) + 8
+    while steps < limit:
         steps += 1
-        producers = [
-            by_seq[producer]
-            for producer in current.source_producers
-            if producer >= 0 and producer in by_seq
-        ]
-        data_pred = max(producers, key=lambda record: record.complete_cycle, default=None)
-        data_bound = (
-            data_pred is not None
-            and data_pred.complete_cycle >= current.dispatch_cycle
-        )
-        if data_bound:
-            predecessor = data_pred
-        else:
-            predecessor = by_seq.get(current.seq - 1)
+        # The data predecessor is the producer whose result arrived last
+        # (the first one on a tie).
+        data_pred = None
+        for producer in current.source_producers:
+            if producer >= 0:
+                record = lookup(producer)
+                if record is not None and (
+                        data_pred is None
+                        or record.complete_cycle > data_pred.complete_cycle):
+                    data_pred = record
+        complete = current.complete_cycle
+        data_bound = (data_pred is not None
+                      and data_pred.complete_cycle >= current.dispatch_cycle)
+        predecessor = data_pred if data_bound else lookup(current.seq - 1)
+        path_length += 1
         if predecessor is None or predecessor.seq >= current.seq:
             # Reached the beginning of the window; charge the remaining depth
             # to fetch and stop.
-            breakdown.fetch += max(0, current.complete_cycle)
-            breakdown.path_length += 1
+            fetch += max(0, complete)
             break
-        edge_cost = max(0, current.complete_cycle - predecessor.complete_cycle)
-        bucket = _bucket_for(current, via_data_edge=data_bound)
-        setattr(breakdown, bucket, getattr(breakdown, bucket) + edge_cost)
-        breakdown.path_length += 1
+        edge_cost = complete - predecessor.complete_cycle
+        if edge_cost > 0:
+            if not data_bound:
+                fetch += edge_cost
+            elif not current.is_load or current.eliminated:
+                alu_exec += edge_cost
+            elif current.dcache_latency > _MEMORY_LATENCY_THRESHOLD:
+                load_mem += edge_cost
+            else:
+                load_exec += edge_cost
         current = predecessor
-    return breakdown
+    return CriticalPathBreakdown(
+        fetch=fetch, alu_exec=alu_exec, load_exec=load_exec,
+        load_mem=load_mem, commit=commit, path_length=path_length)

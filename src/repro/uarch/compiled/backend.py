@@ -41,16 +41,18 @@ class CompiledBackend(CycleLoopBackend):
         """Whether this pipeline's feature set is covered by the kernel.
 
         The kernel lowers the production configuration space: the stock
-        issue queue, the stock renamers, and the always-on observability.
-        Timing-record collection and timeline sampling interpose Python
-        callbacks mid-cycle, and subclassed components can override
-        arbitrary behaviour — those pipelines run on the reference loop.
+        issue queue, the stock renamers, the occupancy histograms and
+        timing-record collection (``collect_timing``; marshal-out builds
+        the records from the kernel's per-seq columns).  Timeline sampling
+        interposes a Python callback mid-cycle, and subclassed components
+        can override arbitrary behaviour — those pipelines run on the
+        reference loop.
         """
         from repro.core.renamer import RenoRenamer
         from repro.uarch.rename import BaselineRenamer
         from repro.uarch.scheduler import IssueQueue
 
-        if pipeline.collect_timing or pipeline.timeline_stride > 0:
+        if pipeline.timeline_stride > 0:
             return False
         if type(pipeline.issue_queue) is not IssueQueue:
             return False

@@ -52,16 +52,15 @@ WINDOW_FIELDS: tuple[str, ...] = (
 
 #: Window fields the compiled backend intentionally does not marshal:
 #: * ``capacity``/``size``/``mask`` are scalars fixed at construction;
-#: * ``issue_cycle``/``retire_cycle`` are written only under
-#:   ``collect_timing``, which the compiled backend does not support
-#:   (such pipelines run on the python reference);
 #: * ``rename`` holds RenameResult objects, rebuilt field-by-field from
 #:   the flattened arrays at marshal-out;
 #: * ``decoded`` holds decoded-op tuples, re-pointed from the pipeline's
 #:   static ``_trace_ops`` at marshal-out.
+#: (``issue_cycle``/``retire_cycle`` are marshalled as ``W_ISSUE`` /
+#: ``W_RETIRE``, but only for ``collect_timing`` pipelines: no other
+#: pipeline writes them, on either backend.)
 WINDOW_EXEMPT: frozenset[str] = frozenset({
-    "capacity", "size", "mask", "issue_cycle", "retire_cycle",
-    "rename", "decoded",
+    "capacity", "size", "mask", "rename", "decoded",
 })
 
 #: Kernel error codes (return value of ``repro_run``).  Any nonzero code
@@ -82,7 +81,7 @@ SCALARS: tuple[str, ...] = (
     # -- geometry / static configuration ------------------------------
     "TOTAL", "WSIZE", "WMASK", "NUM_PREGS", "COMMIT_WIDTH", "RENAME_WIDTH",
     "RETIRE_PORTS", "TAKEN_LIMIT", "SCHED_LAT", "FE_DEPTH", "VIO_PENALTY",
-    "MAX_CYCLES", "STOP", "MODE", "RECORD_STATS", "FB_SHIFT",
+    "MAX_CYCLES", "STOP", "MODE", "RECORD_STATS", "TIMING", "FB_SHIFT",
     "TOTAL_ISSUE", "W_INT", "W_LOAD", "W_STORE", "W_FP",
     "IQ_CAP", "SQ_CAP", "LQ_CAP", "RSTRIDE",
     "L1I_SETS", "L1I_ASSOC", "L1I_LAT", "L1I_BSHIFT",
@@ -131,6 +130,13 @@ POINTERS: tuple[str, ...] = (
     # Eliminated-slot shared destination mapping (RenameResult.dest_preg
     # / dest_disp, flattened so commit/re-execute stay object-free).
     "RRE_P", "RRE_D",
+    # -- timing-record state (1-element dummies when TIMING is 0) -----
+    # Window issue/retire cycles; per slot, the producer count (0-3) and
+    # producers of Pipeline._producers (the sources' writers, then the
+    # shared destination's writer for an eliminated instruction); the
+    # preg -> writer-seq map of Pipeline._preg_writer (-1 = no writer).
+    "W_ISSUE", "W_RETIRE", "W_NPROD", "W_PROD0", "W_PROD1", "W_PROD2",
+    "PREG_WRITER",
     # -- physical register file --------------------------------------
     "PRF_VAL", "PRF_RDY",
     # -- scheduler: ready lists, wakeup ring, waiter chains -----------
@@ -166,6 +172,11 @@ POINTERS: tuple[str, ...] = (
     # -- occupancy histograms (1-element dummies when record_stats off)
     "OC_ROB", "OC_IQ", "OC_PRF", "OC_SQ", "OC_LQ", "OC_READY",
     "OC_ISSUED", "OC_CLASS", "OC_STALL",
+    # -- timing records (output only, indexed by seq, one entry per
+    #    trace record; 1-element dummies when TIMING is 0) -------------
+    "TR_DISPATCH", "TR_ISSUE", "TR_COMPLETE", "TR_RETIRE", "TR_DCACHE",
+    "TR_LATENCY", "TR_MISPRED", "TR_ELIM", "TR_NPROD", "TR_PROD0",
+    "TR_PROD1", "TR_PROD2",
 )
 
 PT: dict[str, int] = {name: i for i, name in enumerate(POINTERS)}
@@ -1127,6 +1138,7 @@ i64 repro_run(i64 *sc_blk, i64 **pt_blk, uint8_t *pages_blk) {
     const i64 max_cycles = SC(MAX_CYCLES);
     const int reno = (int)SC(MODE);
     const int record = (int)SC(RECORD_STATS);
+    const int timing = (int)SC(TIMING);
     i64 cycle = SC(CYCLE);
     i64 committed = SC(COMMITTED);
     i64 fetch_index = SC(FETCH_INDEX);
@@ -1217,6 +1229,24 @@ i64 repro_run(i64 *sc_blk, i64 **pt_blk, uint8_t *pages_blk) {
                     case ELIM_CSE:  SC(D_ELIM_CSE)++; break;
                     case ELIM_RA:   SC(D_ELIM_RA)++; break;
                     }
+                }
+                if (timing) {
+                    /* The TimingRecord fields, by seq (fetch == dispatch;
+                     * marshal-out adds the static ones). */
+                    P(W_RETIRE)[slot] = cycle;
+                    P(TR_DISPATCH)[committed] = P(W_DISPATCH)[slot];
+                    P(TR_ISSUE)[committed] = P(W_ISSUE)[slot];
+                    P(TR_COMPLETE)[committed] = P(W_COMPLETE)[slot];
+                    P(TR_RETIRE)[committed] = cycle;
+                    P(TR_DCACHE)[committed] = P(W_DCACHE)[slot];
+                    P(TR_LATENCY)[committed] = P(W_LATENCY)[slot];
+                    P(TR_MISPRED)[committed] = P(W_MISPRED)[slot];
+                    P(TR_ELIM)[committed] = elim != 0;
+                    i64 np = P(W_NPROD)[slot];
+                    P(TR_NPROD)[committed] = np;
+                    if (np > 0) P(TR_PROD0)[committed] = P(W_PROD0)[slot];
+                    if (np > 1) P(TR_PROD1)[committed] = P(W_PROD1)[slot];
+                    if (np > 2) P(TR_PROD2)[committed] = P(W_PROD2)[slot];
                 }
                 P(W_COMPLETE)[slot] = NO_COMPLETE;
                 committed++;
@@ -1309,6 +1339,7 @@ _KERNEL += r"""
                     value0 = (u64)P(PRF_VAL)[P(W_S0P)[eslot]];
                     if (ns > 1) value1 = (u64)P(PRF_VAL)[P(W_S1P)[eslot]];
                 }
+                if (timing) P(W_ISSUE)[eslot] = cycle;
                 if (cls == CLASS_LOAD) {
                     u64 address = value0 + (u64)P(S_IMM)[sidx];
                     if (address != (u64)P(T_EFF)[seq]) return ERR_LOAD_ADDR;
@@ -1452,7 +1483,7 @@ _KERNEL += r"""
                     i64 ns = P(S_NSRC)[sidx];
                     int eliminated = 0;
                     i64 p0 = -1, d0 = 0, p1 = -1, d1 = 0, fextra = 0;
-                    i64 newp = -1;
+                    i64 newp = -1, shared = -1;
                     if (!reno) {
                         /* Conventional renaming (BaselineRenamer). */
                         if (dest >= 0 && !SC(FREE_LEN)) {
@@ -1525,6 +1556,7 @@ _KERNEL += r"""
                             case ELIM_RA:   SC(RN_RA)++; break;
                             }
                             eliminated = 1;
+                            shared = epreg;
                             P(W_PREV)[dslot] = prevp;
                             P(W_ELIM)[dslot] = ekind
                                 | (ereex ? ELIM_REEXEC : 0);
@@ -1575,6 +1607,26 @@ _KERNEL += r"""
                                 it_insert_entries(c, seq, sidx, ns,
                                                   p0, d0, p1, d1, newp);
                         }
+                    }
+                    if (timing) {
+                        /* Pipeline._record_producers (and the inlined
+                         * baseline path): each source's writer, then an
+                         * eliminated instruction's shared destination's;
+                         * then the fresh destination's writer is this seq. */
+                        i64 *writer = P(PREG_WRITER);
+                        i64 *prod[3] = { P(W_PROD0), P(W_PROD1), P(W_PROD2) };
+                        i64 np = 0;
+                        if (ns) {
+                            prod[np++][dslot] = writer[p0];
+                            if (ns > 1) prod[np++][dslot] = writer[p1];
+                        }
+                        if (eliminated) prod[np++][dslot] = writer[shared];
+                        P(W_NPROD)[dslot] = np;
+                        if (newp >= 0) writer[newp] = seq;
+                        P(W_ISSUE)[dslot] = -1;
+                        P(W_DCACHE)[dslot] = 0;
+                        P(W_MISPRED)[dslot] = 0;
+                        P(W_LATENCY)[dslot] = P(S_LAT)[sidx];
                     }
                     P(W_DISPATCH)[dslot] = cycle;
                     if (is_taken) taken_branches++;

@@ -37,9 +37,10 @@ from operator import attrgetter
 
 from repro.core.integration import IntegrationEntry
 from repro.core.maptable import Mapping
-from repro.isa.instruction import DF_LOAD, DF_STORE
+from repro.isa.instruction import DF_CONTROL, DF_LOAD, DF_STORE
 from repro.uarch.compiled import emit
 from repro.uarch.compiled.emit import PT, POINTERS, SC, SCALARS, VALUE_TO_ID
+from repro.uarch.inflight import TimingRecord
 from repro.uarch.lsq import StoreQueueEntry
 from repro.uarch.rename import RenameResult
 
@@ -66,6 +67,19 @@ _ELIM_KINDS = {1: "move", 2: "cf", 3: "cse", 4: "ra"}
 #: IntegrationEntry.origin encodings (index == kernel id).
 _ORIGINS = ("load", "store", "alu")
 _ORIGIN_IDS = {name: i for i, name in enumerate(_ORIGINS)}
+
+#: Per-slot producer columns of the timing-record state, in order.
+_W_PRODUCERS = ("W_PROD0", "W_PROD1", "W_PROD2")
+#: The per-seq timing-record output columns, in allocation order.
+_TR_COLUMNS = (
+    "TR_DISPATCH", "TR_ISSUE", "TR_COMPLETE", "TR_RETIRE", "TR_DCACHE",
+    "TR_LATENCY", "TR_MISPRED", "TR_ELIM", "TR_NPROD", "TR_PROD0",
+    "TR_PROD1", "TR_PROD2",
+)
+
+#: Timing records built per batch at marshal-out (bounds the temporary
+#: column lists; the records themselves are kept).
+_RECORD_CHUNK = 1024
 
 #: RenoRenamer.stats keys in the order of the RN_* scalar block.
 _RN_STAT_KEYS = (
@@ -219,6 +233,20 @@ class KernelTables:
                 pages.add(eff_addr >> 12)
                 pages.add((eff_addr + op[3] - 1) >> 12)
         self.store_pages = frozenset(pages)
+        self._decoded = tables.decoded
+
+    @functools.cached_property
+    def record_columns(self) -> tuple[list, list, list, list]:
+        """The static :class:`TimingRecord` fields by seq: opcode value,
+        is_load, is_store, is_branch (built on first use by a timed cell)."""
+        decoded = self._decoded
+        by_static = ([op[6].value for op in decoded],
+                     [bool(op[0] & DF_LOAD) for op in decoded],
+                     [bool(op[0] & DF_STORE) for op in decoded],
+                     [bool(op[0] & DF_CONTROL) for op in decoded])
+        indices = self.arrays["T_SIDX"].tolist()
+        return tuple(list(map(values.__getitem__, indices))
+                     for values in by_static)
 
     @classmethod
     def of(cls, tables) -> "KernelTables":
@@ -255,6 +283,7 @@ class KernelState:
         self.total = total
         self.vio_cap = max(64, min(total + 1, 1 << 16))
         self.record_stats = bool(pipeline.record_stats)
+        self.timing = bool(pipeline.collect_timing)
 
         from repro.core.renamer import RenoRenamer
 
@@ -286,6 +315,7 @@ class KernelState:
         static = KernelTables.of(pipeline.tables)
         self.arr.update(static.arrays)
         self._store_pages = static.store_pages
+        self._static = static
         self._alloc_dynamic(config)
         self._seed_geometry(pipeline)
         # Page-pool buffers grow on demand (see _ensure_pages).
@@ -382,6 +412,14 @@ class KernelState:
             for name in ("OC_ROB", "OC_IQ", "OC_PRF", "OC_SQ", "OC_LQ",
                          "OC_READY", "OC_ISSUED", "OC_CLASS", "OC_STALL"):
                 self._new(name, "q", 1)
+        # Timing-record state and output columns: real buffers only for
+        # collect_timing pipelines (the kernel skips them when TIMING=0).
+        timing = self.timing
+        for name in ("W_ISSUE", "W_RETIRE", "W_NPROD", *_W_PRODUCERS):
+            self._new(name, "q", ws if timing else 1)
+        self._new("PREG_WRITER", "q", np_ if timing else 1)
+        for name in _TR_COLUMNS:
+            self._new(name, "q", self.total if timing else 1)
         # Page-pool members get placeholders; _ensure_pages re-registers.
         for name in ("PAGE_NUM", "PAGE_DIRTY", "PH_KEY", "PH_VAL"):
             self._new(name, "q", 1)
@@ -408,6 +446,7 @@ class KernelState:
         put("MAX_CYCLES", config.max_cycles)
         put("MODE", 1 if self.reno else 0)
         put("RECORD_STATS", 1 if self.record_stats else 0)
+        put("TIMING", 1 if self.timing else 0)
         put("FB_SHIFT", pipeline._fetch_block_bytes.bit_length() - 1)
         put("TOTAL_ISSUE", config.total_issue)
         put("W_INT", config.int_issue)
@@ -675,6 +714,10 @@ class KernelState:
         # -- memory page pool ------------------------------------------
         self._marshal_in_pages(pipeline)
 
+        # -- timing-record state ---------------------------------------
+        if self.timing:
+            self._marshal_in_timing(pipeline)
+
         # -- occupancy -------------------------------------------------
         if self.record_stats:
             occ = pipeline.stats.occupancy
@@ -693,6 +736,33 @@ class KernelState:
             a["OC_STALL"][:] = array("q", occ.fetch_stall_reasons)
 
         self._register_pointers()
+
+    def _marshal_in_timing(self, pipeline) -> None:
+        """Stage the window's issue/retire cycles, ``_preg_writer`` and the
+        in-flight instructions' ``_producers``."""
+        a = self.arr
+        window = pipeline.window
+        a["W_ISSUE"][:] = array("q", window.issue_cycle)
+        a["W_RETIRE"][:] = array("q", window.retire_cycle)
+        writer = a["PREG_WRITER"]
+        _fill_neg1(writer)
+        for preg, seq in pipeline._preg_writer.items():
+            writer[preg] = seq
+        producers = pipeline._producers
+        committed, fetch_index = pipeline._committed, pipeline._fetch_index
+        if len(producers) != fetch_index - committed:
+            raise MarshalError("producers do not cover the in-flight window")
+        nprod = a["W_NPROD"]
+        columns = [a[name] for name in _W_PRODUCERS]
+        mask = self.wmask
+        for seq in range(committed, fetch_index):
+            sources = producers.get(seq)
+            if sources is None:
+                raise MarshalError(f"no producers recorded for #{seq}")
+            slot = seq & mask
+            nprod[slot] = len(sources)
+            for column, producer in zip(columns, sources):
+                column[slot] = producer
 
     def _marshal_in_rename(self, pipeline) -> None:
         """Flatten the renamer (either mode) into the scalar/array blocks."""
@@ -1063,6 +1133,10 @@ class KernelState:
             else:
                 existing[:] = data
 
+        # -- timing records --------------------------------------------
+        if self.timing:
+            self._marshal_out_timing(pipeline, committed, fetch_index)
+
         # -- occupancy -------------------------------------------------
         if self.record_stats:
             occ = stats.occupancy
@@ -1080,6 +1154,43 @@ class KernelState:
             occ.issued[:] = a["OC_ISSUED"].tolist()
             occ.issued_by_class[:] = a["OC_CLASS"].tolist()
             occ.fetch_stall_reasons[:] = a["OC_STALL"].tolist()
+
+    def _marshal_out_timing(self, pipeline, committed, fetch_index) -> None:
+        """Rebuild the timing-record state and append one
+        :class:`TimingRecord` per instruction committed in the slice."""
+        a = self.arr
+        window = pipeline.window
+        window.issue_cycle[:] = a["W_ISSUE"].tolist()
+        window.retire_cycle[:] = a["W_RETIRE"].tolist()
+        writer = pipeline._preg_writer
+        writer.clear()
+        writer.update((preg, seq) for preg, seq
+                      in enumerate(a["PREG_WRITER"]) if seq >= 0)
+        producers = pipeline._producers
+        producers.clear()
+        nprod = a["W_NPROD"]
+        prod0, prod1, prod2 = (a[name] for name in _W_PRODUCERS)
+        mask = self.wmask
+        for seq in range(committed, fetch_index):
+            slot = seq & mask
+            producers[seq] = (prod0[slot], prod1[slot],
+                              prod2[slot])[:nprod[slot]]
+
+        opcodes, loads, stores, branches = self._static.record_columns
+        records = pipeline.timing_records
+        columns = [a[name] for name in _TR_COLUMNS]
+        for low in range(self._in_committed, committed, _RECORD_CHUNK):
+            high = min(low + _RECORD_CHUNK, committed)
+            (dispatch, issue, complete, retire, dcache, latency, mispred, elim,
+             counts, first, second, third) = (
+                column[low:high].tolist() for column in columns)
+            records.extend(map(
+                TimingRecord, range(low, high), opcodes[low:high],
+                dispatch, dispatch, issue, complete, retire,
+                loads[low:high], stores[low:high], branches[low:high],
+                map(bool, mispred), map(bool, elim), dcache, latency,
+                [(p0, p1, p2)[:count] for count, p0, p1, p2
+                 in zip(counts, first, second, third)]))
 
     def _marshal_out_it(self, table) -> None:
         """Rebuild the integration table object graph from the flat arrays."""

@@ -36,8 +36,11 @@ Slot discipline (the invariants the pipeline and scheduler rely on):
   teardown.
 
 ``TimingRecord`` (the per-retired-instruction record consumed by the
-critical-path model) is unchanged; the pipeline builds it from the arrays at
-commit when timing collection is on.
+critical-path model) is unchanged; the python loop builds it from the arrays
+at commit when timing collection is on, and the compiled backend builds the
+same records at marshal-out from the kernel's per-seq output columns (it
+marshals ``issue_cycle``/``retire_cycle`` only for such pipelines, since no
+other pipeline writes them).
 """
 
 from __future__ import annotations

@@ -43,6 +43,29 @@ def test_compiled_workers_match_serial_python(tmp_path):
     assert counters["failures"] == 0
 
 
+@needs_compiled
+def test_compiled_timing_workers_match_serial_python(tmp_path):
+    """fig9 collects timing records, which the kernel builds too: the
+    critical-path report from compiled workers equals the serial python
+    one."""
+    reference = run_experiment(
+        "fig9", suite="micro", workloads=list(CHAOS_WORKLOADS), scale=1,
+        jobs=1, cache=False, backend="python")
+
+    with FleetHarness(tmp_path / "cache") as harness:
+        for _ in range(2):
+            harness.spawn_worker()
+        report = run_experiment(
+            "fig9", suite="micro", workloads=list(CHAOS_WORKLOADS),
+            scale=1, executor=harness.executor,
+            cache=str(harness.cache_root), backend="compiled")
+        counters = dict(harness.broker.counters)
+
+    assert report_json(report) == report_json(reference)
+    assert counters["commits"] == 6
+    assert counters["failures"] == 0
+
+
 def test_backend_threads_into_every_task():
     """``build_tasks`` stamps the requested backend on every task — the
     value :class:`~repro.api.fleet.FleetExecutor` copies into the lease's

@@ -5,7 +5,8 @@ in *speed only*: every simulation observable — final architectural state,
 statistics, occupancy histograms, snapshots — must be identical whichever
 backend ran the cycle loop.  Seeded random programs (reusing the scheduler
 equivalence generator: ALU ops, moves, folds, loads, stores, loops) are
-run through both backends under several machine and RENO configurations.
+run through both backends under several machine and RENO configurations,
+with and without timing-record collection (``collect_timing``).
 
 The strongest property here is the **lockstep snapshot** test: both
 backends run the same program in slices and the pickled
@@ -22,6 +23,7 @@ the degradation to python is silent and result-identical.
 import pickle
 import threading
 from dataclasses import fields
+from enum import Enum
 
 import pytest
 from test_scheduler_equivalence import random_program
@@ -61,12 +63,13 @@ def build_run(seed, length=200):
 
 
 def make_pipeline(program, trace, reno, backend, machine=None,
-                  record_stats=False):
+                  record_stats=False, collect_timing=False):
     machine = machine or MachineConfig.default_4wide()
     renamer = RenoRenamer(machine.num_physical_regs, reno) \
         if reno is not None else None
     return Pipeline(program, trace, machine, renamer=renamer,
-                    record_stats=record_stats, backend=backend)
+                    record_stats=record_stats, backend=backend,
+                    collect_timing=collect_timing)
 
 
 def stats_dict(result):
@@ -77,6 +80,18 @@ def assert_results_identical(compiled, python):
     assert stats_dict(compiled) == stats_dict(python)
     assert compiled.final_registers == python.final_registers
     assert compiled.finished and python.finished
+
+
+def assert_timing_records_identical(compiled, python):
+    """Field by field, value and type (a 1 is not a True here)."""
+    assert compiled is not None and python is not None
+    assert len(compiled) == len(python)
+    for mine, theirs in zip(compiled, python):
+        for field in fields(theirs):
+            value, expected = (getattr(mine, field.name),
+                               getattr(theirs, field.name))
+            assert (type(value), value) == (type(expected), expected), (
+                f"#{theirs.seq} {field.name}: {value!r} != {expected!r}")
 
 
 @pytest.fixture
@@ -148,6 +163,26 @@ def test_occupancy_histograms_identical(config_name):
     assert_results_identical(compiled, python)
 
 
+@pytest.mark.usefixtures("no_silent_replays")
+@needs_compiled
+@pytest.mark.parametrize("machine_name", ["4wide", "sched2"])
+@pytest.mark.parametrize("config_name", list(CONFIGS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_timing_records_match_python(seed, config_name, machine_name):
+    """The kernel's timing records equal the python loop's, field by field."""
+    program, trace = build_run(seed)
+    reno = CONFIGS[config_name]
+    machine = MACHINES[machine_name]
+    compiled = make_pipeline(program, trace, reno, "compiled",
+                             machine=machine, collect_timing=True).run()
+    python = make_pipeline(program, trace, reno, "python", machine=machine,
+                           collect_timing=True).run()
+    assert len(python.timing_records) == len(trace)
+    assert_timing_records_identical(compiled.timing_records,
+                                    python.timing_records)
+    assert_results_identical(compiled, python)
+
+
 def to_plain(obj, on_path=None):
     """A pure-data, aliasing-free projection of an object graph.
 
@@ -160,6 +195,10 @@ def to_plain(obj, on_path=None):
     """
     if isinstance(obj, (int, float, str, bytes, bool, type(None))):
         return obj
+    if isinstance(obj, bytearray):           # memory pages
+        return bytes(obj)
+    if isinstance(obj, Enum):                # a member is its name
+        return (type(obj).__name__, obj.name)
     on_path = on_path or set()
     if id(obj) in on_path:
         return "<cycle>"
@@ -203,8 +242,9 @@ def canonical_snapshot(pipeline):
 
 @pytest.mark.usefixtures("no_silent_replays")
 @needs_compiled
+@pytest.mark.parametrize("collect_timing", [False, True])
 @pytest.mark.parametrize("seed", [SEEDS[0]])
-def test_lockstep_snapshots_match_every_slice(seed):
+def test_lockstep_snapshots_match_every_slice(seed, collect_timing):
     """Full mutable-state equality at every slice boundary, both backends.
 
     ``snapshot()`` captures everything the cycle loop mutates (and is
@@ -212,14 +252,19 @@ def test_lockstep_snapshots_match_every_slice(seed):
     pickled snapshots at cycle k mean the backends agree on *all*
     intermediate state, not just on the final result.  ``backend`` /
     ``backend_name`` are snapshot-exempt, which is exactly what makes this
-    comparison well-defined.
+    comparison well-defined.  With ``collect_timing`` the snapshot also
+    covers ``_preg_writer``, the in-flight ``_producers``, the records
+    retired so far and the window's issue/retire cycles.
     """
     program, trace = build_run(seed)
     reno = RenoConfig.reno_default()
-    compiled_pipeline = make_pipeline(program, trace, reno, "compiled")
-    python_pipeline = make_pipeline(program, trace, reno, "python")
+    compiled_pipeline = make_pipeline(program, trace, reno, "compiled",
+                                      collect_timing=collect_timing)
+    python_pipeline = make_pipeline(program, trace, reno, "python",
+                                    collect_timing=collect_timing)
     slice_cycles = 211          # a handful of mid-burst boundaries; the
     slices = 0                  # projection cost is per boundary, not per cycle
+    producer_cuts = 0           # boundaries with producers in flight
     while True:
         compiled = compiled_pipeline.run(max_cycles=slice_cycles)
         python = python_pipeline.run(max_cycles=slice_cycles)
@@ -227,35 +272,47 @@ def test_lockstep_snapshots_match_every_slice(seed):
         if compiled.finished:
             break
         slices += 1
+        producer_cuts += bool(python_pipeline._producers)
         assert (canonical_snapshot(compiled_pipeline)
                 == canonical_snapshot(python_pipeline)), (
             f"state diverged by slice {slices} (seed={seed})")
     assert slices > 1
     assert_results_identical(compiled, python)
+    if collect_timing:
+        assert producer_cuts
+        assert_timing_records_identical(compiled.timing_records,
+                                        python.timing_records)
 
 
 @pytest.mark.usefixtures("no_silent_replays")
 @needs_compiled
+@pytest.mark.parametrize("collect_timing", [False, True])
 @pytest.mark.parametrize("config_name", list(CONFIGS))
-def test_snapshot_handoff_across_backends(config_name):
+def test_snapshot_handoff_across_backends(config_name, collect_timing):
     """python → compiled → python hand-offs finish bit-identically."""
     program, trace = build_run(SEEDS[1])
     reno = CONFIGS[config_name]
-    reference = make_pipeline(program, trace, reno, "python").run()
+    reference = make_pipeline(program, trace, reno, "python",
+                              collect_timing=collect_timing).run()
 
     chain = ["python", "compiled", "python", "compiled"]
-    pipeline = make_pipeline(program, trace, reno, chain[0])
+    pipeline = make_pipeline(program, trace, reno, chain[0],
+                             collect_timing=collect_timing)
     hops = 0
     result = pipeline.run(max_cycles=113)
     while not result.finished:
         hops += 1
         snapshot = pickle.loads(pickle.dumps(pipeline.snapshot()))
         pipeline = make_pipeline(program, trace, reno,
-                                 chain[hops % len(chain)])
+                                 chain[hops % len(chain)],
+                                 collect_timing=collect_timing)
         pipeline.restore(snapshot)
         result = pipeline.run(max_cycles=113)
     assert hops >= 2, "program too short to exercise a backend hand-off"
     assert_results_identical(result, reference)
+    if collect_timing:
+        assert_timing_records_identical(result.timing_records,
+                                        reference.timing_records)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +381,26 @@ def test_requested_compiled_degrades_silently_without_toolchain(monkeypatch):
 
 
 @needs_compiled
-def test_timing_pipelines_run_on_the_python_reference():
-    """``collect_timing`` is unsupported by the kernel: the compiled
+def test_timeline_pipelines_run_on_the_python_reference(monkeypatch):
+    """Timeline sampling is unsupported by the kernel: the compiled
     backend's ``supports()`` hands such pipelines to the reference loop."""
     program, trace = build_run(SEEDS[0], length=60)
     machine = MachineConfig.default_4wide()
-    pipeline = Pipeline(program, trace, machine, collect_timing=True,
+    pipeline = Pipeline(program, trace, machine, timeline_stride=5,
                         backend="compiled")
-    timed = pipeline.run()
-    reference = Pipeline(program, trace, machine, collect_timing=True,
+    assert pipeline.backend_name == "compiled"
+    assert not get_backend("compiled").supports(pipeline)
+    reference_loop = Pipeline._run_cycles
+    replayed = []
+
+    def counted(self, stop_cycle=None):
+        replayed.append(self.backend_name)
+        return reference_loop(self, stop_cycle)
+
+    monkeypatch.setattr(Pipeline, "_run_cycles", counted)
+    sampled = pipeline.run()
+    assert replayed == ["compiled"]
+    reference = Pipeline(program, trace, machine, timeline_stride=5,
                          backend="python").run()
-    assert timed.timing_records == reference.timing_records
-    assert_results_identical(timed, reference)
+    assert sampled.timeline and sampled.timeline == reference.timeline
+    assert_results_identical(sampled, reference)
