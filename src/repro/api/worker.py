@@ -271,14 +271,18 @@ class FleetWorker:
                 abandon.set()
                 return
 
-    def _trace_for(self, name: str, scale: int, max_instructions: int):
-        """Build (or recall) a workload's program, functional run and tables."""
+    def _trace_for(self, name: str, scale: int, max_instructions: int,
+                   backend: str | None):
+        """Build (or recall) a workload's program, functional run and
+        tables; ``backend`` runs the functional simulation (the trace is
+        the same on every backend, so it is no part of the memo key)."""
         memo_key = (name, scale, max_instructions)
         hit = self._traces.get(memo_key)
         if hit is not None:
             return hit
         program = shared_program(get_workload(name), scale)
-        functional = FunctionalSimulator(program, max_instructions).run()
+        functional = FunctionalSimulator(program, max_instructions,
+                                         backend=backend).run()
         tables = TraceTables(program, functional.trace)
         if len(self._traces) >= TRACE_MEMO_SLOTS:
             self._traces.pop(next(iter(self._traces)))
@@ -328,8 +332,10 @@ class FleetWorker:
                               worker_id=self.worker_id, ok=True,
                               outcome_key=key, cached=True)
 
+        backend = self.backend or cell.get("backend")
         program, functional, tables = self._trace_for(
-            cell["workload"], int(cell["scale"]), int(cell["max_instructions"]))
+            cell["workload"], int(cell["scale"]), int(cell["max_instructions"]),
+            backend)
         machine = MachineConfig.from_dict(cell["machine"])
         reno = (RenoConfig.from_dict(cell["reno"])
                 if cell.get("reno") is not None else None)
@@ -339,7 +345,7 @@ class FleetWorker:
             program, functional.trace, machine, renamer=renamer, tables=tables,
             collect_timing=bool(cell["collect_timing"]),
             record_stats=bool(cell.get("record_stats", False)),
-            backend=self.backend or cell.get("backend"),
+            backend=backend,
         )
 
         checkpoint = self._checkpoint_for(cell)

@@ -88,10 +88,11 @@ def simulate(
         max_instructions: Functional-simulation budget.
         verify: Check that the timing simulator's final architectural state
             matches the functional simulator's.
-        backend: Cycle-loop backend name for the timing run (``"python"``,
-            ``"compiled"``), or None to consult ``$REPRO_BACKEND`` and
-            default to ``python`` — see :mod:`repro.uarch.backend`.
-            Results are backend-independent; only speed changes.
+        backend: Backend name for the functional run (when ``trace`` is
+            None) and the timing run (``"python"``, ``"compiled"``), or
+            None to consult ``$REPRO_BACKEND`` and default to ``python`` —
+            see :mod:`repro.uarch.backend`.  Results are
+            backend-independent; only speed changes.
         tables: The read-only tables of (``program``, ``trace.trace``)
             (:class:`~repro.uarch.tables.TraceTables`), built once by a
             caller that runs several cells on one trace; None builds them
@@ -101,7 +102,8 @@ def simulate(
         A :class:`SimulationOutcome`.
     """
     machine = machine or MachineConfig.default_4wide()
-    functional = trace or FunctionalSimulator(program, max_instructions).run()
+    functional = trace or FunctionalSimulator(
+        program, max_instructions, backend=backend).run()
     renamer = RenoRenamer(machine.num_physical_regs, reno) if reno is not None else None
     pipeline = Pipeline(
         program,
@@ -155,7 +157,9 @@ def run_config_comparison(
     if isinstance(workload, str):
         workload = get_workload(workload)
     program = workload.build(scale)
-    functional = FunctionalSimulator(program, kwargs.pop("max_instructions", 2_000_000)).run()
+    functional = FunctionalSimulator(
+        program, kwargs.pop("max_instructions", 2_000_000),
+        backend=kwargs.get("backend")).run()
     tables = TraceTables(program, functional.trace)
     outcomes: dict[str, SimulationOutcome] = {}
     for label, reno in configs.items():

@@ -10,10 +10,15 @@ _PAGE_MASK = PAGE_SIZE - 1
 def _pages_of(initial: dict[int, int]) -> dict[int, bytearray]:
     """Byte address -> value pairs laid out as pages, in first-touch order."""
     pages: dict[int, bytearray] = {}
+    number, page = None, None
     for address, value in initial.items():
-        page = pages.get(address >> 12)
-        if page is None:
-            page = pages[address >> 12] = bytearray(PAGE_SIZE)
+        # Data is laid out in runs, so most bytes land on the page of the
+        # byte before them: look a page up only when the run leaves it.
+        if address >> 12 != number:
+            number = address >> 12
+            page = pages.get(number)
+            if page is None:
+                page = pages[number] = bytearray(PAGE_SIZE)
         page[address & _PAGE_MASK] = value & 0xFF
     return pages
 

@@ -1,7 +1,26 @@
-"""The functional (architectural) simulator."""
+"""The functional (architectural) simulator.
+
+:meth:`FunctionalSimulator.run` runs a program on one of two backends,
+named as for the timing pipeline (:mod:`repro.uarch.backend`):
+
+* ``python`` — the interpreter below, the reference: it builds one
+  :class:`~repro.functional.trace.DynamicInstruction` per executed
+  instruction;
+* ``compiled`` — ``repro_functional`` in the generated C
+  (:mod:`repro.uarch.compiled.functional`), which writes the trace as
+  :class:`~repro.functional.trace.TraceColumns` and builds no
+  per-instruction object.  A run it cannot finish (budget spent, pc
+  outside the code segment) is rerun here on the interpreter, which
+  raises the reference's exception.
+
+Both produce the same trace, final registers, memory, ``halted`` and
+``dynamic_count``; ``tests/functional/test_compiled_functional.py``
+compares them field by field.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.functional.memory import Memory
@@ -23,8 +42,10 @@ class ExecutionResult:
 
     Attributes:
         program: The program that was executed.
-        trace: The dynamic instruction trace in program (retirement) order.
-            The trailing ``halt`` instruction is included.
+        trace: The dynamic instruction trace in program (retirement) order,
+            read-only: a list of records from the interpreter, columns
+            (:class:`~repro.functional.trace.TraceColumns`) from the
+            compiled run.  The trailing ``halt`` instruction is included.
         state: Final architectural register state.
         memory: Final memory contents.
         halted: True if the program executed a ``halt`` instruction.
@@ -32,7 +53,7 @@ class ExecutionResult:
     """
 
     program: Program
-    trace: list[DynamicInstruction]
+    trace: Sequence[DynamicInstruction]
     state: ArchState
     memory: Memory
     halted: bool
@@ -43,7 +64,8 @@ class ExecutionResult:
 class FunctionalSimulator:
     """Executes AXP-lite programs architecturally and records their traces."""
 
-    def __init__(self, program: Program, max_instructions: int = 2_000_000):
+    def __init__(self, program: Program, max_instructions: int = 2_000_000,
+                 backend=None):
         """Create a simulator for ``program``.
 
         Args:
@@ -51,24 +73,50 @@ class FunctionalSimulator:
             max_instructions: Hard bound on dynamic instructions; exceeding it
                 raises :class:`ExecutionLimitExceeded` (guards against
                 workload bugs that would otherwise hang the test suite).
+            backend: ``"python"``, ``"compiled"``, a backend object, or
+                None for ``$REPRO_BACKEND`` (default ``python``), resolved
+                as the pipeline resolves it
+                (:func:`repro.uarch.backend.resolve_backend`): an
+                unavailable ``compiled`` runs the interpreter.
         """
+        from repro.uarch.backend import resolve_backend
+
         self.program = program
         self.max_instructions = max_instructions
+        #: The resolved backend name, ``"python"`` or ``"compiled"``.
+        self.backend = resolve_backend(backend).name
         self.state = ArchState(pc=program.pc_of(program.entry))
         self.state.write(R.SP, STACK_BASE)
         self.state.write(R.GP, DATA_BASE)
-        self.memory = Memory(program.initial_memory)
+        #: The interpreter's memory; a compiled run starts from the
+        #: program's page image instead, and builds this only to rerun.
+        self.memory = (None if self.backend == "compiled"
+                       else Memory(program.initial_memory))
 
     def run(self, record_trace: bool = True) -> ExecutionResult:
         """Run the program to completion (or to the instruction budget).
 
         Args:
-            record_trace: If False, the trace list is left empty; useful when
+            record_trace: If False, the trace is left empty; useful when
                 only the final state or the dynamic count is needed.
 
         Returns:
             An :class:`ExecutionResult`.
         """
+        if self.backend == "compiled":
+            from repro.uarch.compiled.functional import run_compiled
+
+            result = run_compiled(self.program, self.max_instructions)
+            if result is not None:
+                self.state, self.memory = result.state, result.memory
+                if not record_trace:
+                    result.trace = []
+                return result
+            self.memory = Memory(self.program.initial_memory)
+        return self._interpret(record_trace)
+
+    def _interpret(self, record_trace: bool) -> ExecutionResult:
+        """The reference interpreter loop (see :meth:`run`)."""
         program = self.program
         state = self.state
         trace: list[DynamicInstruction] = []

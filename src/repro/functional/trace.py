@@ -6,11 +6,21 @@ values, result, effective address and branch outcome, so the timing model can
 (a) drive its branch predictor / caches with real addresses and outcomes and
 (b) cross-check the values its own execute stage produces on the physical
 register file — which is how RENO transformations are validated.
+
+A trace comes in one of two forms, both a ``Sequence[DynamicInstruction]``:
+the python interpreter's list of records, and the compiled functional
+run's :class:`TraceColumns` — one flat ``array`` per record field (the
+``T_*`` columns the compiled cycle loop reads), whose records are built
+only when something indexes the trace.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.isa.instruction import Instruction
 
@@ -123,31 +133,172 @@ class InstructionMix:
         return self.fraction(self.branches)
 
 
-def mix_statistics(trace: list[DynamicInstruction]) -> InstructionMix:
+#: The trace columns, one entry per dynamic instruction: name -> array
+#: typecode.  ``*HAS`` columns say whether the optional field beside them
+#: is present (its value column then holds 0 when it is not); ``T_TAKEN``
+#: is -1 (None), 0 (False) or 1 (True).  ``rs1_value`` is always present,
+#: so ``T_RS1HAS`` is constant 1 (the cycle kernel reads it).
+TRACE_COLUMNS: dict[str, str] = {
+    "T_PC": "Q", "T_SIDX": "q", "T_RS1": "Q", "T_RS1HAS": "q", "T_RS2": "Q",
+    "T_RES": "Q", "T_RHAS": "q", "T_EFF": "Q", "T_EHAS": "q",
+    "T_SV": "Q", "T_SVHAS": "q", "T_TAKEN": "q", "T_NPC": "Q",
+    "T_TGT": "Q", "T_THAS": "q",
+}
+
+#: (value column, presence column, DynamicInstruction field) per optional field.
+_OPTIONAL = (("T_RES", "T_RHAS", "result"), ("T_EFF", "T_EHAS", "eff_addr"),
+             ("T_SV", "T_SVHAS", "store_value"),
+             ("T_TGT", "T_THAS", "target_pc"))
+
+#: ``T_TAKEN`` code + 1 -> ``DynamicInstruction.taken``.
+_TAKEN = (None, False, True)
+
+
+class TraceColumns(Sequence):
+    """A dynamic trace held as flat columns (see :data:`TRACE_COLUMNS`).
+
+    Indexing or iterating builds every :class:`DynamicInstruction` once and
+    keeps them; ``len`` and the columns themselves never do.  Nothing
+    writes the columns after construction.
+
+    Attributes:
+        instructions: The program's static instructions (``T_SIDX`` indexes
+            them), or None when the records were given.
+        arrays: Column name -> column, all of the trace's length: an
+            ``array``, or a ``memoryview`` over the compiled run's buffers
+            (both index, iterate, ``tolist`` and ``tobytes`` alike).
+        memory_image: The page image the run started from, or None.
+        store_pages: Every page a store in the trace wrote (both pages of a
+            store that straddles two).
+    """
+
+    __slots__ = ("instructions", "arrays", "memory_image", "store_pages",
+                 "_records")
+
+    def __init__(self, instructions, arrays: dict,
+                 memory_image: dict[int, bytes] | None = None,
+                 store_pages: frozenset[int] = frozenset(),
+                 records: list[DynamicInstruction] | None = None):
+        """Wrap finished columns (``records`` when they are already built)."""
+        self.instructions = instructions
+        self.arrays = arrays
+        self.memory_image = memory_image
+        self.store_pages = store_pages
+        self._records = records
+
+    @classmethod
+    def from_records(cls, records: list[DynamicInstruction]) -> "TraceColumns":
+        """Flatten the python interpreter's records into columns."""
+        def column(attr):
+            return list(map(attrgetter(attr), records))
+
+        arrays = {
+            "T_PC": array("Q", column("pc")),
+            "T_SIDX": array("q", column("index")),
+            "T_RS1": array("Q", column("rs1_value")),
+            "T_RS1HAS": array("q", (1,)) * len(records),
+            "T_RS2": array("Q", column("rs2_value")),
+            "T_TAKEN": array("q", [-1 if taken is None else int(taken)
+                                   for taken in column("taken")]),
+            "T_NPC": array("Q", column("next_pc")),
+        }
+        for name, has, attr in _OPTIONAL:
+            values = column(attr)
+            arrays[name] = array("Q", [0 if value is None else value
+                                       for value in values])
+            arrays[has] = array("q", [value is not None for value in values])
+        pages = set()
+        for dyn in records:
+            spec = dyn.instruction.spec
+            if spec.is_store:
+                pages.add(dyn.eff_addr >> 12)
+                pages.add((dyn.eff_addr + spec.mem_bytes - 1) >> 12)
+        return cls(None, arrays, store_pages=frozenset(pages), records=records)
+
+    @property
+    def records(self) -> list[DynamicInstruction]:
+        """The trace as records, built from the columns on first use."""
+        if self._records is None:
+            arrays = self.arrays
+            indices = arrays["T_SIDX"].tolist()
+            optional = {
+                attr: [value if present else None for value, present
+                       in zip(arrays[name].tolist(), arrays[has])]
+                for name, has, attr in _OPTIONAL}
+            self._records = list(map(
+                DynamicInstruction, range(len(indices)), indices,
+                arrays["T_PC"].tolist(),
+                map(self.instructions.__getitem__, indices),
+                arrays["T_RS1"].tolist(), arrays["T_RS2"].tolist(),
+                optional["result"], optional["eff_addr"],
+                optional["store_value"],
+                [_TAKEN[code + 1] for code in arrays["T_TAKEN"]],
+                arrays["T_NPC"].tolist(), optional["target_pc"]))
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self.arrays["T_SIDX"])
+
+    def __reduce__(self):
+        """Pickle the columns as arrays (a ``memoryview`` does not pickle)."""
+        arrays = {name: array(TRACE_COLUMNS[name], column.tobytes())
+                  for name, column in self.arrays.items()}
+        return (TraceColumns, (self.instructions, arrays, self.memory_image,
+                               self.store_pages, self._records))
+
+    def __getitem__(self, index):
+        return self.records[index]
+
+    def __iter__(self):
+        return iter(self.records)
+
+
+def trace_records(trace: Sequence[DynamicInstruction]) -> list[DynamicInstruction]:
+    """``trace`` as a list of records (a column trace builds them once)."""
+    return trace.records if isinstance(trace, TraceColumns) else trace
+
+
+def trace_columns(trace: Sequence[DynamicInstruction]) -> TraceColumns:
+    """``trace`` as columns (a list of records is flattened)."""
+    if isinstance(trace, TraceColumns):
+        return trace
+    return TraceColumns.from_records(trace)
+
+
+def _mix_category(spec) -> str:
+    """The :class:`InstructionMix` counter one static instruction feeds."""
+    if spec.is_move:
+        return "moves"
+    if spec.is_reg_imm_add:
+        return "reg_imm_adds"
+    if spec.is_load:
+        return "loads"
+    if spec.is_store:
+        return "stores"
+    if spec.is_cond_branch:
+        return "branches"
+    if spec.is_call or spec.is_return:
+        return "calls_returns"
+    if spec.op_class.value in ("alu", "shift", "mul", "div"):
+        return "other_alu"
+    return "other"
+
+
+def mix_statistics(trace: Sequence[DynamicInstruction]) -> InstructionMix:
     """Compute the dynamic instruction mix of ``trace``.
 
     Moves and non-move register-immediate additions are counted separately
     (``mov`` is technically a register-immediate addition of zero, but the
-    paper reports them as distinct categories).
+    paper reports them as distinct categories).  Each static instruction
+    is classified once and weighted by how often it executed.
     """
     mix = InstructionMix(total=len(trace))
-    for dyn in trace:
-        instruction = dyn.instruction
-        spec = instruction.spec
-        if spec.is_move:
-            mix.moves += 1
-        elif spec.is_reg_imm_add:
-            mix.reg_imm_adds += 1
-        elif spec.is_load:
-            mix.loads += 1
-        elif spec.is_store:
-            mix.stores += 1
-        elif spec.is_cond_branch:
-            mix.branches += 1
-        elif spec.is_call or spec.is_return:
-            mix.calls_returns += 1
-        elif spec.op_class.value in ("alu", "shift", "mul", "div"):
-            mix.other_alu += 1
-        else:
-            mix.other += 1
+    if isinstance(trace, TraceColumns) and trace.instructions is not None:
+        instructions, indices = trace.instructions, trace.arrays["T_SIDX"]
+    else:
+        instructions = {dyn.index: dyn.instruction for dyn in trace}
+        indices = map(attrgetter("index"), trace)
+    for index, count in Counter(indices).items():
+        category = _mix_category(instructions[index].spec)
+        setattr(mix, category, getattr(mix, category) + count)
     return mix

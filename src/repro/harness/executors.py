@@ -350,7 +350,8 @@ def run_workload_block(
     program = functional = tables = None
     if misses:
         program = shared_program(workload, task.scale)
-        functional = FunctionalSimulator(program, task.max_instructions).run()
+        functional = FunctionalSimulator(program, task.max_instructions,
+                                         backend=task.backend).run()
         tables = TraceTables(program, functional.trace)
 
     machines = dict(task.machines)

@@ -604,11 +604,13 @@ def instruction_mix(
     suite: str = "specint",
     workloads: list[str] | None = None,
     scale: int = 1,
+    backend: str | None = None,
 ) -> ExperimentReport:
     """Dynamic fractions of moves and register-immediate additions (§2.3).
 
-    Runs only the (fast) functional simulator, so it takes no ``jobs``/
-    ``cache`` arguments.
+    Runs only the (fast) functional simulator, on ``backend`` (see
+    :class:`~repro.functional.simulator.FunctionalSimulator`), so it takes
+    no ``jobs``/``cache`` arguments.
     """
     names = _workload_list(suite, workloads)
     headers = ["benchmark", "moves", "reg-imm adds", "loads", "stores", "branches"]
@@ -619,7 +621,8 @@ def instruction_mix(
         from repro.workloads.base import get_workload
 
         workload = get_workload(entry) if isinstance(entry, str) else entry
-        result = FunctionalSimulator(shared_program(workload, scale), 2_000_000).run()
+        result = FunctionalSimulator(shared_program(workload, scale),
+                                     2_000_000, backend=backend).run()
         mix = mix_statistics(result.trace)
         values = [mix.move_fraction, mix.reg_imm_add_fraction, mix.load_fraction,
                   mix.store_fraction, mix.branch_fraction]
@@ -640,11 +643,13 @@ def instruction_mix(
 def _run_mix_experiment(suite, workloads=None, scale=1, jobs=None, cache=None,
                         executor=None, progress=None, cancel=None, backend=None,
                         **params):
-    """Registry adapter: the mix is functional-only, so it uses none of the
-    engine arguments (``jobs``/``cache``/``executor``/``progress``/
-    ``cancel``/``backend``); :meth:`repro.api.session.Session.run_experiment`
-    has already validated ``jobs`` and ``cache``."""
-    return instruction_mix(suite, workloads=workloads, scale=scale)
+    """Registry adapter: the mix is functional-only, so of the engine
+    arguments it uses only ``backend`` (``jobs``/``cache``/``executor``/
+    ``progress``/``cancel`` go unused);
+    :meth:`repro.api.session.Session.run_experiment` has already validated
+    ``jobs`` and ``cache``."""
+    return instruction_mix(suite, workloads=workloads, scale=scale,
+                           backend=backend)
 
 
 register_experiment(Experiment(

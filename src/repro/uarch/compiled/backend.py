@@ -95,7 +95,7 @@ class CompiledBackend(CycleLoopBackend):
             return
         sc_ptr = ctypes.cast(
             state.sc.buffer_info()[0], ctypes.POINTER(ctypes.c_int64))
-        code = kernel(sc_ptr, state.pt, state._pages_view)
+        code = kernel(sc_ptr, state.pt, state.pool.view)
         if code == ERR_OK:
             state.marshal_out(pipeline)
         else:

@@ -1,5 +1,9 @@
 """Toolchain discovery and cached compilation of the generated kernel.
 
+One shared object holds both entries of the translation unit:
+:func:`load_kernel` hands out the cycle loop (``repro_run``) and
+:func:`load_functional` the functional run (``repro_functional``).
+
 The kernel C source (:func:`repro.uarch.compiled.emit.kernel_source`) is
 compiled at most once per source digest: the shared object is cached under
 a digest-named path, so repeated processes (workers, test runs) reuse the
@@ -29,8 +33,8 @@ ENV_CACHE_DIR = "REPRO_KERNEL_CACHE"
 #: Compiler candidates, tried in order.
 _COMPILERS = ("cc", "gcc", "clang")
 
-#: Memoised load result: (tried, kernel function or None).
-_cached: list = [False, None]
+#: Memoised load result: [tried, repro_run or None, repro_functional or None].
+_cached: list = [False, None, None]
 
 
 def toolchain() -> str | None:
@@ -76,18 +80,13 @@ def _compile(cc: str, source: str, digest: str) -> str | None:
         return None
 
 
-def load_kernel():
-    """The compiled ``repro_run`` entry point, or None when unavailable.
-
-    The result is memoised for the process (including the None case), so
-    the cost of a missing toolchain is one ``shutil.which`` scan.
-    """
-    if _cached[0]:
-        return _cached[1]
+def _load() -> None:
+    """Compile (once per source digest) and load both entries into
+    :data:`_cached`; either stays None when anything fails."""
     _cached[0] = True
     cc = toolchain()
     if cc is None:
-        return None
+        return
     try:
         from repro.uarch.compiled.emit import kernel_source
 
@@ -95,22 +94,40 @@ def load_kernel():
         digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:20]
         so_path = _compile(cc, source, digest)
         if so_path is None:
-            return None
+            return
         library = ctypes.CDLL(so_path)
-        kernel = library.repro_run
-        kernel.argtypes = [
-            ctypes.POINTER(ctypes.c_int64),
-            ctypes.POINTER(ctypes.c_void_p),
-            ctypes.POINTER(ctypes.c_ubyte),
-        ]
-        kernel.restype = ctypes.c_int64
-        _cached[1] = kernel
+        entries = (library.repro_run, library.repro_functional)
+        for entry in entries:
+            entry.argtypes = [
+                ctypes.POINTER(ctypes.c_int64),
+                ctypes.POINTER(ctypes.c_void_p),
+                ctypes.POINTER(ctypes.c_ubyte),
+            ]
+            entry.restype = ctypes.c_int64
+        _cached[1:] = entries
     except Exception:
-        _cached[1] = None
+        _cached[1:] = [None, None]
+
+
+def load_kernel():
+    """The compiled ``repro_run`` entry point, or None when unavailable.
+
+    The result is memoised for the process (including the None case), so
+    the cost of a missing toolchain is one ``shutil.which`` scan.
+    """
+    if not _cached[0]:
+        _load()
     return _cached[1]
+
+
+def load_functional():
+    """The compiled ``repro_functional`` entry point, or None when
+    unavailable (memoised with :func:`load_kernel`)."""
+    if not _cached[0]:
+        _load()
+    return _cached[2]
 
 
 def reset_cache() -> None:
     """Forget the memoised load result (tests toggle REPRO_NO_CC)."""
-    _cached[0] = False
-    _cached[1] = None
+    _cached[:] = [False, None, None]

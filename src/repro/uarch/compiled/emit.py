@@ -14,20 +14,34 @@ This module is the single source of truth for the compiled kernel's ABI:
   marshalled — see each entry's justification below).
 * :func:`kernel_source` returns the complete C translation unit: a
   generated prelude of index/constant defines followed by the
-  hand-written kernel, a cycle-exact port of
-  :meth:`repro.uarch.core.Pipeline._run_cycles`.
+  hand-written code, which exports two entries over the same two blocks:
 
-The kernel never mutates Python state and never allocates: every buffer
-is provided by :mod:`repro.uarch.compiled.marshal`.  On any error it
+  - ``repro_run``, a cycle-exact port of
+    :meth:`repro.uarch.core.Pipeline._run_cycles`;
+  - ``repro_functional``, a port of the functional simulator's
+    interpreter (:class:`repro.functional.simulator.FunctionalSimulator`)
+    that writes the trace straight into the ``T_*`` columns
+    (:data:`repro.functional.trace.TRACE_COLUMNS`).
+
+Neither entry mutates Python state or allocates: every buffer is provided
+by :mod:`repro.uarch.compiled.marshal` or
+:mod:`repro.uarch.compiled.functional`.  On any error ``repro_run``
 returns a nonzero code *without* side effects visible to Python, so the
 backend can replay the slice through the reference loop to reproduce the
 exact Python behaviour (including exception messages).
+``repro_functional`` is resumable instead: it returns :data:`FN_NEED_PAGE`
+or :data:`FN_FULL` when the page pool or the columns must grow, and the
+caller grows them and calls it again; :data:`FN_FAIL` (instruction budget
+spent, pc outside the code segment, an instruction it cannot run) makes
+the caller rerun the program on the python interpreter, which raises the
+reference's exception.
 """
 
 from __future__ import annotations
 
 import zlib
 
+from repro.functional.trace import TRACE_COLUMNS
 from repro.isa.opcodes import Opcode, OpClass, spec_for
 
 #: Stable opcode numbering used by the kernel (position in declaration order).
@@ -73,6 +87,29 @@ ERR_BRANCH_DIR = 4
 ERR_VALUE_CHECK = 5
 ERR_INTERNAL = 6
 
+#: ``repro_functional`` return codes.  Only :data:`FN_OK` (the program
+#: halted) ends a run; the caller answers :data:`FN_NEED_PAGE` (a store
+#: needs page ``F_PAGE``, absent from the pool) and :data:`FN_FULL` (the
+#: columns hold ``F_CAP`` records) by growing the buffers and calling
+#: again, and :data:`FN_FAIL` by rerunning on the python interpreter.
+FN_OK = 0
+FN_NEED_PAGE = 1
+FN_FULL = 2
+FN_FAIL = 3
+
+#: Functional kinds of the ``F_KIND`` column (how ``repro_functional``
+#: executes a static instruction); :data:`FK_UNSUPPORTED` makes it fail.
+FK_UNSUPPORTED = -1
+FK_ALU = 0
+FK_LOAD = 1
+FK_STORE = 2
+FK_BRANCH = 3
+FK_JUMP = 4
+FK_CALL = 5
+FK_RET = 6
+FK_NONE = 7
+FK_HALT = 8
+
 #: Scalar block layout (``int64_t *sc``).  Three groups: static geometry
 #: and configuration, loop cursors (read and written), and statistics
 #: (D_* are deltas seeded with zero, the rest absolute values seeded from
@@ -115,6 +152,10 @@ SCALARS: tuple[str, ...] = (
     "RN_IT_VALMIS",
     "ITC_LOOKUPS", "ITC_HITS", "ITC_INS", "ITC_INVAL",
     "RC_MAXOBS", "RC_ALLOCS", "RC_SHARES", "SS_TRAINED",
+    # -- functional run (repro_functional; NPOOL/PH_MASK as above) -----
+    # Cursors (pc, records written), the instruction budget, the code
+    # length, the column capacity, and the page a store is missing.
+    "F_PC", "F_SEQ", "F_BUDGET", "F_NCODE", "F_CAP", "F_PAGE",
 )
 
 SC: dict[str, int] = {name: i for i, name in enumerate(SCALARS)}
@@ -161,9 +202,8 @@ POINTERS: tuple[str, ...] = (
     "SSIT", "VIO_LOG",
     # -- memory page pool ---------------------------------------------
     "PAGE_NUM", "PAGE_DIRTY", "PH_KEY", "PH_VAL",
-    # -- trace arrays (static per pipeline) ---------------------------
-    "T_PC", "T_SIDX", "T_RES", "T_RHAS", "T_EFF", "T_SV", "T_SVHAS",
-    "T_RS1", "T_RS1HAS", "T_TAKEN", "T_TGT", "T_THAS",
+    # -- trace columns (read by repro_run, written by repro_functional)
+    *TRACE_COLUMNS,
     # -- decoded-op arrays (static per program) -----------------------
     "S_FLAGS", "S_CLASS", "S_LAT", "S_MEMB", "S_DEST", "S_IMM", "S_OPC",
     "S_FOLD", "S_MMASK", "S_NSRC", "S_SRC0", "S_SRC1",
@@ -172,6 +212,10 @@ POINTERS: tuple[str, ...] = (
     # -- occupancy histograms (1-element dummies when record_stats off)
     "OC_ROB", "OC_IQ", "OC_PRF", "OC_SQ", "OC_LQ", "OC_READY",
     "OC_ISSUED", "OC_CLASS", "OC_STALL",
+    # -- functional run: the register file, and per static instruction
+    #    its FK_* kind, the registers it reads (-1: reads 0), the
+    #    register it writes (-1: none) and its control target pc ------
+    "F_REGS", "F_KIND", "F_RS1", "F_RS2", "F_RD", "F_TGT",
     # -- timing records (output only, indexed by seq, one entry per
     #    trace record; 1-element dummies when TIMING is 0) -------------
     "TR_DISPATCH", "TR_ISSUE", "TR_COMPLETE", "TR_RETIRE", "TR_DCACHE",
@@ -223,6 +267,7 @@ def _prelude() -> str:
         DF_COND_BRANCH, DF_CONTROL, DF_IT_ALU, DF_LOAD, DF_MEM_SIGNED,
         DF_MOVE, DF_NO_EXECUTE, DF_REG_IMM_ADD, DF_STORE,
     )
+    from repro.isa.program import CODE_BASE, INSTRUCTION_BYTES
 
     lines = ["/* Generated prelude -- do not edit; see repro.uarch."
              "compiled.emit */"]
@@ -244,6 +289,12 @@ def _prelude() -> str:
         "ERR_MAX_CYCLES": ERR_MAX_CYCLES, "ERR_LOAD_ADDR": ERR_LOAD_ADDR,
         "ERR_STORE_ADDR": ERR_STORE_ADDR, "ERR_BRANCH_DIR": ERR_BRANCH_DIR,
         "ERR_VALUE_CHECK": ERR_VALUE_CHECK, "ERR_INTERNAL": ERR_INTERNAL,
+        "FN_OK": FN_OK, "FN_NEED_PAGE": FN_NEED_PAGE, "FN_FULL": FN_FULL,
+        "FN_FAIL": FN_FAIL,
+        "FK_ALU": FK_ALU, "FK_LOAD": FK_LOAD, "FK_STORE": FK_STORE,
+        "FK_BRANCH": FK_BRANCH, "FK_JUMP": FK_JUMP, "FK_CALL": FK_CALL,
+        "FK_RET": FK_RET, "FK_NONE": FK_NONE, "FK_HALT": FK_HALT,
+        "CODE_BASE": CODE_BASE, "INSTRUCTION_BYTES": INSTRUCTION_BYTES,
     }
     for name, value in consts.items():
         lines.append(f"#define {name} {value}")
@@ -251,7 +302,7 @@ def _prelude() -> str:
 
 
 def kernel_source() -> str:
-    """The complete C translation unit for the compiled cycle loop."""
+    """The complete C translation unit: both entries and their prelude."""
     return _prelude() + _KERNEL
 
 
@@ -1795,5 +1846,117 @@ _KERNEL += r"""
     SC(STALL_REASON) = stall_reason;
     SC(IQ_COUNT) = iq_count;
     return ERR_OK;
+}
+"""
+
+_KERNEL += r"""
+/* ---------------- the functional run ---------------- */
+
+/* Port of FunctionalSimulator's interpreter.  Executes from pc F_PC with
+ * the registers in F_REGS and the memory in the page pool, writing record
+ * F_SEQ onward into the T_* columns.  Every cursor lives in the blocks, so
+ * after FN_NEED_PAGE or FN_FULL the caller grows the pool or the columns
+ * and calls again: an instruction that returns early has changed nothing
+ * (a store checks both of its pages before writing a byte).  FN_FAIL
+ * leaves the rerun to the python interpreter: the budget is spent, the pc
+ * left the code segment, an access wraps past 2**64 (python's memory does
+ * not wrap there), or the instruction is FK_UNSUPPORTED. */
+__attribute__((visibility("default")))
+i64 repro_functional(i64 *sc_blk, i64 **pt_blk, uint8_t *pages_blk) {
+    Ctx ctx = { sc_blk, pt_blk, pages_blk };
+    Ctx *c = &ctx;
+    u64 *regs = (u64 *)P(F_REGS);
+    const i64 *kind = P(F_KIND), *src1 = P(F_RS1), *src2 = P(F_RS2);
+    const i64 *dest = P(F_RD), *target = P(F_TGT);
+    const i64 *opc = P(S_OPC), *imm = P(S_IMM), *memb = P(S_MEMB);
+    const i64 *flags = P(S_FLAGS), *branch_kind = P(O_BRANCH);
+    i64 *t_pc = P(T_PC), *t_sidx = P(T_SIDX), *t_rs1 = P(T_RS1);
+    i64 *t_rs1has = P(T_RS1HAS), *t_rs2 = P(T_RS2), *t_res = P(T_RES);
+    i64 *t_rhas = P(T_RHAS), *t_eff = P(T_EFF), *t_ehas = P(T_EHAS);
+    i64 *t_sv = P(T_SV), *t_svhas = P(T_SVHAS), *t_taken = P(T_TAKEN);
+    i64 *t_npc = P(T_NPC), *t_tgt = P(T_TGT), *t_thas = P(T_THAS);
+    const i64 budget = SC(F_BUDGET), ncode = SC(F_NCODE), cap = SC(F_CAP);
+    u64 pc = (u64)SC(F_PC);
+    i64 seq = SC(F_SEQ);
+    i64 code;
+
+    for (;;) {
+        if (seq >= budget
+            || pc < CODE_BASE
+            || (pc - CODE_BASE) / INSTRUCTION_BYTES >= (u64)ncode) {
+            code = FN_FAIL;
+            break;
+        }
+        if (seq >= cap) { code = FN_FULL; break; }
+        i64 sidx = (i64)((pc - CODE_BASE) / INSTRUCTION_BYTES);
+        i64 k = kind[sidx];
+        u64 a = src1[sidx] < 0 ? 0 : regs[src1[sidx]];
+        u64 b = src2[sidx] < 0 ? 0 : regs[src2[sidx]];
+        u64 fall = pc + INSTRUCTION_BYTES, next = fall;
+        u64 res = 0, eff = 0, tgt = 0;
+        i64 rhas = 0, ehas = 0, taken = -1;
+        if (k == FK_ALU) {
+            res = alu_eval_c(opc[sidx], a, b, imm[sidx]);
+            rhas = 1;
+        } else if (k == FK_LOAD || k == FK_STORE) {
+            i64 mb = memb[sidx];
+            eff = a + (u64)imm[sidx];
+            ehas = 1;
+            if (eff > ~(u64)0 - (u64)(mb - 1)) { code = FN_FAIL; break; }
+            if (k == FK_LOAD) {
+                u64 raw = mem_read(c, eff, mb);
+                res = (flags[sidx] & DF_MEM_SIGNED)
+                    ? sextb(raw, (int)(8 * mb)) : raw;
+                rhas = 1;
+            } else {
+                i64 first = (i64)(eff >> 12);
+                i64 last = (i64)((eff + (u64)(mb - 1)) >> 12);
+                i64 missing = pool_find(c, first) < 0 ? first
+                    : pool_find(c, last) < 0 ? last : -1;
+                if (missing >= 0) {
+                    SC(F_PAGE) = missing;
+                    code = FN_NEED_PAGE;
+                    break;
+                }
+                mem_write(c, eff, mb, b);
+            }
+        } else if (k == FK_BRANCH) {
+            taken = branch_taken_c(branch_kind[opc[sidx]], a);
+            tgt = (u64)target[sidx];
+            next = taken ? tgt : fall;
+        } else if (k == FK_JUMP || k == FK_CALL) {
+            taken = 1;
+            tgt = next = (u64)target[sidx];
+            if (k == FK_CALL) { res = fall; rhas = 1; }
+        } else if (k == FK_RET) {
+            taken = 1;
+            tgt = next = a;
+        } else if (k != FK_NONE && k != FK_HALT) {
+            code = FN_FAIL;
+            break;
+        }
+        if (rhas && dest[sidx] >= 0) regs[dest[sidx]] = res;
+        t_pc[seq] = (i64)pc;
+        t_sidx[seq] = sidx;
+        t_rs1[seq] = (i64)a;
+        t_rs1has[seq] = 1;
+        t_rs2[seq] = (i64)b;
+        t_res[seq] = (i64)res;
+        t_rhas[seq] = rhas;
+        t_eff[seq] = (i64)eff;
+        t_ehas[seq] = ehas;
+        t_sv[seq] = k == FK_STORE ? (i64)b : 0;
+        t_svhas[seq] = k == FK_STORE;
+        t_taken[seq] = taken;
+        t_npc[seq] = (i64)next;
+        t_tgt[seq] = (i64)tgt;
+        t_thas[seq] = taken >= 0;
+        seq++;
+        if (k == FK_HALT) { code = FN_OK; break; }
+        pc = next;
+    }
+    SC(F_PC) = (i64)pc;
+    SC(F_SEQ) = seq;
+    return code;
 }
 """

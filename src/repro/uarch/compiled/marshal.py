@@ -2,8 +2,9 @@
 and the compiled kernel's flat int64 ABI.
 
 The static columns — the dynamic trace, the decoded-op tables and the
-per-opcode tables — are flattened once per trace into a
-:class:`KernelTables` that every pipeline replaying that trace shares.
+per-opcode tables — are gathered once per trace into a
+:class:`KernelTables` that every pipeline replaying that trace shares
+(a trace from the compiled functional run already is columns).
 One :class:`KernelState` is built per pipeline (cached by the backend in a
 ``WeakKeyDictionary``): it registers pointers to the shared columns, writes
 the machine geometry and allocates every dynamic buffer once, so a
@@ -33,13 +34,14 @@ import ctypes
 import functools
 from array import array
 from itertools import compress
-from operator import attrgetter
 
 from repro.core.integration import IntegrationEntry
 from repro.core.maptable import Mapping
+from repro.functional.trace import trace_columns
 from repro.isa.instruction import DF_CONTROL, DF_LOAD, DF_STORE
 from repro.uarch.compiled import emit
 from repro.uarch.compiled.emit import PT, POINTERS, SC, SCALARS, VALUE_TO_ID
+from repro.uarch.compiled.pages import PagePool, fill_neg1, fill_zero
 from repro.uarch.inflight import TimingRecord
 from repro.uarch.lsq import StoreQueueEntry
 from repro.uarch.rename import RenameResult
@@ -50,9 +52,6 @@ _RN_SCALARS = (
     "RN_DEP_BLOCKS", "RN_IT_LOOKUPS", "RN_IT_HITS", "RN_IT_INS",
     "RN_IT_VALMIS",
 )
-
-#: Unsigned-64 mask (python ints are unbounded; the ABI is 64-bit).
-M64 = (1 << 64) - 1
 
 #: Wakeup-ring size exponent.  The ring must give every outstanding wakeup
 #: cycle a distinct slot; pending ready cycles span at most one worst-case
@@ -123,21 +122,13 @@ class MarshalError(Exception):
     """
 
 
-def _pool_hash(page: int, mask: int) -> int:
-    """The kernel's page-pool hash (must match ``pool_find`` exactly)."""
-    return (((page * 0x9E3779B97F4A7C15) & M64) >> 40) & mask
-
-
-def _fill_neg1(arr: array) -> None:
-    """Set every element of an int64 array to -1 (byte pattern 0xFF)."""
-    address, length = arr.buffer_info()
-    ctypes.memset(address, 0xFF, length * arr.itemsize)
-
-
-def _fill_zero(arr: array) -> None:
-    """Zero an array in one memset."""
-    address, length = arr.buffer_info()
-    ctypes.memset(address, 0, length * arr.itemsize)
+def address_of(column) -> int:
+    """The address of an ABI column: an ``array``, or any other writable
+    buffer (a compiled functional run's trace columns are ``memoryview``s
+    over memory maps)."""
+    if isinstance(column, array):
+        return column.buffer_info()[0]
+    return ctypes.addressof(ctypes.c_char.from_buffer(column))
 
 
 def _occupied(sets: list[list], lens: array) -> list[int]:
@@ -151,13 +142,30 @@ def _occupied(sets: list[list], lens: array) -> list[int]:
 
 
 @functools.cache
-def _opcode_columns() -> dict[str, array]:
+def opcode_columns() -> dict[str, array]:
     """The ``O_*`` per-opcode columns (constant: built once per process)."""
     tables = emit.opcode_tables()
     return {name: array("q", tables[key])
             for name, key in (("O_CRC", "crc"), ("O_FUSECAT", "fusecat"),
                               ("O_S2L", "s2l"), ("O_BRANCH", "branch"),
                               ("O_CTL", "ctl"))}
+
+
+def static_columns(decoded: list[tuple]) -> dict[str, array]:
+    """The ``S_*`` columns (one entry per static instruction) of a
+    decoded-op table (:func:`repro.isa.instruction.decode_program`)."""
+    arrays = {name: array("q", [op[field] for op in decoded])
+              for name, field in (("S_FLAGS", 0), ("S_CLASS", 1),
+                                  ("S_LAT", 2), ("S_MEMB", 3), ("S_DEST", 4),
+                                  ("S_IMM", 5), ("S_FOLD", 7))}
+    arrays["S_OPC"] = array("q", [emit.OP_ID[op[6]] for op in decoded])
+    arrays["S_MMASK"] = array("Q", [op[8] for op in decoded])
+    arrays["S_NSRC"] = array("q", [len(op[9]) for op in decoded])
+    arrays["S_SRC0"] = array("q", [op[9][0] if op[9] else 0
+                                   for op in decoded])
+    arrays["S_SRC1"] = array("q", [op[9][1] if len(op[9]) > 1 else 0
+                                   for op in decoded])
+    return arrays
 
 
 class KernelTables:
@@ -171,68 +179,18 @@ class KernelTables:
 
     Attributes:
         arrays: Pointer-block name -> array for every ``T_*``, ``S_*`` and
-            ``O_*`` member.
+            ``O_*`` member (the ``T_*`` arrays are the trace's own columns).
         store_pages: Every page any store in the trace can create or
             dirty, so each marshal-in can build a page pool covering all
             pages the kernel might write, including straddles.
     """
 
     def __init__(self, tables):
-        """Flatten the trace, decoded-op and per-opcode tables."""
-        trace = tables.trace
-        total = len(trace)
-
-        def column(attr):
-            return list(map(attrgetter(attr), trace))
-
-        def present(values):
-            return array("q", [value is not None for value in values])
-
-        def or_zero(values):
-            return array("Q", [0 if value is None else value
-                               for value in values])
-
-        results = column("result")
-        eff_addrs = column("eff_addr")
-        store_values = column("store_value")
-        targets = column("target_pc")
-        arrays = {
-            "T_PC": array("Q", column("pc")),
-            "T_SIDX": array("q", column("index")),
-            "T_RES": or_zero(results), "T_RHAS": present(results),
-            "T_EFF": or_zero(eff_addrs),
-            "T_SV": or_zero(store_values), "T_SVHAS": present(store_values),
-            "T_RS1": array("Q", column("rs1_value")),
-            # rs1_value is always materialised in the trace (default 0), so
-            # the has-flag is constant 1; kept as an array for ABI
-            # uniformity.
-            "T_RS1HAS": array("q", (1,) * total),
-            "T_TAKEN": array("q", [-1 if taken is None else int(taken)
-                                   for taken in column("taken")]),
-            "T_TGT": or_zero(targets), "T_THAS": present(targets),
-        }
-
-        decoded = tables.decoded
-        for name, field in (("S_FLAGS", 0), ("S_CLASS", 1), ("S_LAT", 2),
-                            ("S_MEMB", 3), ("S_DEST", 4), ("S_IMM", 5),
-                            ("S_FOLD", 7)):
-            arrays[name] = array("q", [op[field] for op in decoded])
-        arrays["S_OPC"] = array("q", [emit.OP_ID[op[6]] for op in decoded])
-        arrays["S_MMASK"] = array("Q", [op[8] for op in decoded])
-        arrays["S_NSRC"] = array("q", [len(op[9]) for op in decoded])
-        arrays["S_SRC0"] = array("q", [op[9][0] if op[9] else 0
-                                       for op in decoded])
-        arrays["S_SRC1"] = array("q", [op[9][1] if len(op[9]) > 1 else 0
-                                       for op in decoded])
-        arrays.update(_opcode_columns())
-        self.arrays = arrays
-
-        pages = set()
-        for op, eff_addr in zip(tables.trace_ops, eff_addrs):
-            if op[0] & DF_STORE:
-                pages.add(eff_addr >> 12)
-                pages.add((eff_addr + op[3] - 1) >> 12)
-        self.store_pages = frozenset(pages)
+        """Adopt the trace columns; build the decoded-op and per-opcode ones."""
+        columns = trace_columns(tables.trace)
+        self.arrays = {**columns.arrays, **static_columns(tables.decoded),
+                       **opcode_columns()}
+        self.store_pages = columns.store_pages
         self._decoded = tables.decoded
 
     @functools.cached_property
@@ -318,10 +276,7 @@ class KernelState:
         self._static = static
         self._alloc_dynamic(config)
         self._seed_geometry(pipeline)
-        # Page-pool buffers grow on demand (see _ensure_pages).
-        self._page_capacity = 0
-        self._pages_buf = b""
-        self._pages_view = None
+        self.pool = PagePool()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -337,7 +292,7 @@ class KernelState:
         """(Re)write every pointer-block slot from the arrays' buffers."""
         pt = self.pt
         for name, index in PT.items():
-            pt[index] = self.arr[name].buffer_info()[0]
+            pt[index] = address_of(self.arr[name])
 
     def _alloc_dynamic(self, config) -> None:
         """Allocate every live-state buffer once (addresses stay stable)."""
@@ -420,8 +375,8 @@ class KernelState:
         self._new("PREG_WRITER", "q", np_ if timing else 1)
         for name in _TR_COLUMNS:
             self._new(name, "q", self.total if timing else 1)
-        # Page-pool members get placeholders; _ensure_pages re-registers.
-        for name in ("PAGE_NUM", "PAGE_DIRTY", "PH_KEY", "PH_VAL"):
+        # The functional run's members (marshal-in registers the pool's).
+        for name in ("F_REGS", "F_KIND", "F_RS1", "F_RS2", "F_RD", "F_TGT"):
             self._new(name, "q", 1)
 
     def _seed_geometry(self, pipeline) -> None:
@@ -489,23 +444,6 @@ class KernelState:
         put("WK_MASK", self.wk_mask)
         put("HEAP_CAP", self.node_cap)
         put("VIO_CAP", self.vio_cap)
-
-    def _ensure_pages(self, npool: int) -> None:
-        """Size the page-pool buffers for ``npool`` pages (grow-only)."""
-        if npool <= self._page_capacity:
-            return
-        capacity = max(16, npool * 2)
-        self._page_capacity = capacity
-        self.arr["PAGE_NUM"] = array("q", bytes(8 * capacity))
-        self.arr["PAGE_DIRTY"] = array("q", bytes(8 * capacity))
-        table = 1
-        while table < 2 * capacity + 2:
-            table <<= 1
-        self.arr["PH_KEY"] = array("q", bytes(8 * table))
-        self.arr["PH_VAL"] = array("q", bytes(8 * table))
-        buf = bytearray(capacity * 4096)
-        self._pages_buf = buf
-        self._pages_view = (ctypes.c_ubyte * len(buf)).from_buffer(buf)
 
     # ------------------------------------------------------------------
     # Marshal in (read-only with respect to the pipeline)
@@ -599,8 +537,8 @@ class KernelState:
             node_next[last] = -1
             return head, last
 
-        _fill_neg1(a["WT_HEAD"])
-        _fill_neg1(a["WT_TAIL"])
+        fill_neg1(a["WT_HEAD"])
+        fill_neg1(a["WT_TAIL"])
         wt_head, wt_tail = a["WT_HEAD"], a["WT_TAIL"]
         for preg, seqs in iq._waiters.items():
             if not seqs:
@@ -609,7 +547,7 @@ class KernelState:
             wt_head[preg] = head
             wt_tail[preg] = tail
 
-        _fill_neg1(a["WK_CYCLE"])
+        fill_neg1(a["WK_CYCLE"])
         wk_cycle, wk_head, wk_tail = a["WK_CYCLE"], a["WK_HEAD"], a["WK_TAIL"]
         for ready_cycle, seqs in iq._wakeups.items():
             index = ready_cycle & self.wk_mask
@@ -660,7 +598,7 @@ class KernelState:
         btb_tag, btb_tgt, btb_thas = a["BTB_TAG"], a["BTB_TGT"], a["BTB_THAS"]
         btb_sets = branch.btb._sets
         btb_len = a["BTB_LEN"]
-        _fill_zero(btb_len)
+        fill_zero(btb_len)
         assoc = self.btb_assoc
         for set_index in compress(range(len(btb_sets)), btb_sets):
             ways = btb_sets[set_index]
@@ -682,7 +620,7 @@ class KernelState:
         for short, cache, cfg in self._cache_map(pipeline):
             tags, lens = a[f"CT_{short}"], a[f"CL_{short}"]
             sets = cache._sets
-            _fill_zero(lens)
+            fill_zero(lens)
             cassoc = cfg.associativity
             for set_index in compress(range(len(sets)), sets):
                 ways = sets[set_index]
@@ -745,7 +683,7 @@ class KernelState:
         a["W_ISSUE"][:] = array("q", window.issue_cycle)
         a["W_RETIRE"][:] = array("q", window.retire_cycle)
         writer = a["PREG_WRITER"]
-        _fill_neg1(writer)
+        fill_neg1(writer)
         for preg, seq in pipeline._preg_writer.items():
             writer[preg] = seq
         producers = pipeline._producers
@@ -828,8 +766,8 @@ class KernelState:
                 orig_a[j] = _ORIGIN_IDS[entry.origin]
                 val_a[j] = 0 if entry.value is None else entry.value
                 vhas_a[j] = 0 if entry.value is None else 1
-        _fill_zero(a["IT_PBITS"])
-        _fill_zero(a["IT_PHAS"])
+        fill_zero(a["IT_PBITS"])
+        fill_zero(a["IT_PHAS"])
         pbits, phas = a["IT_PBITS"], a["IT_PHAS"]
         pbw = self.it_pbw
         for preg, indices in table._preg_index.items():
@@ -848,29 +786,12 @@ class KernelState:
         The pool covers every already-materialised page plus every page any
         trace store can touch, so the kernel never needs to allocate.
         """
-        sc = self.sc
         pages = pipeline.memory._pages
-        pool = sorted(set(pages) | self._store_pages)
-        self._ensure_pages(len(pool))
-        a = self.arr
-        page_num, ph_key, ph_val = a["PAGE_NUM"], a["PH_KEY"], a["PH_VAL"]
-        _fill_neg1(ph_key)
-        _fill_zero(a["PAGE_DIRTY"])
-        mask = len(ph_key) - 1
-        buf = self._pages_buf
-        zero_page = bytes(4096)
-        for i, page in enumerate(pool):
-            offset = i * 4096
-            data = pages.get(page)
-            buf[offset:offset + 4096] = zero_page if data is None else data
-            page_num[i] = page
-            h = _pool_hash(page, mask)
-            while ph_key[h] != -1:
-                h = (h + 1) & mask
-            ph_key[h] = page
-            ph_val[h] = i
-        sc[SC["NPOOL"]] = len(pool)
-        sc[SC["PH_MASK"]] = mask
+        pool = self.pool
+        pool.load(sorted(set(pages) | self._store_pages), pages)
+        self.arr.update(pool.arrays)
+        self.sc[SC["NPOOL"]] = pool.count
+        self.sc[SC["PH_MASK"]] = pool.mask
 
     # ------------------------------------------------------------------
     # Marshal out (only after the kernel returns ERR_OK)
@@ -1121,15 +1042,11 @@ class KernelState:
         # -- memory page write-back ------------------------------------
         pages = pipeline.memory._pages
         page_num, page_dirty = a["PAGE_NUM"], a["PAGE_DIRTY"]
-        buf = self._pages_buf
-        for i in range(sc[SC["NPOOL"]]):
-            if not page_dirty[i]:
-                continue
-            page = page_num[i]
-            data = buf[i * 4096:(i + 1) * 4096]
-            existing = pages.get(page)
+        for i in compress(range(self.pool.count), page_dirty):
+            data = self.pool.page(i)
+            existing = pages.get(page_num[i])
             if existing is None:
-                pages[page] = bytearray(data)
+                pages[page_num[i]] = bytearray(data)
             else:
                 existing[:] = data
 

@@ -45,11 +45,12 @@ from __future__ import annotations
 import copy
 import gc
 from bisect import insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from repro.functional.memory import Memory
-from repro.functional.trace import DynamicInstruction
+from repro.functional.trace import DynamicInstruction, trace_records
 from repro.isa.instruction import (
     CLASS_LOAD,
     CLASS_STORE,
@@ -145,7 +146,7 @@ class Pipeline:
     def __init__(
         self,
         program: Program,
-        trace: list[DynamicInstruction],
+        trace: Sequence[DynamicInstruction],
         config: MachineConfig | None = None,
         renamer: Renamer | None = None,
         collect_timing: bool = False,
@@ -569,7 +570,7 @@ class Pipeline:
         prf_ready = self._prf_ready
         sched_latency = self._sched_latency
         front_end_depth = self._front_end_depth
-        trace = self.trace
+        trace = trace_records(self.trace)
         trace_ops = self._trace_ops
         commit_width = self._commit_width
         retire_dcache_ports = self._retire_dcache_ports

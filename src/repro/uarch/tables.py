@@ -5,10 +5,14 @@ RENO configurations.  Everything a pipeline derives from the program and
 the trace alone is the same for every cell of that block:
 
 * per program: the decoded-op cache (:func:`repro.isa.instruction.decode_program`)
-  and the initial-memory page image (:func:`repro.functional.memory.page_image`);
-* per trace: the decoded op of every trace record and, for the compiled
-  backend, the kernel's trace and decoded-op columns
-  (:class:`repro.uarch.compiled.marshal.KernelTables`, built on first use).
+  and the initial-memory page image (:func:`repro.functional.memory.page_image`;
+  a trace from the compiled functional run carries the image it started
+  from, so the block builds it once);
+* per trace: the decoded op of every trace record (one ``map`` over the
+  ``T_SIDX`` column of a column trace) and, for the compiled backend, the
+  kernel's trace and decoded-op columns
+  (:class:`repro.uarch.compiled.marshal.KernelTables`, built on first use;
+  it adopts a column trace's columns instead of copying them).
 
 :class:`TraceTables` builds these once, and every pipeline of the block
 shares them.  Sharing is safe because nothing writes them: pipelines only
@@ -22,10 +26,11 @@ the trace — and no outcome refers to them.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import attrgetter
 
 from repro.functional.memory import page_image
-from repro.functional.trace import DynamicInstruction
+from repro.functional.trace import DynamicInstruction, TraceColumns
 from repro.isa.instruction import decode_program
 from repro.isa.program import Program
 
@@ -46,12 +51,17 @@ class TraceTables:
     __slots__ = ("program", "trace", "decoded", "trace_ops",
                  "memory_image", "kernel")
 
-    def __init__(self, program: Program, trace: list[DynamicInstruction]):
+    def __init__(self, program: Program,
+                 trace: Sequence[DynamicInstruction]):
         """Derive every table a pipeline needs from ``program`` and ``trace``."""
         self.program = program
         self.trace = trace
         self.decoded = decode_program(program.instructions)
-        self.trace_ops = list(map(self.decoded.__getitem__,
-                                  map(attrgetter("index"), trace)))
-        self.memory_image = page_image(program.initial_memory)
+        if isinstance(trace, TraceColumns):
+            indices, image = trace.arrays["T_SIDX"], trace.memory_image
+        else:
+            indices, image = map(attrgetter("index"), trace), None
+        self.trace_ops = list(map(self.decoded.__getitem__, indices))
+        self.memory_image = (page_image(program.initial_memory)
+                             if image is None else image)
         self.kernel = None

@@ -28,8 +28,9 @@ from enum import Enum
 import pytest
 from test_scheduler_equivalence import random_program
 
-from repro.core import RenoConfig, RenoRenamer
+from repro.core import RenoConfig, RenoRenamer, simulate
 from repro.functional.simulator import FunctionalSimulator
+from repro.functional.trace import TraceColumns
 from repro.uarch import backend as backend_module
 from repro.uarch.backend import backend_names, get_backend, resolve_backend
 from repro.uarch.compiled import build
@@ -96,22 +97,31 @@ def assert_timing_records_identical(compiled, python):
 
 @pytest.fixture
 def no_silent_replays(monkeypatch):
-    """Fail the test when a compiled pipeline runs a slice on the python loop.
+    """Fail the test when compiled work falls back to the python reference.
 
     The compiled backend replays any slice it cannot finish (unsupported
     pipeline, marshal error, nonzero kernel return) through
-    ``Pipeline._run_cycles``, and the replay produces the reference's
-    results — so without this guard an equivalence test would pass while
-    the kernel never ran.
+    ``Pipeline._run_cycles``, and a compiled functional run it cannot
+    finish through ``FunctionalSimulator._interpret``; each replay produces
+    the reference's results — so without this guard an equivalence test
+    would pass while the kernel never ran.
     """
     reference_loop = Pipeline._run_cycles
+    reference_interpreter = FunctionalSimulator._interpret
 
     def guarded(pipeline, stop_cycle=None):
         if pipeline.backend_name == "compiled":
             pytest.fail("a compiled slice fell back to Pipeline._run_cycles")
         return reference_loop(pipeline, stop_cycle)
 
+    def guarded_interpreter(simulator, record_trace):
+        if simulator.backend == "compiled":
+            pytest.fail("a compiled functional run fell back to "
+                        "FunctionalSimulator._interpret")
+        return reference_interpreter(simulator, record_trace)
+
     monkeypatch.setattr(Pipeline, "_run_cycles", guarded)
+    monkeypatch.setattr(FunctionalSimulator, "_interpret", guarded_interpreter)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +388,29 @@ def test_requested_compiled_degrades_silently_without_toolchain(monkeypatch):
     finally:
         monkeypatch.delenv("REPRO_NO_CC")
         build.reset_cache()
+
+
+@pytest.mark.usefixtures("no_silent_replays")
+@needs_compiled
+@pytest.mark.parametrize("config_name", list(CONFIGS))
+def test_compiled_simulate_runs_no_python(config_name):
+    """``simulate(backend="compiled")`` runs the functional simulation and
+    the cycle loop in C, and matches the all-python run."""
+    program = random_program(SEEDS[1], length=200).assemble()
+    reno = CONFIGS[config_name]
+    compiled = simulate(program, reno=reno, backend="compiled")
+    assert isinstance(compiled.functional.trace, TraceColumns)
+    python = simulate(program, reno=reno, backend="python")
+    assert type(python.functional.trace) is list
+    assert_results_identical(compiled.timing, python.timing)
+
+
+@needs_compiled
+def test_no_silent_replays_catches_a_functional_fallback(no_silent_replays):
+    """A compiled functional run the C entry hands back fails the guard."""
+    program = random_program(SEEDS[0], length=60).assemble()
+    with pytest.raises(pytest.fail.Exception, match="functional run fell back"):
+        FunctionalSimulator(program, 50, backend="compiled").run()
 
 
 @needs_compiled
