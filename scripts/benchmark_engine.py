@@ -9,8 +9,9 @@ Measures three things and writes committed artifacts each run:
    the runs (the engine must be a pure speedup, so any difference is a hard
    failure).
 2. **Cycle loop** — the fig8 serial sweep again with a wall-clock probe
-   around ``Pipeline.run``, isolating the cycle loop from program
-   build, functional simulation and report formatting.  Both numbers are
+   around ``Pipeline.run`` (and ``CompiledBackend.run_fresh``, which runs
+   a compiled fig8 cell with no pipeline), isolating the cycle loop from
+   program build, functional simulation and report formatting.  Both numbers are
    compared against the recorded PR 3 measurements (same container, same
    workloads; override with ``--fig8-reference``/``--cycle-reference``).
 3. **Scale sweep** — ``run_scale_sweep`` over ``scale ∈ {1, 2, 4}`` cold and
@@ -45,6 +46,7 @@ from pathlib import Path
 import repro.uarch.core as uarch_core
 from repro.harness import run_experiment, run_scale_sweep
 from repro.store import DiskStore
+from repro.uarch.compiled.backend import CompiledBackend
 
 #: The registered figure experiments being timed (the paper's evaluation).
 FIGURES = ["fig8", "fig9", "fig10", "fig11_regs", "fig11_width", "fig12"]
@@ -80,32 +82,40 @@ BENCH_BACKENDS_JSON = DEFAULT_OUTPUT.parent / "BENCH_backends.json"
 class CycleLoopProbe:
     """Accumulates wall-clock spent inside ``Pipeline.run`` (the cycle
     loop) plus the committed-instruction total, measured the same way the
-    seed reference numbers were."""
+    seed reference numbers were.  A compiled cell that runs whole in the
+    kernel builds no pipeline, so ``CompiledBackend.run_fresh`` (image
+    lookup, buffers, kernel and read-out) is timed and counted the same
+    way."""
 
     def __init__(self):
         self.seconds = 0.0
         self.instructions = 0
-        self._original = None
+        self._originals = None
 
     def __enter__(self):
         probe = self
-        original = uarch_core.Pipeline.run
-        self._original = original
+        run = uarch_core.Pipeline.run
+        run_fresh = CompiledBackend.run_fresh
+        self._originals = (run, run_fresh)
 
-        def timed(pipeline_self, max_cycles=None):
+        def timed(original, *args):
             start = time.perf_counter()
             try:
-                result = original(pipeline_self, max_cycles)
+                result = original(*args)
             finally:
                 probe.seconds += time.perf_counter() - start
-            probe.instructions += result.stats.committed
+            if result is not None:      # a declined cell's Pipeline.run counts
+                probe.instructions += result.stats.committed
             return result
 
-        uarch_core.Pipeline.run = timed
+        uarch_core.Pipeline.run = (
+            lambda pipeline, max_cycles=None: timed(run, pipeline, max_cycles))
+        CompiledBackend.run_fresh = (
+            lambda backend, *args: timed(run_fresh, backend, *args))
         return self
 
     def __exit__(self, *exc):
-        uarch_core.Pipeline.run = self._original
+        uarch_core.Pipeline.run, CompiledBackend.run_fresh = self._originals
         return False
 
 
@@ -188,9 +198,10 @@ def time_fig8(workloads, jobs, repeats: int = 3, backend=None):
     ``instructions / loop_s`` is the committed-instructions-per-second
     figure the perf-smoke gate normalises against.  ``backend`` selects the
     cycle-loop backend (see :mod:`repro.uarch.backend`); for the compiled
-    backend the probe still wraps ``Pipeline.run``, so marshalling costs
-    are inside the measurement — the number is honest end-to-end loop
-    throughput, not kernel-only time.
+    backend the probe wraps ``CompiledBackend.run_fresh`` (each fig8 cell
+    runs whole in the kernel), so buffer set-up and read-out are inside
+    the measurement — the number is honest end-to-end loop throughput,
+    not kernel-only time.
     """
     best_sweep = float("inf")
     best_loop = float("inf")

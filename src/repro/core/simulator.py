@@ -18,6 +18,7 @@ from repro.core.config import RenoConfig
 from repro.core.renamer import RenoRenamer
 from repro.functional.simulator import ExecutionResult, FunctionalSimulator
 from repro.isa.program import Program
+from repro.uarch.backend import resolve_backend
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline, SimResult
 from repro.uarch.tables import TraceTables
@@ -92,7 +93,10 @@ def simulate(
             None) and the timing run (``"python"``, ``"compiled"``), or
             None to consult ``$REPRO_BACKEND`` and default to ``python`` —
             see :mod:`repro.uarch.backend`.  Results are
-            backend-independent; only speed changes.
+            backend-independent; only speed changes.  On ``compiled``, a
+            cell with neither ``collect_timing`` nor ``record_stats`` runs
+            whole in the kernel without a pipeline
+            (:meth:`~repro.uarch.compiled.backend.CompiledBackend.run_fresh`).
         tables: The read-only tables of (``program``, ``trace.trace``)
             (:class:`~repro.uarch.tables.TraceTables`), built once by a
             caller that runs several cells on one trace; None builds them
@@ -104,18 +108,29 @@ def simulate(
     machine = machine or MachineConfig.default_4wide()
     functional = trace or FunctionalSimulator(
         program, max_instructions, backend=backend).run()
-    renamer = RenoRenamer(machine.num_physical_regs, reno) if reno is not None else None
-    pipeline = Pipeline(
-        program,
-        functional.trace,
-        machine,
-        renamer=renamer,
-        collect_timing=collect_timing,
-        record_stats=record_stats,
-        backend=backend,
-        tables=tables,
-    )
-    timing = pipeline.run()
+    timing = None
+    if not (collect_timing or record_stats):
+        resolved = resolve_backend(backend)
+        if resolved.name == "compiled":
+            # An unobserved cell runs whole in the kernel, with no pipeline.
+            if tables is None:
+                tables = TraceTables(program, functional.trace)
+            timing = resolved.run_fresh(program, functional.trace, tables,
+                                        machine, reno)
+    if timing is None:
+        renamer = (RenoRenamer(machine.num_physical_regs, reno)
+                   if reno is not None else None)
+        pipeline = Pipeline(
+            program,
+            functional.trace,
+            machine,
+            renamer=renamer,
+            collect_timing=collect_timing,
+            record_stats=record_stats,
+            backend=backend,
+            tables=tables,
+        )
+        timing = pipeline.run()
     if verify:
         expected = list(functional.state.snapshot())
         if timing.final_registers != expected:

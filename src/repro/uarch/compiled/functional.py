@@ -46,6 +46,7 @@ from repro.isa.registers import RegisterNames as R
 from repro.uarch.compiled import build, emit
 from repro.uarch.compiled.emit import PT, POINTERS, SC, SCALARS
 from repro.uarch.compiled.marshal import (
+    MarshalError,
     address_of,
     opcode_columns,
     static_columns,
@@ -131,7 +132,7 @@ def run_compiled(program: Program,
         return None
     try:
         static = static_columns(decode_program(program.instructions))
-    except OverflowError:   # an immediate no int64 column holds
+    except MarshalError:    # an immediate no int64 column holds
         return None
     fixed = {name: static[name] for name in _STATIC}
     fixed.update(_functional_columns(program))

@@ -153,11 +153,19 @@ def opcode_columns() -> dict[str, array]:
 
 def static_columns(decoded: list[tuple]) -> dict[str, array]:
     """The ``S_*`` columns (one entry per static instruction) of a
-    decoded-op table (:func:`repro.isa.instruction.decode_program`)."""
-    arrays = {name: array("q", [op[field] for op in decoded])
-              for name, field in (("S_FLAGS", 0), ("S_CLASS", 1),
-                                  ("S_LAT", 2), ("S_MEMB", 3), ("S_DEST", 4),
-                                  ("S_IMM", 5), ("S_FOLD", 7))}
+    decoded-op table (:func:`repro.isa.instruction.decode_program`).
+
+    Raises :class:`MarshalError` for an immediate no int64 column holds
+    (the assembler never emits one; a raw ``Instruction`` can).
+    """
+    try:
+        arrays = {name: array("q", [op[field] for op in decoded])
+                  for name, field in (("S_FLAGS", 0), ("S_CLASS", 1),
+                                      ("S_LAT", 2), ("S_MEMB", 3),
+                                      ("S_DEST", 4), ("S_IMM", 5),
+                                      ("S_FOLD", 7))}
+    except OverflowError:
+        raise MarshalError("an immediate outside int64") from None
     arrays["S_OPC"] = array("q", [emit.OP_ID[op[6]] for op in decoded])
     arrays["S_MMASK"] = array("Q", [op[8] for op in decoded])
     arrays["S_NSRC"] = array("q", [len(op[9]) for op in decoded])
@@ -166,6 +174,12 @@ def static_columns(decoded: list[tuple]) -> dict[str, array]:
     arrays["S_SRC1"] = array("q", [op[9][1] if len(op[9]) > 1 else 0
                                    for op in decoded])
     return arrays
+
+
+def violation_log_size(total: int) -> int:
+    """``VIO_CAP``, the violation log's length, for a trace of ``total``
+    records."""
+    return max(64, min(total + 1, 1 << 16))
 
 
 class KernelTables:
@@ -239,7 +253,7 @@ class KernelState:
         self.lq_cap = pipeline.load_queue.capacity
         total = pipeline._trace_length
         self.total = total
-        self.vio_cap = max(64, min(total + 1, 1 << 16))
+        self.vio_cap = violation_log_size(total)
         self.record_stats = bool(pipeline.record_stats)
         self.timing = bool(pipeline.collect_timing)
 

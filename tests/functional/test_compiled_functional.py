@@ -26,9 +26,11 @@ reference's exceptions) run everywhere.
 """
 
 import pickle
+from dataclasses import asdict
 
 import pytest
 
+from repro.core import RenoConfig, RenoRenamer, simulate
 from repro.functional.simulator import ExecutionLimitExceeded, FunctionalSimulator
 from repro.harness import run_experiment
 from repro.functional.trace import (
@@ -44,6 +46,8 @@ from repro.isa.registers import RegisterNames as R
 from repro.uarch.backend import get_backend
 from repro.uarch.compiled import functional as compiled_functional
 from repro.uarch.compiled import pages as pages_module
+from repro.uarch.config import MachineConfig
+from repro.uarch.core import Pipeline
 from repro.uarch.tables import TraceTables
 from repro.workloads.base import get_workload, list_workloads
 from tests.uarch.test_scheduler_equivalence import random_program
@@ -457,6 +461,35 @@ def test_fallbacks_match_the_interpreter(build):
     assert result.memory._pages == reference.memory._pages
     if get_backend("compiled").available():
         assert compiled_functional.run_compiled(program, 1000) is None
+
+
+@pytest.mark.parametrize("reno", [None, RenoConfig.reno_default()],
+                         ids=["BASE", "RENO"])
+def test_wide_immediate_cells_run_on_the_python_loop(reno):
+    """An immediate no kernel column holds sends the cell to the python
+    loop on both compiled routes: ``run_fresh`` declines it, and a
+    compiled pipeline replays its slice, each with the python result."""
+    program = wide_immediate_program()
+    machine = MachineConfig.default_4wide()
+    reference = simulate(program, machine, reno, backend="python").timing
+    functional = FunctionalSimulator(program, backend="compiled").run()
+    tables = TraceTables(program, functional.trace)
+    compiled = get_backend("compiled")
+    if compiled.available():
+        assert compiled.run_fresh(program, functional.trace, tables, machine,
+                                  reno) is None
+    fresh = simulate(program, machine, reno, trace=functional, tables=tables,
+                     backend="compiled").timing
+    renamer = (RenoRenamer(machine.num_physical_regs, reno)
+               if reno is not None else None)
+    pipeline = Pipeline(program, functional.trace, machine, renamer=renamer,
+                        backend="compiled", tables=tables)
+    assert pipeline.backend_name == compiled.name or not compiled.available()
+    sliced = pipeline.run()
+    for result in (fresh, sliced):
+        assert asdict(result.stats) == asdict(reference.stats)
+        assert result.final_registers == reference.final_registers
+        assert result.finished and result.cycles == reference.cycles
 
 
 # ---------------------------------------------------------------------------

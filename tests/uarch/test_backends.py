@@ -33,7 +33,8 @@ from repro.functional.simulator import FunctionalSimulator
 from repro.functional.trace import TraceColumns
 from repro.uarch import backend as backend_module
 from repro.uarch.backend import backend_names, get_backend, resolve_backend
-from repro.uarch.compiled import build
+from repro.uarch.compiled import build, fresh
+from repro.uarch.compiled.backend import CompiledBackend
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
 
@@ -104,10 +105,14 @@ def no_silent_replays(monkeypatch):
     ``Pipeline._run_cycles``, and a compiled functional run it cannot
     finish through ``FunctionalSimulator._interpret``; each replay produces
     the reference's results — so without this guard an equivalence test
-    would pass while the kernel never ran.
+    would pass while the kernel never ran.  A fresh cell that
+    ``CompiledBackend.run_fresh`` declines fails too: its caller reruns it
+    on a pipeline, whose kernel slice may well succeed, so nothing else
+    would show that the fresh route never ran.
     """
     reference_loop = Pipeline._run_cycles
     reference_interpreter = FunctionalSimulator._interpret
+    run_fresh = CompiledBackend.run_fresh
 
     def guarded(pipeline, stop_cycle=None):
         if pipeline.backend_name == "compiled":
@@ -120,8 +125,15 @@ def no_silent_replays(monkeypatch):
                         "FunctionalSimulator._interpret")
         return reference_interpreter(simulator, record_trace)
 
+    def guarded_fresh(backend, *args, **kwargs):
+        result = run_fresh(backend, *args, **kwargs)
+        if result is None:
+            pytest.fail("a compiled fresh cell was declined by run_fresh")
+        return result
+
     monkeypatch.setattr(Pipeline, "_run_cycles", guarded)
     monkeypatch.setattr(FunctionalSimulator, "_interpret", guarded_interpreter)
+    monkeypatch.setattr(CompiledBackend, "run_fresh", guarded_fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +423,17 @@ def test_no_silent_replays_catches_a_functional_fallback(no_silent_replays):
     program = random_program(SEEDS[0], length=60).assemble()
     with pytest.raises(pytest.fail.Exception, match="functional run fell back"):
         FunctionalSimulator(program, 50, backend="compiled").run()
+
+
+@needs_compiled
+def test_no_silent_replays_catches_a_declined_fresh_cell(no_silent_replays,
+                                                        monkeypatch):
+    """A fresh cell ``run_fresh`` declines fails the guard, although the
+    pipeline route then runs it in the kernel and gets the right result."""
+    monkeypatch.setattr(fresh, "run_cell", lambda *args: None)
+    program = random_program(SEEDS[0], length=60).assemble()
+    with pytest.raises(pytest.fail.Exception, match="fresh cell was declined"):
+        simulate(program, backend="compiled")
 
 
 @needs_compiled
