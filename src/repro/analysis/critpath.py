@@ -1,7 +1,10 @@
 """Critical-path analysis (a simplified Fields-style model, §4.3 / Figure 9).
 
 The timing pipeline can record one :class:`~repro.uarch.inflight.TimingRecord`
-per retired instruction.  This module walks the dependence structure backwards
+per retired instruction; a fresh compiled cell keeps them as
+:class:`~repro.uarch.inflight.TimingColumns`, one column per field indexed
+by ``seq``, and the walk reads those columns (a list of records is turned
+into columns first).  This module walks the dependence structure backwards
 from the last retired instruction, at each step following the constraint that
 actually determined the instruction's completion time:
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.uarch.inflight import TimingRecord
+from repro.uarch.inflight import TimingColumns, TimingRecord
 
 #: Loads whose cache latency exceeds this are charged to the memory bucket.
 _MEMORY_LATENCY_THRESHOLD = 10
@@ -53,63 +56,86 @@ class CriticalPathBreakdown:
         }
 
 
-def analyze_critical_path(records: list[TimingRecord]) -> CriticalPathBreakdown:
+def analyze_critical_path(
+        records: TimingColumns | list[TimingRecord]) -> CriticalPathBreakdown:
     """Compute the critical-path bucket breakdown for one simulation.
 
-    The walk starts at the record with the highest ``seq``; ``records`` may
-    come in any order.
+    The walk starts at the last retired instruction (the highest ``seq``)
+    and reads the columns by seq; a list of records (the python loop's, a
+    sliced run's, or one decoded from the result store) is turned into
+    columns first (:meth:`TimingColumns.from_records`), so it may come in
+    any order.
 
     Args:
-        records: Timing records from a pipeline run with ``collect_timing``.
+        records: Timing records from a run with ``collect_timing``.
 
     Returns:
         A :class:`CriticalPathBreakdown`.
     """
-    if not records:
+    if not isinstance(records, TimingColumns):
+        records = TimingColumns.from_records(records)
+    count = len(records)
+    if not count:
         return CriticalPathBreakdown()
-    by_seq = {record.seq: record for record in records}
-    lookup = by_seq.get
-    last = by_seq[max(by_seq)]
+    (dispatch, complete, retire, dcache, eliminated, loads, nprod, prod0,
+     prod1, prod2) = map(records.column, (
+        "dispatch_cycle", "complete_cycle", "retire_cycle", "dcache_latency",
+        "eliminated", "is_load", "nprod", "prod0", "prod1", "prod2"))
+    seq = count - 1
+    done = complete[seq]
     # Commit bucket: the tail between the last completion and retirement.
-    commit = max(0, last.retire_cycle - last.complete_cycle)
+    commit = max(0, retire[seq] - done)
     fetch = alu_exec = load_exec = load_mem = path_length = 0
 
-    current = last
-    steps = 0
-    limit = len(records) + 8
-    while steps < limit:
-        steps += 1
+    for _ in range(count + 8):
         # The data predecessor is the producer whose result arrived last
-        # (the first one on a tie).
-        data_pred = None
-        for producer in current.source_producers:
-            if producer >= 0:
-                record = lookup(producer)
-                if record is not None and (
-                        data_pred is None
-                        or record.complete_cycle > data_pred.complete_cycle):
-                    data_pred = record
-        complete = current.complete_cycle
-        data_bound = (data_pred is not None
-                      and data_pred.complete_cycle >= current.dispatch_cycle)
-        predecessor = data_pred if data_bound else lookup(current.seq - 1)
+        # (the first one on a tie); ``arrival`` is its completion cycle.
+        # (Unrolled over the three producer columns: the walk is hot.)
+        data_pred = -1
+        sources = nprod[seq]
+        if sources:
+            producer = prod0[seq]
+            if 0 <= producer < count:
+                data_pred, arrival = producer, complete[producer]
+            if sources > 1:
+                producer = prod1[seq]
+                if 0 <= producer < count:
+                    cycle = complete[producer]
+                    if data_pred < 0 or cycle > arrival:
+                        data_pred, arrival = producer, cycle
+                if sources > 2:
+                    producer = prod2[seq]
+                    if 0 <= producer < count:
+                        cycle = complete[producer]
+                        if data_pred < 0 or cycle > arrival:
+                            data_pred, arrival = producer, cycle
         path_length += 1
-        if predecessor is None or predecessor.seq >= current.seq:
-            # Reached the beginning of the window; charge the remaining depth
-            # to fetch and stop.
-            fetch += max(0, complete)
-            break
-        edge_cost = complete - predecessor.complete_cycle
-        if edge_cost > 0:
-            if not data_bound:
-                fetch += edge_cost
-            elif not current.is_load or current.eliminated:
-                alu_exec += edge_cost
-            elif current.dcache_latency > _MEMORY_LATENCY_THRESHOLD:
-                load_mem += edge_cost
-            else:
-                load_exec += edge_cost
-        current = predecessor
+        if data_pred >= 0 and arrival >= dispatch[seq]:
+            # A data edge, charged by the instruction's class (a producer
+            # that is not older ends the walk, as the window's start does).
+            if data_pred >= seq:
+                fetch += max(0, done)
+                break
+            edge_cost = done - arrival
+            if edge_cost > 0:
+                if not loads[seq] or eliminated[seq]:
+                    alu_exec += edge_cost
+                elif dcache[seq] > _MEMORY_LATENCY_THRESHOLD:
+                    load_mem += edge_cost
+                else:
+                    load_exec += edge_cost
+            seq, done = data_pred, arrival
+        else:
+            # A fetch/dispatch edge to the previous instruction; past the
+            # first one, charge the remaining depth to fetch and stop.
+            if seq == 0:
+                fetch += max(0, done)
+                break
+            seq -= 1
+            previous = complete[seq]
+            if done > previous:
+                fetch += done - previous
+            done = previous
     return CriticalPathBreakdown(
         fetch=fetch, alu_exec=alu_exec, load_exec=load_exec,
         load_mem=load_mem, commit=commit, path_length=path_length)

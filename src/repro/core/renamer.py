@@ -78,8 +78,14 @@ class RenoRenamer(Renamer):
             IntegrationTable(self.config.it_entries, self.config.it_associativity)
             if self.config.enable_integration else None
         )
+        # A freed register invalidates the integration-table entries naming
+        # it.  The callback is the table's own method, not one of this
+        # renamer's, so the renamer and its refcounts form no reference
+        # cycle and a finished pipeline frees without the cyclic collector.
         self.refcounts = ReferenceCountManager(
-            num_physical_regs, NUM_LOGICAL_REGS, on_free=self._on_register_freed
+            num_physical_regs, NUM_LOGICAL_REGS,
+            on_free=(None if self.integration_table is None
+                     else self.integration_table.invalidate_preg),
         )
         self._group_eliminated_logicals: set[int] = set()
         # Hot-path precomputation: config knobs as plain attributes, the
@@ -408,7 +414,3 @@ class RenoRenamer(Renamer):
     def _insert(self, entry: IntegrationEntry) -> None:
         self.integration_table.insert(entry)
         self.stats["it_insertions"] += 1
-
-    def _on_register_freed(self, preg: int) -> None:
-        if self.integration_table is not None:
-            self.integration_table.invalidate_preg(preg)

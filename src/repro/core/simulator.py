@@ -94,9 +94,12 @@ def simulate(
             None to consult ``$REPRO_BACKEND`` and default to ``python`` —
             see :mod:`repro.uarch.backend`.  Results are
             backend-independent; only speed changes.  On ``compiled``, a
-            cell with neither ``collect_timing`` nor ``record_stats`` runs
-            whole in the kernel without a pipeline
-            (:meth:`~repro.uarch.compiled.backend.CompiledBackend.run_fresh`).
+            cell without ``record_stats`` runs whole in the kernel without
+            a pipeline
+            (:meth:`~repro.uarch.compiled.backend.CompiledBackend.run_fresh`);
+            its timing records, when collected, are then a
+            :class:`~repro.uarch.inflight.TimingColumns`, equal to the list
+            a pipeline collects.
         tables: The read-only tables of (``program``, ``trace.trace``)
             (:class:`~repro.uarch.tables.TraceTables`), built once by a
             caller that runs several cells on one trace; None builds them
@@ -109,14 +112,15 @@ def simulate(
     functional = trace or FunctionalSimulator(
         program, max_instructions, backend=backend).run()
     timing = None
-    if not (collect_timing or record_stats):
+    if not record_stats:
         resolved = resolve_backend(backend)
         if resolved.name == "compiled":
-            # An unobserved cell runs whole in the kernel, with no pipeline.
+            # A cell with no occupancy runs whole in the kernel, with no
+            # pipeline.
             if tables is None:
                 tables = TraceTables(program, functional.trace)
             timing = resolved.run_fresh(program, functional.trace, tables,
-                                        machine, reno)
+                                        machine, reno, collect_timing)
     if timing is None:
         renamer = (RenoRenamer(machine.num_physical_regs, reno)
                    if reno is not None else None)

@@ -3,12 +3,15 @@
 A cell takes one of three routes:
 
 * **Fresh cell** (:meth:`CompiledBackend.run_fresh`): a cell that records
-  no timing and no occupancy and runs to completion starts the kernel
-  from its configurations' :class:`~repro.uarch.compiled.fresh.FreshImage`
-  and reads its result out of the buffers; no pipeline is built.
-* **Sliced pipeline** (:meth:`CompiledBackend.run_cycles`): every other
-  cell, and every slice of a sliced or snapshotted run, runs in three
-  phases — :meth:`~repro.uarch.compiled.marshal.KernelState.marshal_in`
+  no occupancy and runs to completion starts the kernel from its
+  configurations' :class:`~repro.uarch.compiled.fresh.FreshImage` and
+  reads its result out of the buffers, timing records included (as
+  :class:`~repro.uarch.inflight.TimingColumns` over the kernel's ``TR_*``
+  columns); no pipeline is built.
+* **Sliced pipeline** (:meth:`CompiledBackend.run_cycles`): a cell that
+  records occupancy, and every slice of a sliced or snapshotted run (a
+  fleet worker's too), runs in three phases —
+  :meth:`~repro.uarch.compiled.marshal.KernelState.marshal_in`
   (pipeline → flat buffers, side-effect free), one call into the cached
   shared object, and marshal-out on success.
 * **Python reference**: any failure (no toolchain, an unsupported
@@ -52,8 +55,9 @@ class CompiledBackend(CycleLoopBackend):
 
         The kernel lowers the production configuration space: the stock
         issue queue, the stock renamers, the occupancy histograms and
-        timing-record collection (``collect_timing``; marshal-out builds
-        the records from the kernel's per-seq columns).  Timeline sampling
+        timing-record collection (``collect_timing``; on this sliced route
+        marshal-out appends the records built from the kernel's per-seq
+        columns, while a fresh cell keeps the columns).  Timeline sampling
         interposes a Python callback mid-cycle, and subclassed components
         can override arbitrary behaviour — those pipelines run on the
         reference loop.
@@ -117,18 +121,22 @@ class CompiledBackend(CycleLoopBackend):
             # runs the slice at reference speed.
             pipeline._run_cycles(stop_cycle)
 
-    def run_fresh(self, program, trace, tables, machine, reno):
-        """Run one whole unobserved cell without building a pipeline.
+    def run_fresh(self, program, trace, tables, machine, reno,
+                  collect_timing: bool = False):
+        """Run one whole cell that records no occupancy without building a
+        pipeline.
 
         The cell is ``program`` replaying ``trace`` (whose
         :class:`~repro.uarch.tables.TraceTables` are ``tables``) on
         ``machine`` with the stock issue queue and the baseline renamer,
         or a :class:`~repro.core.renamer.RenoRenamer` when ``reno`` is
-        given, recording no timing and no occupancy.  The configurations
-        are validated as a pipeline would validate them.
+        given, collecting timing records when ``collect_timing`` is set.
+        The configurations are validated as a pipeline would validate them.
 
         Returns:
-            The cell's :class:`~repro.uarch.core.SimResult`, or None when
+            The cell's :class:`~repro.uarch.core.SimResult` (a timed cell's
+            records are :class:`~repro.uarch.inflight.TimingColumns`,
+            equal to the records a pipeline collects), or None when
             the kernel is unavailable, the tables belong to another trace,
             a column has no kernel representation, or the kernel returns
             an error; the caller then runs the cell on a pipeline, which
@@ -142,14 +150,16 @@ class CompiledBackend(CycleLoopBackend):
             reno.validate()
         machine.validate()
         try:
-            image = fresh.image_of(machine, reno, lambda: fresh.FreshImage(
-                self._marshal_fresh(program, trace, tables, machine, reno),
-                tables))
+            image = fresh.image_of(
+                machine, reno, collect_timing, lambda: fresh.FreshImage(
+                    self._marshal_fresh(program, trace, tables, machine,
+                                        reno, collect_timing), tables))
             return fresh.run_cell(kernel, image, tables, machine)
         except MarshalError:
             return None
 
-    def _marshal_fresh(self, program, trace, tables, machine, reno):
+    def _marshal_fresh(self, program, trace, tables, machine, reno,
+                       collect_timing):
         """The marshalled-in state of a freshly constructed pipeline (the
         pipeline itself is dropped)."""
         from repro.core.renamer import RenoRenamer
@@ -158,7 +168,8 @@ class CompiledBackend(CycleLoopBackend):
         renamer = (RenoRenamer(machine.num_physical_regs, reno)
                    if reno is not None else None)
         pipeline = Pipeline(program, trace, machine, renamer=renamer,
-                            backend=self, tables=tables)
+                            collect_timing=collect_timing, backend=self,
+                            tables=tables)
         state = self._states.get(pipeline)
         if state is None:
             raise MarshalError("the pipeline has no kernel state")

@@ -1,11 +1,11 @@
-"""Fresh cells: a whole unobserved cell in the kernel, with no pipeline.
+"""Fresh cells: a whole cell in the kernel, with no pipeline.
 
-A cell that records no timing and no occupancy and runs to completion in
-one call (no slice boundary, no snapshot) starts from the state a freshly
-constructed :class:`~repro.uarch.core.Pipeline` holds.  Apart from a few
-values its trace owns, that state depends on the machine and RENO
-configurations alone, so it is marshalled once per configuration pair and
-kept as a :class:`FreshImage`:
+A cell that records no occupancy and runs to completion in one call (no
+slice boundary, no snapshot) starts from the state a freshly constructed
+:class:`~repro.uarch.core.Pipeline` holds.  Apart from a few values its
+trace owns, that state depends only on the machine and RENO
+configurations and on whether the cell collects timing records, so it is
+marshalled once per such triple and kept as a :class:`FreshImage`:
 
 * the image is what :meth:`~repro.uarch.compiled.marshal.KernelState.marshal_in`
   writes for a fresh pipeline, built on the first cell's trace and then
@@ -14,13 +14,17 @@ kept as a :class:`FreshImage`:
 * it is compact: an array holding one value is kept as its typecode,
   length and value, any other array as a copy;
 * the trace's values are written per cell (:data:`_TRACE_SCALARS`, the
-  violation log, the ``T_*``/``S_*``/``O_*`` columns and the page pool).
+  violation log, the ``T_*``/``S_*``/``O_*`` columns, the page pool and,
+  for a timed cell, the trace-sized ``TR_*`` output columns).
 
 Every cell allocates its own buffers from the image, so no state outlives
 the call and nothing refers to the trace's columns afterwards.  Stats,
-final registers and ``finished`` are read straight out of the buffers.
+final registers and ``finished`` are read straight out of the buffers; a
+timed cell's records are a :class:`~repro.uarch.inflight.TimingColumns`
+over its own ``TR_*`` buffers and the trace's per-seq static fields
+(:attr:`~repro.uarch.compiled.marshal.KernelTables.record_columns`).
 The images live in a per-process memo of :data:`IMAGE_SLOTS` entries keyed
-by the configurations' digests.
+by the configurations' digests and the timing switch.
 """
 
 from __future__ import annotations
@@ -33,17 +37,20 @@ from array import array
 from repro.isa.semantics import MASK64
 from repro.uarch.compiled.emit import ERR_OK, POINTERS, SC
 from repro.uarch.compiled.marshal import (
+    TR_COLUMNS,
     KernelState,
     KernelTables,
     address_of,
+    timing_columns,
     violation_log_size,
 )
 from repro.uarch.compiled.pages import PagePool
 from repro.uarch.core import SimResult
+from repro.uarch.inflight import TimingColumns
 from repro.uarch.stats import SimStats
 
-#: How many configuration images one process keeps (every grid experiment
-#: of the ``specint`` suite uses 34).
+#: How many configuration images one process keeps (every unobserved grid
+#: experiment of the ``specint`` suite uses 34, ``fig9`` three more).
 IMAGE_SLOTS = 64
 
 #: Scalars a cell's trace owns: zero in an image, written per cell.
@@ -93,9 +100,11 @@ class FreshImage:
         arrays: ``(name, array)`` for an array kept as a copy and
             ``(name, (typecode, length, value))`` for one holding a single
             value, for every pointer-block member the trace does not own.
+        timing: Whether the cell collects timing records (its ``TR_*``
+            columns are then the trace's length and allocated per cell).
     """
 
-    __slots__ = ("scalars", "arrays")
+    __slots__ = ("scalars", "arrays", "timing")
 
     def __init__(self, state: KernelState, tables) -> None:
         """Keep the buffers of ``state``, just marshalled in from a fresh
@@ -103,8 +112,9 @@ class FreshImage:
         self.scalars = state.sc[:]
         for name in _TRACE_SCALARS:
             self.scalars[SC[name]] = 0
+        self.timing = state.timing
         owned = {*KernelTables.of(tables).arrays, *state.pool.arrays,
-                 "VIO_LOG"}
+                 "VIO_LOG", *(TR_COLUMNS if self.timing else ())}
         self.arrays = tuple((name, _compact(column))
                             for name, column in state.arr.items()
                             if name not in owned)
@@ -120,6 +130,9 @@ class FreshImage:
         total = len(tables.trace)
         vio_cap = violation_log_size(total)
         arrays["VIO_LOG"] = array("q", bytes(8 * vio_cap))
+        if self.timing:
+            arrays.update((name, array("q", bytes(8 * max(total, 1))))
+                          for name in TR_COLUMNS)
         image = tables.memory_image
         pool = PagePool()
         pool.load(sorted(set(image) | static.store_pages), image)
@@ -142,7 +155,8 @@ def _compact(column: array):
     return column[:]
 
 
-#: ``(machine digest, RENO digest or None) -> FreshImage``, oldest first.
+#: ``(machine digest, RENO digest or None, timing) -> FreshImage``, oldest
+#: first.
 _images: dict[tuple, FreshImage] = {}
 _images_lock = threading.Lock()
 
@@ -157,13 +171,15 @@ def _reset_images_lock() -> None:
 os.register_at_fork(after_in_child=_reset_images_lock)
 
 
-def image_of(machine, reno, capture) -> FreshImage:
-    """The image of (``machine``, ``reno``), captured on first use.
+def image_of(machine, reno, timing: bool, capture) -> FreshImage:
+    """The image of (``machine``, ``reno``, ``timing``), captured on first
+    use.
 
     ``capture()`` builds the image; it runs only on a memo miss, and
     whatever it raises propagates.
     """
-    key = (machine.digest(), None if reno is None else reno.digest())
+    key = (machine.digest(), None if reno is None else reno.digest(),
+           timing)
     with _images_lock:
         image = _images.get(key)
         if image is None:
@@ -178,9 +194,11 @@ def run_cell(kernel, image: FreshImage, tables, machine) -> SimResult | None:
     """Run one whole cell over ``tables`` in ``kernel`` from ``image``.
 
     Returns:
-        The cell's :class:`~repro.uarch.core.SimResult`, or None when the
-        kernel returns an error (the caller then runs the cell on a
-        pipeline, which reproduces the reference's result or exception).
+        The cell's :class:`~repro.uarch.core.SimResult` (with
+        :class:`~repro.uarch.inflight.TimingColumns` as its timing records
+        when ``image`` is timed), or None when the kernel returns an error
+        (the caller then runs the cell on a pipeline, which reproduces the
+        reference's result or exception).
     """
     sc, arrays, pool = image.buffers(tables)
     pt = (ctypes.c_void_p * len(POINTERS))(
@@ -197,5 +215,11 @@ def run_cell(kernel, image: FreshImage, tables, machine) -> SimResult | None:
                      in zip(arrays["RN_PREG"], arrays["RN_DISP"])]
     else:
         registers = [values[preg] for preg in arrays["BMAP"]]
+    committed = sc[SC["COMMITTED"]]
+    records = None
+    if image.timing:
+        records = TimingColumns(
+            timing_columns(arrays, KernelTables.of(tables)), committed)
     return SimResult(stats=stats, config=machine, final_registers=registers,
-                     finished=sc[SC["COMMITTED"]] >= sc[SC["TOTAL"]])
+                     timing_records=records,
+                     finished=committed >= sc[SC["TOTAL"]])

@@ -42,7 +42,7 @@ from repro.isa.instruction import DF_CONTROL, DF_LOAD, DF_STORE
 from repro.uarch.compiled import emit
 from repro.uarch.compiled.emit import PT, POINTERS, SC, SCALARS, VALUE_TO_ID
 from repro.uarch.compiled.pages import PagePool, fill_neg1, fill_zero
-from repro.uarch.inflight import TimingRecord
+from repro.uarch.inflight import STATIC_COLUMNS, TIMING_COLUMNS, timing_records
 from repro.uarch.lsq import StoreQueueEntry
 from repro.uarch.rename import RenameResult
 
@@ -69,16 +69,13 @@ _ORIGIN_IDS = {name: i for i, name in enumerate(_ORIGINS)}
 
 #: Per-slot producer columns of the timing-record state, in order.
 _W_PRODUCERS = ("W_PROD0", "W_PROD1", "W_PROD2")
-#: The per-seq timing-record output columns, in allocation order.
-_TR_COLUMNS = (
+#: The per-seq timing-record output columns, index-aligned with
+#: :data:`~repro.uarch.inflight.TIMING_COLUMNS`.
+TR_COLUMNS = (
     "TR_DISPATCH", "TR_ISSUE", "TR_COMPLETE", "TR_RETIRE", "TR_DCACHE",
     "TR_LATENCY", "TR_MISPRED", "TR_ELIM", "TR_NPROD", "TR_PROD0",
     "TR_PROD1", "TR_PROD2",
 )
-
-#: Timing records built per batch at marshal-out (bounds the temporary
-#: column lists; the records themselves are kept).
-_RECORD_CHUNK = 1024
 
 #: RenoRenamer.stats keys in the order of the RN_* scalar block.
 _RN_STAT_KEYS = (
@@ -182,6 +179,15 @@ def violation_log_size(total: int) -> int:
     return max(64, min(total + 1, 1 << 16))
 
 
+def timing_columns(arrays: dict, static: "KernelTables") -> dict:
+    """Name -> column of a :class:`~repro.uarch.inflight.TimingColumns`:
+    the ``TR_*`` buffers among ``arrays`` (not copied) and the per-seq
+    static fields of ``static``'s trace."""
+    columns = dict(zip(TIMING_COLUMNS, map(arrays.__getitem__, TR_COLUMNS)))
+    columns.update(zip(STATIC_COLUMNS, static.record_columns))
+    return columns
+
+
 class KernelTables:
     """The kernel's read-only columns for one trace, shared by its cells.
 
@@ -209,8 +215,10 @@ class KernelTables:
 
     @functools.cached_property
     def record_columns(self) -> tuple[list, list, list, list]:
-        """The static :class:`TimingRecord` fields by seq: opcode value,
-        is_load, is_store, is_branch (built on first use by a timed cell)."""
+        """The :data:`~repro.uarch.inflight.STATIC_COLUMNS` by seq: opcode
+        value, is_load, is_store, is_branch (built on first use by a timed
+        cell, and shared by the timing columns of every timed cell on this
+        trace)."""
         decoded = self._decoded
         by_static = ([op[6].value for op in decoded],
                      [bool(op[0] & DF_LOAD) for op in decoded],
@@ -387,7 +395,7 @@ class KernelState:
         for name in ("W_ISSUE", "W_RETIRE", "W_NPROD", *_W_PRODUCERS):
             self._new(name, "q", ws if timing else 1)
         self._new("PREG_WRITER", "q", np_ if timing else 1)
-        for name in _TR_COLUMNS:
+        for name in TR_COLUMNS:
             self._new(name, "q", self.total if timing else 1)
         # The functional run's members (marshal-in registers the pool's).
         for name in ("F_REGS", "F_KIND", "F_RS1", "F_RS2", "F_RD", "F_TGT"):
@@ -1088,7 +1096,8 @@ class KernelState:
 
     def _marshal_out_timing(self, pipeline, committed, fetch_index) -> None:
         """Rebuild the timing-record state and append one
-        :class:`TimingRecord` per instruction committed in the slice."""
+        :class:`~repro.uarch.inflight.TimingRecord` per instruction
+        committed in the slice."""
         a = self.arr
         window = pipeline.window
         window.issue_cycle[:] = a["W_ISSUE"].tolist()
@@ -1107,21 +1116,9 @@ class KernelState:
             producers[seq] = (prod0[slot], prod1[slot],
                               prod2[slot])[:nprod[slot]]
 
-        opcodes, loads, stores, branches = self._static.record_columns
-        records = pipeline.timing_records
-        columns = [a[name] for name in _TR_COLUMNS]
-        for low in range(self._in_committed, committed, _RECORD_CHUNK):
-            high = min(low + _RECORD_CHUNK, committed)
-            (dispatch, issue, complete, retire, dcache, latency, mispred, elim,
-             counts, first, second, third) = (
-                column[low:high].tolist() for column in columns)
-            records.extend(map(
-                TimingRecord, range(low, high), opcodes[low:high],
-                dispatch, dispatch, issue, complete, retire,
-                loads[low:high], stores[low:high], branches[low:high],
-                map(bool, mispred), map(bool, elim), dcache, latency,
-                [(p0, p1, p2)[:count] for count, p0, p1, p2
-                 in zip(counts, first, second, third)]))
+        pipeline.timing_records.extend(timing_records(
+            self._in_committed, committed,
+            timing_columns(self.arr, self._static)))
 
     def _marshal_out_it(self, table) -> None:
         """Rebuild the integration table object graph from the flat arrays."""

@@ -70,7 +70,12 @@ from repro.uarch.backend import CycleLoopBackend, resolve_backend
 from repro.uarch.branch import BranchUnit
 from repro.uarch.cache import CacheHierarchy
 from repro.uarch.config import MachineConfig
-from repro.uarch.inflight import NO_COMPLETE, InFlightWindow, TimingRecord
+from repro.uarch.inflight import (
+    NO_COMPLETE,
+    InFlightWindow,
+    TimingColumns,
+    TimingRecord,
+)
 from repro.uarch.lsq import LoadQueue, StoreQueue, StoreQueueEntry
 from repro.uarch.observe import (
     DEFAULT_TIMELINE_CAPACITY,
@@ -120,12 +125,16 @@ class SimResult:
 
     ``timeline`` carries the ordered rows of the opt-in cycle-timeline
     recorder (``timeline_stride > 0``), oldest first; None otherwise.
+
+    ``timing_records`` (with ``collect_timing``) is a list, or a
+    :class:`~repro.uarch.inflight.TimingColumns` from a fresh compiled
+    cell, which compares and pickles as that list.
     """
 
     stats: SimStats
     config: MachineConfig
     final_registers: list[int] = field(default_factory=list)
-    timing_records: list[TimingRecord] | None = None
+    timing_records: list[TimingRecord] | TimingColumns | None = None
     finished: bool = True
     timeline: list[tuple] | None = None
 
@@ -205,9 +214,6 @@ class Pipeline:
                 "trace tables were built for another program or trace")
         #: Shared read-only tables of (program, trace); never written here.
         self.tables = tables
-        #: The decoded-op tuple of every trace record, so dispatch reaches
-        #: it with one subscript on the fetch index.
-        self._trace_ops = tables.trace_ops
 
         initial_regs = [0] * NUM_LOGICAL_REGS
         initial_regs[RegisterNames.SP] = STACK_BASE
@@ -277,6 +283,13 @@ class Pipeline:
 
         self._bind_aliases()
         self.backend.prepare(self)
+
+    @property
+    def _trace_ops(self) -> list[tuple]:
+        """The decoded-op tuple of every trace record, so dispatch reaches
+        it with one subscript on the fetch index (built by the shared
+        tables when a slice first needs it)."""
+        return self.tables.trace_ops
 
     def _bind_aliases(self) -> None:
         """(Re)derive the hot-loop aliases from the primary components.
@@ -408,7 +421,7 @@ class Pipeline:
     #: attribute is accounted for in exactly one of the two tuples.
     _SNAPSHOT_EXEMPT = (
         "config", "program", "trace", "collect_timing", "record_stats",
-        "timeline_stride", "_trace_length", "tables", "_trace_ops",
+        "timeline_stride", "_trace_length", "tables",
         "_sched_latency", "_commit_width", "_retire_dcache_ports",
         "_rename_width", "_taken_branch_limit", "_fetch_block_bytes",
         "_front_end_depth", "_rob_capacity", "backend", "backend_name",

@@ -37,15 +37,18 @@ Slot discipline (the invariants the pipeline and scheduler rely on):
 
 ``TimingRecord`` (the per-retired-instruction record consumed by the
 critical-path model) is unchanged; the python loop builds it from the arrays
-at commit when timing collection is on, and the compiled backend builds the
+at commit when timing collection is on, and a sliced compiled run builds the
 same records at marshal-out from the kernel's per-seq output columns (it
 marshals ``issue_cycle``/``retire_cycle`` only for such pipelines, since no
-other pipeline writes them).
+other pipeline writes them).  A fresh compiled cell keeps those columns as
+a :class:`TimingColumns`, which builds records only when indexed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 #: ``complete_cycle`` sentinel: the slot is empty, or its instruction has
 #: not completed execution yet.  Beyond any reachable cycle count.
@@ -193,3 +196,138 @@ class TimingRecord:
     dcache_latency: int
     latency: int
     source_producers: tuple[int, ...] = field(default_factory=tuple)
+
+
+#: The kernel-written columns of a :class:`TimingColumns`, in order (the
+#: compiled kernel's ``TR_*`` output columns follow the same order).  Each
+#: is named after the :class:`TimingRecord` field it holds; ``fetch_cycle``
+#: has no column, as it always equals ``dispatch_cycle``, and
+#: ``source_producers`` is split into its length ``nprod`` and the
+#: producers ``prod0``..``prod2`` (0 beyond ``nprod``).
+TIMING_COLUMNS = (
+    "dispatch_cycle", "issue_cycle", "complete_cycle", "retire_cycle",
+    "dcache_latency", "latency", "mispredicted", "eliminated",
+    "nprod", "prod0", "prod1", "prod2",
+)
+
+#: The columns a trace determines (the opcode and class of each seq).
+STATIC_COLUMNS = ("opcode", "is_load", "is_store", "is_branch")
+
+_PRODUCER_COLUMNS = ("nprod", "prod0", "prod1", "prod2")
+
+#: Records built per batch (bounds the temporary lists; the records
+#: themselves are kept).
+_RECORD_CHUNK = 1024
+
+
+def timing_records(low: int, high: int, columns) -> list[TimingRecord]:
+    """The :class:`TimingRecord` of every seq in ``[low, high)``.
+
+    Args:
+        columns: Name -> column indexed by seq, for every name in
+            :data:`TIMING_COLUMNS` and :data:`STATIC_COLUMNS`.
+    """
+    records: list[TimingRecord] = []
+    for first in range(low, high, _RECORD_CHUNK):
+        last = min(first + _RECORD_CHUNK, high)
+        (dispatch, issue, complete, retire, dcache, latency, mispredicted,
+         eliminated, counts, prod0, prod1, prod2, opcodes, loads, stores,
+         branches) = (columns[name][first:last]
+                      for name in TIMING_COLUMNS + STATIC_COLUMNS)
+        records.extend(map(
+            TimingRecord, range(first, last), opcodes, dispatch, dispatch,
+            issue, complete, retire, loads, stores, branches,
+            map(bool, mispredicted), map(bool, eliminated), dcache, latency,
+            [(p0, p1, p2)[:count] for count, p0, p1, p2
+             in zip(counts, prod0, prod1, prod2)]))
+    return records
+
+
+class TimingColumns(Sequence):
+    """The timing records of one run, held as columns indexed by ``seq``.
+
+    A fresh compiled cell's result adopts the kernel's ``TR_*`` buffers
+    (no copy) and the trace's per-seq static fields, and builds every
+    :class:`TimingRecord` only when first indexed or iterated, keeping
+    them.  One made :meth:`from_records` keeps the records and builds each
+    column when first asked for it.  Either way the critical-path walk
+    reads the columns (:meth:`column`).  It compares equal to a list of
+    equal records and pickles as that plain list, so an outcome decoded
+    from the result store holds a list whichever route wrote it.
+    """
+
+    __slots__ = ("_columns", "_length", "_records")
+
+    def __init__(self, columns: dict, length: int,
+                 records: list[TimingRecord] | None = None):
+        """Wrap ``length`` records' columns (a dict of name -> column, each
+        at least ``length`` long, kept: every name in :data:`TIMING_COLUMNS`
+        and :data:`STATIC_COLUMNS` unless ``records`` are given)."""
+        self._columns = columns
+        self._length = length
+        self._records = records
+
+    @classmethod
+    def from_records(cls, records: list[TimingRecord]) -> "TimingColumns":
+        """The columns of ``records`` (a list, kept; a list in another
+        order is sorted first): their seqs must be ``0``..``n-1``, and each
+        may have at most three producers."""
+        seq_of = attrgetter("seq")
+        if list(map(seq_of, records)) != list(range(len(records))):
+            records = sorted(records, key=seq_of)
+            if list(map(seq_of, records)) != list(range(len(records))):
+                raise ValueError("timing records must number 0..n-1")
+        return cls({}, len(records), records=records)
+
+    def column(self, name: str):
+        """The column ``name`` (from :data:`TIMING_COLUMNS` or
+        :data:`STATIC_COLUMNS`), indexed by seq."""
+        column = self._columns.get(name)
+        if column is None:
+            if name in _PRODUCER_COLUMNS:
+                self._split_producers()
+            else:
+                self._columns[name] = list(
+                    map(attrgetter(name), self._records))
+            column = self._columns[name]
+        return column
+
+    def _split_producers(self) -> None:
+        """Build the producer columns from the records."""
+        producers = list(map(attrgetter("source_producers"), self._records))
+        counts = list(map(len, producers))
+        if counts and max(counts) > 3:
+            raise ValueError("a timing record has more than three producers")
+        padded = [(*sources, 0, 0, 0) for sources in producers]
+        self._columns["nprod"] = counts
+        for index, name in enumerate(_PRODUCER_COLUMNS[1:]):
+            self._columns[name] = [sources[index] for sources in padded]
+
+    @property
+    def records(self) -> list[TimingRecord]:
+        """The records, built from the columns on first use."""
+        if self._records is None:
+            self._records = timing_records(0, self._length, self._columns)
+        return self._records
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        return self.records[index]
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TimingColumns):
+            other = other.records
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self.records == other
+
+    __hash__ = None
+
+    def __reduce__(self):
+        """Pickle as the plain list of records."""
+        return list, (), None, iter(self.records)

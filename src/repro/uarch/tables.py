@@ -9,7 +9,8 @@ the trace alone is the same for every cell of that block:
   a trace from the compiled functional run carries the image it started
   from, so the block builds it once);
 * per trace: the decoded op of every trace record (one ``map`` over the
-  ``T_SIDX`` column of a column trace) and, for the compiled backend, the
+  ``T_SIDX`` column of a column trace, built when a pipeline first asks:
+  a fresh compiled cell never does) and, for the compiled backend, the
   kernel's trace and decoded-op columns
   (:class:`repro.uarch.compiled.marshal.KernelTables`, built on first use;
   it adopts a column trace's columns instead of copying them).
@@ -42,14 +43,13 @@ class TraceTables:
         program: The assembled program.
         trace: The functional trace the tables were built from.
         decoded: Decoded-op tuple per static instruction.
-        trace_ops: Decoded-op tuple per trace record (``decoded[dyn.index]``).
         memory_image: Page number -> initial page bytes.
         kernel: The compiled backend's static columns, or None until a
             compiled pipeline first asks for them.
     """
 
-    __slots__ = ("program", "trace", "decoded", "trace_ops",
-                 "memory_image", "kernel")
+    __slots__ = ("program", "trace", "decoded", "memory_image", "kernel",
+                 "_trace_ops")
 
     def __init__(self, program: Program,
                  trace: Sequence[DynamicInstruction]):
@@ -57,11 +57,22 @@ class TraceTables:
         self.program = program
         self.trace = trace
         self.decoded = decode_program(program.instructions)
-        if isinstance(trace, TraceColumns):
-            indices, image = trace.arrays["T_SIDX"], trace.memory_image
-        else:
-            indices, image = map(attrgetter("index"), trace), None
-        self.trace_ops = list(map(self.decoded.__getitem__, indices))
+        image = (trace.memory_image if isinstance(trace, TraceColumns)
+                 else None)
         self.memory_image = (page_image(program.initial_memory)
                              if image is None else image)
         self.kernel = None
+        self._trace_ops = None
+
+    @property
+    def trace_ops(self) -> list[tuple]:
+        """Decoded-op tuple per trace record (``decoded[dyn.index]``),
+        built on first use (only a pipeline reads it)."""
+        if self._trace_ops is None:
+            trace = self.trace
+            if isinstance(trace, TraceColumns):
+                indices = trace.arrays["T_SIDX"]
+            else:
+                indices = map(attrgetter("index"), trace)
+            self._trace_ops = list(map(self.decoded.__getitem__, indices))
+        return self._trace_ops

@@ -1,8 +1,13 @@
 """Tests for the critical-path model and report formatting."""
 
+import pickle
+import random
+
+import pytest
+
 from repro.analysis import analyze_critical_path, format_percent, format_table
 from repro.core import RenoConfig, simulate_workload
-from repro.uarch.inflight import TimingRecord
+from repro.uarch.inflight import TimingColumns, TimingRecord
 
 
 def record(seq, dispatch, issue, complete, producers=(), is_load=False, dcache=0,
@@ -51,6 +56,102 @@ def test_fractions_sum_to_one():
                for seq in range(30)]
     fractions = analyze_critical_path(records).fractions()
     assert abs(sum(fractions.values()) - 1.0) < 1e-9
+
+
+def record_walk(records):
+    """The Fields walk over records by seq, as it was before the columns:
+    the reference the column walk is held to."""
+    if not records:
+        return (0, 0, 0, 0, 0, 0)
+    by_seq = {record.seq: record for record in records}
+    last = by_seq[max(by_seq)]
+    commit = max(0, last.retire_cycle - last.complete_cycle)
+    fetch = alu = load = mem = length = 0
+    current = last
+    for _ in range(len(records) + 8):
+        data_pred = None
+        for producer in current.source_producers:
+            candidate = by_seq.get(producer) if producer >= 0 else None
+            if candidate is not None and (
+                    data_pred is None
+                    or candidate.complete_cycle > data_pred.complete_cycle):
+                data_pred = candidate
+        data_bound = (data_pred is not None
+                      and data_pred.complete_cycle >= current.dispatch_cycle)
+        predecessor = data_pred if data_bound else by_seq.get(current.seq - 1)
+        length += 1
+        if predecessor is None or predecessor.seq >= current.seq:
+            fetch += max(0, current.complete_cycle)
+            break
+        cost = current.complete_cycle - predecessor.complete_cycle
+        if cost > 0:
+            if not data_bound:
+                fetch += cost
+            elif not current.is_load or current.eliminated:
+                alu += cost
+            elif current.dcache_latency > 10:
+                mem += cost
+            else:
+                load += cost
+        current = predecessor
+    return (fetch, alu, load, mem, commit, length)
+
+
+def test_the_column_walk_matches_the_record_walk_on_random_records():
+    """Ties, dangling and forward producers, empty producer lists."""
+    rng = random.Random(1234)
+    for _ in range(400):
+        count = rng.randint(1, 40)
+        records = []
+        for seq in range(count):
+            producers = tuple(
+                rng.choice([-1, rng.randrange(count + 3),
+                            rng.randrange(seq) if seq else -1])
+                for _ in range(rng.randint(0, 3)))
+            dispatch = rng.randint(0, 20)
+            records.append(record(
+                seq, dispatch, dispatch + 1, dispatch + rng.randint(0, 6),
+                producers=producers, is_load=rng.random() < 0.5,
+                dcache=rng.choice([1, 4, 11, 120]),
+                eliminated=rng.random() < 0.2))
+        breakdown = analyze_critical_path(records)
+        assert (breakdown.fetch, breakdown.alu_exec, breakdown.load_exec,
+                breakdown.load_mem, breakdown.commit,
+                breakdown.path_length) == record_walk(records)
+
+
+def test_records_in_any_order_give_the_same_breakdown():
+    records = [record(seq, seq // 2, seq + 1, seq + 3,
+                      producers=(seq - 2,) if seq > 1 else (),
+                      is_load=seq % 3 == 0, dcache=4 * seq)
+               for seq in range(40)]
+    expected = analyze_critical_path(records)
+    assert expected.path_length > 1
+    assert analyze_critical_path(records[::-1]) == expected
+    assert analyze_critical_path(TimingColumns.from_records(records)) \
+        == expected
+
+
+def test_records_must_number_from_zero_without_gaps():
+    with pytest.raises(ValueError, match="0..n-1"):
+        analyze_critical_path([record(0, 0, 1, 2), record(2, 0, 1, 2)])
+    with pytest.raises(ValueError, match="three producers"):
+        analyze_critical_path([record(0, 0, 1, 2),
+                               record(1, 0, 1, 2, producers=(0, 0, 0, 0))])
+
+
+def test_timing_columns_of_records_keep_them():
+    records = [record(seq, seq, seq + 1, seq + 2, producers=(seq - 1,))
+               for seq in range(5)]
+    columns = TimingColumns.from_records(records)
+    assert len(columns) == 5 and columns[3] is records[3]
+    assert columns == records and records == columns
+    assert columns.column("complete_cycle") == [2, 3, 4, 5, 6]
+    assert columns.column("nprod") == [1] * 5
+    assert columns.column("prod0") == [-1, 0, 1, 2, 3]
+    assert columns.column("prod2") == [0] * 5
+    restored = pickle.loads(pickle.dumps(columns))
+    assert type(restored) is list and restored == records
 
 
 def test_critical_path_from_real_simulation():

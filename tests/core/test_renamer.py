@@ -326,3 +326,33 @@ def test_commit_releases_shared_registers_without_underflow():
     renamer = RenoRenamer(40, RenoConfig.reno_default())
     rename_trace(renamer, trace_of(asm))
     renamer.refcounts.check_conservation()
+
+
+def test_a_finished_reno_pipeline_frees_without_the_cyclic_collector():
+    """The renamer and its reference counts form no reference cycle (the
+    free callback is the integration table's method), so a run RENO
+    pipeline is freed by reference counting alone, as a baseline one is."""
+    import gc
+    import weakref
+
+    from repro.uarch import MachineConfig, Pipeline
+    from repro.workloads import get_workload
+
+    program = get_workload("micro_call_spill").build(1)
+    trace = FunctionalSimulator(program).run().trace
+    machine = MachineConfig.default_4wide()
+    renamer = RenoRenamer(machine.num_physical_regs,
+                          RenoConfig.reno_default())
+    assert renamer.integration_table is not None
+    pipeline = Pipeline(program, trace, machine, renamer=renamer,
+                        collect_timing=True, backend="python")
+    pipeline.run()
+    alive = weakref.ref(renamer)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del pipeline, renamer
+        assert alive() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -106,9 +106,9 @@ def no_silent_replays(monkeypatch):
     finish through ``FunctionalSimulator._interpret``; each replay produces
     the reference's results — so without this guard an equivalence test
     would pass while the kernel never ran.  A fresh cell that
-    ``CompiledBackend.run_fresh`` declines fails too: its caller reruns it
-    on a pipeline, whose kernel slice may well succeed, so nothing else
-    would show that the fresh route never ran.
+    ``CompiledBackend.run_fresh`` declines fails too, timed or not: its
+    caller reruns it on a pipeline, whose kernel slice may well succeed, so
+    nothing else would show that the fresh route never ran.
     """
     reference_loop = Pipeline._run_cycles
     reference_interpreter = FunctionalSimulator._interpret
@@ -434,6 +434,18 @@ def test_no_silent_replays_catches_a_declined_fresh_cell(no_silent_replays,
     program = random_program(SEEDS[0], length=60).assemble()
     with pytest.raises(pytest.fail.Exception, match="fresh cell was declined"):
         simulate(program, backend="compiled")
+
+
+@needs_compiled
+def test_no_silent_replays_catches_a_declined_timed_fresh_cell(
+        no_silent_replays, monkeypatch):
+    """A timed fresh cell is a fresh cell too: declining it fails the guard
+    although the pipeline route then collects the right records."""
+    monkeypatch.setattr(fresh, "run_cell", lambda *args: None)
+    program = random_program(SEEDS[0], length=60).assemble()
+    with pytest.raises(pytest.fail.Exception, match="fresh cell was declined"):
+        simulate(program, reno=RenoConfig.reno_default(), collect_timing=True,
+                 backend="compiled")
 
 
 @needs_compiled

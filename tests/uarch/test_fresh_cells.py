@@ -1,63 +1,82 @@
-"""Fresh cells: an unobserved cell runs whole in the kernel, with no pipeline.
+"""Fresh cells: a cell with no occupancy runs whole in the kernel, with no
+pipeline.
 
 :meth:`~repro.uarch.compiled.backend.CompiledBackend.run_fresh` starts the
 kernel from a per-configuration image of a freshly constructed pipeline
 (:mod:`repro.uarch.compiled.fresh`).  These tests hold it to the two other
 routes:
 
-* every unobserved cell of the grid experiments, on the ``micro`` suite
-  and two ``specint`` kernels, gives the same statistics, final registers,
-  cycles and ``finished`` on the fresh route, the compiled pipeline route
-  and the python reference;
+* every cell of the grid experiments that records no occupancy, on the
+  ``micro`` suite and two ``specint`` kernels, gives the same statistics,
+  final registers, cycles and ``finished`` on the fresh route, the
+  compiled pipeline route and the python reference, with and without
+  timing records, and the timed routes give the python loop's records;
+* the critical-path walk over a fresh cell's timing columns gives the
+  python loop's breakdown on every ``fig9`` ``specint`` cell, and the
+  ``fig9`` report on the compiled backend is the committed golden table;
+* a timed fresh outcome survives the result store's payload encoding;
 * an image captured on one workload and applied to another equals, byte
   for byte, a fresh marshal-in on the second;
 * a cell the kernel cannot finish raises the python backend's exception;
-* ``simulate`` builds no pipeline for such a cell, but still does for a
-  timed or observed one;
+* ``simulate`` builds no pipeline for such a cell, but still does for one
+  that records occupancy, and leaves the trace's decoded ops unbuilt;
 * the image memo evicts its oldest entry, a cell keeps no reference to
   its trace, and a fork child gets an image lock of its own.
 """
 
 import os
+import pickle
 import sys
 import threading
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from test_backends import (  # noqa: F401  (no_silent_replays is a fixture)
+    assert_timing_records_identical,
     needs_compiled,
     no_silent_replays,
 )
 
+from repro.analysis import analyze_critical_path
 from repro.core import RenoConfig, RenoRenamer, simulate
 from repro.functional.simulator import FunctionalSimulator
 from repro.harness import run_experiment
 from repro.harness.executors import shared_program
 from repro.harness.spec import get_experiment
+from repro.store.base import decode_payload, encode_payload
 from repro.uarch.backend import get_backend
 from repro.uarch.compiled import fresh
 from repro.uarch.compiled.backend import CompiledBackend
-from repro.uarch.compiled.marshal import KernelState, KernelTables
+from repro.uarch.compiled.marshal import TR_COLUMNS, KernelState, KernelTables
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
+from repro.uarch.inflight import TimingColumns
 from repro.uarch.tables import TraceTables
 from repro.workloads.base import get_workload
 from repro.workloads.suites import suite_by_name
 
-#: The grid experiments whose cells record neither timing nor occupancy.
-EXPERIMENTS = ("fig8", "fig10", "fig11_regs", "fig11_width", "fig12",
-               "fusion", "it_cost")
+#: The grid experiments whose cells record no occupancy (``fig9``'s
+#: collect timing records).
+EXPERIMENTS = ("fig8", "fig9", "fig10", "fig11_regs", "fig11_width",
+               "fig12", "fusion", "it_cost")
 
 WORKLOADS = ([workload.name for workload in suite_by_name("micro")]
              + ["mcf_like", "vortex_like"])
 
+#: ``fig9``'s golden table and the workloads it was regenerated from
+#: (``CRITPATH_SPEC_SUBSET`` in ``benchmarks/conftest.py``).
+FIG9_GOLDEN = (Path(__file__).resolve().parents[2] / "benchmarks"
+               / "results" / "fig9_specint.txt")
+FIG9_GOLDEN_WORKLOADS = ["gzip_like", "parser_like", "vortex_like"]
 
-def unobserved_cells():
+
+def grid_cells():
     """Every distinct (machine, RENO) pair of :data:`EXPERIMENTS`."""
     cells = {}
     for name in EXPERIMENTS:
         spec = get_experiment(name).build_spec("micro", None, 1)
-        assert not (spec.collect_timing or spec.record_stats), name
+        assert not spec.record_stats, name
         for _, machine in spec.machines:
             for _, reno in spec.renos:
                 key = (machine.digest(), reno.digest() if reno else None)
@@ -65,7 +84,7 @@ def unobserved_cells():
     return list(cells.values())
 
 
-CELLS = unobserved_cells()
+CELLS = grid_cells()
 
 
 def block(name):
@@ -75,11 +94,13 @@ def block(name):
     return program, functional, TraceTables(program, functional.trace)
 
 
-def pipeline_result(program, functional, tables, machine, reno, backend):
+def pipeline_result(program, functional, tables, machine, reno, backend,
+                    collect_timing=False):
     renamer = (RenoRenamer(machine.num_physical_regs, reno)
                if reno is not None else None)
     pipeline = Pipeline(program, functional.trace, machine, renamer=renamer,
-                        backend=backend, tables=tables)
+                        collect_timing=collect_timing, backend=backend,
+                        tables=tables)
     assert pipeline.backend_name == backend
     return pipeline.run()
 
@@ -102,15 +123,115 @@ def test_fresh_cells_match_both_other_routes(workload):
         assert fresh_result.config is machine
         assert fresh_result.timing_records is None
         assert fresh_result.stats.occupancy is None
+        timed = backend.run_fresh(program, functional.trace, tables,
+                                  machine, reno, collect_timing=True)
+        assert isinstance(timed.timing_records, TimingColumns)
         sliced = pipeline_result(program, functional, tables, machine, reno,
-                                 "compiled")
+                                 "compiled", collect_timing=True)
         python = pipeline_result(program, functional, tables, machine, reno,
-                                 "python")
+                                 "python", collect_timing=True)
         label = f"{workload} {machine.name} {reno.name if reno else 'BASE'}"
         assert observables(fresh_result) == observables(python), label
+        assert observables(timed) == observables(python), label
         assert observables(sliced) == observables(python), label
         assert (fresh_result.final_registers
                 == list(functional.state.snapshot()))
+        assert len(python.timing_records) == len(functional.trace)
+        assert timed.timing_records == python.timing_records, label
+        assert sliced.timing_records == python.timing_records, label
+        # Field types too (a 1 is not a True), on a prefix: every record
+        # is built by the same code.
+        assert_timing_records_identical(timed.timing_records[:64],
+                                        python.timing_records[:64])
+
+
+def test_every_fig9_config_is_a_cell():
+    spec = get_experiment("fig9").build_spec("micro", None, 1)
+    assert spec.collect_timing
+    digests = {(machine.digest(), reno.digest() if reno else None)
+               for machine, reno in CELLS}
+    for _, machine in spec.machines:
+        for _, reno in spec.renos:
+            assert (machine.digest(), reno.digest() if reno else None) \
+                in digests
+
+
+@pytest.mark.usefixtures("no_silent_replays")
+@needs_compiled
+@pytest.mark.parametrize("workload",
+                         [workload.name for workload in suite_by_name("specint")])
+def test_critical_path_over_kernel_columns_matches_the_python_loop(workload):
+    """Every ``fig9`` ``specint`` cell: the walk over a fresh cell's
+    columns and over the python loop's record list agree exactly."""
+    program, functional, tables = block(workload)
+    spec = get_experiment("fig9").build_spec("specint", [workload], 1)
+    for _, machine in spec.machines:
+        for label, reno in spec.renos:
+            timed = get_backend("compiled").run_fresh(
+                program, functional.trace, tables, machine, reno,
+                collect_timing=True)
+            python = pipeline_result(program, functional, tables, machine,
+                                     reno, "python", collect_timing=True)
+            assert type(python.timing_records) is list
+            columns = analyze_critical_path(timed.timing_records)
+            assert columns.path_length > 0, label
+            assert columns == analyze_critical_path(python.timing_records), \
+                f"{workload} {label}"
+            # Neither walk built records out of the columns.
+            assert timed.timing_records._records is None
+
+
+@pytest.mark.usefixtures("no_silent_replays")
+@needs_compiled
+def test_fig9_on_the_compiled_backend_gives_the_golden_table():
+    report = run_experiment("fig9", suite="specint",
+                            workloads=FIG9_GOLDEN_WORKLOADS, jobs=1,
+                            cache=False, backend="compiled")
+    assert str(report) + "\n" == FIG9_GOLDEN.read_text()
+
+
+@pytest.mark.usefixtures("no_silent_replays")
+@needs_compiled
+def test_a_timed_fresh_outcome_round_trips_through_a_store_payload():
+    program = shared_program(get_workload("micro_pointer_chase"), 1)
+    reno = RenoConfig.reno_default()
+    outcome = simulate(program, reno=reno, collect_timing=True,
+                       backend="compiled")
+    assert isinstance(outcome.timing.timing_records, TimingColumns)
+    functional = outcome.functional
+    reference = pipeline_result(
+        program, functional, TraceTables(program, functional.trace),
+        MachineConfig.default_4wide(), reno, "compiled", collect_timing=True)
+    assert type(reference.timing_records) is list
+    decoded = decode_payload(encode_payload(outcome))
+    assert type(decoded.timing.timing_records) is list
+    assert decoded.timing == reference
+    assert outcome.timing == reference
+    # The other direction: a payload of the pipeline route (what a store
+    # written before the columns holds) decodes to an equal outcome.
+    outcome.timing = reference
+    assert decode_payload(encode_payload(outcome)).timing == \
+        decode_payload(encode_payload(decoded)).timing
+    assert (analyze_critical_path(decoded.timing.timing_records)
+            == analyze_critical_path(reference.timing_records))
+
+
+@needs_compiled
+def test_timing_columns_compare_and_pickle_as_their_records():
+    program, functional, tables = block("micro_redundant_loads")
+    timed = get_backend("compiled").run_fresh(
+        program, functional.trace, tables, MachineConfig.default_4wide(),
+        RenoConfig.reno_cf_me(), collect_timing=True)
+    columns = timed.timing_records
+    assert len(columns) == len(functional.trace)
+    assert columns._records is None                 # not built yet
+    records = list(columns)
+    assert columns[0] is records[0] and columns[-1] is records[-1]
+    assert columns == records and records == columns
+    assert columns != records[:-1]
+    restored = pickle.loads(pickle.dumps(columns))
+    assert type(restored) is list and restored == records
+    assert pickle.loads(pickle.dumps(timed)).timing_records == records
 
 
 @pytest.mark.usefixtures("no_silent_replays")
@@ -122,39 +243,49 @@ def test_a_record_trace_runs_fresh_too():
     assert type(functional.trace) is list
     tables = TraceTables(program, functional.trace)
     for machine, reno in CELLS[:4]:
-        result = get_backend("compiled").run_fresh(
-            program, functional.trace, tables, machine, reno)
         python = pipeline_result(program, functional, tables, machine, reno,
-                                 "python")
-        assert observables(result) == observables(python)
+                                 "python", collect_timing=True)
+        for collect_timing in (False, True):
+            result = get_backend("compiled").run_fresh(
+                program, functional.trace, tables, machine, reno,
+                collect_timing=collect_timing)
+            assert observables(result) == observables(python)
+        assert_timing_records_identical(result.timing_records,
+                                        python.timing_records)
 
 
 def test_image_slots_hold_every_unobserved_cell():
-    assert fresh.IMAGE_SLOTS >= len(CELLS)
+    timed = get_experiment("fig9").build_spec("micro", None, 1)
+    assert fresh.IMAGE_SLOTS >= (len(CELLS) + len(timed.machines)
+                                 * len(timed.renos))
 
 
-def fresh_marshal_in(program, functional, tables, machine, reno):
+def fresh_marshal_in(program, functional, tables, machine, reno,
+                     collect_timing=False):
     """The kernel state of a fresh pipeline over ``tables``, marshalled in."""
     renamer = (RenoRenamer(machine.num_physical_regs, reno)
                if reno is not None else None)
     pipeline = Pipeline(program, functional.trace, machine, renamer=renamer,
-                        backend="python", tables=tables)
+                        collect_timing=collect_timing, backend="python",
+                        tables=tables)
     state = KernelState(pipeline)
     state.marshal_in(pipeline, None)
     return state
 
 
 @needs_compiled
+@pytest.mark.parametrize("timing", [False, True], ids=["untimed", "timed"])
 @pytest.mark.parametrize("reno", [None, RenoConfig.reno_default()],
                          ids=["BASE", "RENO"])
-def test_an_image_from_one_workload_fits_another(reno):
+def test_an_image_from_one_workload_fits_another(reno, timing):
     machine = MachineConfig.default_6wide()
     first = block("micro_call_spill")
     second = block("gzip_like")
-    image = fresh.FreshImage(fresh_marshal_in(*first, machine, reno),
-                             first[2])
+    image = fresh.FreshImage(
+        fresh_marshal_in(*first, machine, reno, timing), first[2])
+    assert image.timing is timing
     sc, arrays, pool = image.buffers(second[2])
-    expected = fresh_marshal_in(*second, machine, reno)
+    expected = fresh_marshal_in(*second, machine, reno, timing)
     assert sc.tobytes() == expected.sc.tobytes()
     assert sorted(arrays) == sorted(expected.arr)
     for name, column in expected.arr.items():
@@ -164,6 +295,9 @@ def test_an_image_from_one_workload_fits_another(reno):
     owned = {name for name, _ in image.arrays} & {
         *second[2].kernel.arrays, *pool.arrays, "VIO_LOG"}
     assert not owned
+    # A timed image leaves the trace-sized timing columns to the cell.
+    kept = {name for name, _ in image.arrays} & set(TR_COLUMNS)
+    assert kept == (set() if timing else set(TR_COLUMNS))
     assert len(image.scalars) == len(sc)
 
 
@@ -173,7 +307,7 @@ def test_images_are_compact():
     backend = get_backend("compiled")
     machine, reno = MachineConfig.default_4wide(), RenoConfig.reno_default()
     image = fresh.FreshImage(backend._marshal_fresh(
-        program, functional.trace, tables, machine, reno), tables)
+        program, functional.trace, tables, machine, reno, False), tables)
     copies = [name for name, column in image.arrays
               if not isinstance(column, tuple)]
     # The wakeup ring, the waiter chains and most tables hold one value.
@@ -225,19 +359,53 @@ def test_simulate_builds_no_pipeline_for_an_unobserved_cell(monkeypatch):
     reference = run_experiment("fig8", suite="micro", workloads=["micro_sum"],
                                jobs=1, cache=False, backend="python")
     assert report.rows == reference.rows
-    built.clear()
+    # Timed cells run fresh too (once their images are captured) ...
     run_experiment("fig9", suite="micro", workloads=["micro_sum"], jobs=1,
                    cache=False, backend="compiled")
-    assert built and all(built)     # timed cells keep their pipelines
+    built.clear()
+    report = run_experiment("fig9", suite="micro", workloads=["micro_sum"],
+                            jobs=1, cache=False, backend="compiled")
+    assert built == []
+    reference = run_experiment("fig9", suite="micro", workloads=["micro_sum"],
+                               jobs=1, cache=False, backend="python")
+    assert report.rows == reference.rows
+    # ... while cells that record occupancy keep their pipelines.
+    built.clear()
+    run_experiment("bottleneck", suite="micro", workloads=["micro_sum"],
+                   jobs=1, cache=False, backend="compiled")
+    assert built and all(built)
+
+
+@pytest.mark.usefixtures("no_silent_replays")
+@needs_compiled
+def test_fresh_cells_leave_the_trace_ops_unbuilt(monkeypatch):
+    """Only a pipeline builds the decoded op of every trace record."""
+    monkeypatch.setattr(fresh, "_images", {})   # captures build pipelines
+    program, functional, tables = block("micro_call_spill")
+    for collect_timing in (False, True):            # a fig8 and a fig9 cell
+        outcome = simulate(program, reno=RenoConfig.reno_default(),
+                           trace=functional, tables=tables,
+                           collect_timing=collect_timing, backend="compiled")
+        assert (outcome.timing.timing_records is not None) is collect_timing
+    assert tables._trace_ops is None
+    pipeline = Pipeline(program, functional.trace,
+                        MachineConfig.default_4wide(), tables=tables,
+                        backend="compiled")
+    assert tables._trace_ops is None
+    pipeline.run()
+    assert tables._trace_ops is not None
+    assert pipeline._trace_ops is tables.trace_ops
 
 
 def count_captures(monkeypatch):
     captures = []
     marshal_fresh = CompiledBackend._marshal_fresh
 
-    def counted(backend, program, trace, tables, machine, reno):
-        captures.append((machine.name, reno))
-        return marshal_fresh(backend, program, trace, tables, machine, reno)
+    def counted(backend, program, trace, tables, machine, reno,
+                collect_timing):
+        captures.append((machine.name, reno, collect_timing))
+        return marshal_fresh(backend, program, trace, tables, machine, reno,
+                             collect_timing)
 
     monkeypatch.setattr(CompiledBackend, "_marshal_fresh", counted)
     return captures
