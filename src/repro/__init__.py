@@ -18,4 +18,11 @@ The package is organised as:
   (``run`` / ``list`` / ``cache`` / ``serve`` / ``submit`` / ``status``).
 """
 
+from time import time_ns as _time_ns
+
 __version__ = "1.2.0"
+
+#: When this process loaded the package, in ns since the epoch.  A source
+#: file modified later is not the code the process runs, so such a file
+#: turns the report memo off (:func:`repro.harness.spec.source_digest`).
+LOADED_AT_NS = _time_ns()

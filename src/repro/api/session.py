@@ -12,7 +12,8 @@ submission surface in front of the experiment registry:
 * Identical concurrent submissions are **coalesced**: requests are
   content-addressed (:meth:`~repro.api.schema.ExperimentRequest.digest`),
   an in-flight digest match returns the existing job, and *completed*
-  repeats recompute through the content-addressed outcome cache — so an
+  repeats are answered from the result store's report memo
+  (:func:`~repro.harness.spec.report_key`) in one read — so an
   experiment grid executes once no matter how many clients ask for it.
 
 The library entry point (``run_experiment``) and the ``python -m repro run``
@@ -22,6 +23,7 @@ CLI are thin clients of this facade; ``python -m repro serve``
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import time
@@ -74,7 +76,6 @@ class Job:
     #: (enforced by the ``lock-discipline`` lint rule).
     _GUARDED_BY_LOCK = (
         "_state",
-        "_report",
         "_report_dict",
         "_error",
         "_cells_done",
@@ -97,7 +98,6 @@ class Job:
         self._state = JobState.PENDING
         self._cancel_event = threading.Event()
         self._done_event = threading.Event()
-        self._report = None
         self._report_dict: dict | None = None
         self._error: BaseException | None = None
         self._cells_done = 0
@@ -151,12 +151,22 @@ class Job:
                 self._state = JobState.RUNNING
 
     def _finish(self, report) -> None:
-        # Serialise once, outside the lock: the report is immutable from
-        # here on and status() may be polled by many watchers.
-        report_dict = report.to_dict()
+        """Succeed with ``report``: an ``ExperimentReport``, or the wire
+        dict of a report-memo hit, kept as is.
+
+        The job keeps only the wire dict, which every status poll sends
+        and :meth:`result` decodes.  A memo hit ran no cell, so its status
+        reads every cell done and cached, with the report's occupancy.
+        """
+        memo_hit = isinstance(report, dict)
+        # Serialise once, outside the lock: status() may be polled by many
+        # watchers.
+        report_dict = report if memo_hit else report.to_dict()
         with self._lock:
-            self._report = report
             self._report_dict = report_dict
+            if memo_hit:
+                self._cells_done = self._cells_cached = self.cells_total or 0
+                self._cell_occupancy = dict(report_dict.get("occupancy") or {})
             self._state = JobState.SUCCEEDED
             self._finished_at = self._clock()
         self._done_event.set()
@@ -250,7 +260,8 @@ class Job:
             if self._state == JobState.FAILED:
                 raise JobFailed(
                     f"job {self.job_id} failed: {self._error}") from self._error
-            return self._report
+            report_dict = self._report_dict
+        return _decode_report(report_dict)
 
     def cancel(self) -> bool:
         """Request cooperative cancellation.
@@ -280,7 +291,7 @@ class Session:
             ``$REPRO_STORE`` / ``$REPRO_CACHE_DIR`` environment like the
             library defaults do.  A claim-capable store also coalesces
             identical requests *across* sessions and hosts (see
-            :meth:`Session._claim_request`).
+            :meth:`Session._request_claim`).
         executor: Explicit default :class:`~repro.harness.executors.Executor`
             (overrides ``jobs``).
         backend: Default cycle-loop backend name for this session's runs
@@ -451,7 +462,8 @@ class Session:
                 return existing.result()
             except (JobCancelled, JobFailed):
                 pass                  # fall through to a direct run
-        return self._execute(request)
+        report = self._execute(request)
+        return _decode_report(report) if isinstance(report, dict) else report
 
     def job(self, job_id: str) -> Job | None:
         """Look up a job by id (None when unknown).
@@ -503,6 +515,17 @@ class Session:
         :class:`~repro.workloads.base.Workload` *objects* and arbitrary
         Python params, which cannot cross the wire.
         """
+        executor, store, backend = self._run_arguments(
+            jobs, executor, cache, backend)
+        return get_experiment(name).run(
+            suite=suite, workloads=workloads, scale=scale, cache=store,
+            executor=executor, progress=progress, cancel=cancel,
+            backend=backend, **params,
+        )
+
+    def _run_arguments(self, jobs, executor, cache, backend):
+        """``(executor, store, backend)`` for one run, with the session's
+        defaults where the caller left them unset."""
         if jobs is None and executor is None:
             jobs, executor = self._jobs_arg, self._executor_arg
         executor = resolve_executor(jobs, executor)
@@ -514,11 +537,7 @@ class Session:
             store = self._cache_arg if cache is None else False
         if backend is None:
             backend = self._backend_arg
-        return get_experiment(name).run(
-            suite=suite, workloads=workloads, scale=scale, cache=store,
-            executor=executor, progress=progress, cancel=cancel,
-            backend=backend, **params,
-        )
+        return executor, store, backend
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -617,58 +636,64 @@ class Session:
         """This session's store-wide identity for request claims."""
         return f"session-{os.getpid()}-{id(self):x}"
 
-    def _claim_request(self, store, token: str, cancel) -> bool:
-        """Acquire the cross-session coalescing marker for one request.
+    @contextlib.contextmanager
+    def _request_claim(self, token: str, cancel):
+        """Hold the cross-session coalescing marker for one request.
 
         In-process coalescing (the ``_inflight`` table) cannot see an
         identical request running in *another* session or host, so the
         store carries an in-flight marker too: whoever claims
         ``request/<digest>`` runs; everyone else waits, then finds the
-        outcomes already stored and replays them as pure cache hits.
+        finished report in the store's report memo.
 
-        Returns whether a claim was taken (and must be released).  A
-        session without a claim-capable store — or whose store errors —
+        A session without a claim-capable store — or whose store errors —
         runs uncoalesced: the marker is an optimisation, never a
         correctness gate.
         """
-        if store is None or not hasattr(store, "claim"):
-            return False
-        owner = self._claim_owner
-        while True:
+        store, owner = self.cache, self._claim_owner
+        claimed = False
+        while store is not None and hasattr(store, "claim"):
             try:
-                granted = store.claim(token, owner, REQUEST_CLAIM_TTL_S)
+                claimed = store.claim(token, owner, REQUEST_CLAIM_TTL_S)
             except Exception:     # noqa: BLE001 - degrade to uncoalesced
-                return False
-            if granted:
-                return True
+                break
+            if claimed:
+                break
             if cancel is not None and cancel():
                 raise ExecutionCancelled(
                     "cancelled while waiting on an identical in-flight "
                     "request in another session")
             time.sleep(REQUEST_CLAIM_POLL_S)
-
-    def _execute(self, request: ExperimentRequest,
-                 progress=None, cancel=None):
-        """Run one coerced request through the engine with session defaults."""
-        store = self.cache
-        token = f"request/{request.digest()}"
-        claimed = self._claim_request(store, token, cancel)
         try:
-            return self.run_experiment(
-                request.experiment,
-                suite=request.suite,
-                workloads=list(request.workloads) if request.workloads is not None else None,
-                scale=request.scale,
-                progress=progress,
-                cancel=cancel,
-                **request.params,
-            )
+            yield
         finally:
             if claimed:
                 try:
-                    store.release(token, self._claim_owner)
+                    store.release(token, owner)
                 except Exception:   # noqa: BLE001 - advisory marker only
                     pass
+
+    def _execute(self, request: ExperimentRequest,
+                 progress=None, cancel=None):
+        """Run one coerced request through the engine with session defaults.
+
+        Returns the report, or its wire dict when the store's report memo
+        holds it (:meth:`~repro.harness.spec.Experiment.recall_or_run`).
+        The memo is read before the ``request/<digest>`` claim is taken,
+        so a hit writes nothing to the store, and again once the claim is
+        held, so a request that waited on another holder finds its report.
+        """
+        executor, store, backend = self._run_arguments(None, None, None, None)
+        token = f"request/{request.digest()}"
+        return get_experiment(request.experiment).recall_or_run(
+            request.suite,
+            list(request.workloads) if request.workloads is not None else None,
+            request.scale,
+            dict(request.params),
+            cache=store, executor=executor, progress=progress, cancel=cancel,
+            backend=backend,
+            gate=lambda: self._request_claim(token, cancel),
+        )
 
     def _run_job(self, job: Job, digest: str) -> None:
         """Worker-thread body for one submitted job."""
@@ -693,6 +718,13 @@ class Session:
             with self._lock:
                 if self._inflight.get(digest) is job:
                     del self._inflight[digest]
+
+
+def _decode_report(report_dict: dict):
+    """An ``ExperimentReport`` from its wire dict."""
+    from repro.harness.experiments import ExperimentReport
+
+    return ExperimentReport.from_dict(report_dict)
 
 
 # ---------------------------------------------------------------------------

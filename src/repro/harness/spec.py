@@ -26,22 +26,34 @@ Example::
 Experiments whose shape is not one grid (the functional-only instruction
 mix, the multi-scale sweep) register a custom ``run_fn`` instead of a
 builder/reducer pair; the CLI treats both kinds identically.
+
+With a result store active, :meth:`Experiment.run` keeps every finished
+report in the store as a *report memo* under :func:`report_key`, and
+answers a repeated request with that one read: no spec, no cell key, no
+reducer.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
+import logging
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable
 
+import repro
 from repro.core.config import RenoConfig
-from repro.harness.executors import CancelFn, Executor, ProgressFn
+from repro.harness.executors import CancelFn, Executor, ProgressFn, resolve_cache
 from repro.harness.runner import MatrixResult, _require_unique, run_matrix
-from repro.store.base import ResultStore
+from repro.store.base import CACHE_FORMAT_VERSION, ResultStore
 from repro.uarch.config import MachineConfig
 from repro.workloads.base import Workload
 from repro.workloads.suites import suite_by_name
+
+logger = logging.getLogger("repro.harness")
 
 
 @dataclass(frozen=True)
@@ -240,6 +252,108 @@ class SweepSpec:
 
 
 # ---------------------------------------------------------------------------
+# The report memo
+# ---------------------------------------------------------------------------
+
+
+#: The ``repro`` package directory, whose ``.py`` files :func:`source_digest`
+#: covers.
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.lru_cache(maxsize=1)
+def source_digest() -> str | None:
+    """SHA-256 over every ``.py`` file of the ``repro`` package (sorted
+    relative paths plus bytes), computed once per process; None when the
+    sources cannot be read.
+
+    It is part of every :func:`report_key`, so any edit to a reducer, spec
+    builder, workload or simulator misses every report memo written before.
+    The digest is taken on the first lookup, not at import, so it is None
+    too — no memo for the rest of the process — when a file was modified
+    after the process loaded the package (:data:`repro.LOADED_AT_NS`):
+    the process runs the old code, and its reports must not be keyed by
+    the new bytes.
+    """
+    try:
+        paths = sorted(PACKAGE_ROOT.rglob("*.py"))
+        if not paths:
+            return None
+        hasher = hashlib.sha256()
+        for path in paths:
+            hasher.update(path.relative_to(PACKAGE_ROOT).as_posix().encode()
+                          + b"\0")
+            hasher.update(path.read_bytes())
+        edited = [path for path in paths
+                  if path.stat().st_mtime_ns > repro.LOADED_AT_NS]
+    except OSError:
+        return None
+    if edited:
+        logger.warning("%s changed after this process loaded the repro "
+                       "sources; report memo off until it restarts",
+                       edited[0].relative_to(PACKAGE_ROOT).as_posix())
+        return None
+    return hasher.hexdigest()
+
+
+def report_key(store, experiment: str, suite: str, workloads,
+               scale, params: dict) -> str | None:
+    """The report-memo key of one request, or None when it has none.
+
+    A SHA-256 over :data:`~repro.store.base.CACHE_FORMAT_VERSION`,
+    :func:`source_digest` and the canonical request JSON (experiment,
+    resolved suite, workloads, scale, params).  None — compute, do not
+    memoise — when ``store`` keeps no reports, a workload is an ad-hoc
+    :class:`~repro.workloads.base.Workload` object, the params are not
+    JSON or the sources cannot be read.
+    """
+    if store is None or not hasattr(store, "get_report"):
+        return None
+    if workloads is not None and not all(isinstance(name, str)
+                                         for name in workloads):
+        return None
+    try:
+        request = json.dumps({
+            "experiment": experiment, "suite": suite,
+            "workloads": list(workloads) if workloads is not None else None,
+            "scale": scale, "params": params,
+        }, sort_keys=True)
+    except (TypeError, ValueError):
+        return None
+    sources = source_digest()
+    if sources is None:
+        return None
+    material = f"{CACHE_FORMAT_VERSION}\n{sources}\n{request}"
+    return hashlib.sha256(material.encode()).hexdigest()
+
+
+def lookup_report(store, key: str | None) -> dict | None:
+    """The report memo under ``key`` (its ``to_dict()`` form), or None.
+
+    The store only returns a memo that decodes as a report
+    (:func:`~repro.store.base.decode_report`).  A store that fails the
+    lookup reads as a miss: the memo saves work, it never gates a run.
+    """
+    if key is None:
+        return None
+    try:
+        return store.get_report(key)
+    except Exception:             # noqa: BLE001 - a failed lookup is a miss
+        return None
+
+
+def remember_report(store, key: str | None, report: dict) -> None:
+    """Store ``report`` (a ``to_dict()`` form) as the memo under ``key``;
+    first writer wins, and a failed put only costs a later recompute."""
+    if key is None:
+        return
+    try:
+        store.put_report(key, report)
+    except Exception:             # noqa: BLE001 - the report is already made
+        pass
+
+
+# ---------------------------------------------------------------------------
 # The experiment registry
 # ---------------------------------------------------------------------------
 
@@ -292,14 +406,58 @@ class Experiment:
         stream per-cell completion out of (and cooperative cancellation
         into) the engine — this is the hook
         :class:`repro.api.session.Session` jobs are built on.
+
+        With a store that keeps report memos, a repeated request is
+        answered from the memo (:meth:`recall_or_run`).
+        """
+        report = self.recall_or_run(
+            suite, workloads, scale, params, jobs=jobs, cache=cache,
+            executor=executor, progress=progress, cancel=cancel,
+            backend=backend)
+        if isinstance(report, dict):
+            from repro.harness.experiments import ExperimentReport
+
+            return ExperimentReport.from_dict(report)
+        return report
+
+    def recall_or_run(self, suite, workloads, scale, params: dict, *,
+                      jobs=None, cache=None, executor=None, progress=None,
+                      cancel=None, backend=None, gate=None):
+        """The report of one request: the wire dict of its report memo on a
+        hit, else the computed ``ExperimentReport``, which is then stored.
+
+        The store is resolved once and the memo (:func:`report_key`) is
+        read before anything is built or run; a hit sends no progress
+        event.  ``gate``, a context-manager factory, is entered on a miss
+        only, and held until the report is stored: the memo is read again
+        inside it, so a caller that gates on a cross-session claim finds
+        the report of the holder it waited for.
         """
         suite = suite or self.default_suite
+        store = resolve_cache(cache)
+        key = report_key(store, self.name, suite, workloads, scale, params)
+        memo = lookup_report(store, key)
+        if memo is not None:
+            return memo
+        with gate() if gate is not None else contextlib.nullcontext():
+            if gate is not None:
+                memo = lookup_report(store, key)
+                if memo is not None:
+                    return memo
+            # None would re-read the environment downstream; False stays off.
+            report = self._compute(
+                suite, workloads, scale, params,
+                jobs=jobs, cache=store if store is not None else False,
+                executor=executor, progress=progress, cancel=cancel,
+                backend=backend)
+            remember_report(store, key, report.to_dict())
+        return report
+
+    def _compute(self, suite, workloads, scale, params, **run):
+        """Run the experiment (no memo) and stamp the report's provenance."""
         if self.run_fn is not None:
-            report = self.run_fn(
-                suite, workloads=workloads, scale=scale, jobs=jobs,
-                cache=cache, executor=executor, progress=progress,
-                cancel=cancel, backend=backend, **params,
-            )
+            report = self.run_fn(suite, workloads=workloads, scale=scale,
+                                 **run, **params)
             spec_dict = None
         else:
             spec = self.build_spec(suite, workloads, scale, **params)
@@ -313,9 +471,7 @@ class Experiment:
                 spec.machines, spec.renos,
                 scale=spec.scale, collect_timing=spec.collect_timing,
                 record_stats=spec.record_stats,
-                max_instructions=spec.max_instructions,
-                jobs=jobs, cache=cache, executor=executor,
-                progress=progress, cancel=cancel, backend=backend,
+                max_instructions=spec.max_instructions, **run,
             )
             report = self.reduce(matrix, spec)
             spec_dict = spec.to_dict()

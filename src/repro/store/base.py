@@ -22,9 +22,13 @@ dicts: a directory path opens a :class:`DiskStore`,
 ``http(s)://host:port`` an :class:`HTTPStore`.  :func:`open_store` maps a
 locator to a store and :func:`store_locator` is its inverse.
 
-Beyond ``get``/``put``, stores carry one small cooperative facility the
-rest of the stack builds on:
+Beyond ``get``/``put``, stores carry two facilities the rest of the
+stack builds on:
 
+* **the report memo** (:meth:`ResultStore.get_report` /
+  :meth:`ResultStore.put_report`) — a finished experiment report as one
+  JSON blob, keyed by :func:`repro.harness.spec.report_key`, so a
+  repeated request is one store read instead of one read per grid cell;
 * **claims** (:meth:`ResultStore.claim` / :meth:`ResultStore.release`) —
   named, TTL-guarded in-flight markers.  Sessions claim
   ``request/<digest>`` before executing a grid, which extends request
@@ -34,8 +38,9 @@ rest of the stack builds on:
 
 from __future__ import annotations
 
+import json
 import pickle
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -53,14 +58,19 @@ CACHE_FORMAT_VERSION = 3
 #: ``$REPRO_CACHE_DIR`` when both are set.
 STORE_ENV = "REPRO_STORE"
 
+#: Key prefix of report-memo entries in a store's blob table (cell outcome
+#: keys are bare hex digests, so the two can never collide).
+REPORT_PREFIX = "report/"
+
 
 @dataclass
 class StoreStats:
     """Hit/miss/store/eviction counters for one store instance.
 
-    ``hits``/``misses``/``stores`` count lookups and writes; the rest count
-    evictions, duplicate puts and claims.  A process pool adds every field
-    of its workers' stats into the parent's.
+    ``hits``/``misses``/``stores`` count cell-outcome lookups and writes;
+    ``report_hits``/``report_misses`` count report-memo lookups; the rest
+    count evictions, duplicate puts and claims.  A process pool adds every
+    field of its workers' stats into the parent's.
     """
 
     hits: int = 0
@@ -70,18 +80,12 @@ class StoreStats:
     duplicate_puts: int = 0
     claims: int = 0
     claim_conflicts: int = 0
+    report_hits: int = 0
+    report_misses: int = 0
 
     def __call__(self) -> dict:
         """The counters as a plain dict (``store.stats()`` protocol form)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "duplicate_puts": self.duplicate_puts,
-            "claims": self.claims,
-            "claim_conflicts": self.claim_conflicts,
-        }
+        return asdict(self)
 
 
 def encode_payload(outcome: SimulationOutcome) -> bytes:
@@ -123,6 +127,36 @@ def decode_payload(blob: bytes) -> SimulationOutcome | None:
         return None
 
 
+def encode_report(report: dict) -> bytes:
+    """Serialise a report's ``to_dict()`` form to a report-memo blob."""
+    return json.dumps(report, separators=(",", ":")).encode()
+
+
+def decode_report(blob: bytes) -> dict | None:
+    """Deserialise a report-memo blob (None unless :func:`valid_report`)."""
+    try:
+        report = json.loads(blob)
+    except ValueError:                # includes UnicodeDecodeError
+        return None
+    return valid_report(report)
+
+
+def valid_report(report) -> dict | None:
+    """``report`` when it decodes as an ``ExperimentReport`` (a JSON
+    object of a schema this package reads), else None.
+
+    Every tier checks a memo with this before serving or storing it, so
+    an entry that is not a report reads as a corrupt one.
+    """
+    from repro.harness.experiments import ExperimentReport
+
+    try:
+        ExperimentReport.from_dict(report)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    return report
+
+
 @runtime_checkable
 class ResultStore(Protocol):
     """The content-addressed result-store protocol (see module docstring).
@@ -147,6 +181,16 @@ class ResultStore(Protocol):
 
     def contains(self, key: str) -> bool:
         """Whether an entry for ``key`` exists (no payload decode)."""
+        ...  # pragma: no cover - protocol definition
+
+    def get_report(self, key: str) -> dict | None:
+        """Load the report memo under ``key`` (its ``to_dict()`` form;
+        None on a miss)."""
+        ...  # pragma: no cover - protocol definition
+
+    def put_report(self, key: str, report: dict) -> bool:
+        """Store a report's ``to_dict()`` form under ``key`` (first writer
+        wins, like :meth:`put`)."""
         ...  # pragma: no cover - protocol definition
 
     def claim(self, token: str, owner: str, ttl_s: float) -> bool:

@@ -16,6 +16,10 @@ GET       ``/store/blob/<key>``      payload bytes, 404 on a miss
 HEAD      ``/store/blob/<key>``      existence probe (``contains``)
 PUT       ``/store/blob/<key>``      conditional put → ``BlobPutReply``
                                      (first writer wins, exactly-once)
+GET       ``/store/report/<key>``    report memo as JSON, 404 on a miss
+PUT       ``/store/report/<key>``    conditional put of a report memo
+                                     (JSON body) → ``BlobPutReply``; 400
+                                     unless the body is a report
 GET       ``/store/stats``           ``StoreStatsReply`` counters + sizes
 POST      ``/store/claim``           acquire an in-flight marker
 POST      ``/store/release``         drop an in-flight marker
@@ -41,7 +45,13 @@ from repro.api.http import (
     run_until_signalled,
 )
 from repro.core.simulator import SimulationOutcome
-from repro.store.base import StoreStats, decode_payload, encode_payload
+from repro.store.base import (
+    StoreStats,
+    decode_payload,
+    decode_report,
+    encode_payload,
+    valid_report,
+)
 from repro.store.schema import (
     STORE_SCHEMA_VERSION,
     TOKEN_ENV,
@@ -142,6 +152,21 @@ class HTTPStore:
             self.stats.duplicate_puts += 1
         return reply.stored
 
+    def get_report(self, key: str) -> dict | None:
+        """Fetch the report memo under ``key`` (None on 404)."""
+        blob = self._request("GET", f"/store/report/{key}", missing_ok=True)
+        report = decode_report(blob) if blob is not None else None
+        if report is None:
+            self.stats.report_misses += 1
+        else:
+            self.stats.report_hits += 1
+        return report
+
+    def put_report(self, key: str, report: dict) -> bool:
+        """Conditionally upload a report memo (first put wins)."""
+        return BlobPutReply.from_dict(self._json(
+            "PUT", f"/store/report/{key}", report)).stored
+
     def contains(self, key: str) -> bool:
         """HEAD-probe whether an entry for ``key`` exists."""
         return self._request("HEAD", f"/store/blob/{key}",
@@ -184,6 +209,8 @@ class StoreServer(JSONServer):
             ("GET", "/store/blob/<key>", self._get_blob),
             ("HEAD", "/store/blob/<key>", self._has_blob),
             ("PUT", "/store/blob/<key>", self._put_blob),
+            ("GET", "/store/report/<key>", self._get_report),
+            ("PUT", "/store/report/<key>", self._put_report),
             ("GET", "/store/stats", self._stats),
             ("POST", "/store/claim", self._claim),
             ("POST", "/store/release", self._release),
@@ -208,6 +235,20 @@ class StoreServer(JSONServer):
             raise RouteError(400, f"payload for {key!r} is not a valid "
                                   f"cache-format entry")
         stored = self.backing.put(key, outcome)
+        return 200, BlobPutReply(key=key, stored=stored,
+                                 duplicate=not stored).to_dict()
+
+    def _get_report(self, request, key: str) -> tuple[int, dict]:
+        report = self.backing.get_report(key)
+        if report is None:
+            raise RouteError(404, f"no report for key {key!r}")
+        return 200, report
+
+    def _put_report(self, request, key: str) -> tuple[int, dict]:
+        report = valid_report(request.read_json())
+        if report is None:
+            raise RouteError(400, "body is not an experiment report")
+        stored = self.backing.put_report(key, report)
         return 200, BlobPutReply(key=key, stored=stored,
                                  duplicate=not stored).to_dict()
 

@@ -22,7 +22,9 @@ from dataclasses import asdict, dataclass, field
 
 #: Version of the store wire payloads.  Bump on any additive change; the
 #: ``store-schema`` lint rule fails removals and unbumped additions.
-STORE_SCHEMA_VERSION = 1
+#: v2: ``StoreStatsReply`` gained ``report_hits``/``report_misses`` (the
+#: report memo and its ``/store/report/<key>`` routes).
+STORE_SCHEMA_VERSION = 2
 
 #: HTTP header carrying the worker/client credential.
 AUTH_HEADER = "Authorization"
@@ -61,6 +63,8 @@ class StoreStatsReply:
     claim_conflicts: int = 0
     entries: int = 0
     bytes: int = 0
+    report_hits: int = 0
+    report_misses: int = 0
 
     def to_dict(self) -> dict:
         """The JSON-ready dict form."""
@@ -76,7 +80,8 @@ class StoreStatsReply:
 
 @dataclass
 class BlobPutReply:
-    """The ``PUT /store/blob/<key>`` payload: conditional-put outcome.
+    """The ``PUT /store/blob/<key>`` and ``PUT /store/report/<key>``
+    payload: conditional-put outcome.
 
     ``stored`` is True only for the first successful put of a key — the
     exactly-once contract: later puts of the same key are acknowledged

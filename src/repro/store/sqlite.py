@@ -15,6 +15,10 @@ real eviction policy:
   win; later puts of the same key are counted as duplicates and change
   nothing.
 
+Report memos (:meth:`SqliteStore.put_report`) live in the same ``blobs``
+table under ``report/<key>``, so the size cap, LRU order and TTL cover
+them exactly as they cover cell outcomes.
+
 All statements run under one connection guarded by a lock (the store is
 shared across the server's handler threads), with sqlite's own file
 locking covering multi-process access to the same database file.
@@ -29,7 +33,14 @@ import time
 from pathlib import Path
 
 from repro.core.simulator import SimulationOutcome
-from repro.store.base import StoreStats, decode_payload, encode_payload
+from repro.store.base import (
+    REPORT_PREFIX,
+    StoreStats,
+    decode_payload,
+    decode_report,
+    encode_payload,
+    encode_report,
+)
 from repro.store.schema import STORE_SCHEMA_VERSION
 
 logger = logging.getLogger("repro.store")
@@ -138,35 +149,52 @@ class SqliteStore:
         corrupt payload — corrupt and expired entries are deleted, a
         corrupt one with a warning on the ``repro.store`` logger)."""
         with self._lock:
-            row = self._db.execute(
-                "SELECT payload, last_access FROM blobs WHERE key = ?",
-                (key,)).fetchone()
-            if row is None:
-                self.stats.misses += 1
-                return None
-            blob, last_access = row
-            if self._expired(last_access):
-                self._db.execute("DELETE FROM blobs WHERE key = ?", (key,))
-                self._db.commit()
-                self.stats.evictions += 1
-                self.stats.misses += 1
-                return None
-            outcome = decode_payload(blob)
+            outcome = self._read_locked(key, decode_payload)
             if outcome is None:
-                self._db.execute("DELETE FROM blobs WHERE key = ?", (key,))
-                self._db.commit()
                 self.stats.misses += 1
-                logger.warning(
-                    "store entry %s in %s is corrupt or from another cache "
-                    "format; deleted (will be recomputed)", key[:12], self.path)
-                return None
-            if self.max_bytes is not None or self.ttl_s is not None:
-                self._db.execute(
-                    "UPDATE blobs SET last_access = ? WHERE key = ?",
-                    (self._clock(), key))
-                self._db.commit()
-            self.stats.hits += 1
+            else:
+                self.stats.hits += 1
             return outcome
+
+    def get_report(self, key: str) -> dict | None:
+        """Load the report memo under ``key`` (None on a miss; expired and
+        corrupt entries are deleted exactly as :meth:`get` deletes them)."""
+        with self._lock:
+            report = self._read_locked(REPORT_PREFIX + key, decode_report)
+            if report is None:
+                self.stats.report_misses += 1
+            else:
+                self.stats.report_hits += 1
+            return report
+
+    def _read_locked(self, key: str, decode):
+        """The decoded live entry under ``key``, or None (caller holds the
+        lock); deletes an expired or undecodable entry."""
+        row = self._db.execute(
+            "SELECT payload, last_access FROM blobs WHERE key = ?",
+            (key,)).fetchone()
+        if row is None:
+            return None
+        blob, last_access = row
+        if self._expired(last_access):
+            self._db.execute("DELETE FROM blobs WHERE key = ?", (key,))
+            self._db.commit()
+            self.stats.evictions += 1
+            return None
+        value = decode(blob)
+        if value is None:
+            self._db.execute("DELETE FROM blobs WHERE key = ?", (key,))
+            self._db.commit()
+            logger.warning(
+                "store entry %s in %s is corrupt or from another cache "
+                "format; deleted (will be recomputed)", key[:19], self.path)
+            return None
+        if self.max_bytes is not None or self.ttl_s is not None:
+            self._db.execute(
+                "UPDATE blobs SET last_access = ? WHERE key = ?",
+                (self._clock(), key))
+            self._db.commit()
+        return value
 
     def put(self, key: str, outcome: SimulationOutcome) -> bool:
         """Store a slim copy of ``outcome`` (first writer wins).
@@ -175,24 +203,40 @@ class SqliteStore:
         ``max_bytes``; an entry larger than the whole cap is refused.
         """
         blob = encode_payload(outcome)
-        now = self._clock()
         with self._lock:
-            if self.max_bytes is not None:
-                if len(blob) > self.max_bytes:
-                    return False
-                if not self._live_locked(key):   # a duplicate evicts nothing
-                    self._evict_locked(need=len(blob))
-            cursor = self._db.execute(
-                "INSERT OR IGNORE INTO blobs "
-                "(key, payload, nbytes, created, last_access) "
-                "VALUES (?, ?, ?, ?, ?)",
-                (key, blob, len(blob), now, now))
-            self._db.commit()
-            if cursor.rowcount == 0:
+            stored = self._insert_locked(key, blob)
+            if stored:
+                self.stats.stores += 1
+            elif stored is not None:
                 self.stats.duplicate_puts += 1
-                return False
-            self.stats.stores += 1
-            return True
+            return bool(stored)
+
+    def put_report(self, key: str, report: dict) -> bool:
+        """Store a report memo (first writer wins; the same size cap and
+        LRU eviction as :meth:`put`)."""
+        blob = encode_report(report)
+        with self._lock:
+            return bool(self._insert_locked(REPORT_PREFIX + key, blob))
+
+    def _insert_locked(self, key: str, blob: bytes) -> bool | None:
+        """Insert ``blob`` unless ``key`` exists (caller holds the lock).
+
+        True when stored, False for a duplicate, None when the blob is
+        larger than the whole size cap (refused, nothing evicted).
+        """
+        now = self._clock()
+        if self.max_bytes is not None:
+            if len(blob) > self.max_bytes:
+                return None
+            if not self._live_locked(key):   # a duplicate evicts nothing
+                self._evict_locked(need=len(blob))
+        cursor = self._db.execute(
+            "INSERT OR IGNORE INTO blobs "
+            "(key, payload, nbytes, created, last_access) "
+            "VALUES (?, ?, ?, ?, ?)",
+            (key, blob, len(blob), now, now))
+        self._db.commit()
+        return cursor.rowcount > 0
 
     def _evict_locked(self, need: int) -> None:
         """Delete expired + LRU entries until ``need`` more bytes fit."""

@@ -40,6 +40,7 @@ from repro.uarch.compiled.marshal import (
     TR_COLUMNS,
     KernelState,
     KernelTables,
+    PointerBlock,
     address_of,
     timing_columns,
     violation_log_size,
@@ -201,8 +202,7 @@ def run_cell(kernel, image: FreshImage, tables, machine) -> SimResult | None:
         reference's result or exception).
     """
     sc, arrays, pool = image.buffers(tables)
-    pt = (ctypes.c_void_p * len(POINTERS))(
-        *[address_of(arrays[name]) for name in POINTERS])
+    pt = PointerBlock(*[address_of(arrays[name]) for name in POINTERS])
     sc_ptr = ctypes.cast(sc.buffer_info()[0], ctypes.POINTER(ctypes.c_int64))
     if kernel(sc_ptr, pt, pool.view) != ERR_OK:
         return None

@@ -44,9 +44,10 @@ from repro.isa.program import DATA_BASE, STACK_BASE, Program
 from repro.isa.registers import NUM_LOGICAL_REGS, ZERO_REG
 from repro.isa.registers import RegisterNames as R
 from repro.uarch.compiled import build, emit
-from repro.uarch.compiled.emit import PT, POINTERS, SC, SCALARS
+from repro.uarch.compiled.emit import PT, SC, SCALARS
 from repro.uarch.compiled.marshal import (
     MarshalError,
+    PointerBlock,
     address_of,
     opcode_columns,
     static_columns,
@@ -153,7 +154,7 @@ def run_compiled(program: Program,
     sc[SC["F_BUDGET"]] = min(max_instructions, _INT64[-1])
     sc[SC["F_NCODE"]] = len(program.instructions)
     sc_ptr = ctypes.cast(sc.buffer_info()[0], ctypes.POINTER(ctypes.c_int64))
-    pt = (ctypes.c_void_p * len(POINTERS))()
+    pt = PointerBlock()
     while True:
         sc[SC["F_CAP"]] = capacity
         sc[SC["NPOOL"]] = pool.count

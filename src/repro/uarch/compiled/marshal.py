@@ -119,6 +119,12 @@ class MarshalError(Exception):
     """
 
 
+#: The kernel's pointer-block type.  ctypes keeps an array type only while
+#: something holds it, and each new one is a reference cycle, so it is
+#: built once here rather than per pipeline or per cell.
+PointerBlock = ctypes.c_void_p * len(POINTERS)
+
+
 def address_of(column) -> int:
     """The address of an ABI column: an ``array``, or any other writable
     buffer (a compiled functional run's trace columns are ``memoryview``s
@@ -291,7 +297,7 @@ class KernelState:
 
         self.sc = array("q", bytes(8 * len(SCALARS)))
         self.arr: dict[str, array] = {}
-        self.pt = (ctypes.c_void_p * len(POINTERS))()
+        self.pt = PointerBlock()
         static = KernelTables.of(pipeline.tables)
         self.arr.update(static.arrays)
         self._store_pages = static.store_pages

@@ -48,7 +48,8 @@ class PagePool:
         arrays: ``PAGE_NUM``/``PAGE_DIRTY``/``PH_KEY``/``PH_VAL`` -> array
             (replaced when the pool grows; re-register after a growth).
         buffer: The page bytes, slot ``i`` at ``i * PAGE_SIZE``.
-        view: A ctypes view of ``buffer`` to pass as the pages argument.
+        view: A pointer to ``buffer``'s first byte, to pass as the pages
+            argument (``byref`` of a ``c_ubyte``: no array type per buffer).
         count: Pages in use (``NPOOL``).
     """
 
@@ -110,7 +111,7 @@ class PagePool:
             "PH_VAL": array("q", bytes(8 * table)),
         }
         self.buffer = bytearray(capacity * PAGE_SIZE)
-        self.view = (ctypes.c_ubyte * len(self.buffer)).from_buffer(self.buffer)
+        self.view = ctypes.byref(ctypes.c_ubyte.from_buffer(self.buffer))
 
     def _place(self, number: int, data) -> None:
         """Put page ``number`` in the next slot (zeroed when ``data`` is

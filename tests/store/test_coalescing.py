@@ -3,8 +3,8 @@
 Two *separate* :class:`~repro.api.session.Session` objects sharing one
 store must execute an identical request exactly once: the store's claim
 marker serialises them, and the follower replays the leader's outcomes
-as pure cache hits.  Byte-identity of the reports is asserted, not just
-equality.
+through the report memo (or, without it, as pure cell cache hits).
+Byte-identity of the reports is asserted, not just equality.
 """
 
 import json
@@ -26,6 +26,13 @@ EXPECTED_CELLS = 8
 
 def report_json(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def forget_reports(store) -> None:
+    """Delete the store's report memos, keeping every cell outcome."""
+    with store._lock:
+        store._db.execute("DELETE FROM blobs WHERE key LIKE 'report/%'")
+        store._db.commit()
 
 
 def test_two_sessions_coalesce_to_one_simulation(tmp_path):
@@ -53,7 +60,8 @@ def test_two_sessions_coalesce_to_one_simulation(tmp_path):
 
     # Exactly one simulation: every cell stored once across both
     # sessions, and no duplicate put ever raced in behind the winner's.
-    assert len(stores[0]) == EXPECTED_CELLS
+    # Every cell plus the one report memo.
+    assert len(stores[0]) == EXPECTED_CELLS + 1
     assert sum(s.stats.stores for s in stores) == EXPECTED_CELLS
     assert sum(s.stats.duplicate_puts for s in stores) == 0
     # The claim marker did its job: somebody waited (or the runs were
@@ -105,15 +113,35 @@ def test_cancel_while_waiting_on_a_foreign_claim(tmp_path):
     store.close()
 
 
-def test_second_session_is_pure_cache_hits(tmp_path):
-    first_store = SqliteStore(tmp_path / "store.sqlite3")
-    first = Session(jobs=1, cache=first_store)
-    cold = first.run(REQUEST)
-    first.close()
-    assert first_store.stats.stores == EXPECTED_CELLS
-    first_store.close()
+def run_cold(tmp_path):
+    """One cold run through its own session; returns its report."""
+    store = SqliteStore(tmp_path / "store.sqlite3")
+    with Session(jobs=1, cache=store) as session:
+        cold = session.run(REQUEST)
+    assert store.stats.stores == EXPECTED_CELLS
+    assert store.stats.report_misses == 2    # before the claim, and in run
+    store.close()
+    return cold
 
+
+def test_second_session_is_one_report_memo_hit(tmp_path):
+    cold = run_cold(tmp_path)
     second_store = SqliteStore(tmp_path / "store.sqlite3")
+    second = Session(jobs=1, cache=second_store)
+    warm = second.run(REQUEST)
+    assert report_json(cold) == report_json(warm)
+    assert second_store.stats.report_hits == 1
+    assert second_store.stats.stores == 0     # zero new simulations
+    assert second_store.stats.hits == 0       # and no cell read at all
+    assert second_store.stats.claims == 0     # a hit writes no marker
+    second.close()
+    second_store.close()
+
+
+def test_second_session_is_pure_cache_hits(tmp_path):
+    cold = run_cold(tmp_path)
+    second_store = SqliteStore(tmp_path / "store.sqlite3")
+    forget_reports(second_store)
     second = Session(jobs=1, cache=second_store)
     warm = second.run(REQUEST)
     assert report_json(cold) == report_json(warm)

@@ -53,16 +53,30 @@ def test_fleet_over_http_store_matches_serial_byte_for_byte(store_server):
         assert report_json(fleet) == report_json(serial)
 
         stats = store_server.backing.stats_payload()
-        assert stats["entries"] == EXPECTED_CELLS
+        assert stats["entries"] == EXPECTED_CELLS + 1   # and the report memo
         assert stats["stores"] == EXPECTED_CELLS
 
-        # Second identical run: every cell answers from the store before
-        # any cell is even submitted to the broker.
+        # Second identical run: the report memo answers it over HTTP
+        # before any cell key is derived or any cell reaches the broker.
         warm = run_experiment("fig8", suite="micro", workloads=WORKLOADS,
                               executor=executor, cache=store_server.url)
         assert report_json(warm) == report_json(serial)
         warm_stats = store_server.backing.stats_payload()
+        assert warm_stats["report_hits"] == stats["report_hits"] + 1
         assert warm_stats["stores"] == EXPECTED_CELLS   # nothing new stored
-        assert warm_stats["hits"] >= stats["hits"] + EXPECTED_CELLS
+        assert warm_stats["hits"] == stats["hits"]      # no cell read
+
+        # Without the memo, every cell answers from the store before any
+        # cell is even submitted to the broker.
+        with store_server.backing._lock:
+            store_server.backing._db.execute(
+                "DELETE FROM blobs WHERE key LIKE 'report/%'")
+            store_server.backing._db.commit()
+        rewarm = run_experiment("fig8", suite="micro", workloads=WORKLOADS,
+                                executor=executor, cache=store_server.url)
+        assert report_json(rewarm) == report_json(serial)
+        rewarm_stats = store_server.backing.stats_payload()
+        assert rewarm_stats["stores"] == EXPECTED_CELLS
+        assert rewarm_stats["hits"] >= stats["hits"] + EXPECTED_CELLS
     finally:
         executor.close()

@@ -21,9 +21,12 @@ routes:
 * ``simulate`` builds no pipeline for such a cell, but still does for one
   that records occupancy, and leaves the trace's decoded ops unbuilt;
 * the image memo evicts its oldest entry, a cell keeps no reference to
-  its trace, and a fork child gets an image lock of its own.
+  its trace, and a fork child gets an image lock of its own;
+* a compiled pipeline, a fresh cell and a compiled functional run leave
+  no cyclic garbage (no ctypes array type built per run).
 """
 
+import gc
 import os
 import pickle
 import sys
@@ -450,6 +453,9 @@ def test_a_cell_keeps_no_reference_to_its_trace(monkeypatch):
     monkeypatch.setattr(fresh, "_images", {})
     program, functional, tables = block("micro_call_spill")
     columns = KernelTables.of(tables).arrays
+    # Earlier tests' cyclic garbage may hold these shared columns; were it
+    # collected during the run, the counts would drop for no fault of it.
+    gc.collect()
     before = {name: sys.getrefcount(column)
               for name, column in columns.items()}
     trace_refs = sys.getrefcount(functional.trace)
@@ -463,6 +469,42 @@ def test_a_cell_keeps_no_reference_to_its_trace(monkeypatch):
     after_trace = sys.getrefcount(functional.trace)
     assert after_trace == trace_refs
     assert after == before
+
+
+@pytest.mark.usefixtures("no_silent_replays")
+@needs_compiled
+def test_compiled_runs_leave_no_cyclic_garbage():
+    program, functional, tables = block("micro_call_spill")
+    machine, reno = MachineConfig.default_4wide(), RenoConfig.reno_default()
+    backend = get_backend("compiled")
+
+    def compiled_pipeline():
+        pipeline = Pipeline(program, functional.trace, machine,
+                            renamer=RenoRenamer(machine.num_physical_regs, reno),
+                            backend="compiled", tables=tables)
+        pipeline.run()
+
+    runs = {
+        "pipeline": compiled_pipeline,
+        "fresh cell": lambda: backend.run_fresh(
+            program, functional.trace, tables, machine, reno),
+        "functional": lambda: FunctionalSimulator(
+            program, backend="compiled").run(),
+    }
+    for run in runs.values():       # images, kernels and memos built here
+        run()
+    gc.collect()
+    # With automatic collection off, garbage a run leaves stays for the
+    # explicit collect to count.
+    gc.disable()
+    try:
+        freed = {}
+        for name, run in runs.items():
+            run()
+            freed[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert freed == {name: 0 for name in runs}
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
