@@ -125,7 +125,10 @@ def main(argv=None) -> int:
         return 1
     print("perf smoke: stats-off probe recorded nothing (off-mode path intact)")
 
-    _, loop_s, instructions = time_fig8(workloads, jobs=1, repeats=args.repeats)
+    # The primary gate always times the python reference loop, whatever
+    # $REPRO_BACKEND names: its floor was recorded on that loop.
+    _, loop_s, instructions = time_fig8(workloads, jobs=1, repeats=args.repeats,
+                                        backend="python")
     measured_ips = instructions / loop_s
     floor = expected_ips / factor
 

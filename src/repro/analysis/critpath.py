@@ -1,12 +1,12 @@
 """Critical-path analysis (a simplified Fields-style model, §4.3 / Figure 9).
 
-The timing pipeline can record one :class:`~repro.uarch.inflight.TimingRecord`
-per retired instruction; a fresh compiled cell keeps them as
-:class:`~repro.uarch.inflight.TimingColumns`, one column per field indexed
-by ``seq``, and the walk reads those columns (a list of records is turned
-into columns first).  This module walks the dependence structure backwards
-from the last retired instruction, at each step following the constraint that
-actually determined the instruction's completion time:
+A run with ``collect_timing`` keeps its per-retired-instruction timing
+records as :class:`~repro.uarch.inflight.TimingColumns`, one column per
+field indexed by ``seq``, on every route, and the walk reads those
+columns without building a record.  This module walks the dependence
+structure backwards from the last retired instruction, at each step
+following the constraint that actually determined the instruction's
+completion time:
 
 * a *data* edge to the producer whose result arrived last, or
 * a *fetch/dispatch* edge to the previous instruction in program order when
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.uarch.inflight import TimingColumns, TimingRecord
+from repro.uarch.inflight import TimingColumns
 
 #: Loads whose cache latency exceeds this are charged to the memory bucket.
 _MEMORY_LATENCY_THRESHOLD = 10
@@ -56,15 +56,11 @@ class CriticalPathBreakdown:
         }
 
 
-def analyze_critical_path(
-        records: TimingColumns | list[TimingRecord]) -> CriticalPathBreakdown:
+def analyze_critical_path(records: TimingColumns) -> CriticalPathBreakdown:
     """Compute the critical-path bucket breakdown for one simulation.
 
     The walk starts at the last retired instruction (the highest ``seq``)
-    and reads the columns by seq; a list of records (the python loop's, a
-    sliced run's, or one decoded from the result store) is turned into
-    columns first (:meth:`TimingColumns.from_records`), so it may come in
-    any order.
+    and reads the columns by seq.
 
     Args:
         records: Timing records from a run with ``collect_timing``.
@@ -72,8 +68,6 @@ def analyze_critical_path(
     Returns:
         A :class:`CriticalPathBreakdown`.
     """
-    if not isinstance(records, TimingColumns):
-        records = TimingColumns.from_records(records)
     count = len(records)
     if not count:
         return CriticalPathBreakdown()

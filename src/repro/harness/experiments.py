@@ -269,7 +269,7 @@ def _reduce_fig9(matrix: MatrixResult, spec: SweepSpec) -> ExperimentReport:
     for name in matrix.workloads:
         for reno_label in matrix.reno_labels:
             outcome = matrix.get(name, "4wide", reno_label)
-            breakdown = analyze_critical_path(outcome.timing.timing_records or [])
+            breakdown = analyze_critical_path(outcome.timing.timing_records)
             fractions = breakdown.fractions()
             data[(name, reno_label)] = fractions
             rows.append([

@@ -51,7 +51,9 @@ from repro.core.simulator import SimulationOutcome
 #: v3: ``SimStats`` gained ``occupancy`` and ``SimResult`` gained
 #:     ``timeline`` (observability); the key material gained the
 #:     ``record_stats`` mode.
-CACHE_FORMAT_VERSION = 3
+#: v4: ``SimResult.timing_records`` pickles as a ``TimingColumns`` (its
+#:     columns as lists) instead of a list of ``TimingRecord``.
+CACHE_FORMAT_VERSION = 4
 
 #: Environment variable naming the default result store as a locator
 #: (path, ``sqlite://...`` or ``http(s)://...``); takes precedence over

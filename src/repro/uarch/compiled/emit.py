@@ -57,11 +57,11 @@ VALUE_TO_ID: dict[str, int] = {op.value: i for op, i in OP_ID.items()}
 #: The backend-parity linter checks this against the class source.
 WINDOW_FIELDS: tuple[str, ...] = (
     "capacity", "size", "mask", "dispatch_cycle", "issue_cycle",
-    "complete_cycle", "retire_cycle", "latency", "value", "eff_addr",
+    "complete_cycle", "latency", "value", "eff_addr",
     "dcache_latency", "replayed", "mispredicted", "class_id", "waiting_ops",
     "rename", "decoded", "dest_preg", "prev_dest", "elim_info",
     "fusion_extra", "nsrc", "src0_preg", "src0_disp", "src1_preg",
-    "src1_disp",
+    "src1_disp", "nprod", "prod0", "prod1", "prod2",
 )
 
 #: Window fields the compiled backend intentionally does not marshal:
@@ -70,9 +70,10 @@ WINDOW_FIELDS: tuple[str, ...] = (
 #:   the flattened arrays at marshal-out;
 #: * ``decoded`` holds decoded-op tuples, re-pointed from the pipeline's
 #:   static ``_trace_ops`` at marshal-out.
-#: (``issue_cycle``/``retire_cycle`` are marshalled as ``W_ISSUE`` /
-#: ``W_RETIRE``, but only for ``collect_timing`` pipelines: no other
-#: pipeline writes them, on either backend.)
+#: (``issue_cycle`` and the producer fields ``nprod``/``prod0``..``prod2``
+#: are marshalled as ``W_ISSUE``/``W_NPROD``/``W_PROD0``.., but only for
+#: ``collect_timing`` pipelines: no other pipeline writes them, on either
+#: backend.)
 WINDOW_EXEMPT: frozenset[str] = frozenset({
     "capacity", "size", "mask", "rename", "decoded",
 })
@@ -172,11 +173,11 @@ POINTERS: tuple[str, ...] = (
     # / dest_disp, flattened so commit/re-execute stay object-free).
     "RRE_P", "RRE_D",
     # -- timing-record state (1-element dummies when TIMING is 0) -----
-    # Window issue/retire cycles; per slot, the producer count (0-3) and
-    # producers of Pipeline._producers (the sources' writers, then the
-    # shared destination's writer for an eliminated instruction); the
-    # preg -> writer-seq map of Pipeline._preg_writer (-1 = no writer).
-    "W_ISSUE", "W_RETIRE", "W_NPROD", "W_PROD0", "W_PROD1", "W_PROD2",
+    # The window's issue cycles and, per slot, the producer count (0-3)
+    # and producers (the sources' writers, then the shared destination's
+    # writer for an eliminated instruction); the preg -> writer-seq array
+    # Pipeline._preg_writer (-1 = no writer).
+    "W_ISSUE", "W_NPROD", "W_PROD0", "W_PROD1", "W_PROD2",
     "PREG_WRITER",
     # -- physical register file --------------------------------------
     "PRF_VAL", "PRF_RDY",
@@ -1283,8 +1284,7 @@ i64 repro_run(i64 *sc_blk, i64 **pt_blk, uint8_t *pages_blk) {
                 }
                 if (timing) {
                     /* The TimingRecord fields, by seq (fetch == dispatch;
-                     * marshal-out adds the static ones). */
-                    P(W_RETIRE)[slot] = cycle;
+                     * the trace's tables hold the static ones). */
                     P(TR_DISPATCH)[committed] = P(W_DISPATCH)[slot];
                     P(TR_ISSUE)[committed] = P(W_ISSUE)[slot];
                     P(TR_COMPLETE)[committed] = P(W_COMPLETE)[slot];
@@ -1660,9 +1660,8 @@ _KERNEL += r"""
                         }
                     }
                     if (timing) {
-                        /* Pipeline._record_producers (and the inlined
-                         * baseline path): each source's writer, then an
-                         * eliminated instruction's shared destination's;
+                        /* As the python loop: each source's writer, then
+                         * an eliminated instruction's shared destination's;
                          * then the fresh destination's writer is this seq. */
                         i64 *writer = P(PREG_WRITER);
                         i64 *prod[3] = { P(W_PROD0), P(W_PROD1), P(W_PROD2) };

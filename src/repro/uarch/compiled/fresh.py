@@ -22,7 +22,7 @@ the call and nothing refers to the trace's columns afterwards.  Stats,
 final registers and ``finished`` are read straight out of the buffers; a
 timed cell's records are a :class:`~repro.uarch.inflight.TimingColumns`
 over its own ``TR_*`` buffers and the trace's per-seq static fields
-(:attr:`~repro.uarch.compiled.marshal.KernelTables.record_columns`).
+(:attr:`~repro.uarch.tables.TraceTables.record_columns`).
 The images live in a per-process memo of :data:`IMAGE_SLOTS` entries keyed
 by the configurations' digests and the timing switch.
 """
@@ -42,12 +42,11 @@ from repro.uarch.compiled.marshal import (
     KernelTables,
     PointerBlock,
     address_of,
-    timing_columns,
     violation_log_size,
 )
 from repro.uarch.compiled.pages import PagePool
 from repro.uarch.core import SimResult
-from repro.uarch.inflight import TimingColumns
+from repro.uarch.inflight import TIMING_COLUMNS, TimingColumns
 from repro.uarch.stats import SimStats
 
 #: How many configuration images one process keeps (every unobserved grid
@@ -219,7 +218,8 @@ def run_cell(kernel, image: FreshImage, tables, machine) -> SimResult | None:
     records = None
     if image.timing:
         records = TimingColumns(
-            timing_columns(arrays, KernelTables.of(tables)), committed)
+            {**dict(zip(TIMING_COLUMNS, map(arrays.__getitem__, TR_COLUMNS))),
+             **tables.record_columns}, committed)
     return SimResult(stats=stats, config=machine, final_registers=registers,
                      timing_records=records,
                      finished=committed >= sc[SC["TOTAL"]])

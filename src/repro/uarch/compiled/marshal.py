@@ -38,11 +38,11 @@ from itertools import compress
 from repro.core.integration import IntegrationEntry
 from repro.core.maptable import Mapping
 from repro.functional.trace import trace_columns
-from repro.isa.instruction import DF_CONTROL, DF_LOAD, DF_STORE
+from repro.isa.instruction import DF_LOAD
 from repro.uarch.compiled import emit
 from repro.uarch.compiled.emit import PT, POINTERS, SC, SCALARS, VALUE_TO_ID
 from repro.uarch.compiled.pages import PagePool, fill_neg1, fill_zero
-from repro.uarch.inflight import STATIC_COLUMNS, TIMING_COLUMNS, timing_records
+from repro.uarch.inflight import TIMING_COLUMNS
 from repro.uarch.lsq import StoreQueueEntry
 from repro.uarch.rename import RenameResult
 
@@ -67,8 +67,11 @@ _ELIM_KINDS = {1: "move", 2: "cf", 3: "cse", 4: "ra"}
 _ORIGINS = ("load", "store", "alu")
 _ORIGIN_IDS = {name: i for i, name in enumerate(_ORIGINS)}
 
-#: Per-slot producer columns of the timing-record state, in order.
-_W_PRODUCERS = ("W_PROD0", "W_PROD1", "W_PROD2")
+#: (pointer name, window field) of the window's timing-record state.
+_TIMING_WINDOW = (
+    ("W_ISSUE", "issue_cycle"), ("W_NPROD", "nprod"), ("W_PROD0", "prod0"),
+    ("W_PROD1", "prod1"), ("W_PROD2", "prod2"),
+)
 #: The per-seq timing-record output columns, index-aligned with
 #: :data:`~repro.uarch.inflight.TIMING_COLUMNS`.
 TR_COLUMNS = (
@@ -185,15 +188,6 @@ def violation_log_size(total: int) -> int:
     return max(64, min(total + 1, 1 << 16))
 
 
-def timing_columns(arrays: dict, static: "KernelTables") -> dict:
-    """Name -> column of a :class:`~repro.uarch.inflight.TimingColumns`:
-    the ``TR_*`` buffers among ``arrays`` (not copied) and the per-seq
-    static fields of ``static``'s trace."""
-    columns = dict(zip(TIMING_COLUMNS, map(arrays.__getitem__, TR_COLUMNS)))
-    columns.update(zip(STATIC_COLUMNS, static.record_columns))
-    return columns
-
-
 class KernelTables:
     """The kernel's read-only columns for one trace, shared by its cells.
 
@@ -217,22 +211,6 @@ class KernelTables:
         self.arrays = {**columns.arrays, **static_columns(tables.decoded),
                        **opcode_columns()}
         self.store_pages = columns.store_pages
-        self._decoded = tables.decoded
-
-    @functools.cached_property
-    def record_columns(self) -> tuple[list, list, list, list]:
-        """The :data:`~repro.uarch.inflight.STATIC_COLUMNS` by seq: opcode
-        value, is_load, is_store, is_branch (built on first use by a timed
-        cell, and shared by the timing columns of every timed cell on this
-        trace)."""
-        decoded = self._decoded
-        by_static = ([op[6].value for op in decoded],
-                     [bool(op[0] & DF_LOAD) for op in decoded],
-                     [bool(op[0] & DF_STORE) for op in decoded],
-                     [bool(op[0] & DF_CONTROL) for op in decoded])
-        indices = self.arrays["T_SIDX"].tolist()
-        return tuple(list(map(values.__getitem__, indices))
-                     for values in by_static)
 
     @classmethod
     def of(cls, tables) -> "KernelTables":
@@ -301,7 +279,6 @@ class KernelState:
         static = KernelTables.of(pipeline.tables)
         self.arr.update(static.arrays)
         self._store_pages = static.store_pages
-        self._static = static
         self._alloc_dynamic(config)
         self._seed_geometry(pipeline)
         self.pool = PagePool()
@@ -398,7 +375,7 @@ class KernelState:
         # Timing-record state and output columns: real buffers only for
         # collect_timing pipelines (the kernel skips them when TIMING=0).
         timing = self.timing
-        for name in ("W_ISSUE", "W_RETIRE", "W_NPROD", *_W_PRODUCERS):
+        for name, _field in _TIMING_WINDOW:
             self._new(name, "q", ws if timing else 1)
         self._new("PREG_WRITER", "q", np_ if timing else 1)
         for name in TR_COLUMNS:
@@ -704,31 +681,12 @@ class KernelState:
         self._register_pointers()
 
     def _marshal_in_timing(self, pipeline) -> None:
-        """Stage the window's issue/retire cycles, ``_preg_writer`` and the
-        in-flight instructions' ``_producers``."""
+        """Stage the window's timing-record fields and ``_preg_writer``."""
         a = self.arr
         window = pipeline.window
-        a["W_ISSUE"][:] = array("q", window.issue_cycle)
-        a["W_RETIRE"][:] = array("q", window.retire_cycle)
-        writer = a["PREG_WRITER"]
-        fill_neg1(writer)
-        for preg, seq in pipeline._preg_writer.items():
-            writer[preg] = seq
-        producers = pipeline._producers
-        committed, fetch_index = pipeline._committed, pipeline._fetch_index
-        if len(producers) != fetch_index - committed:
-            raise MarshalError("producers do not cover the in-flight window")
-        nprod = a["W_NPROD"]
-        columns = [a[name] for name in _W_PRODUCERS]
-        mask = self.wmask
-        for seq in range(committed, fetch_index):
-            sources = producers.get(seq)
-            if sources is None:
-                raise MarshalError(f"no producers recorded for #{seq}")
-            slot = seq & mask
-            nprod[slot] = len(sources)
-            for column, producer in zip(columns, sources):
-                column[slot] = producer
+        for name, field in _TIMING_WINDOW:
+            a[name][:] = array("q", getattr(window, field))
+        a["PREG_WRITER"][:] = array("q", pipeline._preg_writer)
 
     def _marshal_in_rename(self, pipeline) -> None:
         """Flatten the renamer (either mode) into the scalar/array blocks."""
@@ -1080,7 +1038,7 @@ class KernelState:
 
         # -- timing records --------------------------------------------
         if self.timing:
-            self._marshal_out_timing(pipeline, committed, fetch_index)
+            self._marshal_out_timing(pipeline, committed)
 
         # -- occupancy -------------------------------------------------
         if self.record_stats:
@@ -1100,31 +1058,19 @@ class KernelState:
             occ.issued_by_class[:] = a["OC_CLASS"].tolist()
             occ.fetch_stall_reasons[:] = a["OC_STALL"].tolist()
 
-    def _marshal_out_timing(self, pipeline, committed, fetch_index) -> None:
-        """Rebuild the timing-record state and append one
-        :class:`~repro.uarch.inflight.TimingRecord` per instruction
-        committed in the slice."""
+    def _marshal_out_timing(self, pipeline, committed) -> None:
+        """Copy back the window's timing-record fields and ``_preg_writer``,
+        and the ``TR_*`` entries of every seq committed in the slice into
+        the pipeline's :attr:`~repro.uarch.core.Pipeline.timing_columns`."""
         a = self.arr
         window = pipeline.window
-        window.issue_cycle[:] = a["W_ISSUE"].tolist()
-        window.retire_cycle[:] = a["W_RETIRE"].tolist()
-        writer = pipeline._preg_writer
-        writer.clear()
-        writer.update((preg, seq) for preg, seq
-                      in enumerate(a["PREG_WRITER"]) if seq >= 0)
-        producers = pipeline._producers
-        producers.clear()
-        nprod = a["W_NPROD"]
-        prod0, prod1, prod2 = (a[name] for name in _W_PRODUCERS)
-        mask = self.wmask
-        for seq in range(committed, fetch_index):
-            slot = seq & mask
-            producers[seq] = (prod0[slot], prod1[slot],
-                              prod2[slot])[:nprod[slot]]
-
-        pipeline.timing_records.extend(timing_records(
-            self._in_committed, committed,
-            timing_columns(self.arr, self._static)))
+        for name, field in _TIMING_WINDOW:
+            getattr(window, field)[:] = a[name].tolist()
+        pipeline._preg_writer[:] = a["PREG_WRITER"].tolist()
+        low = self._in_committed
+        columns = pipeline.timing_columns
+        for name, output in zip(TIMING_COLUMNS, TR_COLUMNS):
+            columns[name][low:committed] = a[output][low:committed].tolist()
 
     def _marshal_out_it(self, table) -> None:
         """Rebuild the integration table object graph from the flat arrays."""

@@ -72,9 +72,9 @@ from repro.uarch.cache import CacheHierarchy
 from repro.uarch.config import MachineConfig
 from repro.uarch.inflight import (
     NO_COMPLETE,
+    TIMING_COLUMNS,
     InFlightWindow,
     TimingColumns,
-    TimingRecord,
 )
 from repro.uarch.lsq import LoadQueue, StoreQueue, StoreQueueEntry
 from repro.uarch.observe import (
@@ -126,15 +126,16 @@ class SimResult:
     ``timeline`` carries the ordered rows of the opt-in cycle-timeline
     recorder (``timeline_stride > 0``), oldest first; None otherwise.
 
-    ``timing_records`` (with ``collect_timing``) is a list, or a
-    :class:`~repro.uarch.inflight.TimingColumns` from a fresh compiled
-    cell, which compares and pickles as that list.
+    ``timing_records`` (with ``collect_timing``) is a
+    :class:`~repro.uarch.inflight.TimingColumns` on every route: a
+    ``Sequence`` of :class:`~repro.uarch.inflight.TimingRecord` that builds
+    the records only when indexed.
     """
 
     stats: SimStats
     config: MachineConfig
     final_registers: list[int] = field(default_factory=list)
-    timing_records: list[TimingRecord] | TimingColumns | None = None
+    timing_records: TimingColumns | None = None
     finished: bool = True
     timeline: list[tuple] | None = None
 
@@ -247,7 +248,12 @@ class Pipeline:
         self.timeline: TimelineRecorder | None = (
             TimelineRecorder(stride=timeline_stride, capacity=timeline_capacity)
             if timeline_stride > 0 else None)
-        self.timing_records: list[TimingRecord] = []
+        #: With ``collect_timing``: name -> column indexed by seq for each
+        #: of :data:`~repro.uarch.inflight.TIMING_COLUMNS`, written at
+        #: commit (the kernel's ``TR_*`` columns).
+        self.timing_columns: dict[str, list] = (
+            {name: [0] * self._trace_length for name in TIMING_COLUMNS}
+            if collect_timing else {})
 
         # Run cursors + front-end state (mirrored from the cycle loop's
         # locals at the end of every _run_cycles call, so an incremental run
@@ -262,10 +268,10 @@ class Pipeline:
         # (only read while record_stats is on).
         self._fetch_stall_reason = STALL_BRANCH
 
-        # preg -> sequence number of the instruction producing it (for the
-        # critical-path model).
-        self._preg_writer: dict[int, int] = {}
-        self._producers: dict[int, tuple[int, ...]] = {}
+        # With collect_timing: preg -> seq of the instruction that last
+        # wrote it, or -1 (the producers of the critical-path model).
+        self._preg_writer: list[int] = (
+            [-1] * self.config.num_physical_regs if collect_timing else [])
 
         # Loads currently being held back because of an ordering violation.
         self._violated_loads: set[int] = set()
@@ -312,7 +318,6 @@ class Pipeline:
         self._w_dispatch = window.dispatch_cycle
         self._w_issue = window.issue_cycle
         self._w_complete = window.complete_cycle
-        self._w_retire = window.retire_cycle
         self._w_latency = window.latency
         self._w_value = window.value
         self._w_eff = window.eff_addr
@@ -372,15 +377,19 @@ class Pipeline:
         self._merge_component_stats()
         finished = self.finished
         stats = self.stats
-        records = self.timing_records if self.collect_timing else None
+        columns = self.timing_columns
         timeline = self.timeline.ordered() if self.timeline is not None else None
         if not finished:
             # A partial result must be a point-in-time view: later slices
-            # keep mutating the live stats/records, and callers (run_sliced
+            # keep mutating the live stats/columns, and callers (run_sliced
             # callbacks, checkpointing services) naturally stash per-slice
             # results.
             stats = copy.deepcopy(stats)
-            records = list(records) if records is not None else None
+            columns = {name: column[:self._committed]
+                       for name, column in columns.items()}
+        records = (TimingColumns({**columns, **self.tables.record_columns},
+                                 self._committed)
+                   if self.collect_timing else None)
         return SimResult(
             stats=stats,
             config=self.config,
@@ -406,10 +415,10 @@ class Pipeline:
     _SNAPSHOT_STATE = (
         "prf", "renamer", "branch_unit", "caches", "store_sets", "window",
         "issue_queue", "rob", "store_queue", "load_queue", "memory",
-        "stats", "timeline", "timing_records", "_cycle", "_committed",
+        "stats", "timeline", "timing_columns", "_cycle", "_committed",
         "_fetch_index", "_fetch_resume_cycle", "_waiting_branch",
         "_last_fetch_block", "_fetch_stall_reason",
-        "_preg_writer", "_producers", "_violated_loads",
+        "_preg_writer", "_violated_loads",
     )
 
     #: ``__init__`` attributes deliberately *outside* the snapshot: the
@@ -578,6 +587,9 @@ class Pipeline:
         w_s0d = self.window.src0_disp
         w_s1p = self.window.src1_preg
         w_s1d = self.window.src1_disp
+        w_nprod = self.window.nprod
+        w_prods = (self.window.prod0, self.window.prod1, self.window.prod2)
+        w_prod0, w_prod1, w_prod2 = w_prods
 
         prf_values = self._prf_values
         prf_ready = self._prf_ready
@@ -594,9 +606,10 @@ class Pipeline:
         num_pregs = self.config.num_physical_regs
         collect_timing = self.collect_timing
         preg_writer = self._preg_writer
-        producers_map = self._producers
-        timing_append = self.timing_records.append
-        record_producers = self._record_producers
+        if collect_timing:
+            (tr_dispatch, tr_issue, tr_complete, tr_retire, tr_dcache,
+             tr_latency, tr_mispred, tr_elim, tr_nprod, tr_prod0, tr_prod1,
+             tr_prod2) = map(self.timing_columns.__getitem__, TIMING_COLUMNS)
         reexecute_load = self._reexecute_load
         check_value = self._check_value
 
@@ -770,24 +783,24 @@ class Pipeline:
                         elif kind == 4:
                             elim_ra += 1
                     if collect_timing:
-                        self._w_retire[slot] = cycle
-                        timing_append(TimingRecord(
-                            seq=committed,
-                            opcode=op[6].value,
-                            fetch_cycle=w_dispatch[slot],  # fetch == dispatch
-                            dispatch_cycle=w_dispatch[slot],
-                            issue_cycle=w_issue[slot],
-                            complete_cycle=w_complete[slot],
-                            retire_cycle=cycle,
-                            is_load=bool(flags & DF_LOAD),
-                            is_store=bool(flags & DF_STORE),
-                            is_branch=bool(flags & DF_CONTROL),
-                            mispredicted=w_mispred[slot],
-                            eliminated=bool(elim),
-                            dcache_latency=w_dcache[slot],
-                            latency=w_latency[slot],
-                            source_producers=producers_map.pop(committed, ()),
-                        ))
+                        # The record's columns, by seq (the trace's tables
+                        # hold its static fields).
+                        tr_dispatch[committed] = w_dispatch[slot]
+                        tr_issue[committed] = w_issue[slot]
+                        tr_complete[committed] = w_complete[slot]
+                        tr_retire[committed] = cycle
+                        tr_dcache[committed] = w_dcache[slot]
+                        tr_latency[committed] = w_latency[slot]
+                        tr_mispred[committed] = w_mispred[slot]
+                        tr_elim[committed] = elim != 0
+                        nprod = w_nprod[slot]
+                        tr_nprod[committed] = nprod
+                        if nprod:
+                            tr_prod0[committed] = w_prod0[slot]
+                            if nprod > 1:
+                                tr_prod1[committed] = w_prod1[slot]
+                                if nprod > 2:
+                                    tr_prod2[committed] = w_prod2[slot]
                     # Retirement: release the slot (the NO_COMPLETE reset is
                     # what the commit guard and slot-reuse contract rely on).
                     w_complete[slot] = NO_COMPLETE
@@ -1240,15 +1253,11 @@ class Pipeline:
                                     p1 = bmap[srcs[1]]
                                     w_s1p[slot] = p1
                             if collect_timing:
-                                if ns == 0:
-                                    producers_map[seq] = ()
-                                elif ns == 1:
-                                    producers_map[seq] = (preg_writer.get(p0, -1),)
-                                else:
-                                    producers_map[seq] = (
-                                        preg_writer.get(p0, -1),
-                                        preg_writer.get(p1, -1),
-                                    )
+                                w_nprod[slot] = ns
+                                if ns:
+                                    w_prod0[slot] = preg_writer[p0]
+                                    if ns > 1:
+                                        w_prod1[slot] = preg_writer[p1]
                                 w_issue[slot] = -1
                                 w_dcache[slot] = 0
                                 w_mispred[slot] = False
@@ -1289,8 +1298,21 @@ class Pipeline:
                                        else 0))
                             else:
                                 w_elim[slot] = 0
+                            sources = result.sources
                             if collect_timing:
-                                record_producers(seq, result)
+                                # The sources' writers, then an eliminated
+                                # instruction's shared destination's.
+                                nprod = 0
+                                for source in sources:
+                                    w_prods[nprod][slot] = \
+                                        preg_writer[source.preg]
+                                    nprod += 1
+                                if (result.eliminated
+                                        and result.dest_preg is not None):
+                                    w_prods[nprod][slot] = \
+                                        preg_writer[result.dest_preg]
+                                    nprod += 1
+                                w_nprod[slot] = nprod
                                 w_issue[slot] = -1
                                 w_dcache[slot] = 0
                                 w_mispred[slot] = False
@@ -1305,7 +1327,6 @@ class Pipeline:
                             else:
                                 w_dest[slot] = -1
                             eliminated = result.eliminated
-                            sources = result.sources
                         w_dispatch[slot] = cycle
                         w_decoded[slot] = op
 
@@ -1742,11 +1763,3 @@ class Pipeline:
                 self._w_replayed[seq & self._w_mask] = True
                 self.store_sets.train_violation(dyn.pc, check.store.pc)
         return False
-
-    def _record_producers(self, seq: int, result) -> None:
-        producers = tuple(
-            self._preg_writer.get(source.preg, -1) for source in result.sources
-        )
-        if result.eliminated and result.dest_preg is not None:
-            producers = producers + (self._preg_writer.get(result.dest_preg, -1),)
-        self._producers[seq] = producers

@@ -26,29 +26,30 @@ Slot discipline (the invariants the pipeline and scheduler rely on):
   that later reads it, or only read on paths gated by flags that imply it
   was written (e.g. ``value`` is only compared at commit for instructions
   with a destination, all of which wrote it at execute).  The cosmetic
-  timing fields (``issue_cycle``, ``retire_cycle``, ``dcache_latency``,
-  ``mispredicted``, ``latency``) are additionally reset at dispatch when
-  timing records are collected.
+  timing fields (``issue_cycle``, ``dcache_latency``, ``mispredicted``,
+  ``latency``) are additionally reset at dispatch when timing records are
+  collected.
 * This model has no pipeline flush (wrong-path instructions are never
   injected; a misprediction only stalls the front end), so slot reclamation
   happens exclusively through in-order retirement — a flush would be a
   head/tail slot-range reset of ``complete_cycle``, not an object-graph
   teardown.
 
-``TimingRecord`` (the per-retired-instruction record consumed by the
-critical-path model) is unchanged; the python loop builds it from the arrays
-at commit when timing collection is on, and a sliced compiled run builds the
-same records at marshal-out from the kernel's per-seq output columns (it
-marshals ``issue_cycle``/``retire_cycle`` only for such pipelines, since no
-other pipeline writes them).  A fresh compiled cell keeps those columns as
-a :class:`TimingColumns`, which builds records only when indexed.
+Timing records (the per-retired-instruction facts the critical-path model
+reads) have one form on every route, the compiled kernel's: a run that
+collects them keeps each in-flight instruction's producers in the window
+(``nprod``, ``prod0``..``prod2``, written at dispatch from a preg -> writer
+array) and writes one entry per retired seq into the columns of
+:data:`TIMING_COLUMNS` at commit.  A result holds them as a
+:class:`TimingColumns`, which builds :class:`TimingRecord` objects only when
+indexed.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 #: ``complete_cycle`` sentinel: the slot is empty, or its instruction has
 #: not completed execution yet.  Beyond any reachable cycle count.
@@ -71,7 +72,6 @@ class InFlightWindow:
         "dispatch_cycle",
         "issue_cycle",
         "complete_cycle",
-        "retire_cycle",
         "latency",
         "value",
         "eff_addr",
@@ -91,6 +91,10 @@ class InFlightWindow:
         "src0_disp",
         "src1_preg",
         "src1_disp",
+        "nprod",
+        "prod0",
+        "prod1",
+        "prod2",
     )
 
     def __init__(self, capacity: int):
@@ -98,10 +102,11 @@ class InFlightWindow:
 
         Per-slot fields:
 
-        * ``dispatch_cycle`` / ``issue_cycle`` / ``complete_cycle`` /
-          ``retire_cycle`` — the timing milestones (fetch == dispatch in
-          this front-end model); ``complete_cycle`` doubles as the slot
-          lifecycle marker (see :data:`NO_COMPLETE`).
+        * ``dispatch_cycle`` / ``issue_cycle`` / ``complete_cycle`` — the
+          timing milestones (fetch == dispatch in this front-end model;
+          ``issue_cycle`` is written only when timing records are
+          collected); ``complete_cycle`` doubles as the slot lifecycle
+          marker (see :data:`NO_COMPLETE`).
         * ``latency`` — execution latency charged (loads fold the d-cache
           latency in at execute).
         * ``value`` / ``eff_addr`` / ``dcache_latency`` / ``replayed`` /
@@ -126,6 +131,10 @@ class InFlightWindow:
           operands (RENO_CF).
         * ``nsrc`` / ``src0_preg`` / ``src0_disp`` / ``src1_preg`` /
           ``src1_disp`` — flattened renamed source operands.
+        * ``nprod`` / ``prod0`` / ``prod1`` / ``prod2`` — with timing
+          records, the seqs that last wrote each source register, then an
+          eliminated instruction's shared destination (-1: no writer;
+          ``nprod`` of them), copied to the record columns at commit.
         """
         if capacity < 1:
             raise ValueError(f"window capacity must be positive, got {capacity}")
@@ -138,7 +147,6 @@ class InFlightWindow:
         self.dispatch_cycle = [0] * size
         self.issue_cycle = [-1] * size
         self.complete_cycle = [NO_COMPLETE] * size
-        self.retire_cycle = [-1] * size
         self.latency = [1] * size
         self.value = [None] * size
         self.eff_addr = [0] * size
@@ -158,6 +166,10 @@ class InFlightWindow:
         self.src0_disp = [0] * size
         self.src1_preg = [0] * size
         self.src1_disp = [0] * size
+        self.nprod = [0] * size
+        self.prod0 = [0] * size
+        self.prod1 = [0] * size
+        self.prod2 = [0] * size
 
     def slot(self, seq: int) -> int:
         """The slot owned by sequence number ``seq`` while it is in flight."""
@@ -198,12 +210,12 @@ class TimingRecord:
     source_producers: tuple[int, ...] = field(default_factory=tuple)
 
 
-#: The kernel-written columns of a :class:`TimingColumns`, in order (the
-#: compiled kernel's ``TR_*`` output columns follow the same order).  Each
-#: is named after the :class:`TimingRecord` field it holds; ``fetch_cycle``
-#: has no column, as it always equals ``dispatch_cycle``, and
-#: ``source_producers`` is split into its length ``nprod`` and the
-#: producers ``prod0``..``prod2`` (0 beyond ``nprod``).
+#: The columns a run writes at commit, in order (the compiled kernel's
+#: ``TR_*`` output columns follow the same order).  Each is named after the
+#: :class:`TimingRecord` field it holds; ``fetch_cycle`` has no column, as
+#: it always equals ``dispatch_cycle``, and ``source_producers`` is split
+#: into its length ``nprod`` and the producers ``prod0``..``prod2`` (0
+#: beyond ``nprod``).
 TIMING_COLUMNS = (
     "dispatch_cycle", "issue_cycle", "complete_cycle", "retire_cycle",
     "dcache_latency", "latency", "mispredicted", "eliminated",
@@ -213,101 +225,67 @@ TIMING_COLUMNS = (
 #: The columns a trace determines (the opcode and class of each seq).
 STATIC_COLUMNS = ("opcode", "is_load", "is_store", "is_branch")
 
-_PRODUCER_COLUMNS = ("nprod", "prod0", "prod1", "prod2")
-
 #: Records built per batch (bounds the temporary lists; the records
 #: themselves are kept).
 _RECORD_CHUNK = 1024
 
 
-def timing_records(low: int, high: int, columns) -> list[TimingRecord]:
-    """The :class:`TimingRecord` of every seq in ``[low, high)``.
-
-    Args:
-        columns: Name -> column indexed by seq, for every name in
-            :data:`TIMING_COLUMNS` and :data:`STATIC_COLUMNS`.
-    """
-    records: list[TimingRecord] = []
-    for first in range(low, high, _RECORD_CHUNK):
-        last = min(first + _RECORD_CHUNK, high)
-        (dispatch, issue, complete, retire, dcache, latency, mispredicted,
-         eliminated, counts, prod0, prod1, prod2, opcodes, loads, stores,
-         branches) = (columns[name][first:last]
-                      for name in TIMING_COLUMNS + STATIC_COLUMNS)
-        records.extend(map(
-            TimingRecord, range(first, last), opcodes, dispatch, dispatch,
-            issue, complete, retire, loads, stores, branches,
-            map(bool, mispredicted), map(bool, eliminated), dcache, latency,
-            [(p0, p1, p2)[:count] for count, p0, p1, p2
-             in zip(counts, prod0, prod1, prod2)]))
-    return records
-
-
 class TimingColumns(Sequence):
     """The timing records of one run, held as columns indexed by ``seq``.
 
-    A fresh compiled cell's result adopts the kernel's ``TR_*`` buffers
-    (no copy) and the trace's per-seq static fields, and builds every
-    :class:`TimingRecord` only when first indexed or iterated, keeping
-    them.  One made :meth:`from_records` keeps the records and builds each
-    column when first asked for it.  Either way the critical-path walk
-    reads the columns (:meth:`column`).  It compares equal to a list of
-    equal records and pickles as that plain list, so an outcome decoded
-    from the result store holds a list whichever route wrote it.
+    Every route gives its records in this form: the python loop's per-seq
+    columns, a sliced compiled run's copies of the kernel's ``TR_*``
+    columns, or a fresh compiled cell's ``TR_*`` buffers themselves (no
+    copy), each next to the trace's per-seq static fields
+    (:attr:`~repro.uarch.tables.TraceTables.record_columns`).  The
+    critical-path walk reads the columns (:meth:`column`); records are
+    built only when indexed or iterated (all of them at once, then kept).
+    Two compare equal when their columns hold equal values, and one
+    pickles as its columns cut to its length, as plain lists.
     """
 
     __slots__ = ("_columns", "_length", "_records")
 
-    def __init__(self, columns: dict, length: int,
-                 records: list[TimingRecord] | None = None):
-        """Wrap ``length`` records' columns (a dict of name -> column, each
-        at least ``length`` long, kept: every name in :data:`TIMING_COLUMNS`
-        and :data:`STATIC_COLUMNS` unless ``records`` are given)."""
+    def __init__(self, columns: dict, length: int):
+        """Wrap ``length`` records' columns: a dict of name -> column, kept,
+        for every name in :data:`TIMING_COLUMNS` and
+        :data:`STATIC_COLUMNS`, each at least ``length`` long."""
         self._columns = columns
         self._length = length
-        self._records = records
-
-    @classmethod
-    def from_records(cls, records: list[TimingRecord]) -> "TimingColumns":
-        """The columns of ``records`` (a list, kept; a list in another
-        order is sorted first): their seqs must be ``0``..``n-1``, and each
-        may have at most three producers."""
-        seq_of = attrgetter("seq")
-        if list(map(seq_of, records)) != list(range(len(records))):
-            records = sorted(records, key=seq_of)
-            if list(map(seq_of, records)) != list(range(len(records))):
-                raise ValueError("timing records must number 0..n-1")
-        return cls({}, len(records), records=records)
+        self._records = None
 
     def column(self, name: str):
         """The column ``name`` (from :data:`TIMING_COLUMNS` or
         :data:`STATIC_COLUMNS`), indexed by seq."""
-        column = self._columns.get(name)
-        if column is None:
-            if name in _PRODUCER_COLUMNS:
-                self._split_producers()
-            else:
-                self._columns[name] = list(
-                    map(attrgetter(name), self._records))
-            column = self._columns[name]
-        return column
+        return self._columns[name]
 
-    def _split_producers(self) -> None:
-        """Build the producer columns from the records."""
-        producers = list(map(attrgetter("source_producers"), self._records))
-        counts = list(map(len, producers))
-        if counts and max(counts) > 3:
-            raise ValueError("a timing record has more than three producers")
-        padded = [(*sources, 0, 0, 0) for sources in producers]
-        self._columns["nprod"] = counts
-        for index, name in enumerate(_PRODUCER_COLUMNS[1:]):
-            self._columns[name] = [sources[index] for sources in padded]
+    def _plain(self) -> dict[str, list]:
+        """Every column as a list of exactly ``len(self)`` values."""
+        length = self._length
+        return {name: (column[:length].tolist() if isinstance(column, array)
+                       else column[:length])
+                for name, column in self._columns.items()}
 
     @property
     def records(self) -> list[TimingRecord]:
         """The records, built from the columns on first use."""
         if self._records is None:
-            self._records = timing_records(0, self._length, self._columns)
+            self._records = records = []
+            columns = self._columns
+            for first in range(0, self._length, _RECORD_CHUNK):
+                last = min(first + _RECORD_CHUNK, self._length)
+                (dispatch, issue, complete, retire, dcache, latency,
+                 mispredicted, eliminated, counts, prod0, prod1, prod2,
+                 opcodes, loads, stores, branches) = (
+                    columns[name][first:last]
+                    for name in TIMING_COLUMNS + STATIC_COLUMNS)
+                records.extend(map(
+                    TimingRecord, range(first, last), opcodes, dispatch,
+                    dispatch, issue, complete, retire, loads, stores,
+                    branches, map(bool, mispredicted), map(bool, eliminated),
+                    dcache, latency,
+                    [(p0, p1, p2)[:count] for count, p0, p1, p2
+                     in zip(counts, prod0, prod1, prod2)]))
         return self._records
 
     def __len__(self) -> int:
@@ -320,14 +298,13 @@ class TimingColumns(Sequence):
         return iter(self.records)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, TimingColumns):
-            other = other.records
-        elif not isinstance(other, list):
+        if not isinstance(other, TimingColumns):
             return NotImplemented
-        return self.records == other
+        return (self._length == other._length
+                and self._plain() == other._plain())
 
     __hash__ = None
 
     def __reduce__(self):
-        """Pickle as the plain list of records."""
-        return list, (), None, iter(self.records)
+        """Pickle as the columns, cut to the length."""
+        return TimingColumns, (self._plain(), self._length)

@@ -35,7 +35,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 #: Bump whenever the snapshot payload layout changes incompatibly.
-SNAPSHOT_VERSION = 1
+#: v2: timing state in the kernel's layout (``timing_columns``, a
+#: ``_preg_writer`` list, the window's producer fields) replaced the record
+#: list and the ``_preg_writer``/``_producers`` dicts.
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(Exception):

@@ -10,7 +10,9 @@ the trace alone is the same for every cell of that block:
   from, so the block builds it once);
 * per trace: the decoded op of every trace record (one ``map`` over the
   ``T_SIDX`` column of a column trace, built when a pipeline first asks:
-  a fresh compiled cell never does) and, for the compiled backend, the
+  a fresh compiled cell never does), the per-seq static fields of timing
+  records (built when a timed cell first asks) and, for the compiled
+  backend, the
   kernel's trace and decoded-op columns
   (:class:`repro.uarch.compiled.marshal.KernelTables`, built on first use;
   it adopts a column trace's columns instead of copying them).
@@ -32,8 +34,9 @@ from operator import attrgetter
 
 from repro.functional.memory import page_image
 from repro.functional.trace import DynamicInstruction, TraceColumns
-from repro.isa.instruction import decode_program
+from repro.isa.instruction import DF_CONTROL, DF_LOAD, DF_STORE, decode_program
 from repro.isa.program import Program
+from repro.uarch.inflight import STATIC_COLUMNS
 
 
 class TraceTables:
@@ -49,7 +52,7 @@ class TraceTables:
     """
 
     __slots__ = ("program", "trace", "decoded", "memory_image", "kernel",
-                 "_trace_ops")
+                 "_trace_ops", "_record_columns")
 
     def __init__(self, program: Program,
                  trace: Sequence[DynamicInstruction]):
@@ -63,16 +66,39 @@ class TraceTables:
                              if image is None else image)
         self.kernel = None
         self._trace_ops = None
+        self._record_columns = None
+
+    def _static_indices(self):
+        """The static instruction index of every trace record."""
+        trace = self.trace
+        if isinstance(trace, TraceColumns):
+            return trace.arrays["T_SIDX"].tolist()
+        return list(map(attrgetter("index"), trace))
 
     @property
     def trace_ops(self) -> list[tuple]:
         """Decoded-op tuple per trace record (``decoded[dyn.index]``),
         built on first use (only a pipeline reads it)."""
         if self._trace_ops is None:
-            trace = self.trace
-            if isinstance(trace, TraceColumns):
-                indices = trace.arrays["T_SIDX"]
-            else:
-                indices = map(attrgetter("index"), trace)
-            self._trace_ops = list(map(self.decoded.__getitem__, indices))
+            self._trace_ops = list(map(self.decoded.__getitem__,
+                                       self._static_indices()))
         return self._trace_ops
+
+    @property
+    def record_columns(self) -> dict[str, list]:
+        """Name -> column by seq for each of
+        :data:`~repro.uarch.inflight.STATIC_COLUMNS` (opcode value,
+        is_load, is_store, is_branch), built on first use by a timed cell
+        and shared by the timing columns of every timed cell on this
+        trace."""
+        if self._record_columns is None:
+            decoded = self.decoded
+            by_static = ([op[6].value for op in decoded],
+                         [bool(op[0] & DF_LOAD) for op in decoded],
+                         [bool(op[0] & DF_STORE) for op in decoded],
+                         [bool(op[0] & DF_CONTROL) for op in decoded])
+            indices = self._static_indices()
+            self._record_columns = {
+                name: list(map(values.__getitem__, indices))
+                for name, values in zip(STATIC_COLUMNS, by_static)}
+        return self._record_columns

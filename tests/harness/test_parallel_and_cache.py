@@ -161,10 +161,10 @@ def test_outcome_key_bytes_are_pinned():
                       "e2938a6a7c430ca43f57ed352c74d070")
     machine = MachineConfig.default_4wide()
     assert outcome_key(digest, machine, None, 2_000_000, False, False) == (
-        "c67bdc133967a26b83b2cf4363b7256fd5a941c332b5032c7ee4145fe58448ab")
+        "e970a4924331a4b688e0e139f5192a32143bf2e4b4fdb4f37b7fbb0b9fa02e4a")
     assert outcome_key(digest, machine, RenoConfig.reno_default(), 2_000_000,
                        True, True) == (
-        "1eff88569e1ac32eb336dcc8f8e4866646da1b36e0c487fb8faff03b242317d2")
+        "9bf64e73a53d1a18576d4d5910221eb493696a4bf80a6bfe86515e7974b8ad54")
 
 
 def test_config_digest_ignores_label_but_not_behaviour():

@@ -275,8 +275,8 @@ def test_lockstep_snapshots_match_every_slice(seed, collect_timing):
     intermediate state, not just on the final result.  ``backend`` /
     ``backend_name`` are snapshot-exempt, which is exactly what makes this
     comparison well-defined.  With ``collect_timing`` the snapshot also
-    covers ``_preg_writer``, the in-flight ``_producers``, the records
-    retired so far and the window's issue/retire cycles.
+    covers ``_preg_writer``, the window's issue cycles and in-flight
+    producers, and the record columns of the seqs retired so far.
     """
     program, trace = build_run(seed)
     reno = RenoConfig.reno_default()
@@ -294,7 +294,10 @@ def test_lockstep_snapshots_match_every_slice(seed, collect_timing):
         if compiled.finished:
             break
         slices += 1
-        producer_cuts += bool(python_pipeline._producers)
+        window = python_pipeline.window
+        producer_cuts += any(
+            window.nprod[seq & window.mask] for seq in range(
+                python_pipeline._committed, python_pipeline._fetch_index))
         assert (canonical_snapshot(compiled_pipeline)
                 == canonical_snapshot(python_pipeline)), (
             f"state diverged by slice {slices} (seed={seed})")

@@ -175,13 +175,14 @@ def test_critical_path_over_kernel_columns_matches_the_python_loop(workload):
                 collect_timing=True)
             python = pipeline_result(program, functional, tables, machine,
                                      reno, "python", collect_timing=True)
-            assert type(python.timing_records) is list
+            assert isinstance(python.timing_records, TimingColumns)
             columns = analyze_critical_path(timed.timing_records)
             assert columns.path_length > 0, label
             assert columns == analyze_critical_path(python.timing_records), \
                 f"{workload} {label}"
             # Neither walk built records out of the columns.
             assert timed.timing_records._records is None
+            assert python.timing_records._records is None
 
 
 @pytest.mark.usefixtures("no_silent_replays")
@@ -205,36 +206,38 @@ def test_a_timed_fresh_outcome_round_trips_through_a_store_payload():
     reference = pipeline_result(
         program, functional, TraceTables(program, functional.trace),
         MachineConfig.default_4wide(), reno, "compiled", collect_timing=True)
-    assert type(reference.timing_records) is list
+    assert isinstance(reference.timing_records, TimingColumns)
     decoded = decode_payload(encode_payload(outcome))
-    assert type(decoded.timing.timing_records) is list
+    assert isinstance(decoded.timing.timing_records, TimingColumns)
     assert decoded.timing == reference
     assert outcome.timing == reference
-    # The other direction: a payload of the pipeline route (what a store
-    # written before the columns holds) decodes to an equal outcome.
+    # The other direction: a payload of the sliced pipeline route decodes
+    # to an equal outcome.
     outcome.timing = reference
     assert decode_payload(encode_payload(outcome)).timing == \
         decode_payload(encode_payload(decoded)).timing
     assert (analyze_critical_path(decoded.timing.timing_records)
             == analyze_critical_path(reference.timing_records))
+    # Neither the round trip nor the walk built a record.
+    assert decoded.timing.timing_records._records is None
 
 
 @needs_compiled
-def test_timing_columns_compare_and_pickle_as_their_records():
+def test_kernel_timing_columns_compare_and_pickle_as_their_columns():
     program, functional, tables = block("micro_redundant_loads")
     timed = get_backend("compiled").run_fresh(
         program, functional.trace, tables, MachineConfig.default_4wide(),
         RenoConfig.reno_cf_me(), collect_timing=True)
     columns = timed.timing_records
     assert len(columns) == len(functional.trace)
+    restored = pickle.loads(pickle.dumps(columns))
+    assert type(restored) is TimingColumns and restored == columns
     assert columns._records is None                 # not built yet
     records = list(columns)
     assert columns[0] is records[0] and columns[-1] is records[-1]
-    assert columns == records and records == columns
-    assert columns != records[:-1]
-    restored = pickle.loads(pickle.dumps(columns))
-    assert type(restored) is list and restored == records
-    assert pickle.loads(pickle.dumps(timed)).timing_records == records
+    assert list(restored) == records
+    assert columns != TimingColumns(columns._columns, len(columns) - 1)
+    assert pickle.loads(pickle.dumps(timed)).timing_records == columns
 
 
 @pytest.mark.usefixtures("no_silent_replays")

@@ -14,22 +14,36 @@ both schedulers under several machine and RENO configurations, asserting:
   with both schedulers), and
 * identical final statistics (cycles, stalls, violations, eliminations...).
 
+The same generator drives a differential test of the timing records: on
+twenty seeds and three machines, the python loop, a sliced run handed
+between backends through pickled snapshots at random cycles, a fresh
+compiled cell and that cell's store-payload round trip must give equal
+:class:`~repro.uarch.inflight.TimingColumns` and equal critical paths.
+
 Seeds come from ``random.Random``, so every case is reproducible without a
 hypothesis dependency.
 """
 
+import dataclasses
+import pickle
 import random
 from dataclasses import fields
 
 import pytest
 
+from repro.analysis import analyze_critical_path
 from repro.core import RenoConfig, RenoRenamer
+from repro.core.simulator import SimulationOutcome
 from repro.functional.simulator import FunctionalSimulator
 from repro.isa.assembler import Assembler
 from repro.isa.instruction import CLASS_LOAD
+from repro.store.base import decode_payload, encode_payload
+from repro.uarch.backend import get_backend
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
+from repro.uarch.inflight import TimingColumns
 from repro.uarch.scheduler import IssueQueue
+from repro.uarch.tables import TraceTables
 
 #: Registers the generator may use (avoids sp/gp/zero and the base pointer).
 USABLE_REGS = list(range(0, 24))
@@ -48,6 +62,10 @@ MACHINES = {
     "6wide": MachineConfig.default_6wide(),
     "sched2": MachineConfig.default_4wide().with_scheduler_latency(2),
 }
+
+needs_compiled = pytest.mark.skipif(
+    not get_backend("compiled").available(),
+    reason="no C toolchain on this runner")
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +272,7 @@ def test_reference_queue_actually_diverges_when_abused():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(
-    not __import__("repro.uarch.backend", fromlist=["get_backend"])
-        .get_backend("compiled").available(),
-    reason="no C toolchain on this runner")
+@needs_compiled
 @pytest.mark.parametrize("config_name", list(CONFIGS))
 @pytest.mark.parametrize("machine_name", list(MACHINES))
 def test_compiled_backend_matches_the_event_driven_loop(machine_name,
@@ -265,8 +280,7 @@ def test_compiled_backend_matches_the_event_driven_loop(machine_name,
     """Three-way closure: the object-model reference pins the event-driven
     python loop (tests above), and the compiled kernel must match that loop
     on statistics and final architectural state — so all three agree.
-    (Timing records stay python-only: the kernel's ``supports()`` hands
-    ``collect_timing`` pipelines to the reference loop, see
+    (Timing records are held equal below and in
     ``tests/uarch/test_backends.py``.)"""
     program = random_program(31415).assemble()
     trace = FunctionalSimulator(program).run().trace
@@ -285,3 +299,100 @@ def test_compiled_backend_matches_the_event_driven_loop(machine_name,
     python = run("python")
     assert stats_dict(compiled) == stats_dict(python)
     assert compiled.final_registers == python.final_registers
+
+
+# ---------------------------------------------------------------------------
+# Differential: the timing records of every route
+# ---------------------------------------------------------------------------
+
+#: Twenty seeds of the timing-record differential test.
+DIFFERENTIAL_SEEDS = list(range(1000, 1020))
+
+#: A machine small enough that rename, issue-queue and load/store-queue
+#: stalls all happen.
+TINY = dataclasses.replace(
+    MachineConfig.default_4wide(), name="tiny", rob_size=16,
+    issue_queue_size=3, load_queue_size=2, store_queue_size=2,
+    num_physical_regs=40)
+
+#: (machine, RENO config) of each differential cell.
+DIFFERENTIAL_CELLS = {
+    "BASE": (MachineConfig.default_4wide(), None),
+    "RENO": (MachineConfig.default_4wide(), RenoConfig.reno_default()),
+    "tiny": (TINY, None),
+}
+
+
+def timed_pipeline(program, trace, tables, machine, reno, backend):
+    renamer = RenoRenamer(machine.num_physical_regs, reno) if reno is not None else None
+    pipeline = Pipeline(program, trace, machine, renamer=renamer,
+                        collect_timing=True, backend=backend, tables=tables)
+    assert pipeline.backend_name == backend
+    return pipeline
+
+
+def run_handed_off(program, trace, tables, machine, reno, rng):
+    """Finish a timed run in slices cut at random cycles, each on a backend
+    drawn at random (the first on the kernel), handing the run over through
+    a pickled snapshot between slices.  Returns (result, hand-offs)."""
+    pipeline = timed_pipeline(program, trace, tables, machine, reno,
+                              "compiled")
+    hops = 0
+    while True:
+        result = pipeline.run(max_cycles=rng.randint(1, 600))
+        if result.finished:
+            return result, hops
+        snapshot = pickle.loads(pickle.dumps(pipeline.snapshot()))
+        pipeline = timed_pipeline(program, trace, tables, machine, reno,
+                                  rng.choice(("compiled", "python")))
+        pipeline.restore(snapshot)
+        hops += 1
+
+
+@needs_compiled
+@pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+def test_timing_columns_agree_on_every_route(seed, monkeypatch):
+    """The python loop, a sliced run handed between backends, a fresh
+    compiled cell and its store payload round trip give equal timing
+    columns and critical paths, with no kernel slice replayed in python."""
+    reference_loop = Pipeline._run_cycles
+
+    def guarded(pipeline, stop_cycle=None):
+        if pipeline.backend_name == "compiled":
+            pytest.fail("a compiled slice fell back to Pipeline._run_cycles")
+        return reference_loop(pipeline, stop_cycle)
+
+    monkeypatch.setattr(Pipeline, "_run_cycles", guarded)
+    program = random_program(seed, length=120).assemble()
+    trace = FunctionalSimulator(program).run().trace
+    tables = TraceTables(program, trace)
+    rng = random.Random(seed)
+    for label, (machine, reno) in DIFFERENTIAL_CELLS.items():
+        python = timed_pipeline(program, trace, tables, machine, reno,
+                                "python").run()
+        expected = python.timing_records
+        assert isinstance(expected, TimingColumns)
+        assert len(expected) == len(trace)
+        critical_path = analyze_critical_path(expected)
+        assert critical_path.path_length > 1
+        if machine is TINY:
+            assert python.stats.rename_stall_cycles, seed
+            assert python.stats.iq_stall_cycles, seed
+            assert python.stats.lsq_stall_cycles, seed
+
+        sliced, hops = run_handed_off(program, trace, tables, machine, reno,
+                                      rng)
+        assert hops >= 2, (seed, label)
+        fresh = get_backend("compiled").run_fresh(
+            program, trace, tables, machine, reno, collect_timing=True)
+        assert fresh is not None, (seed, label)
+        decoded = decode_payload(encode_payload(SimulationOutcome(
+            program=None, functional=None, timing=fresh, reno_config=reno)))
+        for route, result in (("sliced", sliced), ("fresh", fresh),
+                              ("payload", decoded.timing)):
+            where = (seed, label, route)
+            assert stats_dict(result) == stats_dict(python), where
+            assert result.final_registers == python.final_registers, where
+            assert result.timing_records == expected, where
+            assert analyze_critical_path(result.timing_records) \
+                == critical_path, where
