@@ -104,8 +104,7 @@ class CycleLoopProbe:
                 result = original(*args)
             finally:
                 probe.seconds += time.perf_counter() - start
-            if result is not None:      # a declined cell's Pipeline.run counts
-                probe.instructions += result.stats.committed
+            probe.instructions += result.stats.committed
             return result
 
         uarch_core.Pipeline.run = (

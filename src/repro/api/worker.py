@@ -36,7 +36,6 @@ rejection (schema mismatch), 3 when the broker becomes unreachable.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -379,40 +378,3 @@ class FleetWorker:
         cache.put(key, outcome)
         return TaskResult(lease_id=lease.lease_id, worker_id=self.worker_id,
                           ok=True, outcome_key=key, cached=False)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point for ``python -m repro worker``."""
-    parser = argparse.ArgumentParser(
-        prog="repro worker",
-        description="Pull and execute fleet cell leases from a repro broker.")
-    parser.add_argument("--server", required=True,
-                        help="fleet server base URL (http://host:port)")
-    parser.add_argument("--worker-id", default=None,
-                        help="stable worker identity (default: worker-<pid>)")
-    parser.add_argument("--poll-wait", type=float, default=5.0,
-                        help="long-poll window per lease request (seconds)")
-    parser.add_argument("--max-cells", type=int, default=None,
-                        help="exit cleanly after this many cells")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="cycle-loop backend for every cell (python|"
-                             "compiled; default: what each lease asks for)")
-    parser.add_argument("--store", default=None, metavar="LOCATOR",
-                        help="result-store override for every cell (path, "
-                             "sqlite://PATH or http://host:port of a repro "
-                             "store-serve; default: what each cell quotes)")
-    parser.add_argument("--store-token", default=None, metavar="TOKEN",
-                        help="bearer token for an HTTP store "
-                             "(default: $REPRO_STORE_TOKEN)")
-    options = parser.parse_args(argv)
-    worker = FleetWorker(options.server, options.worker_id,
-                         poll_wait_s=options.poll_wait,
-                         max_cells=options.max_cells,
-                         backend=options.backend,
-                         store=options.store,
-                         store_token=options.store_token)
-    return worker.run()
-
-
-if __name__ == "__main__":  # pragma: no cover - module execution guard
-    raise SystemExit(main())

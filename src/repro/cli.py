@@ -408,22 +408,23 @@ def _cmd_worker(args) -> int:
 
 
 def _cmd_store_serve(args) -> int:
-    from repro.store.http import main as store_serve_main
+    from repro.api.http import run_until_signalled
+    from repro.store.disk import DiskStore, default_cache_root
+    from repro.store.http import DEFAULT_HOST, DEFAULT_PORT, StoreServer
+    from repro.store.schema import TOKEN_ENV
+    from repro.store.sqlite import SqliteStore
 
-    forwarded: list[str] = []
-    if args.host is not None:
-        forwarded += ["--host", args.host]
-    if args.port is not None:
-        forwarded += ["--port", str(args.port)]
-    if args.db is not None:
-        forwarded += ["--db", args.db]
-    if args.token is not None:
-        forwarded += ["--token", args.token]
-    if args.max_bytes is not None:
-        forwarded += ["--max-bytes", str(args.max_bytes)]
-    if args.ttl is not None:
-        forwarded += ["--ttl", str(args.ttl)]
-    return store_serve_main(forwarded)
+    db = args.db or str(default_cache_root() / DiskStore.DATABASE)
+    token = args.token if args.token is not None \
+        else os.environ.get(TOKEN_ENV)
+    backing = SqliteStore(db, max_bytes=args.max_bytes, ttl_s=args.ttl)
+    server = StoreServer(
+        (args.host if args.host is not None else DEFAULT_HOST,
+         args.port if args.port is not None else DEFAULT_PORT),
+        backing, token=token)
+    print(f"repro store-serve: listening on {server.url} "
+          f"(db {db}, auth {'on' if token else 'off'})", flush=True)
+    return run_until_signalled(server, "repro store-serve", backing.close)
 
 
 def _server_url(args) -> str:

@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import RenoConfig
-from repro.core.renamer import RenoRenamer
 from repro.functional.simulator import ExecutionResult, FunctionalSimulator
 from repro.isa.program import Program
 from repro.uarch.backend import resolve_backend
 from repro.uarch.config import MachineConfig
-from repro.uarch.core import Pipeline, SimResult
+from repro.uarch.core import SimResult
 from repro.uarch.tables import TraceTables
 from repro.workloads.base import Workload, get_workload
 
@@ -93,13 +92,12 @@ def simulate(
             None) and the timing run (``"python"``, ``"compiled"``), or
             None to consult ``$REPRO_BACKEND`` and default to ``python`` —
             see :mod:`repro.uarch.backend`.  Results are
-            backend-independent; only speed changes.  On ``compiled``, a
-            cell without ``record_stats`` runs whole in the kernel without
-            a pipeline
-            (:meth:`~repro.uarch.compiled.backend.CompiledBackend.run_fresh`);
-            its timing records, when collected, are then a
-            :class:`~repro.uarch.inflight.TimingColumns`, equal to the list
-            a pipeline collects.
+            backend-independent; only speed changes.  The cell is the
+            backend's :meth:`~repro.uarch.backend.CycleLoopBackend.run_fresh`:
+            on ``compiled`` the kernel with no pipeline, whose failure
+            raises the python loop's exception, or a
+            :class:`~repro.uarch.compiled.marshal.KernelError` when the
+            python loop finishes the cell.
         tables: The read-only tables of (``program``, ``trace.trace``)
             (:class:`~repro.uarch.tables.TraceTables`), built once by a
             caller that runs several cells on one trace; None builds them
@@ -111,30 +109,11 @@ def simulate(
     machine = machine or MachineConfig.default_4wide()
     functional = trace or FunctionalSimulator(
         program, max_instructions, backend=backend).run()
-    timing = None
-    if not record_stats:
-        resolved = resolve_backend(backend)
-        if resolved.name == "compiled":
-            # A cell with no occupancy runs whole in the kernel, with no
-            # pipeline.
-            if tables is None:
-                tables = TraceTables(program, functional.trace)
-            timing = resolved.run_fresh(program, functional.trace, tables,
-                                        machine, reno, collect_timing)
-    if timing is None:
-        renamer = (RenoRenamer(machine.num_physical_regs, reno)
-                   if reno is not None else None)
-        pipeline = Pipeline(
-            program,
-            functional.trace,
-            machine,
-            renamer=renamer,
-            collect_timing=collect_timing,
-            record_stats=record_stats,
-            backend=backend,
-            tables=tables,
-        )
-        timing = pipeline.run()
+    if tables is None:
+        tables = TraceTables(program, functional.trace)
+    timing = resolve_backend(backend).run_fresh(
+        program, functional.trace, tables, machine, reno, collect_timing,
+        record_stats)
     if verify:
         expected = list(functional.state.snapshot())
         if timing.final_registers != expected:

@@ -358,30 +358,45 @@ def _fig10_spec(suite: str, workloads: list[str] | None, scale: int) -> SweepSpe
 # ---------------------------------------------------------------------------
 
 
-def _reduce_fig11_registers(matrix: MatrixResult, spec: SweepSpec) -> ExperimentReport:
-    """Relative performance per register-file size; 100% = biggest-file BASE."""
-    register_sizes = [int(label[1:]) for label in matrix.machine_labels]
-    reference_machine = f"p{max(register_sizes)}"
-    headers = ["config"] + [f"p{size}" for size in register_sizes]
+def _relative_performance(matrix: MatrixResult, spec: SweepSpec,
+                          reference_machine: str, name: str,
+                          description: str, headers: list[str] | None = None,
+                          key=lambda label: label) -> ExperimentReport:
+    """BASE, CF+ME and RENO on every machine of the grid, each as the mean
+    over workloads of ``reference_machine``'s BASE cycles over its own
+    (100% = the reference machine's BASE).
+
+    ``headers`` name the machine columns (default: the machine labels);
+    ``data`` maps (RENO label, ``key(machine label)``) to the fraction.
+    """
     rows = []
     data = {}
     for reno_label in (SPEEDUP_BASELINE, "CF+ME", "RENO"):
         row = [reno_label]
-        for size in register_sizes:
+        for machine_label in matrix.machine_labels:
             relative = 0.0
-            for name in matrix.workloads:
-                reference = matrix.get(name, reference_machine, SPEEDUP_BASELINE).cycles
-                target = matrix.get(name, f"p{size}", reno_label).cycles
+            for workload in matrix.workloads:
+                reference = matrix.get(workload, reference_machine,
+                                       SPEEDUP_BASELINE).cycles
+                target = matrix.get(workload, machine_label, reno_label).cycles
                 relative += reference / target
             relative /= len(matrix.workloads) or 1
-            data[(reno_label, size)] = relative
+            data[(reno_label, key(machine_label))] = relative
             row.append(format_percent(relative))
         rows.append(row)
     return ExperimentReport(
-        name=f"Figure 11 top ({spec.suite})",
-        description="RENO compensating for physical register file size",
-        headers=headers, rows=rows, data=data,
+        name=f"{name} ({spec.suite})", description=description,
+        headers=["config"] + (headers or list(matrix.machine_labels)),
+        rows=rows, data=data,
     )
+
+
+def _reduce_fig11_registers(matrix: MatrixResult, spec: SweepSpec) -> ExperimentReport:
+    """Relative performance per register-file size; 100% = biggest-file BASE."""
+    sizes = {label: int(label[1:]) for label in matrix.machine_labels}
+    return _relative_performance(
+        matrix, spec, f"p{max(sizes.values())}", "Figure 11 top",
+        "RENO compensating for physical register file size", key=sizes.get)
 
 
 @experiment("fig11_regs", title="Figure 11 (top)",
@@ -405,27 +420,9 @@ def _fig11_regs_spec(
 
 def _reduce_fig11_width(matrix: MatrixResult, spec: SweepSpec) -> ExperimentReport:
     """Relative performance per issue width; 100% = widest-machine BASE."""
-    reference_machine = matrix.machine_labels[-1]
-    headers = ["config"] + list(matrix.machine_labels)
-    rows = []
-    data = {}
-    for reno_label in (SPEEDUP_BASELINE, "CF+ME", "RENO"):
-        row = [reno_label]
-        for machine_label in matrix.machine_labels:
-            relative = 0.0
-            for name in matrix.workloads:
-                reference = matrix.get(name, reference_machine, SPEEDUP_BASELINE).cycles
-                target = matrix.get(name, machine_label, reno_label).cycles
-                relative += reference / target
-            relative /= len(matrix.workloads) or 1
-            data[(reno_label, machine_label)] = relative
-            row.append(format_percent(relative))
-        rows.append(row)
-    return ExperimentReport(
-        name=f"Figure 11 bottom ({spec.suite})",
-        description="RENO compensating for reduced issue width",
-        headers=headers, rows=rows, data=data,
-    )
+    return _relative_performance(
+        matrix, spec, matrix.machine_labels[-1], "Figure 11 bottom",
+        "RENO compensating for reduced issue width")
 
 
 @experiment("fig11_width", title="Figure 11 (bottom)",
@@ -454,26 +451,10 @@ def _fig11_width_spec(
 
 def _reduce_fig12(matrix: MatrixResult, spec: SweepSpec) -> ExperimentReport:
     """Relative performance per scheduler latency; 100% = 1-cycle BASE."""
-    headers = ["config", "1-cycle", "2-cycle"]
-    rows = []
-    data = {}
-    for reno_label in (SPEEDUP_BASELINE, "CF+ME", "RENO"):
-        row = [reno_label]
-        for machine_label in matrix.machine_labels:
-            relative = 0.0
-            for name in matrix.workloads:
-                reference = matrix.get(name, "sched1", SPEEDUP_BASELINE).cycles
-                target = matrix.get(name, machine_label, reno_label).cycles
-                relative += reference / target
-            relative /= len(matrix.workloads) or 1
-            data[(reno_label, machine_label)] = relative
-            row.append(format_percent(relative))
-        rows.append(row)
-    return ExperimentReport(
-        name=f"Figure 12 ({spec.suite})",
-        description="RENO with a 2-cycle wakeup-select loop",
-        headers=headers, rows=rows, data=data,
-    )
+    return _relative_performance(
+        matrix, spec, "sched1", "Figure 12",
+        "RENO with a 2-cycle wakeup-select loop",
+        headers=["1-cycle", "2-cycle"])
 
 
 @experiment("fig12", title="Figure 12",

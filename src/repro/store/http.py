@@ -42,7 +42,6 @@ from repro.api.http import (
     RouteError,
     TransportError,
     request,
-    run_until_signalled,
 )
 from repro.core.simulator import SimulationOutcome
 from repro.store.base import (
@@ -295,50 +294,3 @@ def make_store_server(host: str = DEFAULT_HOST, port: int = 0,
 
         backing = SqliteStore(":memory:")
     return StoreServer((host, port), backing, token=token)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point for ``python -m repro store-serve``."""
-    import argparse
-
-    from repro.store.sqlite import SqliteStore
-
-    parser = argparse.ArgumentParser(
-        prog="repro store-serve",
-        description="Serve a shared content-addressed result store over HTTP.")
-    parser.add_argument("--host", default=DEFAULT_HOST,
-                        help=f"bind address (default {DEFAULT_HOST})")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT,
-                        help=f"TCP port (default {DEFAULT_PORT}; 0 = any "
-                             f"free port)")
-    parser.add_argument("--db", default=None, metavar="PATH",
-                        help="sqlite database file backing the store "
-                             "(default: store.sqlite3 under the outcome-"
-                             "cache root)")
-    parser.add_argument("--token", default=None,
-                        help=f"bearer token clients must present (default: "
-                             f"${TOKEN_ENV}; empty = no authentication)")
-    parser.add_argument("--max-bytes", type=int, default=None, metavar="N",
-                        help="LRU size cap on stored payload bytes "
-                             "(default: unbounded)")
-    parser.add_argument("--ttl", type=float, default=None, metavar="S",
-                        help="idle-entry time-to-live in seconds "
-                             "(default: no expiry)")
-    options = parser.parse_args(argv)
-
-    if options.db is None:
-        from repro.store.disk import DiskStore, default_cache_root
-
-        options.db = str(default_cache_root() / DiskStore.DATABASE)
-    token = options.token if options.token is not None \
-        else os.environ.get(TOKEN_ENV)
-    backing = SqliteStore(options.db, max_bytes=options.max_bytes,
-                          ttl_s=options.ttl)
-    server = StoreServer((options.host, options.port), backing, token=token)
-    print(f"repro store-serve: listening on {server.url} "
-          f"(db {options.db}, auth {'on' if token else 'off'})", flush=True)
-    return run_until_signalled(server, "repro store-serve", backing.close)
-
-
-if __name__ == "__main__":  # pragma: no cover - module execution guard
-    raise SystemExit(main())

@@ -1,16 +1,17 @@
 """Pluggable cycle-loop backends.
 
-:meth:`repro.uarch.core.Pipeline.run` does not hard-code the interpreter
-loop: it dispatches each slice of cycles through a *backend* object
-implementing :class:`CycleLoopBackend`.  Two backends ship with the repo:
+A backend runs a whole cell (:meth:`CycleLoopBackend.run_fresh`, what
+:func:`repro.core.simulator.simulate` calls) and each slice of a live
+:class:`~repro.uarch.core.Pipeline` (:meth:`CycleLoopBackend.run_cycles`).
+Two backends ship with the repo:
 
 * ``python`` — the reference implementation, the inlined interpreter-style
-  loop in :meth:`repro.uarch.core.Pipeline._run_cycles` (byte-for-byte the
-  pre-backend behaviour, always available).
+  loop in :meth:`repro.uarch.core.Pipeline._run_cycles`, always available.
 * ``compiled`` — a generated-C kernel over the same structure-of-arrays
   state (:mod:`repro.uarch.compiled`), compiled on first use with the
-  system C compiler and falling back to ``python`` silently when no
-  toolchain is present.
+  system C compiler; a whole cell runs in the kernel with no pipeline,
+  and a kernel failure is never silent (see
+  :mod:`repro.uarch.compiled.backend`).
 
 Backends are cycle-exact by contract: for any (program, trace, config,
 renamer) the statistics, final architectural registers, occupancy
@@ -36,7 +37,7 @@ import threading
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.uarch.core import Pipeline
+    from repro.uarch.core import Pipeline, SimResult
 
 #: Environment variable consulted when no backend is requested explicitly.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -80,14 +81,32 @@ class CycleLoopBackend:
         """
         return True
 
-    def prepare(self, pipeline: "Pipeline") -> None:
-        """One-time per-pipeline hook, called from ``Pipeline.__init__``.
+    def fresh_pipeline(self, program, trace, tables, machine, reno,
+                       collect_timing=False, record_stats=False) -> "Pipeline":
+        """The fresh pipeline, on this backend, of ``program`` replaying
+        ``trace`` (over its ``tables``) on ``machine``, with RENO when
+        ``reno`` is given and the two switches of the same names."""
+        from repro.core.renamer import RenoRenamer
+        from repro.uarch.core import Pipeline
 
-        Backends use this to build or fetch per-trace state before the
-        first slice; it costs time in every cell, but the cycle-loop probes
-        of ``scripts/benchmark_engine.py`` time :meth:`run_cycles` only.
-        The base implementation does nothing.
-        """
+        renamer = (RenoRenamer(machine.num_physical_regs, reno)
+                   if reno is not None else None)
+        return Pipeline(program, trace, machine, renamer=renamer,
+                        collect_timing=collect_timing,
+                        record_stats=record_stats, backend=self,
+                        tables=tables)
+
+    def run_fresh(self, program, trace, tables, machine, reno,
+                  collect_timing=False, record_stats=False) -> "SimResult":
+        """Run one whole cell (see :meth:`fresh_pipeline`); the base
+        implementation runs its fresh pipeline."""
+        return self.fresh_pipeline(program, trace, tables, machine, reno,
+                                   collect_timing, record_stats).run()
+
+    def prepare(self, pipeline: "Pipeline") -> None:
+        """One-time per-pipeline hook, called from ``Pipeline.__init__``
+        to build per-pipeline state before the first slice.  The base
+        implementation does nothing."""
 
     def run_cycles(self, pipeline: "Pipeline", stop_cycle: int | None) -> None:
         """Run the cycle loop until the trace retires or ``stop_cycle``.
@@ -103,13 +122,9 @@ class CycleLoopBackend:
 
 
 class PythonBackend(CycleLoopBackend):
-    """The reference backend: the inlined interpreter loop in ``core``.
-
-    This is deliberately a thin delegate — the loop body itself stays in
-    :meth:`repro.uarch.core.Pipeline._run_cycles`, unchanged, so the
-    reference implementation remains next to the pipeline state it
-    mutates.
-    """
+    """The reference backend: a thin delegate to
+    :meth:`repro.uarch.core.Pipeline._run_cycles`, which stays next to the
+    pipeline state it mutates."""
 
     name = "python"
 

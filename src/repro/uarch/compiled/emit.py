@@ -79,7 +79,7 @@ WINDOW_EXEMPT: frozenset[str] = frozenset({
 })
 
 #: Kernel error codes (return value of ``repro_run``).  Any nonzero code
-#: makes the backend discard the C state and replay the slice in Python.
+#: is replayed once in Python, which raises (``marshal.kernel_failed``).
 ERR_OK = 0
 ERR_MAX_CYCLES = 1
 ERR_LOAD_ADDR = 2

@@ -1,11 +1,11 @@
 """Fresh cells: a whole cell in the kernel, with no pipeline.
 
-A cell that records no occupancy and runs to completion in one call (no
-slice boundary, no snapshot) starts from the state a freshly constructed
+A cell that runs to completion in one call (no slice boundary, no
+snapshot) starts from the state a freshly constructed
 :class:`~repro.uarch.core.Pipeline` holds.  Apart from a few values its
 trace owns, that state depends only on the machine and RENO
-configurations and on whether the cell collects timing records, so it is
-marshalled once per such triple and kept as a :class:`FreshImage`:
+configurations and on its two switches (timing records, occupancy),
+so it is marshalled once per such key and kept as a :class:`FreshImage`:
 
 * the image is what :meth:`~repro.uarch.compiled.marshal.KernelState.marshal_in`
   writes for a fresh pipeline, built on the first cell's trace and then
@@ -19,12 +19,13 @@ marshalled once per such triple and kept as a :class:`FreshImage`:
 
 Every cell allocates its own buffers from the image, so no state outlives
 the call and nothing refers to the trace's columns afterwards.  Stats,
-final registers and ``finished`` are read straight out of the buffers; a
-timed cell's records are a :class:`~repro.uarch.inflight.TimingColumns`
-over its own ``TR_*`` buffers and the trace's per-seq static fields
+final registers, occupancy and ``finished`` are read straight out of the
+buffers; a timed cell's records are a
+:class:`~repro.uarch.inflight.TimingColumns` over its own ``TR_*`` buffers
+and the trace's per-seq static fields
 (:attr:`~repro.uarch.tables.TraceTables.record_columns`).
 The images live in a per-process memo of :data:`IMAGE_SLOTS` entries keyed
-by the configurations' digests and the timing switch.
+by the configurations' digests and the two switches.
 """
 
 from __future__ import annotations
@@ -42,15 +43,18 @@ from repro.uarch.compiled.marshal import (
     KernelTables,
     PointerBlock,
     address_of,
+    kernel_failed,
+    read_occupancy,
     violation_log_size,
 )
 from repro.uarch.compiled.pages import PagePool
 from repro.uarch.core import SimResult
 from repro.uarch.inflight import TIMING_COLUMNS, TimingColumns
+from repro.uarch.observe import OccupancyStats
 from repro.uarch.stats import SimStats
 
-#: How many configuration images one process keeps (every unobserved grid
-#: experiment of the ``specint`` suite uses 34, ``fig9`` three more).
+#: How many configuration images one process keeps (the ``specint`` grid
+#: experiments use 34 plain ones, ``fig9`` 3 timed, ``bottleneck`` 4 more).
 IMAGE_SLOTS = 64
 
 #: Scalars a cell's trace owns: zero in an image, written per cell.
@@ -93,7 +97,7 @@ _STATS = tuple((attribute, tuple(SC[name] for name in scalars))
 
 
 class FreshImage:
-    """The kernel's starting buffers for one configuration pair.
+    """The kernel's starting buffers for one image key.
 
     Attributes:
         scalars: The scalar block, :data:`_TRACE_SCALARS` zeroed.
@@ -155,8 +159,8 @@ def _compact(column: array):
     return column[:]
 
 
-#: ``(machine digest, RENO digest or None, timing) -> FreshImage``, oldest
-#: first.
+#: ``(machine digest, RENO digest or None, timing, occupancy) ->
+#: FreshImage``, oldest first.
 _images: dict[tuple, FreshImage] = {}
 _images_lock = threading.Lock()
 
@@ -171,15 +175,16 @@ def _reset_images_lock() -> None:
 os.register_at_fork(after_in_child=_reset_images_lock)
 
 
-def image_of(machine, reno, timing: bool, capture) -> FreshImage:
-    """The image of (``machine``, ``reno``, ``timing``), captured on first
-    use.
+def image_of(machine, reno, timing: bool, occupancy: bool,
+             capture) -> FreshImage:
+    """The image of (``machine``, ``reno``) and the two switches, captured
+    on first use.
 
     ``capture()`` builds the image; it runs only on a memo miss, and
     whatever it raises propagates.
     """
     key = (machine.digest(), None if reno is None else reno.digest(),
-           timing)
+           timing, occupancy)
     with _images_lock:
         image = _images.get(key)
         if image is None:
@@ -190,24 +195,29 @@ def image_of(machine, reno, timing: bool, capture) -> FreshImage:
     return image
 
 
-def run_cell(kernel, image: FreshImage, tables, machine) -> SimResult | None:
+def run_cell(kernel, image: FreshImage, tables, machine,
+             reference) -> SimResult:
     """Run one whole cell over ``tables`` in ``kernel`` from ``image``.
 
+    A nonzero kernel return hands ``reference`` (the same cell on the
+    python loop) to :func:`~repro.uarch.compiled.marshal.kernel_failed`,
+    which raises.
+
     Returns:
-        The cell's :class:`~repro.uarch.core.SimResult` (with
-        :class:`~repro.uarch.inflight.TimingColumns` as its timing records
-        when ``image`` is timed), or None when the kernel returns an error
-        (the caller then runs the cell on a pipeline, which reproduces the
-        reference's result or exception).
+        The cell's :class:`~repro.uarch.core.SimResult`.
     """
     sc, arrays, pool = image.buffers(tables)
     pt = PointerBlock(*[address_of(arrays[name]) for name in POINTERS])
     sc_ptr = ctypes.cast(sc.buffer_info()[0], ctypes.POINTER(ctypes.c_int64))
-    if kernel(sc_ptr, pt, pool.view) != ERR_OK:
-        return None
+    code = kernel(sc_ptr, pt, pool.view)
+    if code != ERR_OK:
+        kernel_failed(code, reference)
     stats = SimStats()
     for attribute, indices in _STATS:
         setattr(stats, attribute, sum(sc[index] for index in indices))
+    if sc[SC["RECORD_STATS"]]:
+        stats.occupancy = OccupancyStats.for_config(machine)
+        read_occupancy(stats.occupancy, sc, arrays)
     values = arrays["PRF_VAL"]
     if sc[SC["MODE"]]:
         registers = [(values[preg] + disp) & MASK64 for preg, disp

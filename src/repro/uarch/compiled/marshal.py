@@ -10,12 +10,11 @@ One :class:`KernelState` is built per pipeline (cached by the backend in a
 the machine geometry and allocates every dynamic buffer once, so a
 ``run_cycles`` call only copies the *live* simulation state in and out.
 
-The contract that makes the no-side-effects-on-error strategy work:
+The failure rule (:func:`kernel_failed`) rests on one contract:
 :meth:`KernelState.marshal_in` never mutates any Python object — it only
-reads the pipeline and writes the flat buffers.  When the kernel returns a
-nonzero error code the backend simply replays the slice with the python
-reference loop and the outcome (including the exception the reference
-raises) is exactly what an all-python run would have produced.
+reads the pipeline and writes the flat buffers — so a failed slice can
+be replayed on the python reference loop from the state the kernel
+started from.
 
 Two deliberate, behaviourally invisible normalisations happen at
 marshal-out:
@@ -54,11 +53,9 @@ _RN_SCALARS = (
 )
 
 #: Wakeup-ring size exponent.  The ring must give every outstanding wakeup
-#: cycle a distinct slot; pending ready cycles span at most one worst-case
-#: memory round trip (far below 2**13), and a collision is caught — at
-#: marshal-in by :class:`MarshalError`, inside the kernel by ERR_INTERNAL —
-#: and delegated to the python loop, so this is a size/perf knob, not a
-#: correctness bound.
+#: cycle a distinct slot; pending ready cycles span at most one load's
+#: latency (far below 2**13 on the paper's machines), and a collision
+#: raises :class:`KernelError` (at marshal-in, or after ERR_INTERNAL).
 _WK_BITS = 13
 
 #: Kernel elimination-kind ids back to RenameResult.elim_kind strings.
@@ -113,13 +110,32 @@ _ABS_STATS = (
 
 
 class MarshalError(Exception):
-    """The live state cannot be expressed in the kernel ABI.
+    """A program has no representation in the kernel's static columns (an
+    immediate outside int64): :attr:`KernelTables.fits` is False, and the
+    compiled functional run hands the program to the interpreter."""
 
-    Raised only for representational corner cases (e.g. two outstanding
-    wakeup cycles colliding in the ring).  The backend catches it and runs
-    the slice on the python loop instead; marshal-in has no side effects,
-    so no cleanup is needed.
-    """
+
+class KernelError(Exception):
+    """A compiled cell or slice failed where the python loop does not: the
+    kernel returned a nonzero code on one the python loop finishes
+    (:func:`kernel_failed`), or a live state exceeded a capacity of the
+    flat buffers at marshal-in."""
+
+
+#: Kernel return code -> its ``ERR_*`` name.
+_ERROR_NAMES = {getattr(emit, name): name for name in dir(emit)
+                if name.startswith("ERR_")}
+
+
+def kernel_failed(code: int, reference) -> None:
+    """The failure rule for a nonzero kernel return ``code``: replay the
+    same slice or cell once on the python loop (``reference()``, from the
+    state the kernel started from), so a real simulation error (a
+    ``max_cycles`` overrun, a trace mismatch) raises the python loop's
+    own exception, and raise :class:`KernelError` if it finishes."""
+    reference()
+    raise KernelError(f"the kernel returned {_ERROR_NAMES.get(code)} ({code}) "
+                      f"where the python reference loop finishes")
 
 
 #: The kernel's pointer-block type.  ctypes keeps an array type only while
@@ -182,6 +198,26 @@ def static_columns(decoded: list[tuple]) -> dict[str, array]:
     return arrays
 
 
+#: (OccupancyStats histogram, ``OC_*`` buffer) pairs, besides ``ready``
+#: (four histograms at ``RSTRIDE`` spacing in ``OC_READY``).
+_OCCUPANCY = (("rob", "OC_ROB"), ("iq", "OC_IQ"), ("prf", "OC_PRF"),
+              ("sq", "OC_SQ"), ("lq", "OC_LQ"), ("issued", "OC_ISSUED"),
+              ("issued_by_class", "OC_CLASS"),
+              ("fetch_stall_reasons", "OC_STALL"))
+
+
+def read_occupancy(occupancy, sc: array, arrays: dict[str, array]) -> None:
+    """Copy the kernel's histograms and their cycle count out of ``sc``
+    and ``arrays`` into ``occupancy``, an
+    :class:`~repro.uarch.observe.OccupancyStats` for the same machine."""
+    occupancy.cycles = sc[SC["CYCLE"]]
+    for attribute, name in _OCCUPANCY:
+        getattr(occupancy, attribute)[:] = arrays[name].tolist()
+    ready, stride = arrays["OC_READY"], sc[SC["RSTRIDE"]]
+    for base, histogram in zip(range(0, 4 * stride, stride), occupancy.ready):
+        histogram[:] = ready[base:base + len(histogram)].tolist()
+
+
 def violation_log_size(total: int) -> int:
     """``VIO_CAP``, the violation log's length, for a trace of ``total``
     records."""
@@ -203,13 +239,19 @@ class KernelTables:
         store_pages: Every page any store in the trace can create or
             dirty, so each marshal-in can build a page pool covering all
             pages the kernel might write, including straddles.
+        fits: Whether the program fits the ``S_*`` columns (else
+            ``arrays`` lacks them, and the backend declines every cell).
     """
 
     def __init__(self, tables):
         """Adopt the trace columns; build the decoded-op and per-opcode ones."""
         columns = trace_columns(tables.trace)
-        self.arrays = {**columns.arrays, **static_columns(tables.decoded),
-                       **opcode_columns()}
+        try:
+            static = static_columns(tables.decoded)
+        except MarshalError:
+            static = {}
+        self.fits = bool(static)
+        self.arrays = {**columns.arrays, **static, **opcode_columns()}
         self.store_pages = columns.store_pages
 
     @classmethod
@@ -457,8 +499,8 @@ class KernelState:
     def marshal_in(self, pipeline, stop_cycle) -> None:
         """Copy the live simulation state into the flat buffers.
 
-        Never mutates the pipeline.  Raises :class:`MarshalError` when the
-        state has no ABI representation (the caller falls back to python).
+        Never mutates the pipeline.  Raises :class:`KernelError` when the
+        state exceeds a capacity of the flat buffers.
         """
         sc = self.sc
         a = self.arr
@@ -519,7 +561,7 @@ class KernelState:
         for cls in range(4):
             entries = iq._ready[cls]
             if len(entries) > self.rstride:
-                raise MarshalError("ready list exceeds its stride")
+                raise KernelError("ready list exceeds its stride")
             rlen[cls] = len(entries)
             base = cls * self.rstride
             ready_flat[base:base + len(entries)] = array("q", entries)
@@ -533,7 +575,7 @@ class KernelState:
             last = -1
             for seq in seqs:
                 if next_node >= self.node_cap:
-                    raise MarshalError("waiter/wakeup node pool exhausted")
+                    raise KernelError("waiter/wakeup node pool exhausted")
                 node_seq[next_node] = seq
                 if last >= 0:
                     node_next[last] = next_node
@@ -557,7 +599,7 @@ class KernelState:
         for ready_cycle, seqs in iq._wakeups.items():
             index = ready_cycle & self.wk_mask
             if wk_cycle[index] != -1:
-                raise MarshalError("wakeup-ring collision at marshal-in")
+                raise KernelError("wakeup-ring collision at marshal-in")
             head, tail = build_chain(seqs)
             wk_cycle[index] = ready_cycle
             wk_head[index] = head
@@ -664,19 +706,12 @@ class KernelState:
         # -- occupancy -------------------------------------------------
         if self.record_stats:
             occ = pipeline.stats.occupancy
-            a["OC_ROB"][:] = array("q", occ.rob)
-            a["OC_IQ"][:] = array("q", occ.iq)
-            a["OC_PRF"][:] = array("q", occ.prf)
-            a["OC_SQ"][:] = array("q", occ.sq)
-            a["OC_LQ"][:] = array("q", occ.lq)
-            oc_ready = a["OC_READY"]
-            hist_len = len(occ.ready[0])
-            for cls in range(4):
-                base = cls * self.rstride
-                oc_ready[base:base + hist_len] = array("q", occ.ready[cls])
-            a["OC_ISSUED"][:] = array("q", occ.issued)
-            a["OC_CLASS"][:] = array("q", occ.issued_by_class)
-            a["OC_STALL"][:] = array("q", occ.fetch_stall_reasons)
+            for attribute, name in _OCCUPANCY:
+                a[name][:] = array("q", getattr(occ, attribute))
+            oc_ready, stride = a["OC_READY"], self.rstride
+            for base, histogram in zip(range(0, 4 * stride, stride),
+                                       occ.ready):
+                oc_ready[base:base + len(histogram)] = array("q", histogram)
 
         self._register_pointers()
 
@@ -1042,21 +1077,7 @@ class KernelState:
 
         # -- occupancy -------------------------------------------------
         if self.record_stats:
-            occ = stats.occupancy
-            occ.cycles = cycle
-            occ.rob[:] = a["OC_ROB"].tolist()
-            occ.iq[:] = a["OC_IQ"].tolist()
-            occ.prf[:] = a["OC_PRF"].tolist()
-            occ.sq[:] = a["OC_SQ"].tolist()
-            occ.lq[:] = a["OC_LQ"].tolist()
-            oc_ready = a["OC_READY"]
-            hist_len = len(occ.ready[0])
-            for cls in range(4):
-                base = cls * self.rstride
-                occ.ready[cls][:] = oc_ready[base:base + hist_len].tolist()
-            occ.issued[:] = a["OC_ISSUED"].tolist()
-            occ.issued_by_class[:] = a["OC_CLASS"].tolist()
-            occ.fetch_stall_reasons[:] = a["OC_STALL"].tolist()
+            read_occupancy(stats.occupancy, sc, a)
 
     def _marshal_out_timing(self, pipeline, committed) -> None:
         """Copy back the window's timing-record fields and ``_preg_writer``,

@@ -44,8 +44,10 @@ from repro.isa.opcodes import Opcode
 from repro.isa.program import CODE_BASE, DATA_BASE
 from repro.isa.registers import RegisterNames as R
 from repro.uarch.backend import get_backend
+from repro.uarch.compiled import build
 from repro.uarch.compiled import functional as compiled_functional
 from repro.uarch.compiled import pages as pages_module
+from repro.uarch.compiled.marshal import KernelTables
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
 from repro.uarch.tables import TraceTables
@@ -465,27 +467,33 @@ def test_fallbacks_match_the_interpreter(build):
 
 @pytest.mark.parametrize("reno", [None, RenoConfig.reno_default()],
                          ids=["BASE", "RENO"])
-def test_wide_immediate_cells_run_on_the_python_loop(reno):
-    """An immediate no kernel column holds sends the cell to the python
-    loop on both compiled routes: ``run_fresh`` declines it, and a
-    compiled pipeline replays its slice, each with the python result."""
+def test_wide_immediate_cells_run_on_the_python_loop(reno, monkeypatch):
+    """An immediate no kernel column holds is declined before the kernel
+    starts, on both compiled routes, by the one check over the trace's
+    tables (``KernelTables.fits``, which ``supports()`` makes too); the
+    cell then runs on the python loop, with the python result."""
     program = wide_immediate_program()
     machine = MachineConfig.default_4wide()
     reference = simulate(program, machine, reno, backend="python").timing
     functional = FunctionalSimulator(program, backend="compiled").run()
     tables = TraceTables(program, functional.trace)
-    compiled = get_backend("compiled")
-    if compiled.available():
-        assert compiled.run_fresh(program, functional.trace, tables, machine,
-                                  reno) is None
-    fresh = simulate(program, machine, reno, trace=functional, tables=tables,
-                     backend="compiled").timing
     renamer = (RenoRenamer(machine.num_physical_regs, reno)
                if reno is not None else None)
     pipeline = Pipeline(program, functional.trace, machine, renamer=renamer,
                         backend="compiled", tables=tables)
+    compiled = get_backend("compiled")
     assert pipeline.backend_name == compiled.name or not compiled.available()
+    calls = []
+    if compiled.available():
+        assert not KernelTables.of(tables).fits
+        assert not compiled.supports(pipeline)
+        kernel = build.load_kernel()
+        monkeypatch.setattr(build, "load_kernel", lambda: (
+            lambda *args: calls.append(args) or kernel(*args)))
+    fresh = simulate(program, machine, reno, trace=functional, tables=tables,
+                     backend="compiled").timing
     sliced = pipeline.run()
+    assert calls == []
     for result in (fresh, sliced):
         assert asdict(result.stats) == asdict(reference.stats)
         assert result.final_registers == reference.final_registers

@@ -15,26 +15,36 @@ slice boundary — full mutable-state equality at intermediate cycles, not
 just at the end.  Snapshot hand-offs *across* backends (python → compiled
 → python) certify that a fleet can mix backends mid-run.
 
+The failure rule is tested here too: a kernel that returns a nonzero
+code on a cell the python loop finishes raises ``KernelError`` after one
+kernel call, on the fresh route and on a sliced pipeline, while a real
+simulation error raises the python backend's exception; and sliced runs
+cut at random cycles and handed between backends, on machines with a
+20,000-cycle memory and with every structure tiny, finish with no
+``KernelError`` and the python result.
+
 Compiled-specific tests skip (not fail) when no C toolchain is present;
 the fallback tests force that situation with ``REPRO_NO_CC=1`` and assert
 the degradation to python is silent and result-identical.
 """
 
+import dataclasses
 import pickle
+import random
 import threading
 from dataclasses import fields
 from enum import Enum
 
 import pytest
-from test_scheduler_equivalence import random_program
+from test_scheduler_equivalence import TINY, random_program
 
 from repro.core import RenoConfig, RenoRenamer, simulate
 from repro.functional.simulator import FunctionalSimulator
 from repro.functional.trace import TraceColumns
 from repro.uarch import backend as backend_module
 from repro.uarch.backend import backend_names, get_backend, resolve_backend
-from repro.uarch.compiled import build, fresh
-from repro.uarch.compiled.backend import CompiledBackend
+from repro.uarch.compiled import build, emit
+from repro.uarch.compiled.marshal import KernelError
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
 
@@ -98,21 +108,17 @@ def assert_timing_records_identical(compiled, python):
 
 @pytest.fixture
 def no_silent_replays(monkeypatch):
-    """Fail the test when compiled work falls back to the python reference.
+    """Fail the test when compiled work runs on the python reference.
 
-    The compiled backend replays any slice it cannot finish (unsupported
-    pipeline, marshal error, nonzero kernel return) through
-    ``Pipeline._run_cycles``, and a compiled functional run it cannot
-    finish through ``FunctionalSimulator._interpret``; each replay produces
-    the reference's results — so without this guard an equivalence test
-    would pass while the kernel never ran.  A fresh cell that
-    ``CompiledBackend.run_fresh`` declines fails too, timed or not: its
-    caller reruns it on a pipeline, whose kernel slice may well succeed, so
-    nothing else would show that the fresh route never ran.
+    The compiled backend runs a slice on ``Pipeline._run_cycles`` when
+    ``supports()`` declines its pipeline, and a compiled functional run it
+    cannot finish on ``FunctionalSimulator._interpret``; each produces the
+    reference's results, so without this guard an equivalence test would
+    pass while the kernel never ran.  (A kernel failure cannot pass
+    silently: its replay raises.)
     """
     reference_loop = Pipeline._run_cycles
     reference_interpreter = FunctionalSimulator._interpret
-    run_fresh = CompiledBackend.run_fresh
 
     def guarded(pipeline, stop_cycle=None):
         if pipeline.backend_name == "compiled":
@@ -125,15 +131,8 @@ def no_silent_replays(monkeypatch):
                         "FunctionalSimulator._interpret")
         return reference_interpreter(simulator, record_trace)
 
-    def guarded_fresh(backend, *args, **kwargs):
-        result = run_fresh(backend, *args, **kwargs)
-        if result is None:
-            pytest.fail("a compiled fresh cell was declined by run_fresh")
-        return result
-
     monkeypatch.setattr(Pipeline, "_run_cycles", guarded)
     monkeypatch.setattr(FunctionalSimulator, "_interpret", guarded_interpreter)
-    monkeypatch.setattr(CompiledBackend, "run_fresh", guarded_fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -428,27 +427,109 @@ def test_no_silent_replays_catches_a_functional_fallback(no_silent_replays):
         FunctionalSimulator(program, 50, backend="compiled").run()
 
 
-@needs_compiled
-def test_no_silent_replays_catches_a_declined_fresh_cell(no_silent_replays,
-                                                        monkeypatch):
-    """A fresh cell ``run_fresh`` declines fails the guard, although the
-    pipeline route then runs it in the kernel and gets the right result."""
-    monkeypatch.setattr(fresh, "run_cell", lambda *args: None)
-    program = random_program(SEEDS[0], length=60).assemble()
-    with pytest.raises(pytest.fail.Exception, match="fresh cell was declined"):
-        simulate(program, backend="compiled")
+# ---------------------------------------------------------------------------
+# The failure rule
+# ---------------------------------------------------------------------------
+
+#: Every nonzero ``repro_run`` return code.
+ERROR_CODES = sorted(value for name, value in vars(emit).items()
+                     if name.startswith("ERR_") and value != emit.ERR_OK)
+
+
+def failing_kernel(monkeypatch, code):
+    """Make the loaded kernel run and then return ``code``; returns the
+    list of calls made."""
+    kernel = build.load_kernel()
+    calls = []
+
+    def failing(*args):
+        calls.append(kernel(*args))
+        return code
+
+    monkeypatch.setattr(build, "load_kernel", lambda: failing)
+    return calls
 
 
 @needs_compiled
-def test_no_silent_replays_catches_a_declined_timed_fresh_cell(
-        no_silent_replays, monkeypatch):
-    """A timed fresh cell is a fresh cell too: declining it fails the guard
-    although the pipeline route then collects the right records."""
-    monkeypatch.setattr(fresh, "run_cell", lambda *args: None)
+@pytest.mark.parametrize("route", ["fresh", "sliced"])
+@pytest.mark.parametrize("code", ERROR_CODES)
+def test_a_failing_kernel_raises_kernel_error(code, route, monkeypatch):
+    """A kernel that returns any nonzero code on a cell the python loop
+    finishes fails loudly after one kernel call, with no result."""
     program = random_program(SEEDS[0], length=60).assemble()
-    with pytest.raises(pytest.fail.Exception, match="fresh cell was declined"):
-        simulate(program, reno=RenoConfig.reno_default(), collect_timing=True,
-                 backend="compiled")
+    functional = FunctionalSimulator(program, backend="compiled").run()
+    pipeline = make_pipeline(program, functional.trace,
+                             RenoConfig.reno_default(), "compiled")
+    calls = failing_kernel(monkeypatch, code)
+    name = next(name for name, value in vars(emit).items()
+                if name.startswith("ERR_") and value == code)
+    with pytest.raises(KernelError, match=name):
+        if route == "fresh":
+            simulate(program, reno=RenoConfig.reno_default(),
+                     trace=functional, backend="compiled")
+        else:
+            pipeline.run(max_cycles=100)
+    assert calls == [emit.ERR_OK]
+
+
+@needs_compiled
+@pytest.mark.parametrize("collect_timing", [False, True])
+def test_a_sliced_overrun_raises_the_python_exception(collect_timing):
+    """A real failure in a kernel slice raises exactly the exception the
+    python backend raises at the same point."""
+    program, trace = build_run(SEEDS[1])
+    machine = dataclasses.replace(MachineConfig.default_4wide(),
+                                  name="short", max_cycles=150)
+    errors = []
+    for backend in ("python", "compiled"):
+        pipeline = make_pipeline(program, trace, RenoConfig.reno_default(),
+                                 backend, machine=machine,
+                                 collect_timing=collect_timing)
+        assert not pipeline.run(max_cycles=60).finished
+        with pytest.raises(Exception) as caught:
+            pipeline.run()
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is RuntimeError
+
+
+#: A machine whose memory round trip outlasts the kernel's wakeup ring.
+SLOW_MEMORY = dataclasses.replace(MachineConfig.default_4wide(),
+                                  name="slow-memory", memory_latency=20_000)
+
+
+@pytest.mark.usefixtures("no_silent_replays")
+@needs_compiled
+@pytest.mark.parametrize("machine", [MachineConfig.default_4wide(),
+                                     SLOW_MEMORY, TINY],
+                         ids=lambda machine: machine.name)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_cuts_and_hand_offs_never_fail_the_kernel(seed, machine):
+    """Slices cut at random cycles, each on a backend drawn at random and
+    handed over through a pickled snapshot, finish with no KernelError
+    and the python run's result."""
+    program, trace = build_run(seed)
+    rng = random.Random(seed)
+    for reno in (None, RenoConfig.reno_default()):
+        reference = make_pipeline(program, trace, reno, "python",
+                                  machine=machine, collect_timing=True).run()
+        if machine is SLOW_MEMORY:
+            assert reference.stats.l2_misses
+        pipeline = make_pipeline(program, trace, reno, "compiled",
+                                 machine=machine, collect_timing=True)
+        longest = reference.cycles // 4         # at least four slices
+        hops = 0
+        while not (result := pipeline.run(
+                max_cycles=rng.randint(1, longest))).finished:
+            snapshot = pickle.loads(pickle.dumps(pipeline.snapshot()))
+            pipeline = make_pipeline(program, trace, reno,
+                                     rng.choice(("compiled", "python")),
+                                     machine=machine, collect_timing=True)
+            pipeline.restore(snapshot)
+            hops += 1
+        assert hops >= 3, (seed, machine.name)
+        assert_results_identical(result, reference)
+        assert result.timing_records == reference.timing_records
 
 
 @needs_compiled

@@ -1,16 +1,17 @@
-"""Fresh cells: a cell with no occupancy runs whole in the kernel, with no
-pipeline.
+"""Fresh cells: a compiled cell runs whole in the kernel, with no pipeline.
 
 :meth:`~repro.uarch.compiled.backend.CompiledBackend.run_fresh` starts the
 kernel from a per-configuration image of a freshly constructed pipeline
 (:mod:`repro.uarch.compiled.fresh`).  These tests hold it to the two other
 routes:
 
-* every cell of the grid experiments that records no occupancy, on the
-  ``micro`` suite and two ``specint`` kernels, gives the same statistics,
-  final registers, cycles and ``finished`` on the fresh route, the
-  compiled pipeline route and the python reference, with and without
-  timing records, and the timed routes give the python loop's records;
+* every configuration of the grid experiments that record no occupancy,
+  on the ``micro`` suite and two ``specint`` kernels, gives the same
+  statistics, final registers, cycles and ``finished`` on the fresh
+  route, the compiled pipeline route and the python reference, with and
+  without timing records and with and without occupancy; the timed
+  routes give the python loop's records, and the observed routes its
+  occupancy histograms;
 * the critical-path walk over a fresh cell's timing columns gives the
   python loop's breakdown on every ``fig9`` ``specint`` cell, and the
   ``fig9`` report on the compiled backend is the committed golden table;
@@ -18,8 +19,10 @@ routes:
 * an image captured on one workload and applied to another equals, byte
   for byte, a fresh marshal-in on the second;
 * a cell the kernel cannot finish raises the python backend's exception;
-* ``simulate`` builds no pipeline for such a cell, but still does for one
-  that records occupancy, and leaves the trace's decoded ops unbuilt;
+* ``simulate`` builds no pipeline for a compiled cell, with or without
+  occupancy, and leaves the trace's decoded ops unbuilt: a ``bottleneck``
+  grid runs no slice and no python loop, and reports as on the python
+  backend;
 * the image memo evicts its oldest entry, a cell keeps no reference to
   its trace, and a fork child gets an image lock of its own;
 * a compiled pipeline, a fresh cell and a compiled functional run leave
@@ -98,19 +101,25 @@ def block(name):
 
 
 def pipeline_result(program, functional, tables, machine, reno, backend,
-                    collect_timing=False):
+                    collect_timing=False, record_stats=False):
     renamer = (RenoRenamer(machine.num_physical_regs, reno)
                if reno is not None else None)
     pipeline = Pipeline(program, functional.trace, machine, renamer=renamer,
                         collect_timing=collect_timing, backend=backend,
-                        tables=tables)
+                        tables=tables, record_stats=record_stats)
     assert pipeline.backend_name == backend
     return pipeline.run()
 
 
 def observables(result):
-    return (asdict(result.stats), result.final_registers, result.cycles,
-            result.finished)
+    """Everything a result reports except its occupancy histograms."""
+    stats = asdict(result.stats)
+    del stats["occupancy"]
+    return stats, result.final_registers, result.cycles, result.finished
+
+
+def occupancy(result):
+    return result.stats.occupancy.to_dict()
 
 
 @pytest.mark.usefixtures("no_silent_replays")
@@ -129,14 +138,23 @@ def test_fresh_cells_match_both_other_routes(workload):
         timed = backend.run_fresh(program, functional.trace, tables,
                                   machine, reno, collect_timing=True)
         assert isinstance(timed.timing_records, TimingColumns)
+        assert timed.stats.occupancy is None
+        observed = backend.run_fresh(program, functional.trace, tables,
+                                     machine, reno, record_stats=True)
+        assert observed.timing_records is None
         sliced = pipeline_result(program, functional, tables, machine, reno,
-                                 "compiled", collect_timing=True)
+                                 "compiled", collect_timing=True,
+                                 record_stats=True)
         python = pipeline_result(program, functional, tables, machine, reno,
-                                 "python", collect_timing=True)
+                                 "python", collect_timing=True,
+                                 record_stats=True)
         label = f"{workload} {machine.name} {reno.name if reno else 'BASE'}"
         assert observables(fresh_result) == observables(python), label
         assert observables(timed) == observables(python), label
+        assert observables(observed) == observables(python), label
         assert observables(sliced) == observables(python), label
+        assert occupancy(observed) == occupancy(python), label
+        assert occupancy(sliced) == occupancy(python), label
         assert (fresh_result.final_registers
                 == list(functional.state.snapshot()))
         assert len(python.timing_records) == len(functional.trace)
@@ -260,10 +278,13 @@ def test_a_record_trace_runs_fresh_too():
                                         python.timing_records)
 
 
-def test_image_slots_hold_every_unobserved_cell():
+def test_image_slots_hold_every_grid_cell():
     timed = get_experiment("fig9").build_spec("micro", None, 1)
-    assert fresh.IMAGE_SLOTS >= (len(CELLS) + len(timed.machines)
-                                 * len(timed.renos))
+    observed = get_experiment("bottleneck").build_spec("micro", None, 1)
+    assert observed.record_stats and not observed.collect_timing
+    assert fresh.IMAGE_SLOTS >= (
+        len(CELLS) + len(timed.machines) * len(timed.renos)
+        + len(observed.machines) * len(observed.renos))
 
 
 def fresh_marshal_in(program, functional, tables, machine, reno,
@@ -313,7 +334,8 @@ def test_images_are_compact():
     backend = get_backend("compiled")
     machine, reno = MachineConfig.default_4wide(), RenoConfig.reno_default()
     image = fresh.FreshImage(backend._marshal_fresh(
-        program, functional.trace, tables, machine, reno, False), tables)
+        program, functional.trace, tables, machine, reno, False, False),
+        tables)
     copies = [name for name, column in image.arrays
               if not isinstance(column, tuple)]
     # The wakeup ring, the waiter chains and most tables hold one value.
@@ -348,38 +370,35 @@ def test_an_invalid_config_raises_as_a_pipeline_would():
 
 
 @needs_compiled
-def test_simulate_builds_no_pipeline_for_an_unobserved_cell(monkeypatch):
-    run_experiment("fig8", suite="micro", workloads=["micro_sum"], jobs=1,
-                   cache=False, backend="compiled")         # warm the images
+@pytest.mark.parametrize("experiment", ["fig8", "fig9", "bottleneck"])
+def test_simulate_builds_no_pipeline_on_the_compiled_backend(experiment,
+                                                            monkeypatch):
+    """Plain, timed (fig9) and observed (bottleneck) cells all run fresh
+    once their images are captured: no pipeline, no slice, no python
+    loop, and the python backend's report."""
+    def request(backend):
+        return run_experiment(experiment, suite="micro",
+                              workloads=["micro_sum", "micro_call_spill"],
+                              jobs=1, cache=False, backend=backend)
+
+    reference = request("python")
+    request("compiled")                                     # warm the images
     built = []
     init = Pipeline.__init__
 
     def counted(pipeline, *args, **kwargs):
         init(pipeline, *args, **kwargs)
-        built.append(pipeline.record_stats or pipeline.collect_timing)
+        built.append(pipeline)
+
+    def no_slice(*args):
+        pytest.fail("a fresh cell ran a pipeline slice")
 
     monkeypatch.setattr(Pipeline, "__init__", counted)
-    report = run_experiment("fig8", suite="micro", workloads=["micro_sum"],
-                            jobs=1, cache=False, backend="compiled")
+    monkeypatch.setattr(Pipeline, "_run_cycles", no_slice)
+    monkeypatch.setattr(CompiledBackend, "run_cycles", no_slice)
+    report = request("compiled")
     assert built == []
-    reference = run_experiment("fig8", suite="micro", workloads=["micro_sum"],
-                               jobs=1, cache=False, backend="python")
-    assert report.rows == reference.rows
-    # Timed cells run fresh too (once their images are captured) ...
-    run_experiment("fig9", suite="micro", workloads=["micro_sum"], jobs=1,
-                   cache=False, backend="compiled")
-    built.clear()
-    report = run_experiment("fig9", suite="micro", workloads=["micro_sum"],
-                            jobs=1, cache=False, backend="compiled")
-    assert built == []
-    reference = run_experiment("fig9", suite="micro", workloads=["micro_sum"],
-                               jobs=1, cache=False, backend="python")
-    assert report.rows == reference.rows
-    # ... while cells that record occupancy keep their pipelines.
-    built.clear()
-    run_experiment("bottleneck", suite="micro", workloads=["micro_sum"],
-                   jobs=1, cache=False, backend="compiled")
-    assert built and all(built)
+    assert report.to_json() == reference.to_json()
 
 
 @pytest.mark.usefixtures("no_silent_replays")
@@ -404,14 +423,15 @@ def test_fresh_cells_leave_the_trace_ops_unbuilt(monkeypatch):
 
 
 def count_captures(monkeypatch):
+    """Record the (machine name, RENO config, switches) of every image
+    capture."""
     captures = []
     marshal_fresh = CompiledBackend._marshal_fresh
 
-    def counted(backend, program, trace, tables, machine, reno,
-                collect_timing):
-        captures.append((machine.name, reno, collect_timing))
-        return marshal_fresh(backend, program, trace, tables, machine, reno,
-                             collect_timing)
+    def counted(backend, *cell):
+        _program, _trace, _tables, machine, reno, *switches = cell
+        captures.append((machine.name, reno, *switches))
+        return marshal_fresh(backend, *cell)
 
     monkeypatch.setattr(CompiledBackend, "_marshal_fresh", counted)
     return captures
@@ -429,10 +449,29 @@ def test_image_memo_evicts_its_oldest_slot(monkeypatch):
     for machine in (*machines, machines[2], machines[1]):
         assert backend.run_fresh(program, functional.trace, tables, machine,
                                  None) is not None
-    assert len(captures) == 3
+    assert captures == [(machine.name, None, False, False)
+                        for machine in machines]
     backend.run_fresh(program, functional.trace, tables, machines[0], None)
     assert len(captures) == 4       # evicted when the third arrived
     assert len(fresh._images) == 2
+
+
+@needs_compiled
+def test_each_pair_of_switches_has_an_image_of_its_own(monkeypatch):
+    monkeypatch.setattr(fresh, "_images", {})
+    captures = count_captures(monkeypatch)
+    program, functional, tables = block("micro_addi_chain")
+    backend = get_backend("compiled")
+    machine, reno = MachineConfig.default_4wide(), RenoConfig.reno_default()
+    switches = [(timing, stats) for timing in (False, True)
+                for stats in (False, True)]
+    for timing, stats in switches * 2:
+        result = backend.run_fresh(program, functional.trace, tables,
+                                   machine, reno, collect_timing=timing,
+                                   record_stats=stats)
+        assert (result.timing_records is not None) is timing
+        assert (result.stats.occupancy is not None) is stats
+    assert captures == [(machine.name, reno, *pair) for pair in switches]
 
 
 @needs_compiled
