@@ -138,16 +138,18 @@ class RenoRenamer(Renamer):
         if eliminated:
             eliminated.clear()
 
-    def end_group(self) -> None:
-        # Group state is reset lazily by the next begin_group.
-        pass
-
     def rename_next(self, dyn: DynamicInstruction, op: tuple | None = None) -> RenameResult | None:
         if op is None:
             op = decode_op(dyn.instruction)
         source_logicals = op[9]                   # decoded source registers
         map_entries = self.map_table._entries     # inlined ExtendedMapTable.get
-        source_mappings = [map_entries[logical] for logical in source_logicals]
+        if len(source_logicals) > 1:              # at most two, unrolled
+            source_mappings = [map_entries[source_logicals[0]],
+                               map_entries[source_logicals[1]]]
+        elif source_logicals:
+            source_mappings = [map_entries[source_logicals[0]]]
+        else:
+            source_mappings = []
         dest = op[4]                              # decoded dest register (-1 = none)
 
         elimination = None
@@ -235,13 +237,11 @@ class RenoRenamer(Renamer):
             self._insert_it_entries(dyn, op, source_mappings, result)
         return result
 
-    def commit(self, result: RenameResult) -> None:
-        prev = result.prev_dest_preg
-        if prev is None:
-            return
-        # Inlined ReferenceCountManager.release (this runs once per committed
-        # instruction): drop one reference, free the register and invalidate
-        # the IT entries naming it when the count reaches zero.
+    def commit(self, prev: int) -> None:
+        # Inlined ReferenceCountManager.release (this runs for every
+        # committed instruction that replaced a mapping): drop one
+        # reference, free the register and invalidate the IT entries naming
+        # it when the count reaches zero.
         counts = self.refcounts.counts
         count = counts[prev]
         if count <= 0:

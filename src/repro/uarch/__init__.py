@@ -12,7 +12,7 @@ re-evaluated on the physical register file, and results are checked against
 the architectural trace at commit.  That check is what validates RENO's
 renaming transformations.
 
-The renaming stage is pluggable: :class:`repro.uarch.rename.BaseRenamer` is
+The renaming stage is pluggable: :class:`repro.uarch.rename.BaselineRenamer` is
 the conventional renamer, and :class:`repro.core.renamer.RenoRenamer` (the
 paper's contribution) slots into the same interface.
 """

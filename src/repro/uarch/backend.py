@@ -104,9 +104,10 @@ class CycleLoopBackend:
                                    collect_timing, record_stats).run()
 
     def prepare(self, pipeline: "Pipeline") -> None:
-        """One-time per-pipeline hook, called from ``Pipeline.__init__``
-        to build per-pipeline state before the first slice.  The base
-        implementation does nothing."""
+        """Per-pipeline hook, called from ``Pipeline.__init__`` and again
+        from ``Pipeline.restore`` (which replaces the components, the
+        renamer included) to build per-pipeline state before the next
+        slice.  The base implementation does nothing."""
 
     def run_cycles(self, pipeline: "Pipeline", stop_cycle: int | None) -> None:
         """Run the cycle loop until the trace retires or ``stop_cycle``.

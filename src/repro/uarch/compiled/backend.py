@@ -83,10 +83,13 @@ class CompiledBackend(CycleLoopBackend):
         """Build this pipeline's flat ABI buffers before its first slice.
 
         Called from ``Pipeline.__init__``, so its cost is part of every
-        sliced run and image capture.  The static trace columns are built
-        once per trace and shared through ``pipeline.tables``; per
-        pipeline this only writes the geometry and allocates the dynamic
-        buffers.  Also forces the one-time kernel compile/load.
+        sliced run and image capture, and again from ``Pipeline.restore``:
+        the buffers' geometry and renaming mode follow the restored
+        renamer, which need not be the constructor's.  The static trace
+        columns are built once per trace and shared through
+        ``pipeline.tables``; per pipeline this only writes the geometry and
+        allocates the dynamic buffers.  Also forces the one-time kernel
+        compile/load.
         """
         if build.load_kernel() is not None and self.supports(pipeline):
             self._states[pipeline] = KernelState(pipeline)

@@ -59,24 +59,20 @@ WINDOW_FIELDS: tuple[str, ...] = (
     "capacity", "size", "mask", "dispatch_cycle", "issue_cycle",
     "complete_cycle", "latency", "value", "eff_addr",
     "dcache_latency", "replayed", "mispredicted", "class_id", "waiting_ops",
-    "rename", "decoded", "dest_preg", "prev_dest", "elim_info",
+    "dest_preg", "prev_dest", "elim_info", "elim_preg", "elim_disp",
     "fusion_extra", "nsrc", "src0_preg", "src0_disp", "src1_preg",
     "src1_disp", "nprod", "prod0", "prod1", "prod2",
 )
 
-#: Window fields the compiled backend intentionally does not marshal:
-#: * ``capacity``/``size``/``mask`` are scalars fixed at construction;
-#: * ``rename`` holds RenameResult objects, rebuilt field-by-field from
-#:   the flattened arrays at marshal-out;
-#: * ``decoded`` holds decoded-op tuples, re-pointed from the pipeline's
-#:   static ``_trace_ops`` at marshal-out.
+#: Window fields the compiled backend does not marshal:
+#: ``capacity``/``size``/``mask`` are scalars fixed at construction (the
+#: kernel has them as ``WSIZE``/``WMASK``).  Every other field is an int
+#: column copied as a plain array.
 #: (``issue_cycle`` and the producer fields ``nprod``/``prod0``..``prod2``
 #: are marshalled as ``W_ISSUE``/``W_NPROD``/``W_PROD0``.., but only for
 #: ``collect_timing`` pipelines: no other pipeline writes them, on either
 #: backend.)
-WINDOW_EXEMPT: frozenset[str] = frozenset({
-    "capacity", "size", "mask", "rename", "decoded",
-})
+WINDOW_EXEMPT: frozenset[str] = frozenset({"capacity", "size", "mask"})
 
 #: Kernel error codes (return value of ``repro_run``).  Any nonzero code
 #: is replayed once in Python, which raises (``marshal.kernel_failed``).
@@ -140,7 +136,7 @@ SCALARS: tuple[str, ...] = (
     # -- delta statistics (seeded 0, applied with "+=" on success) ----
     "D_ISSUED", "D_FETCHED", "D_FETCH_STALLS", "D_PREGS_ALLOC", "D_FUSED",
     "D_FUSE_PEN", "D_STORE_FWD", "D_ELIM_MOVES", "D_ELIM_FOLDS",
-    "D_ELIM_CSE", "D_ELIM_RA", "D_ALLOC_BASE",
+    "D_ELIM_CSE", "D_ELIM_RA",
     # -- absolute statistics (seeded live, written back on success) ---
     "ROB_STALL", "IQ_STALL", "LSQ_STALL", "RENAME_STALL",
     "MEM_ORDER_VIO", "LOAD_REPLAYS", "REEXEC_LOADS", "INT_VAL_MISMATCH",
@@ -169,8 +165,8 @@ POINTERS: tuple[str, ...] = (
     "W_DCACHE", "W_REPLAYED", "W_MISPRED", "W_CLASS", "W_WAITING",
     "W_DEST", "W_PREV", "W_ELIM", "W_FEXTRA", "W_NSRC",
     "W_S0P", "W_S0D", "W_S1P", "W_S1D",
-    # Eliminated-slot shared destination mapping (RenameResult.dest_preg
-    # / dest_disp, flattened so commit/re-execute stay object-free).
+    # An eliminated slot's shared destination mapping (the window's
+    # elim_preg / elim_disp; written only for eliminated slots).
     "RRE_P", "RRE_D",
     # -- timing-record state (1-element dummies when TIMING is 0) -----
     # The window's issue cycles and, per slot, the producer count (0-3)
@@ -830,8 +826,9 @@ static int ready_push(Ctx *c, i64 cls, i64 seq) {
     return 0;
 }
 
-/* IssueQueue._drain_wakeups: retire every bucket whose cycle has come,
- * decrementing waiting counts and promoting finished ops to ready. */
+/* The wakeup drain at the top of IssueQueue.select: retire every bucket
+ * whose cycle has come, decrementing waiting counts and promoting
+ * finished ops to ready. */
 static int drain_wakeups(Ctx *c, i64 cycle) {
     while (SC(HEAP_LEN) && P(HEAP)[0] <= cycle) {
         i64 cyc = P(HEAP)[0];
@@ -1554,7 +1551,6 @@ _KERNEL += r"""
                             SC(FREE_HEAD) = (SC(FREE_HEAD) + 1)
                                 % SC(NUM_PREGS);
                             SC(FREE_LEN)--;
-                            SC(D_ALLOC_BASE)++;
                             P(W_PREV)[dslot] = P(BMAP)[dest];
                             P(BMAP)[dest] = newp;
                             P(PRF_RDY)[newp] = NOT_READY;

@@ -16,15 +16,8 @@ reads the pipeline and writes the flat buffers — so a failed slice can
 be replayed on the python reference loop from the state the kernel
 started from.
 
-Two deliberate, behaviourally invisible normalisations happen at
-marshal-out:
-
-* window slots whose ``value`` entry was still the construction-time
-  ``None`` read back as ``0`` (the pipeline only reads ``value`` for slots
-  whose instruction executed, which always overwrites it first);
-* in-flight ``RenameResult`` objects rebuilt from the flattened arrays
-  carry an empty ``sources`` list (sources are consumed at dispatch, which
-  already happened; the commit path reads only the destination fields).
+The in-flight window holds only int columns in the kernel's ``W_*``
+layout (:data:`_WINDOW`), so both directions copy it as plain arrays.
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ from repro.uarch.compiled.emit import PT, POINTERS, SC, SCALARS, VALUE_TO_ID
 from repro.uarch.compiled.pages import PagePool, fill_neg1, fill_zero
 from repro.uarch.inflight import TIMING_COLUMNS
 from repro.uarch.lsq import StoreQueueEntry
-from repro.uarch.rename import RenameResult
 
 #: RN_* scalar names, index-aligned with :data:`_RN_STAT_KEYS`.
 _RN_SCALARS = (
@@ -58,12 +50,24 @@ _RN_SCALARS = (
 #: raises :class:`KernelError` (at marshal-in, or after ERR_INTERNAL).
 _WK_BITS = 13
 
-#: Kernel elimination-kind ids back to RenameResult.elim_kind strings.
-_ELIM_KINDS = {1: "move", 2: "cf", 3: "cse", 4: "ra"}
 #: IntegrationEntry.origin encodings (index == kernel id).
 _ORIGINS = ("load", "store", "alu")
 _ORIGIN_IDS = {name: i for i, name in enumerate(_ORIGINS)}
 
+#: (pointer name, window field) of every window column the kernel reads
+#: and writes on each run (:data:`emit.WINDOW_FIELDS` minus the scalars
+#: and the timing-record state).
+_WINDOW = (
+    ("W_DISPATCH", "dispatch_cycle"), ("W_COMPLETE", "complete_cycle"),
+    ("W_LATENCY", "latency"), ("W_VALUE", "value"), ("W_EFF", "eff_addr"),
+    ("W_DCACHE", "dcache_latency"), ("W_REPLAYED", "replayed"),
+    ("W_MISPRED", "mispredicted"), ("W_CLASS", "class_id"),
+    ("W_WAITING", "waiting_ops"), ("W_DEST", "dest_preg"),
+    ("W_PREV", "prev_dest"), ("W_ELIM", "elim_info"), ("RRE_P", "elim_preg"),
+    ("RRE_D", "elim_disp"), ("W_FEXTRA", "fusion_extra"), ("W_NSRC", "nsrc"),
+    ("W_S0P", "src0_preg"), ("W_S0D", "src0_disp"), ("W_S1P", "src1_preg"),
+    ("W_S1D", "src1_disp"),
+)
 #: (pointer name, window field) of the window's timing-record state.
 _TIMING_WINDOW = (
     ("W_ISSUE", "issue_cycle"), ("W_NPROD", "nprod"), ("W_PROD0", "prod0"),
@@ -517,37 +521,11 @@ class KernelState:
         sc[SC["STALL_REASON"]] = pipeline._fetch_stall_reason
         sc[SC["STOP"]] = stop_cycle if stop_cycle is not None else 1 << 62
         self._in_committed = pipeline._committed
-        self._in_fetch_index = pipeline._fetch_index
 
         # -- window (structure of arrays) ------------------------------
-        a["W_DISPATCH"][:] = array("q", window.dispatch_cycle)
-        a["W_COMPLETE"][:] = array("q", window.complete_cycle)
-        a["W_LATENCY"][:] = array("q", window.latency)
-        a["W_VALUE"][:] = array(
-            "Q", (0 if v is None else v for v in window.value))
-        a["W_EFF"][:] = array("Q", window.eff_addr)
-        a["W_DCACHE"][:] = array("q", window.dcache_latency)
-        a["W_REPLAYED"][:] = array("q", map(int, window.replayed))
-        a["W_MISPRED"][:] = array("q", map(int, window.mispredicted))
-        a["W_CLASS"][:] = array("q", window.class_id)
-        a["W_WAITING"][:] = array("q", window.waiting_ops)
-        a["W_DEST"][:] = array("q", window.dest_preg)
-        a["W_PREV"][:] = array("q", window.prev_dest)
-        a["W_ELIM"][:] = array("q", window.elim_info)
-        a["W_FEXTRA"][:] = array("q", window.fusion_extra)
-        a["W_NSRC"][:] = array("q", window.nsrc)
-        a["W_S0P"][:] = array("q", window.src0_preg)
-        a["W_S0D"][:] = array("q", window.src0_disp)
-        a["W_S1P"][:] = array("q", window.src1_preg)
-        a["W_S1D"][:] = array("q", window.src1_disp)
-        rre_p, rre_d = a["RRE_P"], a["RRE_D"]
-        for i, rename in enumerate(window.rename):
-            if rename is not None and rename.eliminated:
-                rre_p[i] = rename.dest_preg
-                rre_d[i] = rename.dest_disp
-            else:
-                rre_p[i] = 0
-                rre_d[i] = 0
+        for name, field in _WINDOW:
+            column = a[name]
+            column[:] = array(column.typecode, getattr(window, field))
 
         # -- physical register file ------------------------------------
         a["PRF_VAL"][:] = array("Q", pipeline.prf.values)
@@ -694,7 +672,6 @@ class KernelState:
             sc[SC[name]] = getattr(stats, attr)
         for name, _attr in _DELTA_STATS:
             sc[SC[name]] = 0
-        sc[SC["D_ALLOC_BASE"]] = 0
 
         # -- memory page pool ------------------------------------------
         self._marshal_in_pages(pipeline)
@@ -822,7 +799,7 @@ class KernelState:
         """Copy the flat buffers back into the live simulation state.
 
         Mirrors everything the python loop's exit path writes, including
-        the loop-exit mirror (ROB head/tail, issue-queue counters) and the
+        the loop-exit mirror (cursors, issue-queue counters) and the
         ``_flush_loop_stats`` / component-counter routing.
         """
         sc = self.sc
@@ -841,8 +818,6 @@ class KernelState:
         pipeline._waiting_branch = sc[SC["WAITING_BRANCH"]]
         pipeline._last_fetch_block = sc[SC["LAST_FETCH_BLOCK"]]
         pipeline._fetch_stall_reason = sc[SC["STALL_REASON"]]
-        pipeline.rob.head_seq = committed
-        pipeline.rob.tail_seq = fetch_index
         iq._count = sc[SC["IQ_COUNT"]]
         iq._ready_total = sc[SC["IQ_READY_TOTAL"]]
 
@@ -868,60 +843,8 @@ class KernelState:
         store_sets._next_set_id = sc[SC["SS_NEXT_ID"]]
 
         # -- window (structure of arrays) ------------------------------
-        window.dispatch_cycle[:] = a["W_DISPATCH"].tolist()
-        window.complete_cycle[:] = a["W_COMPLETE"].tolist()
-        window.latency[:] = a["W_LATENCY"].tolist()
-        window.value[:] = a["W_VALUE"].tolist()
-        window.eff_addr[:] = a["W_EFF"].tolist()
-        window.dcache_latency[:] = a["W_DCACHE"].tolist()
-        window.replayed[:] = [bool(v) for v in a["W_REPLAYED"]]
-        window.mispredicted[:] = [bool(v) for v in a["W_MISPRED"]]
-        window.class_id[:] = a["W_CLASS"].tolist()
-        window.waiting_ops[:] = a["W_WAITING"].tolist()
-        window.dest_preg[:] = a["W_DEST"].tolist()
-        window.prev_dest[:] = a["W_PREV"].tolist()
-        window.elim_info[:] = a["W_ELIM"].tolist()
-        window.fusion_extra[:] = a["W_FEXTRA"].tolist()
-        window.nsrc[:] = a["W_NSRC"].tolist()
-        window.src0_preg[:] = a["W_S0P"].tolist()
-        window.src0_disp[:] = a["W_S0D"].tolist()
-        window.src1_preg[:] = a["W_S1P"].tolist()
-        window.src1_disp[:] = a["W_S1D"].tolist()
-
-        # Slots (re)dispatched during the slice get their object-graph
-        # companions rebuilt: the decoded tuple and, under RENO, a
-        # RenameResult carrying the commit-relevant fields.
-        trace_ops = pipeline._trace_ops
-        mask = self.wmask
-        w_elim = window.elim_info
-        rre_p, rre_d = a["RRE_P"], a["RRE_D"]
-        w_dest, w_prev = window.dest_preg, window.prev_dest
-        w_fextra = window.fusion_extra
-        first = max(self._in_fetch_index, fetch_index - self.wsize)
-        for seq in range(first, fetch_index):
-            slot = seq & mask
-            window.decoded[slot] = trace_ops[seq]
-            if not self.reno:
-                window.rename[slot] = None
-                continue
-            elim = w_elim[slot]
-            kind = elim & 15
-            if kind:
-                result = RenameResult(
-                    dest_preg=rre_p[slot], dest_disp=rre_d[slot],
-                    eliminated=True, elim_kind=_ELIM_KINDS[kind],
-                    needs_reexecution=bool(elim & 16),
-                )
-            else:
-                dest = w_dest[slot]
-                result = RenameResult(
-                    dest_preg=dest if dest >= 0 else None,
-                    allocated=dest >= 0,
-                    fusion_extra_latency=w_fextra[slot],
-                )
-            prev = w_prev[slot]
-            result.prev_dest_preg = prev if prev >= 0 else None
-            window.rename[slot] = result
+        for name, field in _WINDOW:
+            getattr(window, field)[:] = a[name].tolist()
 
         # -- physical register file ------------------------------------
         pipeline.prf.values[:] = a["PRF_VAL"].tolist()
@@ -978,6 +901,8 @@ class KernelState:
         sq._by_seq.update((entry.seq, entry) for entry in entries)
         lq = pipeline.load_queue
         lq.entries.clear()
+        trace_ops = pipeline._trace_ops
+        w_elim, mask = window.elim_info, self.wmask
         lq.entries.update(
             seq for seq in range(committed, fetch_index)
             if trace_ops[seq][0] & DF_LOAD and not w_elim[seq & mask])
@@ -989,7 +914,6 @@ class KernelState:
         cap = len(ring)
         free_pregs = [ring[(head + k) % cap] for k in range(length)]
         if not self.reno:
-            renamer.allocations += sc[SC["D_ALLOC_BASE"]]
             renamer.map_table[:] = a["BMAP"][:32].tolist()
             renamer.free_list.clear()
             renamer.free_list.extend(free_pregs)

@@ -29,15 +29,14 @@ structure-of-arrays :class:`~repro.uarch.inflight.InFlightWindow`, indexed by
 retirement are strictly in program order).  Static per-instruction facts come
 from the decoded-op cache (:func:`repro.isa.instruction.decode_program`).
 :meth:`Pipeline._run_cycles` is written as one interpreter-style loop —
-commit, wakeup/select, execute and dispatch are inlined, every array and
-counter is a local, and the conventional renamer's map-table/free-list
-updates are inlined too (``window.rename[slot]`` stays None on that path) —
-so the per-instruction work is flat list/tuple indexing with no attribute
-traffic and no object allocation beyond what the RENO renamer itself needs.
-The inlined scheduler paths are byte-exact re-statements of
-``IssueQueue.add``/``select``; the scheduler-equivalence property tests pit
-the whole pipeline against an object-model full-scan reference to keep them
-honest.
+commit, wakeup/select, execute and dispatch are inlined and every array and
+counter is a local — so the per-instruction work is flat list/tuple
+indexing plus one renamer call at dispatch (and one at commit when a
+register is handed back).  Renaming always goes through the
+:class:`~repro.uarch.rename.Renamer` interface; the inlined scheduler paths
+are byte-exact re-statements of ``IssueQueue.add``/``select``, and the
+scheduler-equivalence property tests pit the whole pipeline against an
+object-model full-scan reference to keep them honest.
 """
 
 from __future__ import annotations
@@ -87,7 +86,6 @@ from repro.uarch.observe import (
 )
 from repro.uarch.regfile import NOT_READY, PhysicalRegisterFile
 from repro.uarch.rename import BaselineRenamer, Renamer
-from repro.uarch.rob import ReorderBuffer
 from repro.uarch.scheduler import IssueQueue
 from repro.uarch.snapshot import PipelineSnapshot
 from repro.uarch.stats import SimStats
@@ -104,6 +102,7 @@ _NO_BRANCH = -1
 #: Elimination-kind ids for ``InFlightWindow.elim_info`` (0 = not
 #: eliminated; bit 4 marks re-execution at retire).
 _ELIM_IDS = {"move": 1, "cf": 2, "cse": 3, "ra": 4}
+_ELIM_KINDS = {kind_id: kind for kind, kind_id in _ELIM_IDS.items()}
 _ELIM_REEXEC = 16
 
 
@@ -237,7 +236,6 @@ class Pipeline:
         #: The structure-of-arrays in-flight window shared by every stage.
         self.window = InFlightWindow(self.config.rob_size)
         self.issue_queue = IssueQueue(self.config, self.window, self.prf.ready_cycle)
-        self.rob = ReorderBuffer(self.config.rob_size, self.window)
         self.store_queue = StoreQueue(self.config.store_queue_size)
         self.load_queue = LoadQueue(self.config.load_queue_size)
         self.memory = Memory.from_image(tables.memory_image)
@@ -324,8 +322,6 @@ class Pipeline:
         self._w_dcache = window.dcache_latency
         self._w_replayed = window.replayed
         self._w_mispred = window.mispredicted
-        self._w_rename = window.rename
-        self._w_decoded = window.decoded
         self._w_dest = window.dest_preg
         self._w_fextra = window.fusion_extra
 
@@ -414,7 +410,7 @@ class Pipeline:
     #: :meth:`_bind_aliases` are deliberately absent.
     _SNAPSHOT_STATE = (
         "prf", "renamer", "branch_unit", "caches", "store_sets", "window",
-        "issue_queue", "rob", "store_queue", "load_queue", "memory",
+        "issue_queue", "store_queue", "load_queue", "memory",
         "stats", "timeline", "timing_columns", "_cycle", "_committed",
         "_fetch_index", "_fetch_resume_cycle", "_waiting_branch",
         "_last_fetch_block", "_fetch_stall_reason",
@@ -440,8 +436,8 @@ class Pipeline:
         """Capture the complete mutable simulation state.
 
         The capture is one deep copy, so aliasing *between* components (the
-        issue queue's window reference, rename results sharing map-table
-        mappings, ...) is preserved inside the snapshot, and the snapshot is
+        issue queue's window reference, the renamer's free list and its
+        refcounts, ...) is preserved inside the snapshot, and the snapshot is
         fully detached from this pipeline — continuing to :meth:`run` after
         snapshotting never mutates it.  Snapshots pickle cleanly
         (:meth:`~repro.uarch.snapshot.PipelineSnapshot.save`), which is how
@@ -466,13 +462,15 @@ class Pipeline:
         (program, trace, config, collect_timing) inputs as the snapshotted
         one (:meth:`~repro.uarch.snapshot.PipelineSnapshot.validate_for`
         raises otherwise; the renamer is *part of the snapshot* and replaces
-        whatever the constructor installed).  The snapshot itself stays
-        reusable: restoring hands over a fresh copy every time.
+        whatever the constructor installed, so the backend prepares for the
+        restored components again).  The snapshot itself stays reusable:
+        restoring hands over a fresh copy every time.
         """
         snapshot.validate_for(self)
         for name, value in snapshot.copy_state().items():
             setattr(self, name, value)
         self._bind_aliases()
+        self.backend.prepare(self)
 
     def _run_cycles(self, stop_cycle: int | None = None) -> None:
         """The cycle loop proper (see :meth:`run` for the event-driven model).
@@ -487,8 +485,14 @@ class Pipeline:
 
         All phases — commit, wakeup/select, execute, dispatch — are inlined
         into this one function so every array, counter and piece of
-        front-end state is a local variable for the whole run.  Two
-        structural fast paths are chosen up front:
+        front-end state is a local variable for the whole run.  Renaming
+        goes through the renamer's interface (``begin_group()`` once per
+        dispatch cycle, ``rename_next()`` per instruction, ``commit()`` per
+        handed-back register), so :class:`~repro.uarch.rename.BaselineRenamer`
+        and :class:`repro.core.renamer.RenoRenamer` are the one Python
+        definition of each renaming scheme (the compiled backend's
+        generated C is tested against them).  One structural fast path is
+        chosen up front:
 
         * ``inline_iq`` — issue-queue bookkeeping (operand counting,
           waiter/wakeup registration, wakeup drain, single-class select) is
@@ -497,25 +501,19 @@ class Pipeline:
           gets the ``add()``/``select()`` method calls instead, and the
           rare multi-class select falls back to the method with the local
           counters synced around the call.
-        * ``baseline_fast`` — conventional renaming (map table + free list)
-          is inlined when the renamer is the stock ``BaselineRenamer``; the
-          slot's ``rename`` entry stays None and commit releases the
-          previous mapping directly.  Any other renamer — the RENO renamer
-          included — goes through ``begin_group()``/``rename_next()``/
-          ``commit()``, so :class:`repro.core.renamer.RenoRenamer` is the
-          one Python definition of RENO renaming (the compiled backend's
-          generated C is tested against it).
 
-        Each fast path stays because it pays for its code (2 vCPU, Python
-        3.11): the inlined queue is worth ≈20% of a base+RENO run (0.341 s
-        vs 0.439 s over five workloads), and inlined conventional renaming
-        ≈5% of a fig9 request pass (1.98 s vs 2.09 s).  Inlining the RENO
-        renamer as well bought only ≈1–3%, not enough for a second copy.
+        It stays because it pays for its code (2 vCPU, Python 3.11, on
+        ``scripts/perf_smoke.py``'s five-kernel fig8 probe): routing the
+        queue through its methods made the loop a median 1.09× slower over
+        16 alternating rounds (1.26× best-of), and with inlined renaming
+        dropped as well, 1.29× best-of against both inlined.  Inlining
+        conventional renaming alone was worth a median 1.13× there, not
+        enough for a second copy of the renamer.
 
-        Neither fast path changes any modelled behaviour — they remove
-        Python call and object overhead only, which the scheduler
-        equivalence and rename invariant property tests check.  Frequently
-        bumped statistics are accumulated in locals and folded into
+        The fast path changes no modelled behaviour — it removes Python
+        call and object overhead only, which the scheduler equivalence and
+        rename invariant property tests check.  Frequently bumped
+        statistics are accumulated in locals and folded into
         ``self.stats`` once at the end of the run.
         """
         cycle = self._cycle
@@ -552,19 +550,10 @@ class Pipeline:
         total_issue = self.config.total_issue
 
         renamer = self.renamer
-        baseline_fast = inline_iq and type(renamer) is BaselineRenamer
         rename_next = renamer.rename_next
         renamer_begin = renamer.begin_group
-        renamer_end = renamer.end_group
         renamer_commit = renamer.commit
         free_count = renamer.free_register_count
-        if baseline_fast:
-            bmap = renamer.map_table
-            bfree = renamer.free_list
-            bfree_popleft = bfree.popleft
-            bfree_append = bfree.append
-        else:
-            bmap = bfree = bfree_popleft = bfree_append = None
 
         mask = self._w_mask
         w_dispatch = self._w_dispatch
@@ -576,11 +565,11 @@ class Pipeline:
         w_dcache = self._w_dcache
         w_replayed = self._w_replayed
         w_mispred = self._w_mispred
-        w_rename = self._w_rename
-        w_decoded = self._w_decoded
         w_dest = self._w_dest
         w_prev = self.window.prev_dest
         w_elim = self.window.elim_info
+        w_elim_preg = self.window.elim_preg
+        w_elim_disp = self.window.elim_disp
         w_fextra = self._w_fextra
         w_nsrc = self.window.nsrc
         w_s0p = self.window.src0_preg
@@ -657,7 +646,6 @@ class Pipeline:
         fb_shift = fetch_block_bytes.bit_length() - 1
 
         # Stats accumulated in locals, folded into self.stats after the run.
-        alloc_total = 0
         issued_total = 0
         fetched_total = 0
         fetch_stalls = 0
@@ -712,7 +700,7 @@ class Pipeline:
                 budget = commit_width
                 dcache_ports = retire_dcache_ports
                 while True:
-                    op = w_decoded[slot]
+                    op = trace_ops[committed]
                     flags = op[0]
                     elim = w_elim[slot]
                     if flags & DF_STORE:
@@ -753,9 +741,8 @@ class Pipeline:
                             # the method re-derives the value and raises
                             # with full context on a mismatch.
                             if elim:
-                                rename = w_rename[slot]
-                                if ((prf_values[rename.dest_preg]
-                                        + rename.dest_disp)
+                                if ((prf_values[w_elim_preg[slot]]
+                                        + w_elim_disp[slot])
                                         & MASK64) != dyn_result:
                                     check_value(committed, slot)
                             elif w_value[slot] != dyn_result:
@@ -763,15 +750,10 @@ class Pipeline:
                     if flags & DF_LOAD and not elim:
                         lq_discard(committed)
                         lq_len -= 1
-                    # Renamer hand-back.  Conventional renaming releases the
-                    # previous mapping straight from the flattened array;
-                    # other renamers (RENO) get the commit() interface call.
-                    if baseline_fast:
-                        prev = w_prev[slot]
-                        if prev >= 0:
-                            bfree_append(prev)
-                    else:
-                        renamer_commit(w_rename[slot])
+                    # Renamer hand-back of the previous mapping, if any.
+                    prev = w_prev[slot]
+                    if prev >= 0:
+                        renamer_commit(prev)
                     if elim:
                         kind = elim & 15
                         if kind == 1:
@@ -818,7 +800,7 @@ class Pipeline:
             selected = empty_selection
             if inline_iq:
                 if wakeup_heap and wakeup_heap[0] <= cycle:
-                    # Inlined IssueQueue._drain_wakeups.
+                    # Inlined wakeup drain of IssueQueue.select.
                     while wakeup_heap and wakeup_heap[0] <= cycle:
                         for wseq in iq_wakeups.pop(heappop(wakeup_heap)):
                             wslot = wseq & mask
@@ -996,36 +978,29 @@ class Pipeline:
                 issued_total += len(selected)
                 for seq in selected:
                     slot = seq & mask
-                    op = w_decoded[slot]
+                    op = trace_ops[seq]
                     # Operand materialisation straight off the flattened
                     # source arrays, with the fused-operand addition folded
-                    # into the same pass.  Conventional renaming never has
-                    # displacements, so that mode skips the disp reads.
+                    # into the same pass.
                     ns = w_nsrc[slot]
                     value0 = value1 = 0
-                    fextra = 0
-                    if not baseline_fast:
-                        fused = False
-                        if ns:
-                            value0 = prf_values[w_s0p[slot]]
-                            disp = w_s0d[slot]
-                            if disp:
-                                value0 = (value0 + disp) & MASK64
-                                fused = True
-                            if ns > 1:
-                                value1 = prf_values[w_s1p[slot]]
-                                disp = w_s1d[slot]
-                                if disp:
-                                    value1 = (value1 + disp) & MASK64
-                                    fused = True
-                        fextra = w_fextra[slot]
-                        if fused:
-                            fused_total += 1
-                            fusion_penalty_total += fextra
-                    elif ns:
+                    fused = False
+                    if ns:
                         value0 = prf_values[w_s0p[slot]]
+                        disp = w_s0d[slot]
+                        if disp:
+                            value0 = (value0 + disp) & MASK64
+                            fused = True
                         if ns > 1:
                             value1 = prf_values[w_s1p[slot]]
+                            disp = w_s1d[slot]
+                            if disp:
+                                value1 = (value1 + disp) & MASK64
+                                fused = True
+                    fextra = w_fextra[slot]
+                    if fused:
+                        fused_total += 1
+                        fusion_penalty_total += fextra
                     if collect_timing:
                         w_issue[slot] = cycle     # only timing records read it
                     class_id = op[1]
@@ -1190,8 +1165,7 @@ class Pipeline:
                     taken_branches = 0
                     dispatched = 0
                     pregs_allocated = 0
-                    if not baseline_fast:
-                        renamer_begin()
+                    renamer_begin()
                     while dispatched < rename_width and fetch_index < total:
                         op = trace_ops[fetch_index]
                         flags = op[0]
@@ -1231,104 +1205,61 @@ class Pipeline:
 
                         seq = fetch_index     # trace seq == dispatch order
                         slot = seq & mask
-                        p0 = p1 = -1
-                        if baseline_fast:
-                            # Conventional renaming, inlined: map sources,
-                            # allocate a fresh destination register (stall
-                            # when the free list is empty).  Identical to
-                            # BaselineRenamer.rename_next, minus the
-                            # RenameResult/SourceOperand objects.
-                            dest_logical = op[4]
-                            if dest_logical >= 0 and not bfree:
-                                stats.rename_stall_cycles += 1
-                                break
-                            srcs = op[9]
-                            ns = len(srcs)
-                            if ns:
-                                # Displacements are always zero here and the
-                                # execute path never reads them in this mode.
-                                p0 = bmap[srcs[0]]
-                                w_s0p[slot] = p0
-                                if ns > 1:
-                                    p1 = bmap[srcs[1]]
-                                    w_s1p[slot] = p1
-                            if collect_timing:
-                                w_nprod[slot] = ns
-                                if ns:
-                                    w_prod0[slot] = preg_writer[p0]
-                                    if ns > 1:
-                                        w_prod1[slot] = preg_writer[p1]
-                                w_issue[slot] = -1
-                                w_dcache[slot] = 0
-                                w_mispred[slot] = False
-                                w_latency[slot] = op[2]
-                            if dest_logical >= 0:
-                                new_preg = bfree_popleft()
-                                alloc_total += 1
-                                w_prev[slot] = bmap[dest_logical]
-                                bmap[dest_logical] = new_preg
-                                prf_ready[new_preg] = NOT_READY
-                                w_dest[slot] = new_preg
-                                if collect_timing:
-                                    preg_writer[new_preg] = seq
-                                pregs_allocated += 1
-                            else:
-                                w_dest[slot] = -1
-                                w_prev[slot] = -1
-                            w_rename[slot] = None
-                            eliminated = False
-                            sources = None
+                        result = rename_next(dyn, op)
+                        if result is None:
+                            stats.rename_stall_cycles += 1
+                            break
+                        # Flatten the result into the window so commit and
+                        # execute stay object-free.
+                        prev = result.prev_dest_preg
+                        w_prev[slot] = -1 if prev is None else prev
+                        sources = result.sources
+                        ns = len(sources)
+                        if ns:
+                            source = sources[0]
+                            p0 = source.preg
+                            d0 = source.disp
+                            if ns > 1:
+                                source = sources[1]
+                                p1 = source.preg
+                                d1 = source.disp
+                        eliminated = result.eliminated
+                        if eliminated:
+                            shared = result.dest_preg
+                            w_elim[slot] = (
+                                _ELIM_IDS.get(result.elim_kind, 8)
+                                | (_ELIM_REEXEC if result.needs_reexecution
+                                   else 0))
+                            w_elim_preg[slot] = shared
+                            w_elim_disp[slot] = result.dest_disp
                         else:
-                            # Interface renaming (RENO and any substituted
-                            # renamer): one rename_next() call per
-                            # instruction.
-                            result = rename_next(dyn, op)
-                            if result is None:
-                                stats.rename_stall_cycles += 1
-                                break
-                            w_rename[slot] = result
-                            # Flatten the commit-relevant fields so the
-                            # commit loop stays object-free (see elim_info).
-                            prev = result.prev_dest_preg
-                            w_prev[slot] = -1 if prev is None else prev
-                            if result.eliminated:
-                                w_elim[slot] = (
-                                    _ELIM_IDS.get(result.elim_kind, 8)
-                                    | (_ELIM_REEXEC if result.needs_reexecution
-                                       else 0))
-                            else:
-                                w_elim[slot] = 0
-                            sources = result.sources
+                            w_elim[slot] = 0
+                        if collect_timing:
+                            # The sources' writers, then an eliminated
+                            # instruction's shared destination's.
+                            nprod = ns
+                            if ns:
+                                w_prod0[slot] = preg_writer[p0]
+                                if ns > 1:
+                                    w_prod1[slot] = preg_writer[p1]
+                            if eliminated:
+                                w_prods[nprod][slot] = preg_writer[shared]
+                                nprod += 1
+                            w_nprod[slot] = nprod
+                            w_issue[slot] = -1
+                            w_dcache[slot] = 0
+                            w_mispred[slot] = 0
+                            w_latency[slot] = op[2]
+                        if result.allocated:
+                            dest_preg = result.dest_preg
+                            prf_ready[dest_preg] = NOT_READY
+                            w_dest[slot] = dest_preg
                             if collect_timing:
-                                # The sources' writers, then an eliminated
-                                # instruction's shared destination's.
-                                nprod = 0
-                                for source in sources:
-                                    w_prods[nprod][slot] = \
-                                        preg_writer[source.preg]
-                                    nprod += 1
-                                if (result.eliminated
-                                        and result.dest_preg is not None):
-                                    w_prods[nprod][slot] = \
-                                        preg_writer[result.dest_preg]
-                                    nprod += 1
-                                w_nprod[slot] = nprod
-                                w_issue[slot] = -1
-                                w_dcache[slot] = 0
-                                w_mispred[slot] = False
-                                w_latency[slot] = op[2]
-                            if result.allocated:
-                                dest_preg = result.dest_preg
-                                prf_ready[dest_preg] = NOT_READY
-                                w_dest[slot] = dest_preg
-                                if collect_timing:
-                                    preg_writer[dest_preg] = seq
-                                pregs_allocated += 1
-                            else:
-                                w_dest[slot] = -1
-                            eliminated = result.eliminated
+                                preg_writer[dest_preg] = seq
+                            pregs_allocated += 1
+                        else:
+                            w_dest[slot] = -1
                         w_dispatch[slot] = cycle
-                        w_decoded[slot] = op
 
                         if is_taken_control:
                             taken_branches += 1
@@ -1345,7 +1276,7 @@ class Pipeline:
                                     dyn.pc, is_taken_control)
                                 if predicted_taken != is_taken_control:
                                     branch_unit.mispredictions += 1
-                                    w_mispred[slot] = True
+                                    w_mispred[slot] = 1
                                     waiting_branch = seq
                                     fetch_resume = _STALLED
                                     stall_reason = STALL_BRANCH
@@ -1367,7 +1298,7 @@ class Pipeline:
                                         fetch_resume = cycle + 2
                                         stall_reason = STALL_FRONTEND
                                     else:
-                                        w_mispred[slot] = True
+                                        w_mispred[slot] = 1
                                         waiting_branch = seq
                                         fetch_resume = _STALLED
                                         stall_reason = STALL_BRANCH
@@ -1384,8 +1315,15 @@ class Pipeline:
                             w_complete[slot] = cycle
                         else:
                             class_id = op[1]
-                            if baseline_fast:
-                                w_nsrc[slot] = ns
+                            w_fextra[slot] = result.fusion_extra_latency
+                            w_nsrc[slot] = ns
+                            if ns:
+                                w_s0p[slot] = p0
+                                w_s0d[slot] = d0
+                                if ns > 1:
+                                    w_s1p[slot] = p1
+                                    w_s1d[slot] = d1
+                            if inline_iq:
                                 # Inlined IssueQueue.add over the local
                                 # operand pregs (each source registers its
                                 # own wakeup, duplicates included).
@@ -1436,56 +1374,10 @@ class Pipeline:
                                         ready.append(seq)
                                 iq_count += 1
                             else:
-                                w_fextra[slot] = result.fusion_extra_latency
-                                ns = len(sources)
-                                if ns:
-                                    source = sources[0]
-                                    w_s0p[slot] = source.preg
-                                    w_s0d[slot] = source.disp
-                                    if ns > 1:
-                                        source = sources[1]
-                                        w_s1p[slot] = source.preg
-                                        w_s1d[slot] = source.disp
-                                w_nsrc[slot] = ns
-                                if inline_iq:
-                                    # Inlined IssueQueue.add over the rename
-                                    # result's source operands.
-                                    iq_class[slot] = class_id
-                                    pending = 0
-                                    for source in sources:
-                                        preg = source.preg
-                                        ready_at = prf_ready[preg]
-                                        if ready_at <= cycle:
-                                            continue
-                                        pending += 1
-                                        if ready_at == NOT_READY:
-                                            bucket = iq_waiters.get(preg)
-                                            if bucket is None:
-                                                iq_waiters[preg] = [seq]
-                                            else:
-                                                bucket.append(seq)
-                                        else:
-                                            bucket = iq_wakeups.get(ready_at)
-                                            if bucket is None:
-                                                iq_wakeups[ready_at] = [seq]
-                                                heappush(wakeup_heap, ready_at)
-                                            else:
-                                                bucket.append(seq)
-                                    if pending:
-                                        w_waiting[slot] = pending
-                                    else:
-                                        iq_ready_total += 1
-                                        ready = iq_ready[class_id]
-                                        if ready and seq < ready[-1]:
-                                            insort(ready, seq)
-                                        else:
-                                            ready.append(seq)
-                                    iq_count += 1
-                                else:
-                                    # Substituted queue (reference model):
-                                    # go through the interface.
-                                    iq_add(seq, cycle, sources, class_id)
-                                    iq_count = issue_queue._count
+                                # Substituted queue (reference model): go
+                                # through the interface.
+                                iq_add(seq, cycle, sources, class_id)
+                                iq_count = issue_queue._count
                             if class_id == CLASS_STORE:
                                 entry = StoreQueueEntry(
                                     seq, dyn.pc, op[3], dyn.eff_addr)
@@ -1497,15 +1389,13 @@ class Pipeline:
                                 lq_add(seq)
                                 lq_room -= 1
                                 lq_len += 1
-                                w_replayed[slot] = False
+                                w_replayed[slot] = 0
                             w_complete[slot] = NO_COMPLETE
                             iq_room -= 1
                         fetch_index += 1
                         dispatched += 1
                         if stop_after:
                             break
-                    if not baseline_fast:
-                        renamer_end()     # RenoRenamer.end_group is a no-op
                     if dispatched:
                         fetched_total += dispatched
                     if pregs_allocated:
@@ -1513,10 +1403,7 @@ class Pipeline:
                         # The peak can only move right after allocations
                         # (commit-side frees can only lower occupancy), so
                         # allocation-free cycles skip the check.
-                        if baseline_fast:
-                            in_use = num_pregs - len(bfree)
-                        else:
-                            in_use = num_pregs - free_count()
+                        in_use = num_pregs - free_count()
                         if in_use > stats.max_pregs_in_use:
                             stats.max_pregs_in_use = in_use
 
@@ -1527,10 +1414,7 @@ class Pipeline:
             if record_stats:
                 rob_now = fetch_index - committed
                 iq_now = iq_count if inline_iq else issue_queue._count
-                if baseline_fast:
-                    prf_used = num_pregs - len(bfree)
-                else:
-                    prf_used = num_pregs - free_count()
+                prf_used = num_pregs - free_count()
                 occ_rob[rob_now] += 1
                 occ_iq[iq_now] += 1
                 occ_prf[prf_used] += 1
@@ -1594,10 +1478,7 @@ class Pipeline:
                     occ_stall[stall_reason] += skipped
                 rob_now = fetch_index - committed
                 iq_now = iq_count if inline_iq else issue_queue._count
-                if baseline_fast:
-                    prf_used = num_pregs - len(bfree)
-                else:
-                    prf_used = num_pregs - free_count()
+                prf_used = num_pregs - free_count()
                 occ_rob[rob_now] += skipped
                 occ_iq[iq_now] += skipped
                 occ_prf[prf_used] += skipped
@@ -1618,7 +1499,7 @@ class Pipeline:
             cycle = target
 
         # Mirror the loop's local state back onto the objects for
-        # introspection (tests, debugging, the ROB/IQ counters).
+        # introspection (tests, debugging, the IQ counters).
         self._flush_loop_stats(
             stats, cycle, committed, issued_total, fetched_total,
             fetch_stalls, pregs_alloc_total, fused_total,
@@ -1631,13 +1512,9 @@ class Pipeline:
         self._waiting_branch = waiting_branch
         self._last_fetch_block = last_fetch_block
         self._fetch_stall_reason = stall_reason
-        self.rob.head_seq = committed
-        self.rob.tail_seq = fetch_index
         if inline_iq:
             issue_queue._count = iq_count
             issue_queue._ready_total = iq_ready_total
-        if baseline_fast:
-            renamer.allocations += alloc_total
 
     @staticmethod
     def _flush_loop_stats(
@@ -1703,10 +1580,12 @@ class Pipeline:
     def _reexecute_load(self, seq: int, op: tuple, cycle: int) -> None:
         """Re-execute an integration-eliminated load through the retire port."""
         dyn = self.trace[seq]
-        rename = self._w_rename[seq & self._w_mask]
+        slot = seq & self._w_mask
+        window = self.window
         raw = self.memory.read(dyn.eff_addr, op[3])
         value = sign_extend(raw, 8 * op[3]) if op[0] & DF_MEM_SIGNED else raw
-        shared = mask64(self.prf.read(rename.dest_preg) + rename.dest_disp)
+        shared = mask64(self.prf.read(window.elim_preg[slot])
+                        + window.elim_disp[slot])
         if value != shared:
             self.stats.integration_value_mismatches += 1
         self.stats.reexecuted_loads += 1
@@ -1716,18 +1595,18 @@ class Pipeline:
         dyn = self.trace[seq]
         if dyn.instruction.dest_register is None or dyn.result is None:
             return
-        rename = self._w_rename[slot]
-        if rename is not None and rename.eliminated:
-            produced = mask64(self.prf.read(rename.dest_preg) + rename.dest_disp)
+        window = self.window
+        kind = window.elim_info[slot] & 15
+        if kind:
+            produced = mask64(self.prf.read(window.elim_preg[slot])
+                              + window.elim_disp[slot])
         else:
             produced = self._w_value[slot]
         if produced != dyn.result:
-            eliminated = rename is not None and rename.eliminated
-            kind = rename.elim_kind if rename is not None else None
             raise CommitMismatchError(
                 f"instruction #{seq} {dyn.instruction} produced {produced:#x}, "
                 f"architectural result is {dyn.result:#x} "
-                f"(eliminated={eliminated}, kind={kind})"
+                f"(eliminated={bool(kind)}, kind={_ELIM_KINDS.get(kind)})"
             )
 
     def _load_can_issue(self, seq: int, cycle: int) -> bool:
@@ -1760,6 +1639,6 @@ class Pipeline:
                 self._violated_loads.add(seq)
                 self.stats.memory_order_violations += 1
                 self.stats.load_replays += 1
-                self._w_replayed[seq & self._w_mask] = True
+                self._w_replayed[seq & self._w_mask] = 1
                 self.store_sets.train_violation(dyn.pc, check.store.pc)
         return False

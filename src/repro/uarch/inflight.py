@@ -5,6 +5,11 @@ instruction and chase its attributes from every phase.  The in-flight window
 is now a **structure of arrays**: one preallocated parallel array per field,
 indexed by ROB slot, so the hot loops (wakeup, select, execute, commit) read
 and write plain list cells instead of allocating and walking object graphs.
+Every field holds ints (flags such as ``replayed`` hold 0 or 1), in the
+compiled kernel's ``W_*`` layout, so the kernel's marshaller copies
+each one as a plain array.  Static facts are not kept per slot: the
+pipeline reads an instruction's decoded-op tuple by seq from the trace's
+tables.
 
 Slot discipline (the invariants the pipeline and scheduler rely on):
 
@@ -80,11 +85,11 @@ class InFlightWindow:
         "mispredicted",
         "class_id",
         "waiting_ops",
-        "rename",
-        "decoded",
         "dest_preg",
         "prev_dest",
         "elim_info",
+        "elim_preg",
+        "elim_disp",
         "fusion_extra",
         "nsrc",
         "src0_preg",
@@ -114,19 +119,16 @@ class InFlightWindow:
         * ``class_id`` — issue-port class id (set at issue-queue insertion).
         * ``waiting_ops`` — outstanding-operand count, owned by the issue
           queue's wakeup machinery.
-        * ``rename`` — the instruction's ``RenameResult`` (commit needs the
-          elimination details and the renamer hand-back); stays None on the
-          pipeline's inlined conventional-renaming path.
-        * ``decoded`` — the static instruction's decoded-op tuple
-          (:func:`repro.isa.instruction.decode_op`).
-        * ``dest_preg`` — allocated destination physical register or ``-1``
-          (flattened from the rename result so execute never touches it).
-        * ``prev_dest`` — the previously mapped destination register freed
-          at commit, or ``-1``; lets the pipeline's fast commit paths skip
-          the rename-result object entirely.
+        * ``dest_preg`` — allocated destination physical register or ``-1``.
+        * ``prev_dest`` — the previously mapped destination register,
+          handed back to the renamer at commit, or ``-1`` (none).
         * ``elim_info`` — elimination summary for fast commit: 0 when not
           eliminated, else the kind id (1 move / 2 cf / 3 cse / 4 ra) plus
           bit 4 set when the eliminated load must re-execute at retire.
+        * ``elim_preg`` / ``elim_disp`` — an eliminated instruction's shared
+          physical register and displacement (its value is
+          ``elim_preg + elim_disp``), which commit checks and re-execution
+          compares against; written only for eliminated slots.
         * ``fusion_extra`` — extra execute latency charged for fused
           operands (RENO_CF).
         * ``nsrc`` / ``src0_preg`` / ``src0_disp`` / ``src1_preg`` /
@@ -148,18 +150,18 @@ class InFlightWindow:
         self.issue_cycle = [-1] * size
         self.complete_cycle = [NO_COMPLETE] * size
         self.latency = [1] * size
-        self.value = [None] * size
+        self.value = [0] * size
         self.eff_addr = [0] * size
         self.dcache_latency = [0] * size
-        self.replayed = [False] * size
-        self.mispredicted = [False] * size
+        self.replayed = [0] * size
+        self.mispredicted = [0] * size
         self.class_id = [0] * size
         self.waiting_ops = [0] * size
-        self.rename = [None] * size
-        self.decoded = [None] * size
         self.dest_preg = [-1] * size
         self.prev_dest = [-1] * size
         self.elim_info = [0] * size
+        self.elim_preg = [0] * size
+        self.elim_disp = [0] * size
         self.fusion_extra = [0] * size
         self.nsrc = [0] * size
         self.src0_preg = [0] * size
@@ -170,23 +172,6 @@ class InFlightWindow:
         self.prod0 = [0] * size
         self.prod1 = [0] * size
         self.prod2 = [0] * size
-
-    def slot(self, seq: int) -> int:
-        """The slot owned by sequence number ``seq`` while it is in flight."""
-        return seq & self.mask
-
-    @staticmethod
-    def occupancy(committed: int, fetched: int) -> int:
-        """ROB occupancy between the retire head and the fetch tail.
-
-        The window itself holds no head/tail state — the pipeline owns both
-        sequence counters — so occupancy is simply their distance.  This is
-        the probe the observability layer
-        (:class:`repro.uarch.observe.OccupancyStats`) samples once per
-        cycle; the inlined cycle loop computes the same expression on its
-        locals.
-        """
-        return fetched - committed
 
 
 @dataclass(slots=True)

@@ -12,6 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.functional.trace import DynamicInstruction
+from repro.isa.instruction import decode_op
 from repro.isa.registers import NUM_LOGICAL_REGS
 
 
@@ -74,9 +75,9 @@ class Renamer:
     """Interface shared by the conventional renamer and the RENO renamer.
 
     The pipeline renames one group per cycle by calling :meth:`begin_group`,
-    then :meth:`rename_next` once per instruction (stopping early on stalls),
-    and finally :meth:`end_group`.  Grouping matters because RENO restricts
-    which *dependent* instructions may be eliminated in the same cycle.
+    then :meth:`rename_next` once per instruction (stopping early on
+    stalls).  Grouping matters because RENO restricts which *dependent*
+    instructions may be eliminated in the same cycle.
     """
 
     def free_register_count(self) -> int:
@@ -90,18 +91,15 @@ class Renamer:
         """Rename the next instruction of the current group.
 
         ``op`` is the instruction's decoded-op tuple
-        (:func:`repro.isa.instruction.decode_op`); the pipeline passes it so
-        implementations can skip ``Instruction`` attribute lookups, and
-        implementations must derive it themselves when omitted.
+        (:func:`repro.isa.instruction.decode_op`; ``op[4]`` is the
+        destination register, ``op[9]`` the source registers); the pipeline
+        passes it, and implementations derive it themselves when omitted.
 
         Returns None (with no side effects) when no physical register is
         available for the instruction's destination; the pipeline then stalls
         and retries next cycle.
         """
         raise NotImplementedError
-
-    def end_group(self) -> None:
-        """Finish the current group."""
 
     def rename_group(self, group: list[DynamicInstruction]) -> list[RenameResult]:
         """Convenience wrapper: rename a whole group at once (used in tests)."""
@@ -112,11 +110,12 @@ class Renamer:
             if result is None:
                 raise RuntimeError("out of physical registers while renaming a group")
             results.append(result)
-        self.end_group()
         return results
 
-    def commit(self, result: RenameResult) -> None:
-        """Release the previous mapping of the committed instruction."""
+    def commit(self, prev_preg: int) -> None:
+        """Release ``prev_preg``, the register a committed instruction's
+        destination was mapped to before it (its rename result's
+        ``prev_dest_preg``; the pipeline calls this only when there is one)."""
         raise NotImplementedError
 
     def mapping_snapshot(self) -> list[tuple[int, int]]:
@@ -133,7 +132,6 @@ class BaselineRenamer(Renamer):
         self.num_physical_regs = num_physical_regs
         self.map_table: list[int] = list(range(NUM_LOGICAL_REGS))
         self.free_list: deque[int] = deque(range(NUM_LOGICAL_REGS, num_physical_regs))
-        self.allocations = 0
         # Zero-displacement operands are immutable, so one shared instance
         # per physical register serves every rename (no per-instruction
         # allocation).
@@ -148,35 +146,50 @@ class BaselineRenamer(Renamer):
     def rename_next(self, dyn: DynamicInstruction, op: tuple | None = None) -> RenameResult | None:
         """Map sources, allocate a fresh destination register (None = stall).
 
-        The pipeline normally inlines this logic over the in-flight window
-        arrays (see ``Pipeline._run_cycles``); this method serves unit tests
-        and the scheduler-equivalence reference path.  ``op`` is accepted for
-        interface compatibility and unused.
+        This is the one Python definition of conventional renaming: the
+        pipeline's cycle loop calls it for every instruction (the compiled
+        backend's generated C is tested against it).
         """
-        instruction = dyn.instruction
-        dest = instruction.dest_register
-        if dest is not None and not self.free_list:
+        if op is None:
+            op = decode_op(dyn.instruction)
+        dest = op[4]
+        free_list = self.free_list
+        if dest >= 0 and not free_list:
             return None
         operand_cache = self._operand_cache
         map_table = self.map_table
-        sources = [
-            operand_cache[map_table[logical]]
-            for logical in instruction._sources   # precomputed source_registers()
-        ]
-        result = RenameResult(sources)
-        if dest is not None:
-            new_preg = self.free_list.popleft()
-            self.allocations += 1
+        # Built through __new__ + direct slot stores, as RenoRenamer does:
+        # the same fields as RenameResult(sources, ...), minus the generated
+        # __init__ frame (this runs once per renamed instruction).
+        result = RenameResult.__new__(RenameResult)
+        sources = op[9]                   # at most two, unrolled
+        if len(sources) > 1:
+            result.sources = [operand_cache[map_table[sources[0]]],
+                              operand_cache[map_table[sources[1]]]]
+        elif sources:
+            result.sources = [operand_cache[map_table[sources[0]]]]
+        else:
+            result.sources = []
+        result.dest_disp = 0
+        result.eliminated = False
+        result.elim_kind = None
+        result.needs_reexecution = False
+        result.fusion_extra_latency = 0
+        if dest >= 0:
+            new_preg = free_list.popleft()
             result.dest_preg = new_preg
-            result.prev_dest_preg = self.map_table[dest]
+            result.prev_dest_preg = map_table[dest]
             result.allocated = True
-            self.map_table[dest] = new_preg
+            map_table[dest] = new_preg
+        else:
+            result.dest_preg = None
+            result.prev_dest_preg = None
+            result.allocated = False
         return result
 
-    def commit(self, result: RenameResult) -> None:
-        """Free the previous mapping of the committed instruction."""
-        if result.prev_dest_preg is not None:
-            self.free_list.append(result.prev_dest_preg)
+    def commit(self, prev_preg: int) -> None:
+        """Return ``prev_preg`` to the free list."""
+        self.free_list.append(prev_preg)
 
     def mapping_snapshot(self) -> list[tuple[int, int]]:
         """Current logical -> (physical, 0) map (displacements are always 0)."""

@@ -216,42 +216,6 @@ class IssueQueue:
         else:
             bucket.append(seq)
 
-    def idle_until(self) -> int | None:
-        """The cycle before which no select can possibly issue anything.
-
-        Returns None when some instruction is already ready (select must run
-        every cycle); otherwise the earliest pending wakeup cycle, or a
-        sentinel far beyond any simulation when nothing is in flight.  This
-        is what lets the pipeline's cycle loop fast-forward through
-        guaranteed idle stretches (dcache misses, branch-resolution stalls).
-        """
-        if self._ready_total:
-            return None
-        heap = self._wakeup_heap
-        return heap[0] if heap else NOT_READY
-
-    def _drain_wakeups(self, cycle: int) -> None:
-        """Apply every wakeup due at or before ``cycle``."""
-        heap = self._wakeup_heap
-        wakeups = self._wakeups
-        ready_lists = self._ready
-        waiting = self._waiting
-        class_ids = self._class_ids
-        mask = self._mask
-        while heap and heap[0] <= cycle:
-            for seq in wakeups.pop(heappop(heap)):
-                slot = seq & mask
-                pending = waiting[slot] - 1
-                waiting[slot] = pending
-                if not pending:
-                    # Inlined _push_ready.
-                    self._ready_total += 1
-                    ready = ready_lists[class_ids[slot]]
-                    if ready and seq < ready[-1]:
-                        insort(ready, seq)
-                    else:
-                        ready.append(seq)
-
     def select(
         self,
         cycle: int,
@@ -277,7 +241,7 @@ class IssueQueue:
         dispatch_cycles = self._dispatch_cycles
         mask = self._mask
         if heap and heap[0] <= cycle:
-            # Inlined _drain_wakeups: apply every wakeup due by now.
+            # Apply every wakeup due by now.
             wakeups = self._wakeups
             waiting = self._waiting
             class_ids = self._class_ids

@@ -7,8 +7,8 @@ branch predictors, cache hierarchy, store sets, load/store queues, issue
 queue (waiters, wakeup heap, ready lists), physical register file, memory
 image, statistics and the front-end cursors — as one deep copy whose
 internal aliasing is preserved (the issue queue keeps pointing at *the
-copied* window, the rename results keep sharing *the copied* map-table
-mappings, and so on).
+copied* window, the RENO renamer's free list stays its refcounts' free
+list, and so on).
 
 What a snapshot deliberately does **not** carry are the immutable run
 inputs: the program, the dynamic trace, the machine configuration and the
@@ -38,7 +38,10 @@ from pathlib import Path
 #: v2: timing state in the kernel's layout (``timing_columns``, a
 #: ``_preg_writer`` list, the window's producer fields) replaced the record
 #: list and the ``_preg_writer``/``_producers`` dicts.
-SNAPSHOT_VERSION = 2
+#: v3: the window holds only int columns (``elim_preg``/``elim_disp``
+#: replaced the per-slot ``RenameResult`` objects, the decoded-op tuples
+#: are read from the trace's tables), and the ``ReorderBuffer`` is gone.
+SNAPSHOT_VERSION = 3
 
 
 class SnapshotError(Exception):

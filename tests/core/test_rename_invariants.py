@@ -76,6 +76,13 @@ def trace_for(seed: int):
     return FunctionalSimulator(random_program(seed).assemble()).run().trace
 
 
+def commit(renamer, result) -> None:
+    """Commit a renamed instruction: hand back its previous mapping, if any
+    (as the pipeline does from the window's ``prev_dest``)."""
+    if result.prev_dest_preg is not None:
+        renamer.commit(result.prev_dest_preg)
+
+
 def rename_with_rob_window(renamer: RenoRenamer, trace, group_size=4, window=16):
     """Rename the whole trace, committing in order once the window fills."""
     in_flight = []
@@ -85,11 +92,10 @@ def rename_with_rob_window(renamer: RenoRenamer, trace, group_size=4, window=16)
             result = renamer.rename_next(dyn)
             assert result is not None, "renamer ran out of registers unexpectedly"
             in_flight.append(result)
-        renamer.end_group()
         while len(in_flight) > window:
-            renamer.commit(in_flight.pop(0))
+            commit(renamer, in_flight.pop(0))
     for result in in_flight:
-        renamer.commit(result)
+        commit(renamer, result)
 
 
 def rename_in_pipeline(renamer: RenoRenamer, seed: int, machine: MachineConfig):
@@ -170,7 +176,6 @@ def test_failed_rename_has_no_side_effects(seed):
             assert renamer.refcounts.counts == before_counts
             assert renamer.map_table.snapshot() == before_mappings
             break
-    renamer.end_group()
     assert failed is not None, "expected the tiny register file to stall renaming"
 
 

@@ -15,6 +15,13 @@ def trace_of(asm: Assembler):
     return FunctionalSimulator(asm.assemble()).run().trace
 
 
+def commit(renamer, result) -> None:
+    """Commit a renamed instruction: hand back its previous mapping, if any
+    (as the pipeline does from the window's ``prev_dest``)."""
+    if result.prev_dest_preg is not None:
+        renamer.commit(result.prev_dest_preg)
+
+
 def rename_trace(renamer: RenoRenamer, trace, group_size: int = 1, commit_lag: int = 16):
     """Rename a whole trace, committing each instruction ``commit_lag``
     instructions later (a stand-in for the re-order buffer window)."""
@@ -29,11 +36,10 @@ def rename_trace(renamer: RenoRenamer, trace, group_size: int = 1, commit_lag: i
             assert result is not None
             results.append((dyn, result))
             uncommitted.append(result)
-        renamer.end_group()
         while len(uncommitted) > commit_lag:
-            renamer.commit(uncommitted.pop(0))
+            commit(renamer, uncommitted.pop(0))
     for result in uncommitted:
-        renamer.commit(result)
+        commit(renamer, result)
     return results
 
 

@@ -9,11 +9,12 @@ run through both backends under several machine and RENO configurations,
 with and without timing-record collection (``collect_timing``).
 
 The strongest property here is the **lockstep snapshot** test: both
-backends run the same program in slices and the pickled
-:meth:`~repro.uarch.core.Pipeline.snapshot` bytes must match at every
-slice boundary — full mutable-state equality at intermediate cycles, not
-just at the end.  Snapshot hand-offs *across* backends (python → compiled
-→ python) certify that a fleet can mix backends mid-run.
+backends run the same program in slices and the
+:meth:`~repro.uarch.core.Pipeline.snapshot` states must match value for
+value at every slice boundary — full mutable-state equality at
+intermediate cycles, not just at the end.  Snapshot hand-offs *across*
+backends (python → compiled → python) certify that a fleet can mix
+backends mid-run.
 
 The failure rule is tested here too: a kernel that returns a nonzero
 code on a cell the python loop finishes raises ``KernelError`` after one
@@ -29,6 +30,7 @@ the degradation to python is silent and result-identical.
 """
 
 import dataclasses
+import io
 import pickle
 import random
 import threading
@@ -47,6 +49,8 @@ from repro.uarch.compiled import build, emit
 from repro.uarch.compiled.marshal import KernelError
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
+from repro.uarch.rename import RenameResult
+from repro.workloads import get_workload
 
 SEEDS = [3, 59, 977]
 
@@ -245,40 +249,28 @@ def to_plain(obj, on_path=None):
              for name, value in sorted(attrs.items())])
 
 
-def canonical_snapshot(pipeline):
-    """Plain-data snapshot state after the marshaller's two documented
-    normalisations (see :mod:`repro.uarch.compiled.marshal`): window
-    ``value`` slots still holding the construction-time ``None`` read as
-    ``0``, and in-flight ``RenameResult`` objects drop their (already
-    consumed) ``sources``.  Everything else must match value for value.
-    """
-    snapshot = pipeline.snapshot()           # state is a detached deep copy
-    window = snapshot.state["window"]
-    window.value = [0 if v is None else v for v in window.value]
-    for result in window.rename:
-        if result is not None:
-            result.sources = []
-    return to_plain(snapshot.state)
-
-
 @pytest.mark.usefixtures("no_silent_replays")
 @needs_compiled
 @pytest.mark.parametrize("collect_timing", [False, True])
+@pytest.mark.parametrize("config_name", ["BASE", "RENO"])
 @pytest.mark.parametrize("seed", [SEEDS[0]])
-def test_lockstep_snapshots_match_every_slice(seed, collect_timing):
+def test_lockstep_snapshots_match_every_slice(seed, config_name,
+                                              collect_timing):
     """Full mutable-state equality at every slice boundary, both backends.
 
     ``snapshot()`` captures everything the cycle loop mutates (and is
     itself lint-enforced complete — ``snapshot-coverage``), so equal
-    pickled snapshots at cycle k mean the backends agree on *all*
-    intermediate state, not just on the final result.  ``backend`` /
-    ``backend_name`` are snapshot-exempt, which is exactly what makes this
-    comparison well-defined.  With ``collect_timing`` the snapshot also
-    covers ``_preg_writer``, the window's issue cycles and in-flight
-    producers, and the record columns of the seqs retired so far.
+    snapshot states at cycle k mean the backends agree on *all*
+    intermediate state, not just on the final result: every window
+    column, stale slots included, field for field, with no
+    normalisation.  ``backend`` / ``backend_name`` are snapshot-exempt,
+    which is exactly what makes this comparison well-defined.  With
+    ``collect_timing`` the snapshot also covers ``_preg_writer``, the
+    window's issue cycles and in-flight producers, and the record columns
+    of the seqs retired so far.
     """
     program, trace = build_run(seed)
-    reno = RenoConfig.reno_default()
+    reno = CONFIGS[config_name]
     compiled_pipeline = make_pipeline(program, trace, reno, "compiled",
                                       collect_timing=collect_timing)
     python_pipeline = make_pipeline(program, trace, reno, "python",
@@ -297,8 +289,8 @@ def test_lockstep_snapshots_match_every_slice(seed, collect_timing):
         producer_cuts += any(
             window.nprod[seq & window.mask] for seq in range(
                 python_pipeline._committed, python_pipeline._fetch_index))
-        assert (canonical_snapshot(compiled_pipeline)
-                == canonical_snapshot(python_pipeline)), (
+        assert (to_plain(compiled_pipeline.snapshot().state)
+                == to_plain(python_pipeline.snapshot().state)), (
             f"state diverged by slice {slices} (seed={seed})")
     assert slices > 1
     assert_results_identical(compiled, python)
@@ -337,6 +329,61 @@ def test_snapshot_handoff_across_backends(config_name, collect_timing):
     if collect_timing:
         assert_timing_records_identical(result.timing_records,
                                         reference.timing_records)
+
+
+@pytest.fixture(scope="module")
+def gzip_run():
+    program = get_workload("gzip_like").build()
+    return program, FunctionalSimulator(program).run().trace
+
+
+@pytest.mark.usefixtures("no_silent_replays")
+@needs_compiled
+@pytest.mark.parametrize("snapshot_reno, built_reno", [
+    (RenoConfig.reno_me(), RenoConfig.reno_default()),
+    (RenoConfig.reno_default(), None),
+    (None, RenoConfig.reno_default()),
+], ids=["ME-into-RENO", "RENO-into-BASE", "BASE-into-RENO"])
+def test_restored_renamer_runs_in_the_kernel(gzip_run, snapshot_reno,
+                                             built_reno):
+    """The renamer is part of the snapshot: restored into a compiled
+    pipeline built with another renamer, the kernel runs the snapshot's
+    renamer (a restore re-prepares the backend), as the python loop does."""
+    program, trace = gzip_run
+    source = make_pipeline(program, trace, snapshot_reno, "python")
+    source.run(max_cycles=500)
+    snapshot = source.snapshot()
+    reference = source.run()
+
+    pipeline = make_pipeline(program, trace, built_reno, "compiled")
+    pipeline.restore(snapshot)
+    assert_results_identical(pipeline.run(), reference)
+
+
+def test_a_snapshot_holds_no_rename_result_or_decoded_op(monkeypatch):
+    """A mid-run RENO snapshot is plain data: the window keeps int columns,
+    so no ``RenameResult`` and no decoded-op tuple is pickled."""
+    program, trace = build_run(SEEDS[0])
+    pipeline = make_pipeline(program, trace, RenoConfig.reno_default(),
+                             "python")
+    pipeline.run(max_cycles=150)
+    assert not pipeline.finished
+    assert pipeline.stats.eliminated_moves + pipeline.stats.eliminated_folds
+    snapshot = pipeline.snapshot()
+    decoded = {id(op) for op in pipeline.tables.decoded}
+
+    def refuse(self, protocol):
+        raise AssertionError("a RenameResult was pickled")
+
+    monkeypatch.setattr(RenameResult, "__reduce_ex__", refuse, raising=False)
+
+    class Refusing(pickle.Pickler):
+        def persistent_id(self, obj):
+            if type(obj) is tuple and id(obj) in decoded:
+                raise AssertionError(f"a decoded-op tuple was pickled: {obj}")
+            return None
+
+    Refusing(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(snapshot)
 
 
 # ---------------------------------------------------------------------------

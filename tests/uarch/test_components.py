@@ -15,7 +15,6 @@ from repro.uarch.config import MachineConfig
 from repro.uarch.lsq import LoadQueue, StoreQueue, StoreQueueEntry, ranges_overlap
 from repro.uarch.regfile import PhysicalRegisterFile
 from repro.uarch.rename import BaselineRenamer, SourceOperand
-from repro.uarch.rob import ReorderBuffer
 from repro.uarch.scheduler import IssueQueue
 from repro.uarch.storesets import StoreSets
 
@@ -137,33 +136,6 @@ def test_load_queue_capacity():
 
 
 # ---------------------------------------------------------------------------
-# ROB
-# ---------------------------------------------------------------------------
-
-
-def test_rob_order_and_capacity():
-    rob = ReorderBuffer(2)
-    rob.add(0)
-    rob.add(1)
-    assert rob.full
-    with pytest.raises(RuntimeError):
-        rob.add(2)
-    assert rob.head() == 0
-    assert rob.pop_head() == 0
-    assert rob.head() == 1
-    assert rob.free_entries == 1
-
-
-def test_rob_rejects_out_of_order_append():
-    rob = ReorderBuffer(4)
-    rob.add(0)
-    with pytest.raises(ValueError):
-        rob.add(2)          # slots are allocated strictly in program order
-    with pytest.raises(IndexError):
-        ReorderBuffer(4).pop_head()
-
-
-# ---------------------------------------------------------------------------
 # Issue queue
 # ---------------------------------------------------------------------------
 
@@ -232,17 +204,6 @@ def test_issue_queue_event_driven_wakeup():
     assert queue.window.waiting_ops[0] == 0
 
 
-def test_issue_queue_idle_until():
-    prf = PhysicalRegisterFile(64, [0] * 32)
-    queue = IssueQueue(MachineConfig.default_4wide(), ready_cycles=prf.ready_cycle)
-    assert queue.idle_until() is not None        # empty queue: idle forever
-    prf.write(40, 7, 9)                          # ready in the future
-    add_inst(queue, 0, CLASS_INT, sources=[SourceOperand(40)])
-    assert queue.idle_until() == 9               # next wakeup cycle
-    assert queue.select(cycle=9) == [0]
-    assert len(queue) == 0
-
-
 # ---------------------------------------------------------------------------
 # Physical register file
 # ---------------------------------------------------------------------------
@@ -279,7 +240,7 @@ def test_baseline_renamer_allocates_and_frees():
     assert result.dest_preg == 32
     assert result.prev_dest_preg == 1
     assert renamer.free_register_count() == 7
-    renamer.commit(result)
+    renamer.commit(result.prev_dest_preg)
     assert renamer.free_register_count() == 8
 
 

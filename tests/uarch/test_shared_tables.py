@@ -22,10 +22,10 @@ from test_backends import (  # noqa: F401  (no_silent_replays is a fixture)
     CONFIGS,
     MACHINES,
     assert_results_identical,
-    canonical_snapshot,
     make_pipeline,
     needs_compiled,
     no_silent_replays,
+    to_plain,
 )
 
 from repro.core import RenoRenamer
@@ -153,12 +153,12 @@ def test_marshal_round_trip_without_a_kernel_call_changes_nothing(
     l1d_victim = next(i for i, ways in enumerate(l1d_sets) if ways)
     btb_victim = next(i for i, ways in enumerate(btb_sets) if ways)
     assert sum(map(bool, l1d_sets)) < len(l1d_sets), "need empty sets too"
-    before = canonical_snapshot(pipeline)
+    before = to_plain(pipeline.snapshot().state)
 
     state = KernelState(pipeline)
     state.marshal_in(pipeline, None)
     state.marshal_out(pipeline)
-    assert canonical_snapshot(pipeline) == before
+    assert to_plain(pipeline.snapshot().state) == before
 
     # A set that holds ways in Python but has buffer length 0 must be
     # rebuilt (here: emptied) — marshal-out visits sets occupied on
@@ -171,4 +171,4 @@ def test_marshal_round_trip_without_a_kernel_call_changes_nothing(
     assert l1d_sets[l1d_victim] == [] and btb_sets[btb_victim] == []
     l1d_sets[l1d_victim][:] = l1d_ways
     btb_sets[btb_victim][:] = btb_ways
-    assert canonical_snapshot(pipeline) == before
+    assert to_plain(pipeline.snapshot().state) == before
