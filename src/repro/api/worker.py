@@ -47,14 +47,17 @@ from pathlib import Path
 from repro.api.http import TransportError, request
 from repro.api.schema import TaskLease, TaskResult, WorkerHello
 from repro.core.config import RenoConfig
-from repro.core.renamer import RenoRenamer
-from repro.core.simulator import SimulationOutcome
+from repro.core.simulator import (
+    ArchitecturalMismatchError,
+    SimulationOutcome,
+    verify_registers,
+)
 from repro.functional.simulator import FunctionalSimulator
 from repro.api.checkpoint import run_sliced
 from repro.harness.executors import shared_program
 from repro.store.base import open_store
 from repro.uarch.config import MachineConfig
-from repro.uarch.core import Pipeline
+from repro.uarch.backend import resolve_backend
 from repro.uarch.snapshot import PipelineSnapshot, SnapshotError
 from repro.uarch.tables import TraceTables
 from repro.workloads.base import get_workload
@@ -338,14 +341,10 @@ class FleetWorker:
         machine = MachineConfig.from_dict(cell["machine"])
         reno = (RenoConfig.from_dict(cell["reno"])
                 if cell.get("reno") is not None else None)
-        renamer = (RenoRenamer(machine.num_physical_regs, reno)
-                   if reno is not None else None)
-        pipeline = Pipeline(
-            program, functional.trace, machine, renamer=renamer, tables=tables,
+        pipeline = resolve_backend(backend).fresh_pipeline(
+            program, functional.trace, tables, machine, reno,
             collect_timing=bool(cell["collect_timing"]),
-            record_stats=bool(cell.get("record_stats", False)),
-            backend=backend,
-        )
+            record_stats=bool(cell.get("record_stats", False)))
 
         checkpoint = self._checkpoint_for(cell)
         if checkpoint.exists():
@@ -366,12 +365,12 @@ class FleetWorker:
             pipeline, int(cell.get("slice_cycles") or 50_000),
             checkpoint_path=checkpoint, on_slice=on_slice)
 
-        expected = list(functional.state.snapshot())
-        if timing.final_registers != expected:
+        try:
+            verify_registers(program, functional, timing, reno)
+        except ArchitecturalMismatchError as error:
             return TaskResult(
                 lease_id=lease.lease_id, worker_id=self.worker_id, ok=False,
-                error=(f"architectural state diverged for {program.name} "
-                       f"(reno={'on' if reno else 'off'})"))
+                error=str(error))
 
         outcome = SimulationOutcome(program=program, functional=functional,
                                     timing=timing, reno_config=reno)

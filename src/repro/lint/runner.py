@@ -21,7 +21,6 @@ from pathlib import Path
 
 # Importing the checker modules registers them; keep the imports explicit
 # so a partial import cannot silently drop a gate.
-import repro.lint.backend_parity  # noqa: F401  (registration import)
 import repro.lint.determinism   # noqa: F401  (registration import)
 import repro.lint.docs          # noqa: F401  (registration import)
 import repro.lint.docstrings    # noqa: F401  (registration import)
@@ -48,7 +47,6 @@ from repro.lint.schema_freeze import (
 from repro.lint.store_schema import (
     BASELINE_KEY,
     STORE_MODULE,
-    StoreSchemaChecker,
     load_store_schema,
     store_schema_to_baseline,
 )
@@ -111,10 +109,9 @@ def run_lint(
                   for p in (paths or ["src"])]
     checkers = select_checkers(rules)
     if baseline is not None:
-        checkers = [type(c)(baseline)
-                    if isinstance(c, (SchemaFreezeChecker, StoreSchemaChecker))
-                    else c
-                    for c in checkers]
+        # Both baseline rules (store-schema subclasses schema-freeze).
+        checkers = [type(c)(baseline) if isinstance(c, SchemaFreezeChecker)
+                    else c for c in checkers]
     file_checkers = [c for c in checkers if c.scope == "file"]
     project_checkers = [c for c in checkers if c.scope == "project"]
 

@@ -78,23 +78,36 @@ def module_constants(tree: ast.Module, names: frozenset[str]) -> dict:
     return found
 
 
+def dataclass_shapes(tree: ast.Module) -> dict[str, dict]:
+    """Every module-level ``@dataclass`` of ``tree``: ``{name: {"line":
+    int, "fields": [{"name", "type", "default", "line"}, ...]}}``."""
+    return {node.name: {"line": node.lineno, "fields": dataclass_fields(node)}
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and _is_dataclass_decorated(node)}
+
+
+def shapes_to_baseline(classes: dict[str, dict]) -> dict[str, dict]:
+    """:func:`dataclass_shapes` without the volatile line numbers, as the
+    committed baseline stores them."""
+    return {
+        name: {"fields": [{key: field[key]
+                           for key in ("name", "type", "default")}
+                          for field in record["fields"]]}
+        for name, record in classes.items()
+    }
+
+
 def extract_schema(tree: ast.Module) -> dict:
     """The frozen view of one schema module: version + dataclass shapes.
 
-    Returns ``{"wire_schema_version": int | None, "classes": {name:
-    {"line": int, "fields": [{"name", "type", "default", "line"}, ...]}}}``
-    — exactly the structure stored in the baseline (minus the line
-    numbers, which are stripped before writing).
+    Returns ``{"wire_schema_version": int | None, "classes": {...}}``
+    (:func:`dataclass_shapes`) — exactly the structure stored in the
+    baseline (minus the line numbers, which are stripped before writing).
     """
     constants = module_constants(tree, frozenset({VERSION_CONSTANT}))
     version = constants.get(VERSION_CONSTANT)
-    classes: dict[str, dict] = {}
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and _is_dataclass_decorated(node):
-            classes[node.name] = {"line": node.lineno,
-                                  "fields": dataclass_fields(node)}
     return {"wire_schema_version": version if isinstance(version, int) else None,
-            "classes": classes}
+            "classes": dataclass_shapes(tree)}
 
 
 def schema_to_baseline(schema: dict) -> dict:
@@ -102,12 +115,7 @@ def schema_to_baseline(schema: dict) -> dict:
     return {
         "baseline_format": BASELINE_FORMAT_VERSION,
         "wire_schema_version": schema["wire_schema_version"],
-        "classes": {
-            name: {"fields": [{key: field[key]
-                               for key in ("name", "type", "default")}
-                              for field in record["fields"]]}
-            for name, record in schema["classes"].items()
-        },
+        "classes": shapes_to_baseline(schema["classes"]),
     }
 
 
@@ -199,35 +207,56 @@ def diff_schema(current: dict, baseline: dict, rel: str,
 
 @register_checker
 class SchemaFreezeChecker(Checker):
-    """Diff the live wire schema against the committed baseline."""
+    """Diff the live wire schema against the committed baseline.
+
+    The baseline plumbing (a missing or unreadable file) is shared with
+    :class:`~repro.lint.store_schema.StoreSchemaChecker`, which overrides
+    :meth:`load`, :meth:`diff` and :attr:`baseline_noun`.
+    """
 
     name = "schema-freeze"
     description = ("wire dataclasses in repro.api.schema evolve "
                    "additively only, with every addition recorded in "
                    "scripts/schema_baseline.json next to a version bump")
     scope = "project"
+    #: What the finding for a missing baseline file calls it.
+    baseline_noun = "wire-schema baseline"
 
     def __init__(self, baseline_path: str = DEFAULT_BASELINE):
         self.baseline_path = baseline_path
 
+    @staticmethod
+    def load(root: Path) -> tuple[dict, str] | None:
+        """The frozen contract's live view under ``root`` (None when the
+        module is absent)."""
+        return load_schema(root)
+
+    def diff(self, current: dict, document: dict,
+             rel: str) -> list[Finding]:
+        """Every finding from comparing ``current`` to the baseline
+        ``document``."""
+        return diff_schema(current, document, rel, self.name)
+
+    def baseline_finding(self, message: str) -> list[Finding]:
+        """One finding about the baseline file itself."""
+        return [Finding(path=self.baseline_path, line=0, rule=self.name,
+                        message=message)]
+
     def check_project(self, root: Path) -> list[Finding]:
-        """Compare ``root``'s schema module to its committed baseline."""
-        loaded = load_schema(root)
+        """Compare ``root``'s module to its committed baseline."""
+        loaded = self.load(root)
         if loaded is None:
-            return []                    # fixture trees without a schema
+            return []                    # fixture trees without the module
         current, rel = loaded
         baseline_file = root / self.baseline_path
         if not baseline_file.is_file():
-            return [Finding(
-                path=self.baseline_path, line=0, rule=self.name,
-                message=(f"wire-schema baseline {self.baseline_path} is "
-                         f"missing; generate it with `python -m repro lint "
-                         f"--update-baseline`"))]
+            return self.baseline_finding(
+                f"{self.baseline_noun} {self.baseline_path} is missing; "
+                f"generate it with `python -m repro lint --update-baseline`")
         try:
-            baseline = json.loads(baseline_file.read_text())
+            document = json.loads(baseline_file.read_text())
         except ValueError as error:
-            return [Finding(
-                path=self.baseline_path, line=0, rule=self.name,
-                message=f"baseline is not valid JSON ({error}); regenerate "
-                        f"it with `python -m repro lint --update-baseline`")]
-        return diff_schema(current, baseline, rel, self.name)
+            return self.baseline_finding(
+                f"baseline is not valid JSON ({error}); regenerate it with "
+                f"`python -m repro lint --update-baseline`")
+        return self.diff(current, document, rel)

@@ -24,16 +24,15 @@ rule):
 from __future__ import annotations
 
 import ast
-import json
 from pathlib import Path
 
-from repro.lint.base import Checker, Finding, register_checker
+from repro.lint.base import Finding, register_checker
 from repro.lint.schema_freeze import (
-    DEFAULT_BASELINE,
-    _is_dataclass_decorated,
-    dataclass_fields,
+    SchemaFreezeChecker,
+    dataclass_shapes,
     diff_schema,
     module_constants,
+    shapes_to_baseline,
 )
 
 #: Repo-relative location of the store-schema module this checker freezes.
@@ -59,15 +58,10 @@ def extract_store_schema(tree: ast.Module) -> dict:
     constants = module_constants(
         tree, frozenset({VERSION_CONSTANT, *AUTH_CONSTANTS}))
     version = constants.get(VERSION_CONSTANT)
-    classes: dict[str, dict] = {}
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and _is_dataclass_decorated(node):
-            classes[node.name] = {"line": node.lineno,
-                                  "fields": dataclass_fields(node)}
     return {
         "store_schema_version": version if isinstance(version, int) else None,
         "auth": {name: constants.get(name) for name in AUTH_CONSTANTS},
-        "classes": classes,
+        "classes": dataclass_shapes(tree),
     }
 
 
@@ -76,12 +70,7 @@ def store_schema_to_baseline(schema: dict) -> dict:
     return {
         "store_schema_version": schema["store_schema_version"],
         "auth": dict(schema["auth"]),
-        "classes": {
-            name: {"fields": [{key: field[key]
-                               for key in ("name", "type", "default")}
-                              for field in record["fields"]]}
-            for name, record in schema["classes"].items()
-        },
+        "classes": shapes_to_baseline(schema["classes"]),
     }
 
 
@@ -115,8 +104,10 @@ def diff_store_schema(current: dict, baseline: dict, rel: str,
 
 
 @register_checker
-class StoreSchemaChecker(Checker):
-    """Diff the live store wire contract against the committed baseline."""
+class StoreSchemaChecker(SchemaFreezeChecker):
+    """Diff the live store wire contract against the committed baseline
+    (its ``"store"`` section, read through the ``schema-freeze``
+    plumbing)."""
 
     name = "store-schema"
     description = ("store reply dataclasses and auth constants in "
@@ -124,36 +115,21 @@ class StoreSchemaChecker(Checker):
                    "in the 'store' section of scripts/schema_baseline.json "
                    "next to a STORE_SCHEMA_VERSION bump; auth header/"
                    "scheme changes always fail")
-    scope = "project"
+    baseline_noun = "schema baseline"
 
-    def __init__(self, baseline_path: str = DEFAULT_BASELINE):
-        self.baseline_path = baseline_path
+    @staticmethod
+    def load(root: Path) -> tuple[dict, str] | None:
+        """The store contract's live view (None without a store module)."""
+        return load_store_schema(root)
 
-    def check_project(self, root: Path) -> list[Finding]:
-        """Compare ``root``'s store-schema module to its baseline section."""
-        loaded = load_store_schema(root)
-        if loaded is None:
-            return []                    # fixture trees without a store
-        current, rel = loaded
-        baseline_file = root / self.baseline_path
-        if not baseline_file.is_file():
-            return [Finding(
-                path=self.baseline_path, line=0, rule=self.name,
-                message=(f"schema baseline {self.baseline_path} is missing; "
-                         f"generate it with `python -m repro lint "
-                         f"--update-baseline`"))]
-        try:
-            document = json.loads(baseline_file.read_text())
-        except ValueError as error:
-            return [Finding(
-                path=self.baseline_path, line=0, rule=self.name,
-                message=f"baseline is not valid JSON ({error}); regenerate "
-                        f"it with `python -m repro lint --update-baseline`")]
+    def diff(self, current: dict, document: dict,
+             rel: str) -> list[Finding]:
+        """Every finding from comparing ``current`` to the document's
+        ``"store"`` section."""
         section = document.get(BASELINE_KEY)
         if not isinstance(section, dict):
-            return [Finding(
-                path=self.baseline_path, line=0, rule=self.name,
-                message=(f"baseline has no {BASELINE_KEY!r} section for the "
-                         f"store wire contract; regenerate it with `python "
-                         f"-m repro lint --update-baseline`"))]
+            return self.baseline_finding(
+                f"baseline has no {BASELINE_KEY!r} section for the store "
+                f"wire contract; regenerate it with `python -m repro lint "
+                f"--update-baseline`")
         return diff_store_schema(current, section, rel, self.name)

@@ -2,9 +2,10 @@
 
 Package layout:
 
-* :mod:`repro.uarch.compiled.emit` — the C-source template and the shared
-  field tables (the ``backend_parity`` lint rule checks them against
-  :class:`~repro.uarch.inflight.InFlightWindow`).
+* :mod:`repro.uarch.compiled.emit` — the C-source template and the
+  kernel's ABI tables (the window's and the timing records' members come
+  from :data:`~repro.uarch.inflight.WINDOW_COLUMNS` and
+  :data:`~repro.uarch.inflight.TIMING_COLUMNS`).
 * :mod:`repro.uarch.compiled.build` — toolchain discovery and the
   digest-cached build of the shared object.
 * :mod:`repro.uarch.compiled.marshal` — flat-buffer marshalling between

@@ -6,12 +6,12 @@ This module is the single source of truth for the compiled kernel's ABI:
   parameter blocks the kernel receives (``int64_t *sc`` and
   ``int64_t **pt``).  The generated ``#define`` prelude gives the C side
   the same indices, so Python and C can never disagree about layout.
-* :data:`WINDOW_FIELDS` mirrors the
-  :class:`repro.uarch.inflight.InFlightWindow` structure-of-arrays field
-  order; the ``backend-parity`` lint checker cross-checks it against the
-  class's ``__init__`` so a new window field cannot silently bypass the
-  compiled backend (fields in :data:`WINDOW_EXEMPT` are intentionally not
-  marshalled — see each entry's justification below).
+* The in-flight window's members and the timing-record output columns are
+  spliced in from :data:`repro.uarch.inflight.WINDOW_COLUMNS` and
+  :data:`repro.uarch.inflight.TIMING_COLUMNS`, as the trace columns are
+  from :data:`repro.functional.trace.TRACE_COLUMNS`: a name the C code
+  uses that no table defines has no ``PT_`` define, so the kernel does not
+  compile.
 * :func:`kernel_source` returns the complete C translation unit: a
   generated prelude of index/constant defines followed by the
   hand-written code, which exports two entries over the same two blocks:
@@ -43,6 +43,7 @@ import zlib
 
 from repro.functional.trace import TRACE_COLUMNS
 from repro.isa.opcodes import Opcode, OpClass, spec_for
+from repro.uarch.inflight import TIMING_COLUMNS, WINDOW_COLUMNS
 
 #: Stable opcode numbering used by the kernel (position in declaration order).
 OPCODES: tuple[Opcode, ...] = tuple(Opcode)
@@ -52,27 +53,6 @@ OP_ID: dict[Opcode, int] = {op: i for i, op in enumerate(OPCODES)}
 
 #: Opcode value string -> kernel id (integration-table keys store strings).
 VALUE_TO_ID: dict[str, int] = {op.value: i for op, i in OP_ID.items()}
-
-#: The InFlightWindow structure-of-arrays fields, in ``__init__`` order.
-#: The backend-parity linter checks this against the class source.
-WINDOW_FIELDS: tuple[str, ...] = (
-    "capacity", "size", "mask", "dispatch_cycle", "issue_cycle",
-    "complete_cycle", "latency", "value", "eff_addr",
-    "dcache_latency", "replayed", "mispredicted", "class_id", "waiting_ops",
-    "dest_preg", "prev_dest", "elim_info", "elim_preg", "elim_disp",
-    "fusion_extra", "nsrc", "src0_preg", "src0_disp", "src1_preg",
-    "src1_disp", "nprod", "prod0", "prod1", "prod2",
-)
-
-#: Window fields the compiled backend does not marshal:
-#: ``capacity``/``size``/``mask`` are scalars fixed at construction (the
-#: kernel has them as ``WSIZE``/``WMASK``).  Every other field is an int
-#: column copied as a plain array.
-#: (``issue_cycle`` and the producer fields ``nprod``/``prod0``..``prod2``
-#: are marshalled as ``W_ISSUE``/``W_NPROD``/``W_PROD0``.., but only for
-#: ``collect_timing`` pipelines: no other pipeline writes them, on either
-#: backend.)
-WINDOW_EXEMPT: frozenset[str] = frozenset({"capacity", "size", "mask"})
 
 #: Kernel error codes (return value of ``repro_run``).  Any nonzero code
 #: is replayed once in Python, which raises (``marshal.kernel_failed``).
@@ -160,20 +140,11 @@ SC: dict[str, int] = {name: i for i, name in enumerate(SCALARS)}
 #: Pointer block layout (``int64_t **pt``).  All arrays are int64 (values
 #: that are semantically unsigned 64-bit are stored two's-complement).
 POINTERS: tuple[str, ...] = (
-    # -- in-flight window (structure-of-arrays) -----------------------
-    "W_DISPATCH", "W_COMPLETE", "W_LATENCY", "W_VALUE", "W_EFF",
-    "W_DCACHE", "W_REPLAYED", "W_MISPRED", "W_CLASS", "W_WAITING",
-    "W_DEST", "W_PREV", "W_ELIM", "W_FEXTRA", "W_NSRC",
-    "W_S0P", "W_S0D", "W_S1P", "W_S1D",
-    # An eliminated slot's shared destination mapping (the window's
-    # elim_preg / elim_disp; written only for eliminated slots).
-    "RRE_P", "RRE_D",
-    # -- timing-record state (1-element dummies when TIMING is 0) -----
-    # The window's issue cycles and, per slot, the producer count (0-3)
-    # and producers (the sources' writers, then the shared destination's
-    # writer for an eliminated instruction); the preg -> writer-seq array
-    # Pipeline._preg_writer (-1 = no writer).
-    "W_ISSUE", "W_NPROD", "W_PROD0", "W_PROD1", "W_PROD2",
+    # -- in-flight window (structure of arrays), the columns only timed
+    #    runs write last (1-element dummies when TIMING is 0) ----------
+    *(column.pointer for column in WINDOW_COLUMNS),
+    # The preg -> writer-seq array Pipeline._preg_writer (-1 = no writer;
+    # a 1-element dummy when TIMING is 0).
     "PREG_WRITER",
     # -- physical register file --------------------------------------
     "PRF_VAL", "PRF_RDY",
@@ -215,9 +186,7 @@ POINTERS: tuple[str, ...] = (
     "F_REGS", "F_KIND", "F_RS1", "F_RS2", "F_RD", "F_TGT",
     # -- timing records (output only, indexed by seq, one entry per
     #    trace record; 1-element dummies when TIMING is 0) -------------
-    "TR_DISPATCH", "TR_ISSUE", "TR_COMPLETE", "TR_RETIRE", "TR_DCACHE",
-    "TR_LATENCY", "TR_MISPRED", "TR_ELIM", "TR_NPROD", "TR_PROD0",
-    "TR_PROD1", "TR_PROD2",
+    *TIMING_COLUMNS.values(),
 )
 
 PT: dict[str, int] = {name: i for i, name in enumerate(POINTERS)}

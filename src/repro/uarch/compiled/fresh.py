@@ -38,7 +38,6 @@ from array import array
 from repro.isa.semantics import MASK64
 from repro.uarch.compiled.emit import ERR_OK, POINTERS, SC
 from repro.uarch.compiled.marshal import (
-    TR_COLUMNS,
     KernelState,
     KernelTables,
     PointerBlock,
@@ -118,7 +117,8 @@ class FreshImage:
             self.scalars[SC[name]] = 0
         self.timing = state.timing
         owned = {*KernelTables.of(tables).arrays, *state.pool.arrays,
-                 "VIO_LOG", *(TR_COLUMNS if self.timing else ())}
+                 "VIO_LOG",
+                 *(TIMING_COLUMNS.values() if self.timing else ())}
         self.arrays = tuple((name, _compact(column))
                             for name, column in state.arr.items()
                             if name not in owned)
@@ -136,7 +136,7 @@ class FreshImage:
         arrays["VIO_LOG"] = array("q", bytes(8 * vio_cap))
         if self.timing:
             arrays.update((name, array("q", bytes(8 * max(total, 1))))
-                          for name in TR_COLUMNS)
+                          for name in TIMING_COLUMNS.values())
         image = tables.memory_image
         pool = PagePool()
         pool.load(sorted(set(image) | static.store_pages), image)
@@ -228,8 +228,8 @@ def run_cell(kernel, image: FreshImage, tables, machine,
     records = None
     if image.timing:
         records = TimingColumns(
-            {**dict(zip(TIMING_COLUMNS, map(arrays.__getitem__, TR_COLUMNS))),
-             **tables.record_columns}, committed)
+            {name: arrays[output] for name, output in TIMING_COLUMNS.items()}
+            | tables.record_columns, committed)
     return SimResult(stats=stats, config=machine, final_registers=registers,
                      timing_records=records,
                      finished=committed >= sc[SC["TOTAL"]])

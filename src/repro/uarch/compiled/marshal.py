@@ -16,8 +16,10 @@ reads the pipeline and writes the flat buffers — so a failed slice can
 be replayed on the python reference loop from the state the kernel
 started from.
 
-The in-flight window holds only int columns in the kernel's ``W_*``
-layout (:data:`_WINDOW`), so both directions copy it as plain arrays.
+The in-flight window holds only int columns, each with its kernel buffer
+named in :data:`~repro.uarch.inflight.WINDOW_COLUMNS`, so both directions
+copy it as plain arrays; a timed pipeline's records are copied out of the
+buffers :data:`~repro.uarch.inflight.TIMING_COLUMNS` names.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.isa.instruction import DF_LOAD
 from repro.uarch.compiled import emit
 from repro.uarch.compiled.emit import PT, POINTERS, SC, SCALARS, VALUE_TO_ID
 from repro.uarch.compiled.pages import PagePool, fill_neg1, fill_zero
-from repro.uarch.inflight import TIMING_COLUMNS
+from repro.uarch.inflight import TIMING_COLUMNS, WINDOW_COLUMNS
 from repro.uarch.lsq import StoreQueueEntry
 
 #: RN_* scalar names, index-aligned with :data:`_RN_STAT_KEYS`.
@@ -53,33 +55,6 @@ _WK_BITS = 13
 #: IntegrationEntry.origin encodings (index == kernel id).
 _ORIGINS = ("load", "store", "alu")
 _ORIGIN_IDS = {name: i for i, name in enumerate(_ORIGINS)}
-
-#: (pointer name, window field) of every window column the kernel reads
-#: and writes on each run (:data:`emit.WINDOW_FIELDS` minus the scalars
-#: and the timing-record state).
-_WINDOW = (
-    ("W_DISPATCH", "dispatch_cycle"), ("W_COMPLETE", "complete_cycle"),
-    ("W_LATENCY", "latency"), ("W_VALUE", "value"), ("W_EFF", "eff_addr"),
-    ("W_DCACHE", "dcache_latency"), ("W_REPLAYED", "replayed"),
-    ("W_MISPRED", "mispredicted"), ("W_CLASS", "class_id"),
-    ("W_WAITING", "waiting_ops"), ("W_DEST", "dest_preg"),
-    ("W_PREV", "prev_dest"), ("W_ELIM", "elim_info"), ("RRE_P", "elim_preg"),
-    ("RRE_D", "elim_disp"), ("W_FEXTRA", "fusion_extra"), ("W_NSRC", "nsrc"),
-    ("W_S0P", "src0_preg"), ("W_S0D", "src0_disp"), ("W_S1P", "src1_preg"),
-    ("W_S1D", "src1_disp"),
-)
-#: (pointer name, window field) of the window's timing-record state.
-_TIMING_WINDOW = (
-    ("W_ISSUE", "issue_cycle"), ("W_NPROD", "nprod"), ("W_PROD0", "prod0"),
-    ("W_PROD1", "prod1"), ("W_PROD2", "prod2"),
-)
-#: The per-seq timing-record output columns, index-aligned with
-#: :data:`~repro.uarch.inflight.TIMING_COLUMNS`.
-TR_COLUMNS = (
-    "TR_DISPATCH", "TR_ISSUE", "TR_COMPLETE", "TR_RETIRE", "TR_DCACHE",
-    "TR_LATENCY", "TR_MISPRED", "TR_ELIM", "TR_NPROD", "TR_PROD0",
-    "TR_PROD1", "TR_PROD2",
-)
 
 #: RenoRenamer.stats keys in the order of the RN_* scalar block.
 _RN_STAT_KEYS = (
@@ -294,6 +269,9 @@ class KernelState:
         self.vio_cap = violation_log_size(total)
         self.record_stats = bool(pipeline.record_stats)
         self.timing = bool(pipeline.collect_timing)
+        #: The window columns both copies move (a timed pipeline's only).
+        self.window_columns = tuple(column for column in WINDOW_COLUMNS
+                                    if self.timing or not column.timed)
 
         from repro.core.renamer import RenoRenamer
 
@@ -348,13 +326,12 @@ class KernelState:
     def _alloc_dynamic(self, config) -> None:
         """Allocate every live-state buffer once (addresses stay stable)."""
         ws, np_, rs = self.wsize, self.num_pregs, self.rstride
-        for name in ("W_DISPATCH", "W_COMPLETE", "W_LATENCY", "W_DCACHE",
-                     "W_REPLAYED", "W_MISPRED", "W_CLASS", "W_WAITING",
-                     "W_DEST", "W_PREV", "W_ELIM", "W_FEXTRA", "W_NSRC",
-                     "W_S0P", "W_S0D", "W_S1P", "W_S1D", "RRE_P", "RRE_D"):
-            self._new(name, "q", ws)
-        self._new("W_VALUE", "Q", ws)
-        self._new("W_EFF", "Q", ws)
+        timing = self.timing
+        # The window's columns; the timing-record state is real only for
+        # collect_timing pipelines (the kernel skips it when TIMING=0).
+        for column in WINDOW_COLUMNS:
+            self._new(column.pointer, column.typecode,
+                      ws if timing or not column.timed else 1)
         self._new("PRF_VAL", "Q", np_)
         self._new("PRF_RDY", "q", np_)
         self._new("READY", "q", 4 * rs)
@@ -418,13 +395,9 @@ class KernelState:
             for name in ("OC_ROB", "OC_IQ", "OC_PRF", "OC_SQ", "OC_LQ",
                          "OC_READY", "OC_ISSUED", "OC_CLASS", "OC_STALL"):
                 self._new(name, "q", 1)
-        # Timing-record state and output columns: real buffers only for
-        # collect_timing pipelines (the kernel skips them when TIMING=0).
-        timing = self.timing
-        for name, _field in _TIMING_WINDOW:
-            self._new(name, "q", ws if timing else 1)
+        # The rest of the timing-record state and the output columns.
         self._new("PREG_WRITER", "q", np_ if timing else 1)
-        for name in TR_COLUMNS:
+        for name in TIMING_COLUMNS.values():
             self._new(name, "q", self.total if timing else 1)
         # The functional run's members (marshal-in registers the pool's).
         for name in ("F_REGS", "F_KIND", "F_RS1", "F_RS2", "F_RD", "F_TGT"):
@@ -523,9 +496,9 @@ class KernelState:
         self._in_committed = pipeline._committed
 
         # -- window (structure of arrays) ------------------------------
-        for name, field in _WINDOW:
-            column = a[name]
-            column[:] = array(column.typecode, getattr(window, field))
+        for column in self.window_columns:
+            a[column.pointer][:] = array(column.typecode,
+                                         getattr(window, column.name))
 
         # -- physical register file ------------------------------------
         a["PRF_VAL"][:] = array("Q", pipeline.prf.values)
@@ -678,7 +651,7 @@ class KernelState:
 
         # -- timing-record state ---------------------------------------
         if self.timing:
-            self._marshal_in_timing(pipeline)
+            a["PREG_WRITER"][:] = array("q", pipeline._preg_writer)
 
         # -- occupancy -------------------------------------------------
         if self.record_stats:
@@ -691,14 +664,6 @@ class KernelState:
                 oc_ready[base:base + len(histogram)] = array("q", histogram)
 
         self._register_pointers()
-
-    def _marshal_in_timing(self, pipeline) -> None:
-        """Stage the window's timing-record fields and ``_preg_writer``."""
-        a = self.arr
-        window = pipeline.window
-        for name, field in _TIMING_WINDOW:
-            a[name][:] = array("q", getattr(window, field))
-        a["PREG_WRITER"][:] = array("q", pipeline._preg_writer)
 
     def _marshal_in_rename(self, pipeline) -> None:
         """Flatten the renamer (either mode) into the scalar/array blocks."""
@@ -843,8 +808,8 @@ class KernelState:
         store_sets._next_set_id = sc[SC["SS_NEXT_ID"]]
 
         # -- window (structure of arrays) ------------------------------
-        for name, field in _WINDOW:
-            getattr(window, field)[:] = a[name].tolist()
+        for column in self.window_columns:
+            getattr(window, column.name)[:] = a[column.pointer].tolist()
 
         # -- physical register file ------------------------------------
         pipeline.prf.values[:] = a["PRF_VAL"].tolist()
@@ -1004,17 +969,14 @@ class KernelState:
             read_occupancy(stats.occupancy, sc, a)
 
     def _marshal_out_timing(self, pipeline, committed) -> None:
-        """Copy back the window's timing-record fields and ``_preg_writer``,
-        and the ``TR_*`` entries of every seq committed in the slice into
-        the pipeline's :attr:`~repro.uarch.core.Pipeline.timing_columns`."""
+        """Copy back ``_preg_writer`` and the ``TR_*`` entries of every seq
+        committed in the slice into the pipeline's
+        :attr:`~repro.uarch.core.Pipeline.timing_columns`."""
         a = self.arr
-        window = pipeline.window
-        for name, field in _TIMING_WINDOW:
-            getattr(window, field)[:] = a[name].tolist()
         pipeline._preg_writer[:] = a["PREG_WRITER"].tolist()
         low = self._in_committed
         columns = pipeline.timing_columns
-        for name, output in zip(TIMING_COLUMNS, TR_COLUMNS):
+        for name, output in TIMING_COLUMNS.items():
             columns[name][low:committed] = a[output][low:committed].tolist()
 
     def _marshal_out_it(self, table) -> None:

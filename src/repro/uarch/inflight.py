@@ -5,11 +5,13 @@ instruction and chase its attributes from every phase.  The in-flight window
 is now a **structure of arrays**: one preallocated parallel array per field,
 indexed by ROB slot, so the hot loops (wakeup, select, execute, commit) read
 and write plain list cells instead of allocating and walking object graphs.
-Every field holds ints (flags such as ``replayed`` hold 0 or 1), in the
-compiled kernel's ``W_*`` layout, so the kernel's marshaller copies
-each one as a plain array.  Static facts are not kept per slot: the
-pipeline reads an instruction's decoded-op tuple by seq from the trace's
-tables.
+Every field holds ints (flags such as ``replayed`` hold 0 or 1).  One
+table, :data:`WINDOW_COLUMNS`, defines the layout: each line names a
+field, its member of the compiled kernel's pointer block, its typecode and
+initial value, and the window's attributes, the kernel's buffers and the
+marshaller's copies in both directions are all derived from it.  Static
+facts are not kept per slot: the pipeline reads an instruction's
+decoded-op tuple by seq from the trace's tables.
 
 Slot discipline (the invariants the pipeline and scheduler rely on):
 
@@ -45,7 +47,8 @@ reads) have one form on every route, the compiled kernel's: a run that
 collects them keeps each in-flight instruction's producers in the window
 (``nprod``, ``prod0``..``prod2``, written at dispatch from a preg -> writer
 array) and writes one entry per retired seq into the columns of
-:data:`TIMING_COLUMNS` at commit.  A result holds them as a
+:data:`TIMING_COLUMNS` at commit (each paired there with the kernel's
+``TR_*`` column that holds it).  A result holds them as a
 :class:`TimingColumns`, which builds :class:`TimingRecord` objects only when
 indexed.
 """
@@ -55,10 +58,85 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 #: ``complete_cycle`` sentinel: the slot is empty, or its instruction has
 #: not completed execution yet.  Beyond any reachable cycle count.
 NO_COMPLETE = 1 << 60
+
+
+class WindowColumn(NamedTuple):
+    """One per-slot column of the in-flight window.
+
+    Attributes:
+        name: The :class:`InFlightWindow` attribute holding it.
+        pointer: Its member of the compiled kernel's pointer block.
+        typecode: Its ``array`` typecode in the kernel's buffers (``Q``:
+            a 64-bit value held unsigned).
+        initial: Every slot's value in a new window.
+        timed: Whether only runs that collect timing records write it (the
+            kernel then gets a one-element dummy in its place).
+    """
+
+    name: str
+    pointer: str
+    typecode: str = "q"
+    initial: int = 0
+    timed: bool = False
+
+
+#: The window's columns, the one definition of its layout: the window's
+#: attributes, the kernel's pointer-block members, their buffers and both
+#: marshal copies all come from these lines.
+WINDOW_COLUMNS: tuple[WindowColumn, ...] = (
+    # Timing milestones (fetch == dispatch in this front-end model);
+    # ``complete_cycle`` doubles as the slot lifecycle marker.
+    WindowColumn("dispatch_cycle", "W_DISPATCH"),
+    WindowColumn("complete_cycle", "W_COMPLETE", initial=NO_COMPLETE),
+    # Execution latency charged (loads fold the d-cache latency in at
+    # execute), then execution results and memory/branch details.
+    WindowColumn("latency", "W_LATENCY", initial=1),
+    WindowColumn("value", "W_VALUE", "Q"),
+    WindowColumn("eff_addr", "W_EFF", "Q"),
+    WindowColumn("dcache_latency", "W_DCACHE"),
+    WindowColumn("replayed", "W_REPLAYED"),
+    WindowColumn("mispredicted", "W_MISPRED"),
+    # Issue-port class id (set at issue-queue insertion) and the
+    # outstanding-operand count (owned by the issue queue's wakeup).
+    WindowColumn("class_id", "W_CLASS"),
+    WindowColumn("waiting_ops", "W_WAITING"),
+    # The destination physical register, and the previous mapping handed
+    # back to the renamer at commit (-1: none).
+    WindowColumn("dest_preg", "W_DEST", initial=-1),
+    WindowColumn("prev_dest", "W_PREV", initial=-1),
+    # Elimination summary for fast commit: 0 when not eliminated, else the
+    # kind id (1 move / 2 cf / 3 cse / 4 ra) plus bit 4 set when the
+    # eliminated load must re-execute at retire.
+    WindowColumn("elim_info", "W_ELIM"),
+    # Extra execute latency charged for fused operands (RENO_CF).
+    WindowColumn("fusion_extra", "W_FEXTRA"),
+    # The flattened renamed source operands.
+    WindowColumn("nsrc", "W_NSRC"),
+    WindowColumn("src0_preg", "W_S0P"),
+    WindowColumn("src0_disp", "W_S0D"),
+    WindowColumn("src1_preg", "W_S1P"),
+    WindowColumn("src1_disp", "W_S1D"),
+    # An eliminated instruction's shared physical register and
+    # displacement (its value is ``elim_preg + elim_disp``), which commit
+    # checks and re-execution compares against; written only for
+    # eliminated slots.
+    WindowColumn("elim_preg", "RRE_P"),
+    WindowColumn("elim_disp", "RRE_D"),
+    # With timing records: the issue cycle, and the seqs that last wrote
+    # each source register, then an eliminated instruction's shared
+    # destination (-1: no writer; ``nprod`` of them), copied to the record
+    # columns at commit.
+    WindowColumn("issue_cycle", "W_ISSUE", initial=-1, timed=True),
+    WindowColumn("nprod", "W_NPROD", timed=True),
+    WindowColumn("prod0", "W_PROD0", timed=True),
+    WindowColumn("prod1", "W_PROD1", timed=True),
+    WindowColumn("prod2", "W_PROD2", timed=True),
+)
 
 
 class InFlightWindow:
@@ -66,78 +144,16 @@ class InFlightWindow:
 
     Arrays are plain Python lists sized to the next power of two above the
     ROB capacity; the slot of sequence number ``seq`` is ``seq & mask``.
-    All fields are documented on ``__init__``; the slot-reuse rules are in
-    the module docstring.
+    Each column of :data:`WINDOW_COLUMNS` is one attribute; the slot-reuse
+    rules are in the module docstring.
     """
 
-    __slots__ = (
-        "capacity",
-        "size",
-        "mask",
-        "dispatch_cycle",
-        "issue_cycle",
-        "complete_cycle",
-        "latency",
-        "value",
-        "eff_addr",
-        "dcache_latency",
-        "replayed",
-        "mispredicted",
-        "class_id",
-        "waiting_ops",
-        "dest_preg",
-        "prev_dest",
-        "elim_info",
-        "elim_preg",
-        "elim_disp",
-        "fusion_extra",
-        "nsrc",
-        "src0_preg",
-        "src0_disp",
-        "src1_preg",
-        "src1_disp",
-        "nprod",
-        "prod0",
-        "prod1",
-        "prod2",
-    )
+    __slots__ = ("capacity", "size", "mask",
+                 *(column.name for column in WINDOW_COLUMNS))
 
     def __init__(self, capacity: int):
-        """Allocate the window for a ROB of ``capacity`` entries.
-
-        Per-slot fields:
-
-        * ``dispatch_cycle`` / ``issue_cycle`` / ``complete_cycle`` — the
-          timing milestones (fetch == dispatch in this front-end model;
-          ``issue_cycle`` is written only when timing records are
-          collected); ``complete_cycle`` doubles as the slot lifecycle
-          marker (see :data:`NO_COMPLETE`).
-        * ``latency`` — execution latency charged (loads fold the d-cache
-          latency in at execute).
-        * ``value`` / ``eff_addr`` / ``dcache_latency`` / ``replayed`` /
-          ``mispredicted`` — execution results and memory/branch details.
-        * ``class_id`` — issue-port class id (set at issue-queue insertion).
-        * ``waiting_ops`` — outstanding-operand count, owned by the issue
-          queue's wakeup machinery.
-        * ``dest_preg`` — allocated destination physical register or ``-1``.
-        * ``prev_dest`` — the previously mapped destination register,
-          handed back to the renamer at commit, or ``-1`` (none).
-        * ``elim_info`` — elimination summary for fast commit: 0 when not
-          eliminated, else the kind id (1 move / 2 cf / 3 cse / 4 ra) plus
-          bit 4 set when the eliminated load must re-execute at retire.
-        * ``elim_preg`` / ``elim_disp`` — an eliminated instruction's shared
-          physical register and displacement (its value is
-          ``elim_preg + elim_disp``), which commit checks and re-execution
-          compares against; written only for eliminated slots.
-        * ``fusion_extra`` — extra execute latency charged for fused
-          operands (RENO_CF).
-        * ``nsrc`` / ``src0_preg`` / ``src0_disp`` / ``src1_preg`` /
-          ``src1_disp`` — flattened renamed source operands.
-        * ``nprod`` / ``prod0`` / ``prod1`` / ``prod2`` — with timing
-          records, the seqs that last wrote each source register, then an
-          eliminated instruction's shared destination (-1: no writer;
-          ``nprod`` of them), copied to the record columns at commit.
-        """
+        """Allocate the window for a ROB of ``capacity`` entries, every
+        column at its initial value."""
         if capacity < 1:
             raise ValueError(f"window capacity must be positive, got {capacity}")
         size = 1
@@ -146,32 +162,8 @@ class InFlightWindow:
         self.capacity = capacity
         self.size = size
         self.mask = size - 1
-        self.dispatch_cycle = [0] * size
-        self.issue_cycle = [-1] * size
-        self.complete_cycle = [NO_COMPLETE] * size
-        self.latency = [1] * size
-        self.value = [0] * size
-        self.eff_addr = [0] * size
-        self.dcache_latency = [0] * size
-        self.replayed = [0] * size
-        self.mispredicted = [0] * size
-        self.class_id = [0] * size
-        self.waiting_ops = [0] * size
-        self.dest_preg = [-1] * size
-        self.prev_dest = [-1] * size
-        self.elim_info = [0] * size
-        self.elim_preg = [0] * size
-        self.elim_disp = [0] * size
-        self.fusion_extra = [0] * size
-        self.nsrc = [0] * size
-        self.src0_preg = [0] * size
-        self.src0_disp = [0] * size
-        self.src1_preg = [0] * size
-        self.src1_disp = [0] * size
-        self.nprod = [0] * size
-        self.prod0 = [0] * size
-        self.prod1 = [0] * size
-        self.prod2 = [0] * size
+        for column in WINDOW_COLUMNS:
+            setattr(self, column.name, [column.initial] * size)
 
 
 @dataclass(slots=True)
@@ -195,17 +187,20 @@ class TimingRecord:
     source_producers: tuple[int, ...] = field(default_factory=tuple)
 
 
-#: The columns a run writes at commit, in order (the compiled kernel's
-#: ``TR_*`` output columns follow the same order).  Each is named after the
+#: The columns a run writes at commit, in order, each with the compiled
+#: kernel's ``TR_*`` output column that holds it.  Each is named after the
 #: :class:`TimingRecord` field it holds; ``fetch_cycle`` has no column, as
 #: it always equals ``dispatch_cycle``, and ``source_producers`` is split
 #: into its length ``nprod`` and the producers ``prod0``..``prod2`` (0
 #: beyond ``nprod``).
-TIMING_COLUMNS = (
-    "dispatch_cycle", "issue_cycle", "complete_cycle", "retire_cycle",
-    "dcache_latency", "latency", "mispredicted", "eliminated",
-    "nprod", "prod0", "prod1", "prod2",
-)
+TIMING_COLUMNS: dict[str, str] = {
+    "dispatch_cycle": "TR_DISPATCH", "issue_cycle": "TR_ISSUE",
+    "complete_cycle": "TR_COMPLETE", "retire_cycle": "TR_RETIRE",
+    "dcache_latency": "TR_DCACHE", "latency": "TR_LATENCY",
+    "mispredicted": "TR_MISPRED", "eliminated": "TR_ELIM",
+    "nprod": "TR_NPROD", "prod0": "TR_PROD0", "prod1": "TR_PROD1",
+    "prod2": "TR_PROD2",
+}
 
 #: The columns a trace determines (the opcode and class of each seq).
 STATIC_COLUMNS = ("opcode", "is_load", "is_store", "is_branch")
@@ -263,7 +258,7 @@ class TimingColumns(Sequence):
                  mispredicted, eliminated, counts, prod0, prod1, prod2,
                  opcodes, loads, stores, branches) = (
                     columns[name][first:last]
-                    for name in TIMING_COLUMNS + STATIC_COLUMNS)
+                    for name in (*TIMING_COLUMNS, *STATIC_COLUMNS))
                 records.extend(map(
                     TimingRecord, range(first, last), opcodes, dispatch,
                     dispatch, issue, complete, retire, loads, stores,

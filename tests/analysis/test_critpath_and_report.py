@@ -33,7 +33,7 @@ def columns_of(records):
     """The :class:`TimingColumns` of ``records`` (numbered 0..n-1, at most
     three producers each)."""
     columns = {name: [getattr(record, name) for record in records]
-               for name in TIMING_COLUMNS[:8] + STATIC_COLUMNS}
+               for name in (*tuple(TIMING_COLUMNS)[:8], *STATIC_COLUMNS)}
     columns["nprod"] = [len(record.source_producers) for record in records]
     padded = [(*record.source_producers, 0, 0, 0) for record in records]
     for index in range(3):

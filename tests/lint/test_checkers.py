@@ -362,94 +362,3 @@ def test_docs_checker_flags_broken_link(tmp_path):
     findings = run_lint(["docs"], root=tmp_path, rules=["docs"])
     assert len(findings) == 1
     assert "broken link" in findings[0].message
-
-
-# ---------------------------------------------------------------------------
-# backend-parity
-# ---------------------------------------------------------------------------
-
-WINDOW_FIXTURE = """\
-    class InFlightWindow:
-        __slots__ = ("capacity", "value", "latency")
-
-        def __init__(self, capacity):
-            self.capacity = capacity
-            self.value = [0] * capacity
-            self.latency = [0] * capacity
-"""
-
-EMIT_FIXTURE = """\
-    WINDOW_FIELDS = ("capacity", "value", "latency")
-
-    WINDOW_EXEMPT = frozenset({"capacity"})
-"""
-
-
-def lint_backend_parity(tmp_path, window=WINDOW_FIXTURE, emit=EMIT_FIXTURE):
-    """Write a window/emit fixture pair and run the parity rule over it."""
-    return lint_tree(tmp_path, {
-        "src/repro/uarch/inflight.py": window,
-        "src/repro/uarch/compiled/emit.py": emit,
-    }, rules=["backend-parity"])
-
-
-def test_backend_parity_clean_fixture_passes(tmp_path):
-    assert lint_backend_parity(tmp_path) == []
-
-
-def test_backend_parity_flags_unlisted_init_field(tmp_path):
-    findings = lint_backend_parity(tmp_path, window="""\
-        class InFlightWindow:
-            __slots__ = ("capacity", "value", "latency", "flags")
-
-            def __init__(self, capacity):
-                self.capacity = capacity
-                self.value = [0] * capacity
-                self.latency = [0] * capacity
-                self.flags = [0] * capacity
-    """)
-    assert len(findings) == 1
-    assert "self.flags" in findings[0].message
-    assert "silently" in findings[0].message
-    assert findings[0].path == "src/repro/uarch/inflight.py"
-
-
-def test_backend_parity_flags_stale_table_entry(tmp_path):
-    findings = lint_backend_parity(tmp_path, emit="""\
-        WINDOW_FIELDS = ("capacity", "value", "latency", "ghost")
-
-        WINDOW_EXEMPT = frozenset({"capacity"})
-    """)
-    assert len(findings) == 1
-    assert "'ghost'" in findings[0].message
-    assert "never assigns" in findings[0].message
-    assert findings[0].path == "src/repro/uarch/compiled/emit.py"
-
-
-def test_backend_parity_flags_order_drift_against_slots(tmp_path):
-    findings = lint_backend_parity(tmp_path, emit="""\
-        WINDOW_FIELDS = ("capacity", "latency", "value")
-
-        WINDOW_EXEMPT = frozenset({"capacity"})
-    """)
-    assert len(findings) == 1
-    assert "different order" in findings[0].message
-
-
-def test_backend_parity_flags_exempt_name_outside_table(tmp_path):
-    findings = lint_backend_parity(tmp_path, emit="""\
-        WINDOW_FIELDS = ("capacity", "value", "latency")
-
-        WINDOW_EXEMPT = frozenset({"capacity", "phantom"})
-    """)
-    assert len(findings) == 1
-    assert "'phantom'" in findings[0].message
-
-
-def test_backend_parity_skips_trees_without_the_backend(tmp_path):
-    findings = lint_tree(tmp_path, {"src/repro/uarch/inflight.py": """\
-        class InFlightWindow:
-            def __init__(self, capacity):
-                self.capacity = capacity
-    """}, rules=["backend-parity"])
-    assert findings == []

@@ -26,7 +26,9 @@ cut at random cycles and handed between backends, on machines with a
 
 Compiled-specific tests skip (not fail) when no C toolchain is present;
 the fallback tests force that situation with ``REPRO_NO_CC=1`` and assert
-the degradation to python is silent and result-identical.
+the degradation to python is silent and result-identical, while a kernel
+that fails to build with a compiler present raises.  A marshal round trip
+(marshal-in, then marshal-out, no kernel call) runs without a toolchain.
 """
 
 import dataclasses
@@ -46,7 +48,7 @@ from repro.functional.trace import TraceColumns
 from repro.uarch import backend as backend_module
 from repro.uarch.backend import backend_names, get_backend, resolve_backend
 from repro.uarch.compiled import build, emit
-from repro.uarch.compiled.marshal import KernelError
+from repro.uarch.compiled.marshal import KernelError, KernelState
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
 from repro.uarch.rename import RenameResult
@@ -332,6 +334,45 @@ def test_snapshot_handoff_across_backends(config_name, collect_timing):
 
 
 @pytest.fixture(scope="module")
+def call_spill_run():
+    program = get_workload("micro_call_spill").build()
+    return program, FunctionalSimulator(program).run().trace
+
+
+@pytest.mark.parametrize("record_stats", [False, True])
+@pytest.mark.parametrize("collect_timing", [False, True])
+@pytest.mark.parametrize("config_name", ["BASE", "RENO"])
+@pytest.mark.parametrize("cut", [300, 425])
+def test_marshal_round_trip_keeps_the_state(call_spill_run, cut, config_name,
+                                            collect_timing, record_stats):
+    """Marshal-in then marshal-out, with no kernel call between them,
+    leaves a python-loop pipeline cut mid-run (instructions in flight, the
+    BTB and the return stack occupied) as it was: what marshal-out writes
+    back is exactly what marshal-in copied.  The wakeup heap is compared
+    sorted: marshal-out rebuilds it as the sorted list, which is one valid
+    heap ordering of the same cycles (a layout with no behavioural
+    meaning, see :mod:`repro.uarch.backend`).  Needs no toolchain."""
+    program, trace = call_spill_run
+    pipeline = make_pipeline(program, trace, CONFIGS[config_name], "python",
+                             record_stats=record_stats,
+                             collect_timing=collect_timing)
+    pipeline.run(max_cycles=cut)
+    assert pipeline._committed < pipeline._fetch_index
+    assert any(pipeline.branch_unit.btb._sets)
+
+    def plain_state():
+        state = pipeline.snapshot().state
+        state["issue_queue"]._wakeup_heap.sort()
+        return to_plain(state)
+
+    before = plain_state()
+    kernel_state = KernelState(pipeline)
+    kernel_state.marshal_in(pipeline, None)
+    kernel_state.marshal_out(pipeline)
+    assert plain_state() == before
+
+
+@pytest.fixture(scope="module")
 def gzip_run():
     program = get_workload("gzip_like").build()
     return program, FunctionalSimulator(program).run().trace
@@ -448,6 +489,31 @@ def test_requested_compiled_degrades_silently_without_toolchain(monkeypatch):
         assert_results_identical(degraded, reference)
     finally:
         monkeypatch.delenv("REPRO_NO_CC")
+        build.reset_cache()
+
+
+@pytest.mark.skipif(build.toolchain() is None, reason="needs a C compiler")
+def test_a_kernel_that_fails_to_build_raises(tmp_path, monkeypatch):
+    """With a compiler present, a kernel that does not compile raises
+    ``KernelBuildError`` (memoised) instead of degrading to python."""
+    sources = []
+
+    def broken_source():
+        sources.append(1)
+        return "this is not C;\n"
+
+    monkeypatch.setenv(build.ENV_CACHE_DIR, str(tmp_path))
+    monkeypatch.setattr(emit, "kernel_source", broken_source)
+    build.reset_cache()
+    try:
+        with pytest.raises(build.KernelBuildError, match="REPRO_NO_CC=1") \
+                as raised:
+            resolve_backend("compiled")
+        assert "error" in str(raised.value)       # the compiler's stderr
+        with pytest.raises(build.KernelBuildError):
+            build.load_functional()
+        assert sources == [1]
+    finally:
         build.reset_cache()
 
 

@@ -54,10 +54,10 @@ from repro.store.base import decode_payload, encode_payload
 from repro.uarch.backend import get_backend
 from repro.uarch.compiled import fresh
 from repro.uarch.compiled.backend import CompiledBackend
-from repro.uarch.compiled.marshal import TR_COLUMNS, KernelState, KernelTables
+from repro.uarch.compiled.marshal import KernelState, KernelTables
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
-from repro.uarch.inflight import TimingColumns
+from repro.uarch.inflight import TIMING_COLUMNS, TimingColumns
 from repro.uarch.tables import TraceTables
 from repro.workloads.base import get_workload
 from repro.workloads.suites import suite_by_name
@@ -323,8 +323,9 @@ def test_an_image_from_one_workload_fits_another(reno, timing):
         *second[2].kernel.arrays, *pool.arrays, "VIO_LOG"}
     assert not owned
     # A timed image leaves the trace-sized timing columns to the cell.
-    kept = {name for name, _ in image.arrays} & set(TR_COLUMNS)
-    assert kept == (set() if timing else set(TR_COLUMNS))
+    outputs = set(TIMING_COLUMNS.values())
+    kept = {name for name, _ in image.arrays} & outputs
+    assert kept == (set() if timing else outputs)
     assert len(image.scalars) == len(sc)
 
 
