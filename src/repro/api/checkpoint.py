@@ -1,13 +1,16 @@
 """Time-sliced simulation: run a pipeline in bounded slices with checkpoints.
 
-This is the service-side consumer of the incremental simulation API
+This is a thin layer over the incremental simulation API
 (:meth:`repro.uarch.core.Pipeline.run` with ``max_cycles=``,
 :meth:`~repro.uarch.core.Pipeline.snapshot` /
 :meth:`~repro.uarch.core.Pipeline.restore`): a long simulation advances a
 bounded number of cycles at a time — yielding the thread between slices and
 optionally parking a :class:`~repro.uarch.snapshot.PipelineSnapshot` on
 disk — and can be resumed later, in the same process or a new one, with
-results byte-identical to an uninterrupted run.
+results byte-identical to an uninterrupted run.  Nothing else in the
+package calls it: fleet workers run whole workload blocks
+(:func:`repro.harness.executors.run_workload_block`) and resume at cell
+granularity through the result store.
 
 Typical shapes::
 

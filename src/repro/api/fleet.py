@@ -2,15 +2,15 @@
 
 ``repro serve`` historically ran every grid cell in threads of one process.
 This module is the path from one process to a fleet: a lease-based broker
-shards :class:`~repro.harness.executors.WorkloadTask` grids into *cells*
-(one (workload, machine, RENO) point each) and hands them to ``python -m
-repro worker`` pullers over the versioned HTTP wire schema
+hands each :class:`~repro.harness.executors.WorkloadTask` — one workload's
+(machine × RENO) block, the unit the pool executor runs too — to ``python
+-m repro worker`` pullers over the versioned HTTP wire schema
 (:mod:`repro.api.schema`).  Three layers, separable for testing:
 
 * :class:`FleetBroker` — the pure state machine: a fair-share task queue
   (round-robin across concurrent submissions), expiring leases with
   heartbeat renewal, bounded retry of expired/failed leases, backpressure
-  (queue-depth cap), and exactly-once commit per cell.
+  (queue-depth cap, counted in cells), and exactly-once commit per task.
 * :class:`FleetServer` — the broker's route table on the shared HTTP
   layer (:mod:`repro.api.http`):
 
@@ -26,22 +26,20 @@ repro worker`` pullers over the versioned HTTP wire schema
   ========  =====================  ====================================
 * :class:`FleetExecutor` — an :class:`~repro.harness.executors.Executor`
   implementation: it boots (or attaches to) a broker, keeps a target
-  number of worker subprocesses alive, enqueues cell leases, and
-  assembles the deterministic grid-ordered blocks
+  number of worker subprocesses alive, enqueues every task with a store
+  miss, and assembles the deterministic grid-ordered blocks
   :func:`~repro.harness.runner.run_matrix` expects of every executor.
 
 Determinism contract: results are **byte-identical** to
 :class:`~repro.harness.executors.SerialExecutor` no matter how workers
-die, stall or duplicate work.  Three mechanisms make that hold:
+die, stall or duplicate work.  Two mechanisms make that hold:
 
 * every cell is a pure function of its content-addressed inputs, so a
-  retried cell recomputes the identical outcome;
+  retried task recomputes the identical outcomes;
 * outcomes travel through the shared content-addressed outcome cache
   (never the wire), so a late result from an expired lease is *dropped*
-  by the broker without losing the work — the retry becomes a cache hit;
-* long cells checkpoint via :class:`~repro.uarch.snapshot.PipelineSnapshot`
-  (see :mod:`repro.api.worker`), so a dying worker's partial simulation
-  resumes elsewhere with byte-identical final state.
+  by the broker without losing the work — every cell the first worker
+  stored is a cache hit for the retry.
 
 The chaos harness in ``tests/fleet/harness.py`` SIGKILLs, SIGSTOPs and
 version-desyncs workers mid-grid and asserts exactly this contract.
@@ -58,7 +56,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.api.http import JSONServer, RouteError, clamp_wait
@@ -73,6 +71,7 @@ from repro.harness.executors import (
     FLEET_ENV,
     Block,
     ExecutionCancelled,
+    GridKey,
     SerialExecutor,
     WorkloadTask,
     _progress_emitter,
@@ -85,15 +84,12 @@ from repro.store.disk import DiskStore
 #: Default seconds a lease stays valid without a heartbeat.
 DEFAULT_LEASE_TTL_S = 10.0
 
-#: Default bound on execution attempts per cell (grants, not heartbeats).
+#: Default bound on execution attempts per task (grants, not heartbeats).
 DEFAULT_MAX_ATTEMPTS = 3
 
 #: Default cap on broker queue depth (queued + leased cells) — the
 #: backpressure limit behind the service's structured 429.
 DEFAULT_MAX_QUEUE_DEPTH = 4096
-
-#: Default cycle budget per worker slice (the checkpoint granularity).
-DEFAULT_SLICE_CYCLES = 50_000
 
 #: Upper bound on a lease request's long-poll ``wait`` (seconds).
 MAX_LEASE_WAIT_S = 30.0
@@ -118,11 +114,11 @@ class FleetSaturated(FleetError):
 
 
 class FleetTaskError(FleetError):
-    """A cell exhausted its retry budget; the grid cannot complete."""
+    """A task exhausted its retry budget; the grid cannot complete."""
 
 
 class FleetStalled(FleetError):
-    """No cell made progress within the stall timeout (fleet dead/hung)."""
+    """No task committed within the stall timeout (fleet dead/hung)."""
 
 
 class WorkerRejected(FleetError):
@@ -147,17 +143,15 @@ class FleetProtocolError(FleetError):
 
 
 @dataclass
-class _Cell:
-    """Broker-side record of one grid cell (internal)."""
+class _Task:
+    """Broker-side record of one workload block (internal)."""
 
-    grid_key: tuple
+    key: object                    # the submitter's name for the task
     payload: dict
+    cells: int
     job_tag: str
     state: str = "queued"          # queued | leased | done | failed | cancelled
     attempts: int = 0
-    commits: int = 0
-    cached: bool = False
-    last_error: str | None = None
 
 
 @dataclass
@@ -165,7 +159,7 @@ class _Lease:
     """Broker-side record of one live lease (internal)."""
 
     lease_id: str
-    cell: _Cell
+    task: _Task
     worker_id: str
     deadline: float
 
@@ -174,7 +168,6 @@ class _Lease:
 class _FleetJob:
     """Broker-side record of one submitted grid (internal)."""
 
-    tag: str
     total: int
     remaining: int
     events: list = field(default_factory=list)
@@ -202,7 +195,7 @@ class _Worker:
 
 
 class FleetBroker:
-    """Lease-based fair-share cell queue (the fleet's state machine).
+    """Lease-based fair-share task queue (the fleet's state machine).
 
     Thread-safe; every public method may be called from HTTP handler
     threads and the executor's wait loop concurrently.  Time is injectable
@@ -210,12 +203,11 @@ class FleetBroker:
 
     Args:
         lease_ttl_s: Seconds a lease survives without a heartbeat.
-        max_attempts: Execution attempts per cell before the cell (and its
-            job) fail.
-        max_queue_depth: Cap on queued+leased cells; submissions past it
-            raise :class:`FleetSaturated` (the backpressure bound).
-        slice_cycles: Cycle budget per worker slice, shipped inside each
-            cell (checkpoint granularity for preemptible cells).
+        max_attempts: Execution attempts per task before the task (and
+            its job) fail.
+        max_queue_depth: Cap on the cells of queued and leased tasks;
+            submissions past it raise :class:`FleetSaturated` (the
+            backpressure bound).
         clock: Monotonic time source (tests inject a fake).
     """
 
@@ -239,7 +231,6 @@ class FleetBroker:
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
-        slice_cycles: int = DEFAULT_SLICE_CYCLES,
         clock=time.monotonic,
     ):
         """Create an empty broker with the given policy knobs."""
@@ -254,23 +245,22 @@ class FleetBroker:
         self.heartbeat_every_s = max(0.05, min(lease_ttl_s / 3.0, 2.0))
         self.max_attempts = max_attempts
         self.max_queue_depth = max_queue_depth
-        self.slice_cycles = slice_cycles
         self._clock = clock
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)     # lease waiters
         self._events = threading.Condition(self._lock)   # commit waiters
         self._jobs: dict[str, _FleetJob] = {}
-        self._queues: dict[str, deque[_Cell]] = {}
+        self._queues: dict[str, deque[_Task]] = {}
         self._rr: deque[str] = deque()                   # fair-share rotation
         self._leases: dict[str, _Lease] = {}
         self._workers: dict[str, _Worker] = {}
         self._draining = False
         self._next_lease = 1
         self.counters = {
-            "commits": 0,           # cells committed exactly once
+            "commits": 0,           # tasks committed exactly once
             "retries": 0,           # expired/failed leases sent back to queue
             "late_results": 0,      # results dropped (lease no longer live)
-            "failures": 0,          # cells that exhausted the retry budget
+            "failures": 0,          # tasks that exhausted the retry budget
             "leases_granted": 0,
             "cancelled_cells": 0,
         }
@@ -321,18 +311,20 @@ class FleetBroker:
     # ------------------------------------------------------------------
 
     def depth(self) -> int:
-        """Queued plus leased cells (the backpressure quantity)."""
+        """Cells of the queued and leased tasks (the backpressure quantity)."""
         with self._lock:
             return self._depth_locked()
 
     def _depth_locked(self) -> int:
-        return sum(len(q) for q in self._queues.values()) + len(self._leases)
+        return (sum(task.cells for queue in self._queues.values()
+                    for task in queue)
+                + sum(lease.task.cells for lease in self._leases.values()))
 
     def admit(self, cells: int) -> None:
         """Raise :class:`FleetSaturated` if ``cells`` more would overflow.
 
         Advisory (the depth can change between this check and the actual
-        submission); :meth:`submit_cells` re-enforces the cap.
+        submission); :meth:`submit_tasks` re-enforces the cap.
         """
         with self._lock:
             self._check_depth_locked(cells)
@@ -348,23 +340,26 @@ class FleetBroker:
                 max_queue_depth=self.max_queue_depth,
             )
 
-    def submit_cells(self, job_tag: str, cells: list[tuple[tuple, dict]]) -> None:
-        """Enqueue one job's cells: ``[(grid_key, cell_payload), ...]``.
+    def submit_tasks(self, job_tag: str,
+                     tasks: list[tuple[object, dict, int]]) -> None:
+        """Enqueue one job's tasks: ``[(key, task_payload, cells), ...]``.
 
-        Raises :class:`FleetSaturated` past the depth cap and ValueError on
-        a reused tag (tags are one-shot submission identities).
+        ``key`` names the task in commit events and errors; ``cells`` is
+        its grid-cell count, the unit of the depth cap.  Raises
+        :class:`FleetSaturated` past the depth cap and ValueError on a
+        reused tag (tags are one-shot submission identities).
         """
-        if not cells:
+        if not tasks:
             return
         with self._lock:
             if job_tag in self._jobs:
                 raise ValueError(f"job tag {job_tag!r} already submitted")
-            self._check_depth_locked(len(cells))
-            job = _FleetJob(tag=job_tag, total=len(cells), remaining=len(cells))
+            self._check_depth_locked(sum(cells for _, _, cells in tasks))
+            job = _FleetJob(total=len(tasks), remaining=len(tasks))
             self._jobs[job_tag] = job
             queue = self._queues.setdefault(job_tag, deque())
-            for grid_key, payload in cells:
-                queue.append(_Cell(grid_key=grid_key, payload=payload,
+            for key, payload, cells in tasks:
+                queue.append(_Task(key=key, payload=payload, cells=cells,
                                    job_tag=job_tag))
             self._rr.append(job_tag)
             self._work.notify_all()
@@ -374,7 +369,7 @@ class FleetBroker:
     # ------------------------------------------------------------------
 
     def lease(self, worker_id: str, wait: float = 0.0) -> TaskLease | None:
-        """Grant the next cell to ``worker_id`` (fair-share round-robin).
+        """Grant the next task to ``worker_id`` (fair-share round-robin).
 
         Blocks up to ``wait`` seconds for work.  Returns None when there is
         none (or the broker is draining); raises
@@ -392,17 +387,17 @@ class FleetBroker:
                 if self._draining:
                     return None
                 self._sweep_expired_locked()
-                cell = self._next_cell_locked()
-                if cell is not None:
-                    return self._grant_locked(cell, worker)
+                task = self._next_task_locked()
+                if task is not None:
+                    return self._grant_locked(task, worker)
                 remaining = deadline - self._clock()
                 if remaining <= 0:
                     return None
                 # Short waits so expiring leases are swept while blocked.
                 self._work.wait(min(remaining, self.heartbeat_every_s))
 
-    def _next_cell_locked(self) -> _Cell | None:
-        """Pop the next queued cell, rotating fairly across job tags."""
+    def _next_task_locked(self) -> _Task | None:
+        """Pop the next queued task, rotating fairly across job tags."""
         for _ in range(len(self._rr)):
             tag = self._rr[0]
             self._rr.rotate(-1)
@@ -411,12 +406,12 @@ class FleetBroker:
                 return queue.popleft()
         return None
 
-    def _grant_locked(self, cell: _Cell, worker: _Worker) -> TaskLease:
+    def _grant_locked(self, task: _Task, worker: _Worker) -> TaskLease:
         lease_id = f"lease-{self._next_lease:06d}"
         self._next_lease += 1
-        cell.state = "leased"
-        cell.attempts += 1
-        lease = _Lease(lease_id=lease_id, cell=cell,
+        task.state = "leased"
+        task.attempts += 1
+        lease = _Lease(lease_id=lease_id, task=task,
                        worker_id=worker.hello.worker_id,
                        deadline=self._clock() + self.lease_ttl_s)
         self._leases[lease_id] = lease
@@ -424,9 +419,9 @@ class FleetBroker:
         self.counters["leases_granted"] += 1
         return TaskLease(
             lease_id=lease_id,
-            job_tag=cell.job_tag,
-            cell=cell.payload,
-            attempt=cell.attempts,
+            job_tag=task.job_tag,
+            task=task.payload,
+            attempt=task.attempts,
             lease_ttl_s=self.lease_ttl_s,
             heartbeat_every_s=self.heartbeat_every_s,
         )
@@ -438,29 +433,28 @@ class FleetBroker:
                          if lease.deadline < now]:
             lease = self._leases.pop(lease_id)
             self._retry_or_fail_locked(
-                lease.cell,
+                lease.task,
                 f"lease {lease_id} of worker {lease.worker_id!r} expired "
                 f"(no heartbeat within {self.lease_ttl_s}s)")
 
-    def _retry_or_fail_locked(self, cell: _Cell, reason: str) -> None:
-        cell.last_error = reason
-        job = self._jobs.get(cell.job_tag)
+    def _retry_or_fail_locked(self, task: _Task, reason: str) -> None:
+        job = self._jobs.get(task.job_tag)
         if job is None or job.cancelled:
-            cell.state = "cancelled"
+            task.state = "cancelled"
             return
-        if cell.attempts >= self.max_attempts:
-            cell.state = "failed"
+        if task.attempts >= self.max_attempts:
+            task.state = "failed"
             self.counters["failures"] += 1
-            job.error = (f"cell {cell.grid_key} failed after "
-                         f"{cell.attempts} attempts: {reason}")
+            job.error = (f"task {task.key} failed after "
+                         f"{task.attempts} attempts: {reason}")
             self._events.notify_all()
             return
-        cell.state = "queued"
+        task.state = "queued"
         self.counters["retries"] += 1
-        # Front of the queue: a retried cell is usually a near-free cache
-        # hit (its first worker may have finished before dying), so letting
-        # it jump the line keeps job completion latency bounded.
-        self._queues.setdefault(cell.job_tag, deque()).appendleft(cell)
+        # Front of the queue: a retried task is partly or wholly store hits
+        # (its first worker stored every cell it finished before dying), so
+        # letting it jump the line keeps job completion latency bounded.
+        self._queues.setdefault(task.job_tag, deque()).appendleft(task)
         self._work.notify_all()
 
     # ------------------------------------------------------------------
@@ -471,8 +465,9 @@ class FleetBroker:
         """Extend the given leases; return a per-lease directive map.
 
         ``"keep"`` means carry on; ``"abandon"`` means stop working on the
-        cell (the lease expired and was reassigned, or its job was
-        cancelled) — the worker leaves any checkpoint for the next owner.
+        task (the lease expired and was reassigned, or its job was
+        cancelled) — the cells the worker already stored stay in the store
+        for the next owner.
         """
         directives: dict[str, str] = {}
         with self._lock:
@@ -483,7 +478,7 @@ class FleetBroker:
             for lease_id in lease_ids:
                 lease = self._leases.get(lease_id)
                 if (lease is None or lease.worker_id != worker_id
-                        or lease.cell.state == "cancelled"):
+                        or lease.task.state == "cancelled"):
                     directives[lease_id] = "abandon"
                     continue
                 lease.deadline = self._clock() + self.lease_ttl_s
@@ -493,34 +488,33 @@ class FleetBroker:
     def complete(self, result: TaskResult) -> bool:
         """Commit (or reject) one worker result — the exactly-once gate.
 
-        Only a *live* lease may commit its cell; late results (expired or
+        Only a *live* lease may commit its task; late results (expired or
         reassigned leases, cancelled jobs) are counted and dropped — their
-        work is not lost, because the worker already stored the outcome in
-        the shared cache and the retry will hit it.  Returns True when the
-        result was accepted.
+        work is not lost, because the worker already stored the outcomes in
+        the shared cache and the retry will hit them.  A result whose
+        ``cached`` flags do not cover the task's cells counts as a failed
+        attempt.  Returns True when the result was accepted.
         """
         with self._lock:
             lease = self._leases.pop(result.lease_id, None)
-            if lease is None or lease.cell.state != "leased":
+            if lease is None or lease.task.state != "leased":
                 self.counters["late_results"] += 1
                 return False
-            cell = lease.cell
-            job = self._jobs.get(cell.job_tag)
+            task = lease.task
+            job = self._jobs.get(task.job_tag)
             if job is None or job.cancelled:
-                cell.state = "cancelled"
+                task.state = "cancelled"
                 self.counters["late_results"] += 1
                 return False
-            if not result.ok:
-                self._retry_or_fail_locked(
-                    cell, result.error or "worker reported failure")
+            if not result.ok or len(result.cached) != task.cells:
+                self._retry_or_fail_locked(task, result.error or (
+                    "worker reported failure" if not result.ok else
+                    f"worker reported {len(result.cached)} cached flags "
+                    f"for {task.cells} cells"))
                 return True
-            cell.state = "done"
-            cell.commits += 1
-            cell.cached = result.cached
+            task.state = "done"
             job.remaining -= 1
-            job.events.append((cell.grid_key,
-                               cell.payload.get("outcome_key"),
-                               result.cached))
+            job.events.append((task.key, list(result.cached)))
             self.counters["commits"] += 1
             self._events.notify_all()
             return True
@@ -533,7 +527,7 @@ class FleetBroker:
         """Drain new commit events for one job (blocking up to ``timeout``).
 
         Returns ``(events, done, error)`` where each event is
-        ``(grid_key, outcome_key, cached)``.  ``done`` covers success,
+        ``(task key, per-cell cached flags)``.  ``done`` covers success,
         failure and cancellation alike; the caller inspects ``error``.
         """
         with self._lock:
@@ -548,12 +542,12 @@ class FleetBroker:
             return events, job.done, job.error
 
     def cancel_job(self, job_tag: str) -> int:
-        """Drop a job's queued cells and mark its leased cells abandoned.
+        """Drop a job's queued tasks and mark its leased tasks abandoned.
 
         This is what makes cancellation *real* for fleet jobs: queued but
-        unleased cells leave the broker queue immediately (workers stop
+        unleased tasks leave the broker queue immediately (workers stop
         receiving them), and in-flight leases are told to abandon on their
-        next heartbeat.  Returns how many queued cells were dropped.
+        next heartbeat.  Returns how many cells the dropped tasks held.
         """
         with self._lock:
             job = self._jobs.get(job_tag)
@@ -563,13 +557,13 @@ class FleetBroker:
             queue = self._queues.get(job_tag)
             dropped = 0
             if queue:
-                dropped = len(queue)
-                for cell in queue:
-                    cell.state = "cancelled"
+                dropped = sum(task.cells for task in queue)
+                for task in queue:
+                    task.state = "cancelled"
                 queue.clear()
             for lease in self._leases.values():
-                if lease.cell.job_tag == job_tag:
-                    lease.cell.state = "cancelled"
+                if lease.task.job_tag == job_tag:
+                    lease.task.state = "cancelled"
             self.counters["cancelled_cells"] += dropped
             self._events.notify_all()
             self._work.notify_all()
@@ -604,6 +598,7 @@ class FleetBroker:
                 "schema_version": WIRE_SCHEMA_VERSION,
                 "queued": sum(len(q) for q in self._queues.values()),
                 "leased": len(self._leases),
+                "depth": self._depth_locked(),
                 "max_queue_depth": self.max_queue_depth,
                 "lease_ttl_s": self.lease_ttl_s,
                 "draining": self._draining,
@@ -698,9 +693,10 @@ class FleetExecutor:
     spawns ``workers`` ``python -m repro worker`` subprocesses pointed at
     it; extra workers (other processes, other hosts sharing the cache
     directory) may attach to :attr:`url` at any time.  Each ``execute``
-    call shards its tasks into per-(machine × RENO) cells, satisfies cache
-    hits locally, enqueues the misses under one fair-share job tag, and
-    streams commits back through the shared outcome cache.
+    call reads every cell from the shared store first, answers each task
+    whose cells all hit locally, enqueues the other tasks whole — one
+    lease each — under one fair-share job tag, and reads their outcomes
+    back from the store as they commit.
 
     Results are byte-identical to :class:`SerialExecutor`; only wall-clock
     time, worker placement and outcome slimness (cache-loaded outcomes
@@ -716,7 +712,7 @@ class FleetExecutor:
             managed workers only).
         host: Bind address of the fleet server.
         port: TCP port (0 = ephemeral).
-        lease_ttl_s / max_attempts / max_queue_depth / slice_cycles:
+        lease_ttl_s / max_attempts / max_queue_depth:
             Broker policy knobs (see :class:`FleetBroker`).
         cache: Default shared result store for runs that supply none —
             a store instance or any locator (directory path,
@@ -728,7 +724,7 @@ class FleetExecutor:
         respawn: Keep the worker pool at ``workers`` by respawning dead
             processes (the chaos harness disables this to control the
             population itself).
-        stall_timeout_s: Raise :class:`FleetStalled` when no cell commits
+        stall_timeout_s: Raise :class:`FleetStalled` when no task commits
             for this long (guards against a dead fleet hanging a job
             forever).
         broker: Attach to an existing broker instead of creating one
@@ -757,7 +753,6 @@ class FleetExecutor:
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
-        slice_cycles: int = DEFAULT_SLICE_CYCLES,
         cache: ResultStore | str | Path | None = None,
         respawn: bool = True,
         stall_timeout_s: float = 300.0,
@@ -771,7 +766,6 @@ class FleetExecutor:
             lease_ttl_s=lease_ttl_s,
             max_attempts=max_attempts,
             max_queue_depth=max_queue_depth,
-            slice_cycles=slice_cycles,
         )
         self.respawn = respawn
         self.stall_timeout_s = stall_timeout_s
@@ -904,7 +898,7 @@ class FleetExecutor:
         estimated cell count before accepting a job; ``repro serve`` maps
         the raised :class:`FleetSaturated` onto a structured 429.  A None
         estimate (custom-runner experiments) is admitted — the hard cap in
-        :meth:`FleetBroker.submit_cells` still applies when cells enqueue.
+        :meth:`FleetBroker.submit_tasks` still applies when tasks enqueue.
         """
         if cells is not None:
             self.broker.admit(cells)
@@ -920,90 +914,56 @@ class FleetExecutor:
         progress=None,
         cancel=None,
     ) -> list[Block]:
-        """Run every task's cells on the fleet (deterministic block order)."""
+        """Run the tasks on the fleet, one lease per task with a store miss
+        (deterministic block order)."""
         if not tasks:
             return []
         if process_local(cache) or not self._tasks_shippable(tasks):
             return SerialExecutor().execute(tasks, cache, progress=progress,
                                             cancel=cancel)
         cache = cache if cache is not None else self._default_cache()
-        self.ensure_started()
         emit = _progress_emitter(progress)
-        with self._lock:
-            tag = f"grid-{os.getpid()}-{self._next_tag}"
-            self._next_tag += 1
-
-        outcomes: dict[tuple, object] = {}
-        keys: dict[tuple, str] = {}
-        pending: list[tuple[tuple, dict]] = []
         cache_root = store_locator(cache)
-        # Checkpoints resume long cells across preemption — meaningful
-        # only when broker and workers share a filesystem.  Shared-tier
-        # runs (sqlite/http locators) leave the path empty; the worker
-        # falls back to a private temp checkpoint (resume stays local).
-        disk_root = getattr(cache, "root", None)
-        checkpoint_dir = str(disk_root / "fleet-ckpt") if disk_root is not None else ""
-        for task in tasks:
+        blocks: list[Block | None] = [None] * len(tasks)
+        # Per leased task: each cell's grid key, store key and pre-read.
+        cells: dict[int, list[tuple[GridKey, str, object]]] = {}
+        pending: list[tuple[tuple[int, str], dict, int]] = []
+        for index, task in enumerate(tasks):
             digest = shared_program_digest(task.workload, task.scale)
+            read = []
             for machine_label, machine in task.machines:
                 for reno_label, reno in task.renos:
-                    grid_key = (task.workload.name, machine_label, reno_label)
                     key = outcome_key(digest, machine, reno,
                                       task.max_instructions,
                                       task.collect_timing, task.record_stats)
-                    keys[grid_key] = key
-                    outcome = cache.get(key)
-                    if outcome is not None:
-                        outcomes[grid_key] = outcome
-                        if emit is not None:
-                            emit(grid_key, True, outcome)
-                        continue
-                    pending.append((grid_key, {
-                        "workload": task.workload.name,
-                        "scale": task.scale,
-                        "machine_label": machine_label,
-                        "machine": machine.to_dict(),
-                        "reno_label": reno_label,
-                        "reno": reno.to_dict() if reno is not None else None,
-                        "collect_timing": task.collect_timing,
-                        "record_stats": task.record_stats,
-                        "max_instructions": task.max_instructions,
-                        "backend": task.backend,
-                        "outcome_key": key,
-                        "cache_root": cache_root,
-                        "checkpoint_path": (
-                            str(Path(checkpoint_dir) / f"{key}.ckpt")
-                            if checkpoint_dir else ""),
-                        "slice_cycles": self.broker.slice_cycles,
-                    }))
+                    read.append(((task.workload.name, machine_label,
+                                  reno_label), key, cache.get(key)))
+            if any(outcome is None for _, _, outcome in read):
+                cells[index] = read
+                pending.append(((index, task.workload.name), replace(
+                    task, cache_root=cache_root).to_wire(), task.cells))
+                continue
+            blocks[index] = [(grid_key, outcome)
+                             for grid_key, _, outcome in read]
+            if emit is not None:
+                for grid_key, outcome in blocks[index]:
+                    emit(grid_key, True, outcome)
 
         if pending:
-            self.broker.submit_cells(tag, pending)
+            self.ensure_started()
+            with self._lock:
+                tag = f"grid-{os.getpid()}-{self._next_tag}"
+                self._next_tag += 1
+            self.broker.submit_tasks(tag, pending)
             try:
-                self._await_job(tag, cache, outcomes, emit, cancel)
+                self._await_job(tag, cache, cells, blocks, emit, cancel)
             finally:
                 self.broker.forget_job(tag)
-
-        blocks: list[Block] = []
-        for task in tasks:
-            block: Block = []
-            for machine_label, _ in task.machines:
-                for reno_label, _ in task.renos:
-                    grid_key = (task.workload.name, machine_label, reno_label)
-                    outcome = outcomes.get(grid_key)
-                    if outcome is None:
-                        # Committed by a worker but unreadable here: a
-                        # shared-cache misconfiguration, not a sim failure.
-                        raise FleetError(
-                            f"cell {grid_key} committed but its outcome "
-                            f"{keys[grid_key][:12]}… is unreadable from the "
-                            f"shared cache at {cache_root}")
-                    block.append((grid_key, outcome))
-            blocks.append(block)
         return blocks
 
-    def _await_job(self, tag, cache, outcomes, emit, cancel) -> None:
-        """Drive one submitted job to completion (commits, chaos, cancel)."""
+    def _await_job(self, tag, cache, cells, blocks, emit, cancel) -> None:
+        """Drive one submitted job to completion (commits, chaos, cancel),
+        filling ``blocks`` as tasks commit."""
         last_progress = time.monotonic()
         while True:
             if cancel is not None and cancel():
@@ -1012,12 +972,22 @@ class FleetExecutor:
                     f"fleet job {tag} cancelled "
                     f"({dropped} queued cells dropped)")
             events, done, error = self.broker.wait_job(tag, timeout=0.1)
-            for grid_key, key, cached in events:
-                outcome = cache.get(key)
-                if outcome is not None:
-                    outcomes[grid_key] = outcome
+            for (index, _), flags in events:
+                block: Block = []
+                for (grid_key, key, outcome), cached in zip(cells[index],
+                                                            flags):
+                    outcome = outcome if outcome is not None else cache.get(key)
+                    if outcome is None:
+                        # Committed by a worker but unreadable here: a
+                        # shared-cache misconfiguration, not a sim failure.
+                        raise FleetError(
+                            f"cell {grid_key} committed but its outcome "
+                            f"{key[:12]}… is unreadable from the shared "
+                            f"cache at {store_locator(cache)}")
+                    block.append((grid_key, outcome))
                     if emit is not None:
                         emit(grid_key, cached, outcome)
+                blocks[index] = block
                 last_progress = time.monotonic()
             if error is not None:
                 raise FleetTaskError(error)

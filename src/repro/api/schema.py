@@ -37,10 +37,14 @@ from dataclasses import dataclass, field
 #:   brokers and workers can *negotiate*: a worker advertising an older
 #:   version is refused with a structured error (it cannot interpret
 #:   leases), a newer one is refused by :func:`_check_wire_version`.
+#: * **3** — a lease is one workload block: :class:`TaskLease` carries a
+#:   ``task`` (:meth:`repro.harness.executors.WorkloadTask.to_wire`)
+#:   instead of one ``cell``, and :class:`TaskResult` reports one
+#:   ``cached`` flag per cell instead of an ``outcome_key``.
 #:
 #: Bump on any incompatible envelope change; see
 #: :func:`repro.analysis.report.check_schema_version` for the read policy.
-WIRE_SCHEMA_VERSION = 2
+WIRE_SCHEMA_VERSION = 3
 
 
 class SchemaError(ValueError):
@@ -283,22 +287,23 @@ class WorkerHello:
         )
 
 
+
+
 @dataclass
 class TaskLease:
-    """One leased grid cell (the ``POST /fleet/lease`` success payload).
+    """One leased workload block (the ``POST /fleet/lease`` success payload).
 
-    A lease is the broker's exclusive, *expiring* grant of one cell to one
+    A lease is the broker's exclusive, *expiring* grant of one task to one
     worker: results are only accepted while the lease is live, heartbeats
-    extend it, and an expired lease sends the cell back to the queue for
+    extend it, and an expired lease sends the task back to the queue for
     another worker (bounded by the broker's retry budget).
 
     Attributes:
         lease_id: Broker-assigned unique identifier of this grant.
-        job_tag: The submission the cell belongs to (fair-share key).
-        cell: The cell description: workload name/scale, machine and RENO
-            config dicts, budgets, the content-addressed ``outcome_key``,
-            the shared ``cache_root`` and the checkpoint path (see
-            :meth:`repro.api.fleet.FleetBroker.submit_cells`).
+        job_tag: The submission the task belongs to (fair-share key).
+        task: Every (machine × RENO) cell of one workload, in the form of
+            :meth:`repro.harness.executors.WorkloadTask.to_wire`, with the
+            shared store's locator as its ``cache_root``.
         attempt: 1-based execution attempt this lease represents.
         lease_ttl_s: Seconds until the lease expires without a heartbeat.
         heartbeat_every_s: How often the worker should heartbeat.
@@ -306,7 +311,7 @@ class TaskLease:
 
     lease_id: str
     job_tag: str
-    cell: dict
+    task: dict
     attempt: int = 1
     lease_ttl_s: float = 10.0
     heartbeat_every_s: float = 2.0
@@ -317,7 +322,7 @@ class TaskLease:
             "schema_version": WIRE_SCHEMA_VERSION,
             "lease_id": self.lease_id,
             "job_tag": self.job_tag,
-            "cell": dict(self.cell),
+            "task": dict(self.task),
             "attempt": self.attempt,
             "lease_ttl_s": self.lease_ttl_s,
             "heartbeat_every_s": self.heartbeat_every_s,
@@ -334,13 +339,13 @@ class TaskLease:
         if not lease_id or not isinstance(lease_id, str):
             raise SchemaError(f"lease_id must be a non-empty string, "
                               f"got {lease_id!r}")
-        cell = payload.get("cell")
-        if not isinstance(cell, dict):
-            raise SchemaError(f"lease cell must be an object, got {cell!r}")
+        task = payload.get("task")
+        if not isinstance(task, dict):
+            raise SchemaError(f"lease task must be an object, got {task!r}")
         return cls(
             lease_id=lease_id,
             job_tag=payload.get("job_tag", ""),
-            cell=cell,
+            task=task,
             attempt=payload.get("attempt", 1),
             lease_ttl_s=float(payload.get("lease_ttl_s", 10.0)),
             heartbeat_every_s=float(payload.get("heartbeat_every_s", 2.0)),
@@ -351,29 +356,27 @@ class TaskLease:
 class TaskResult:
     """A worker's completion report for one lease (``POST /fleet/result``).
 
-    The simulation outcome itself never crosses the wire: the worker stores
-    it in the shared content-addressed outcome cache and reports the
-    ``outcome_key`` it stored under; the broker side loads it from the
-    cache.  That keeps the wire JSON-pure and makes retries free — a
-    re-leased cell whose first worker finished (but whose result arrived
-    after lease expiry) is a pure cache hit for the second worker.
+    The simulation outcomes themselves never cross the wire: the worker
+    stores each cell's outcome in the shared content-addressed result
+    store, and the executor reads them by the keys it computed when it
+    submitted the task.  That keeps the wire JSON-pure and makes retries
+    cheap — every cell a dead or late worker already stored is a store hit
+    for the next one.
 
     Attributes:
         lease_id: The lease being completed.
         worker_id: The reporting worker.
-        ok: Whether the cell executed successfully.
-        outcome_key: The shared-cache key the outcome was stored under
-            (``ok=True`` only).
-        cached: Whether the worker satisfied the cell from the shared
-            cache rather than simulating.
+        ok: Whether the task executed successfully.
+        cached: One flag per cell, in grid order (``ok=True`` only): True
+            where the worker found the outcome in the store instead of
+            simulating it.
         error: Failure description (``ok=False`` only).
     """
 
     lease_id: str
     worker_id: str
     ok: bool
-    outcome_key: str | None = None
-    cached: bool = False
+    cached: list[bool] = field(default_factory=list)
     error: str | None = None
 
     def to_dict(self) -> dict:
@@ -383,8 +386,7 @@ class TaskResult:
             "lease_id": self.lease_id,
             "worker_id": self.worker_id,
             "ok": self.ok,
-            "outcome_key": self.outcome_key,
-            "cached": self.cached,
+            "cached": list(self.cached),
             "error": self.error,
         }
 
@@ -402,11 +404,15 @@ class TaskResult:
         ok = payload.get("ok")
         if not isinstance(ok, bool):
             raise SchemaError(f"result ok must be a boolean, got {ok!r}")
+        cached = payload.get("cached", [])
+        if (not isinstance(cached, list)
+                or not all(isinstance(flag, bool) for flag in cached)):
+            raise SchemaError(f"result cached must be a list of booleans, "
+                              f"got {cached!r}")
         return cls(
             lease_id=lease_id,
             worker_id=payload.get("worker_id", ""),
             ok=ok,
-            outcome_key=payload.get("outcome_key"),
-            cached=bool(payload.get("cached", False)),
+            cached=cached,
             error=payload.get("error"),
         )

@@ -23,10 +23,10 @@ Six subcommands cover the whole harness without writing Python:
   worker *processes* behind a lease broker (:mod:`repro.api.fleet`);
   the default 0 keeps the in-process executors.
 * ``python -m repro worker --server URL [--worker-id ID] [--store LOCATOR
-  --store-token T]`` — run one fleet worker pulling cell leases from a
-  broker (:mod:`repro.api.worker`); normally spawned by the fleet itself,
-  but startable by hand to attach extra capacity to a running ``serve
-  --workers`` broker.  ``--store http://host:port`` commits outcomes to a
+  --store-token T]`` — run one fleet worker pulling workload-block
+  leases from a broker (:mod:`repro.api.worker`); normally spawned by the
+  fleet itself, but startable by hand to attach extra capacity to a
+  running ``serve --workers`` broker.  ``--store http://host:port`` commits outcomes to a
   shared result store instead of a filesystem path, so cross-host workers
   need no shared directory.
 * ``python -m repro store-serve [--host H] [--port P] [--db PATH]
@@ -152,16 +152,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="stable worker identity (default worker-<pid>)")
     worker.add_argument("--poll-wait", type=float, default=5.0, metavar="S",
                         help="long-poll window per lease request (default 5s)")
-    worker.add_argument("--max-cells", type=int, default=None, metavar="N",
-                        help="exit cleanly after N cells (default: unbounded)")
     worker.add_argument("--backend", default=None, metavar="NAME",
-                        help="cycle-loop backend for every leased cell: "
+                        help="cycle-loop backend for every leased task: "
                              "python|compiled (default: what each lease "
                              "asks for)")
     worker.add_argument("--store", default=None, metavar="LOCATOR",
-                        help="result-store override for every cell (path, "
+                        help="result-store override for every task (path, "
                              "sqlite://PATH or http://host:port; default: "
-                             "what each cell quotes)")
+                             "what each task quotes)")
     worker.add_argument("--store-token", default=None, metavar="TOKEN",
                         help="bearer token for an HTTP store "
                              "(default: $REPRO_STORE_TOKEN)")
@@ -400,7 +398,6 @@ def _cmd_worker(args) -> int:
 
     worker = FleetWorker(args.server, args.worker_id,
                          poll_wait_s=args.poll_wait,
-                         max_cells=args.max_cells,
                          backend=args.backend,
                          store=args.store,
                          store_token=args.store_token)

@@ -114,22 +114,13 @@ def simulate(
     timing = resolve_backend(backend).run_fresh(
         program, functional.trace, tables, machine, reno, collect_timing,
         record_stats)
-    if verify:
-        verify_registers(program, functional, timing, reno)
-    return SimulationOutcome(program=program, functional=functional,
-                             timing=timing, reno_config=reno)
-
-
-def verify_registers(program: Program, functional: ExecutionResult,
-                     timing: SimResult, reno: RenoConfig | None) -> None:
-    """Raise :class:`ArchitecturalMismatchError` unless the timing run of
-    ``program`` (with ``reno``, or the baseline) ends with the functional
-    run's architectural registers."""
-    if timing.final_registers != list(functional.state.snapshot()):
+    if verify and timing.final_registers != list(functional.state.snapshot()):
         raise ArchitecturalMismatchError(
             f"{program.name}: timing-simulator architectural state diverged "
             f"(reno={'on' if reno else 'off'})"
         )
+    return SimulationOutcome(program=program, functional=functional,
+                             timing=timing, reno_config=reno)
 
 
 def simulate_workload(

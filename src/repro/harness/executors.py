@@ -71,6 +71,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Protocol, runtime_checkable
 
+from repro.api.schema import SchemaError
 from repro.core.config import RenoConfig
 from repro.core.simulator import SimulationOutcome, simulate
 from repro.functional.simulator import FunctionalSimulator
@@ -85,7 +86,7 @@ from repro.store.base import (
 from repro.store.disk import CACHE_DIR_ENV, DiskStore
 from repro.uarch.config import MachineConfig
 from repro.uarch.tables import TraceTables
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, get_workload
 
 #: Environment variable supplying the default worker count for ``jobs=None``
 #: (an integer, ``auto`` for one worker per CPU, or ``fleet``).
@@ -288,6 +289,65 @@ class WorkloadTask:
     def cells(self) -> int:
         """Number of grid points this task covers."""
         return len(self.machines) * len(self.renos)
+
+    def to_wire(self) -> dict:
+        """JSON-safe form: the ``task`` of a fleet lease.  The workload
+        travels by registry name, each config as ``[label, to_dict()]``."""
+        return {
+            "workload": self.workload.name,
+            "scale": self.scale,
+            "machines": [[label, machine.to_dict()]
+                         for label, machine in self.machines],
+            "renos": [[label, reno.to_dict() if reno is not None else None]
+                      for label, reno in self.renos],
+            "collect_timing": self.collect_timing,
+            "record_stats": self.record_stats,
+            "max_instructions": self.max_instructions,
+            "backend": self.backend,
+            "cache_root": self.cache_root,
+        }
+
+    @classmethod
+    def from_wire(cls, payload) -> "WorkloadTask":
+        """Inverse of :meth:`to_wire`; malformed network input raises
+        :class:`~repro.api.schema.SchemaError`."""
+        try:
+            for name, kind in _WIRE_TYPES.items():
+                value = payload[name]
+                if not isinstance(value, kind) or (kind is int
+                                                   and isinstance(value, bool)):
+                    raise TypeError(f"{name} is {value!r}")
+            return cls(
+                workload=get_workload(payload["workload"]),
+                scale=payload["scale"],
+                machines=_wire_pairs(payload["machines"],
+                                     MachineConfig.from_dict),
+                renos=_wire_pairs(payload["renos"], lambda config: (
+                    None if config is None else RenoConfig.from_dict(config))),
+                collect_timing=payload["collect_timing"],
+                max_instructions=payload["max_instructions"],
+                cache_root=payload["cache_root"],
+                record_stats=payload["record_stats"],
+                backend=payload["backend"],
+            )
+        except (KeyError, TypeError, ValueError) as error:
+            raise SchemaError(f"malformed task: {error}") from None
+
+
+#: The JSON type of every :meth:`WorkloadTask.to_wire` field.
+_WIRE_TYPES = {
+    "workload": str, "scale": int, "machines": list, "renos": list,
+    "collect_timing": bool, "record_stats": bool, "max_instructions": int,
+    "backend": (str, type(None)), "cache_root": (str, type(None)),
+}
+
+
+def _wire_pairs(pairs: list, parse) -> tuple:
+    """Decode a wire list of ``[label, config]`` pairs with ``parse``."""
+    if not all(isinstance(pair, list) and len(pair) == 2
+               and isinstance(pair[0], str) for pair in pairs):
+        raise TypeError(f"expected [label, config] pairs, got {pairs!r}")
+    return tuple((label, parse(config)) for label, config in pairs)
 
 
 def _slim(outcome: SimulationOutcome) -> SimulationOutcome:

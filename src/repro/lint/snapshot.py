@@ -1,8 +1,8 @@
 """The ``snapshot-coverage`` checker: no mutable state escapes snapshots.
 
-Incremental simulation (``snapshot()/restore()``, disk checkpoints, fleet
-checkpoint migration) is only byte-identical if ``_SNAPSHOT_STATE`` lists
-*every* piece of state the cycle loop mutates.  A new ``self.<attr>``
+Incremental simulation (``snapshot()/restore()``, disk checkpoints) is
+only byte-identical if ``_SNAPSHOT_STATE`` lists *every* piece of state
+the cycle loop mutates.  A new ``self.<attr>``
 added to ``Pipeline.__init__`` and forgotten in the tuple silently
 produces snapshots that restore stale state — the worst kind of
 determinism bug, because nothing crashes.

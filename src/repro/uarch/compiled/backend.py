@@ -8,8 +8,8 @@ A cell takes one of two routes into the kernel:
   result, timing records and occupancy included, is read out of the
   buffers; no pipeline is built.
 * **Sliced pipeline** (:meth:`CompiledBackend.run_cycles`): every slice
-  of a sliced or snapshotted run (a fleet worker's too) runs in three
-  phases — :meth:`~repro.uarch.compiled.marshal.KernelState.marshal_in`
+  of a sliced or snapshotted run runs in three phases —
+  :meth:`~repro.uarch.compiled.marshal.KernelState.marshal_in`
   (pipeline → flat buffers, side-effect free), one call into the cached
   shared object, and marshal-out.
 

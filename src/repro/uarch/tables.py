@@ -23,8 +23,8 @@ index ``decoded`` and ``trace_ops``, each pipeline's
 :class:`~repro.functional.memory.Memory` copies the page image, and the
 kernel only reads its static columns.  The tables live exactly as long as
 their owner holds them — :func:`repro.harness.executors.run_workload_block`
-drops them when the block ends, a fleet worker when its trace memo evicts
-the trace — and no outcome refers to them.
+drops them when the block ends, in every executor — and no outcome refers
+to them.
 """
 
 from __future__ import annotations

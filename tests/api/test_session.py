@@ -19,6 +19,7 @@ from repro.api import (
     SchemaError,
     Session,
 )
+from repro.analysis.report import REPORT_SCHEMA_VERSION
 from repro.api.schema import JobStatus
 from repro.harness import run_experiment
 from repro.harness.experiments import ExperimentReport
@@ -74,7 +75,7 @@ def test_report_schema_version_is_stamped_and_checked():
     report = run_experiment("fig8", suite="micro", workloads=SMALL[:1],
                             jobs=1, cache=False)
     payload = report.to_dict()
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == REPORT_SCHEMA_VERSION
     assert ExperimentReport.from_dict(payload) == report
     # Artifacts that predate versioning read as version 1 (all other
     # fields still round-trip).

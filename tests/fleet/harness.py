@@ -8,8 +8,9 @@ byte-identical to :class:`~repro.harness.executors.SerialExecutor`'s.
 
 The harness keeps chaos *observable*: the broker's counters (commits,
 retries, late results) are reachable via :attr:`broker`, so tests can
-assert exactly-once commit semantics — every cell committed once, no cell
-lost, no cell doubled — and not just end-state equality.
+assert exactly-once commit semantics — every workload block committed
+once, every cell reported once, none lost, none doubled — and not just
+end-state equality.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from repro.api.fleet import FleetExecutor
 from repro.harness.spec import run_experiment
 
 #: The tiny fig8 grid the fleet tests run: 2 workloads × 2 machines ×
-#: 2 RENO configs = 8 cells, each fast enough for CI.
+#: 2 RENO configs = 8 cells in 2 workload blocks (2 leases), fast enough
+#: for CI.
 CHAOS_WORKLOADS = ["micro_addi_chain", "micro_call_spill"]
 
 
@@ -54,11 +56,9 @@ class FleetHarness:
 
     Args:
         cache_root: Shared outcome-cache directory for broker and workers.
-        lease_ttl_s: Lease TTL — short, so killed/stalled workers' cells
+        lease_ttl_s: Lease TTL — short, so killed/stalled workers' tasks
             requeue within test timescales.
-        slice_cycles: Worker checkpoint granularity — small, so dying
-            workers leave mid-cell checkpoints for their successors.
-        max_attempts: Per-cell retry budget (generous: chaos tests kill
+        max_attempts: Per-task retry budget (generous: chaos tests kill
             workers repeatedly and every retry must stay free to run).
         stall_timeout_s: Executor-level dead-fleet guard.
     """
@@ -68,7 +68,6 @@ class FleetHarness:
         cache_root: str | Path,
         *,
         lease_ttl_s: float = 1.0,
-        slice_cycles: int = 1500,
         max_attempts: int = 8,
         stall_timeout_s: float = 120.0,
     ):
@@ -80,7 +79,6 @@ class FleetHarness:
             cache=self.cache_root,
             lease_ttl_s=lease_ttl_s,
             max_attempts=max_attempts,
-            slice_cycles=slice_cycles,
             stall_timeout_s=stall_timeout_s,
         )
         self.url = self.executor.ensure_started()

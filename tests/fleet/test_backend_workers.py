@@ -1,10 +1,10 @@
 """Fleet integration: compiled-backend workers match the serial python run.
 
-The backend rides the lease's free-form ``cell`` payload (no wire-schema
-change), so a grid dispatched with ``backend="compiled"`` runs its cycle
-loops through the C kernel inside the worker subprocesses — and the
-terminal report must still be byte-identical to ``SerialExecutor`` running
-pure python.  This is the end-to-end form of the backend contract: same
+The backend rides the lease's ``task`` (the ``backend`` field of
+:meth:`~repro.harness.executors.WorkloadTask.to_wire`), so a grid
+dispatched with ``backend="compiled"`` runs its cycle loops through the C
+kernel inside the worker subprocesses — and the terminal report must
+still be byte-identical to ``SerialExecutor`` running pure python.  This is the end-to-end form of the backend contract: same
 numbers, different loop, across process boundaries.
 
 Workers inherit the test environment, so ``REPRO_NO_CC=1`` turns these
@@ -28,6 +28,7 @@ needs_compiled = pytest.mark.skipif(
 @needs_compiled
 def test_compiled_workers_match_serial_python(tmp_path):
     reference = serial_report(CHAOS_WORKLOADS)
+    seen = []
 
     with FleetHarness(tmp_path / "cache") as harness:
         for _ in range(2):
@@ -35,12 +36,14 @@ def test_compiled_workers_match_serial_python(tmp_path):
         report = run_experiment(
             "fig8", suite="micro", workloads=list(CHAOS_WORKLOADS),
             scale=1, executor=harness.executor,
-            cache=str(harness.cache_root), backend="compiled")
+            cache=str(harness.cache_root), backend="compiled",
+            progress=lambda key, cached: seen.append(key))
         counters = dict(harness.broker.counters)
 
     assert report_json(report) == report_json(reference)
-    assert counters["commits"] == 8
+    assert counters["commits"] == 2      # one lease per workload block
     assert counters["failures"] == 0
+    assert len(seen) == len(set(seen)) == 8
 
 
 @needs_compiled
@@ -52,24 +55,26 @@ def test_compiled_timing_workers_match_serial_python(tmp_path):
         "fig9", suite="micro", workloads=list(CHAOS_WORKLOADS), scale=1,
         jobs=1, cache=False, backend="python")
 
+    seen = []
     with FleetHarness(tmp_path / "cache") as harness:
         for _ in range(2):
             harness.spawn_worker()
         report = run_experiment(
             "fig9", suite="micro", workloads=list(CHAOS_WORKLOADS),
             scale=1, executor=harness.executor,
-            cache=str(harness.cache_root), backend="compiled")
+            cache=str(harness.cache_root), backend="compiled",
+            progress=lambda key, cached: seen.append(key))
         counters = dict(harness.broker.counters)
 
     assert report_json(report) == report_json(reference)
-    assert counters["commits"] == 6
+    assert counters["commits"] == 2      # one lease per workload block
     assert counters["failures"] == 0
+    assert len(seen) == len(set(seen)) == 6
 
 
 def test_backend_threads_into_every_task():
     """``build_tasks`` stamps the requested backend on every task — the
-    value :class:`~repro.api.fleet.FleetExecutor` copies into the lease's
-    ``cell`` payload verbatim."""
+    value its wire form, the lease's ``task``, carries verbatim."""
     from repro.core import RenoConfig
     from repro.harness.executors import build_tasks
     from repro.uarch.config import MachineConfig
@@ -81,3 +86,4 @@ def test_backend_threads_into_every_task():
         {"BASE": None, "RENO": RenoConfig.reno_default()},
         backend="compiled")
     assert tasks and all(task.backend == "compiled" for task in tasks)
+    assert all(task.to_wire()["backend"] == "compiled" for task in tasks)

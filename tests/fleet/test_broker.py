@@ -34,14 +34,15 @@ def make_broker(**kwargs):
     return broker, kwargs["clock"]
 
 
-def cells(tag, n):
-    return [((f"{tag}-{i}", "m", "r"), {"outcome_key": f"key-{tag}-{i}"})
+def tasks(tag, n, cells=1):
+    """``n`` tasks of ``cells`` cells each, keyed ``<tag>-<i>``."""
+    return [(f"{tag}-{i}", {"workload": f"{tag}-{i}"}, cells)
             for i in range(n)]
 
 
-def ok_result(lease, worker="w1"):
+def ok_result(lease, worker="w1", cells=1):
     return TaskResult(lease_id=lease.lease_id, worker_id=worker, ok=True,
-                      outcome_key=lease.cell["outcome_key"])
+                      cached=[False] * cells)
 
 
 # ---------------------------------------------------------------------------
@@ -51,16 +52,16 @@ def ok_result(lease, worker="w1"):
 
 def test_lease_commit_drains_the_job():
     broker, _ = make_broker()
-    broker.submit_cells("job", cells("a", 2))
+    broker.submit_tasks("job", tasks("a", 2))
     first = broker.lease("w1")
     second = broker.lease("w2")
-    assert {first.cell["outcome_key"], second.cell["outcome_key"]} == \
-        {"key-a-0", "key-a-1"}
+    assert {first.task["workload"], second.task["workload"]} == \
+        {"a-0", "a-1"}
     assert broker.complete(ok_result(first))
     assert broker.complete(ok_result(second, "w2"))
     events, done, error = broker.wait_job("job", timeout=0)
     assert done and error is None
-    assert sorted(key for _, key, _ in events) == ["key-a-0", "key-a-1"]
+    assert sorted(key for key, _ in events) == ["a-0", "a-1"]
     assert broker.counters["commits"] == 2
 
 
@@ -82,14 +83,14 @@ def test_lease_with_no_work_returns_none():
 
 def test_expired_lease_requeues_with_attempt_bump():
     broker, clock = make_broker(lease_ttl_s=5.0)
-    broker.submit_cells("job", cells("a", 1))
+    broker.submit_tasks("job", tasks("a", 1))
     first = broker.lease("w1")
     assert first.attempt == 1
     clock.now += 6.0                     # past the TTL, no heartbeat
     retry = broker.lease("w2")
     assert retry is not None
     assert retry.attempt == 2
-    assert retry.cell == first.cell
+    assert retry.task == first.task
     assert broker.counters["retries"] == 1
     # The late result from the dead first lease is dropped (exactly-once)…
     assert not broker.complete(ok_result(first))
@@ -103,7 +104,7 @@ def test_expired_lease_requeues_with_attempt_bump():
 
 def test_heartbeat_extends_the_lease():
     broker, clock = make_broker(lease_ttl_s=5.0)
-    broker.submit_cells("job", cells("a", 1))
+    broker.submit_tasks("job", tasks("a", 1))
     lease = broker.lease("w1")
     for _ in range(4):
         clock.now += 4.0                 # would expire without heartbeats
@@ -114,7 +115,7 @@ def test_heartbeat_extends_the_lease():
 
 def test_expired_then_reassigned_lease_heartbeat_says_abandon():
     broker, clock = make_broker(lease_ttl_s=5.0)
-    broker.submit_cells("job", cells("a", 1))
+    broker.submit_tasks("job", tasks("a", 1))
     stale = broker.lease("w1")
     clock.now += 6.0
     live = broker.lease("w2")
@@ -125,7 +126,7 @@ def test_expired_then_reassigned_lease_heartbeat_says_abandon():
 
 def test_retry_budget_bounds_failures():
     broker, clock = make_broker(lease_ttl_s=5.0, max_attempts=2)
-    broker.submit_cells("job", cells("a", 1))
+    broker.submit_tasks("job", tasks("a", 1))
     for attempt in (1, 2):
         lease = broker.lease("w1")
         assert lease.attempt == attempt
@@ -140,7 +141,7 @@ def test_retry_budget_bounds_failures():
 
 def test_worker_reported_failure_retries_then_fails():
     broker, _ = make_broker(max_attempts=2)
-    broker.submit_cells("job", cells("a", 1))
+    broker.submit_tasks("job", tasks("a", 1))
     first = broker.lease("w1")
     broker.complete(TaskResult(lease_id=first.lease_id, worker_id="w1",
                                ok=False, error="ValueError: boom"))
@@ -156,7 +157,7 @@ def test_worker_reported_failure_retries_then_fails():
 
 def test_duplicate_commit_is_dropped():
     broker, _ = make_broker()
-    broker.submit_cells("job", cells("a", 1))
+    broker.submit_tasks("job", tasks("a", 1))
     lease = broker.lease("w1")
     assert broker.complete(ok_result(lease))
     assert not broker.complete(ok_result(lease))      # doubled commit
@@ -165,24 +166,24 @@ def test_duplicate_commit_is_dropped():
 
 
 # ---------------------------------------------------------------------------
-# Cancellation drops queued cells
+# Cancellation drops queued tasks
 # ---------------------------------------------------------------------------
 
 
 def test_cancel_drops_queued_cells_and_abandons_leases():
     broker, _ = make_broker()
-    broker.submit_cells("job", cells("a", 4))
+    broker.submit_tasks("job", tasks("a", 4, cells=2))
     leased = broker.lease("w1")
     dropped = broker.cancel_job("job")
-    assert dropped == 3                  # the queued-but-unleased cells
-    assert broker.counters["cancelled_cells"] == 3
+    assert dropped == 6                  # the queued-but-unleased cells
+    assert broker.counters["cancelled_cells"] == 6
     # Workers stop receiving this job's leases immediately…
     assert broker.lease("w2") is None
     # …the in-flight lease is told to abandon…
     answer = broker.heartbeat("w1", [leased.lease_id])
     assert answer["directives"][leased.lease_id] == "abandon"
     # …and its (now moot) result is dropped, not committed.
-    assert not broker.complete(ok_result(leased))
+    assert not broker.complete(ok_result(leased, cells=2))
     assert broker.counters["commits"] == 0
     _, done, _ = broker.wait_job("job", timeout=0)
     assert done                          # cancelled counts as terminal
@@ -190,8 +191,8 @@ def test_cancel_drops_queued_cells_and_abandons_leases():
 
 def test_cancel_leaves_other_jobs_untouched():
     broker, _ = make_broker()
-    broker.submit_cells("victim", cells("v", 2))
-    broker.submit_cells("bystander", cells("b", 2))
+    broker.submit_tasks("victim", tasks("v", 2))
+    broker.submit_tasks("bystander", tasks("b", 2))
     broker.cancel_job("victim")
     granted = {broker.lease("w1").job_tag, broker.lease("w1").job_tag}
     assert granted == {"bystander"}
@@ -204,9 +205,9 @@ def test_cancel_leaves_other_jobs_untouched():
 
 def test_submit_past_queue_depth_cap_is_refused():
     broker, _ = make_broker(max_queue_depth=3)
-    broker.submit_cells("job", cells("a", 2))
+    broker.submit_tasks("job", tasks("a", 2))
     with pytest.raises(FleetSaturated) as excinfo:
-        broker.submit_cells("job2", cells("b", 2))
+        broker.submit_tasks("job2", tasks("b", 2))
     assert excinfo.value.queue_depth == 2
     assert excinfo.value.max_queue_depth == 3
     # The advisory admit check agrees with the hard cap.
@@ -217,15 +218,46 @@ def test_submit_past_queue_depth_cap_is_refused():
 
 def test_leased_cells_count_toward_depth():
     broker, _ = make_broker(max_queue_depth=2)
-    broker.submit_cells("job", cells("a", 2))
+    broker.submit_tasks("job", tasks("a", 2))
     broker.lease("w1")                   # queued → leased
     assert broker.depth() == 2           # still two cells in flight
     with pytest.raises(FleetSaturated):
         broker.admit(1)
 
 
+def test_depth_counts_the_cells_of_each_task():
+    broker, _ = make_broker(max_queue_depth=8)
+    broker.submit_tasks("job", tasks("a", 2, cells=4))
+    assert broker.depth() == 8           # two tasks, eight cells
+    with pytest.raises(FleetSaturated) as excinfo:
+        broker.submit_tasks("job2", tasks("b", 1))
+    assert excinfo.value.queue_depth == 8
+    lease = broker.lease("w1")
+    assert broker.depth() == 8           # a leased task's cells still count
+    stats = broker.stats()
+    assert (stats["queued"], stats["leased"], stats["depth"]) == (1, 1, 8)
+    assert broker.complete(ok_result(lease, cells=4))
+    assert broker.depth() == 4
+    broker.admit(4)
+
+
+def test_result_with_the_wrong_number_of_flags_is_a_failed_attempt():
+    broker, _ = make_broker(max_attempts=2)
+    broker.submit_tasks("job", tasks("a", 1, cells=4))
+    first = broker.lease("w1")
+    assert broker.complete(ok_result(first, cells=3))
+    assert broker.counters["commits"] == 0
+    assert broker.counters["retries"] == 1
+    second = broker.lease("w2")
+    assert second.attempt == 2
+    assert broker.complete(ok_result(second, "w2", cells=4))
+    events, done, error = broker.wait_job("job", timeout=0)
+    assert done and error is None
+    assert events == [("a-0", [False] * 4)]
+
+
 def test_reused_job_tag_is_rejected():
     broker, _ = make_broker()
-    broker.submit_cells("job", cells("a", 1))
+    broker.submit_tasks("job", tasks("a", 1))
     with pytest.raises(ValueError, match="already submitted"):
-        broker.submit_cells("job", cells("b", 1))
+        broker.submit_tasks("job", tasks("b", 1))

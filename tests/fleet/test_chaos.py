@@ -3,23 +3,27 @@
 The headline property, from the paper-repro angle: **chaos must not change
 the numbers**.  Whatever happens to individual workers mid-grid — killed,
 stalled, wrong schema version — the terminal report must be byte-identical
-to :class:`~repro.harness.executors.SerialExecutor`'s, and every cell must
-commit exactly once.
+to :class:`~repro.harness.executors.SerialExecutor`'s, every workload block
+must commit exactly once, and every cell must be reported exactly once.
 """
 
 import random
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
-from repro.api import worker as worker_mod
 from repro.api.schema import WIRE_SCHEMA_VERSION, ExperimentRequest, TaskLease
 from repro.api.session import JobCancelled, Session
 from repro.api.worker import FleetWorker
 from repro.core.config import RenoConfig
-from repro.core.simulator import simulate
-from repro.harness.executors import outcome_key, program_digest
+from repro.harness.executors import (
+    SerialExecutor,
+    build_tasks,
+    outcome_key,
+    shared_program_digest,
+)
 from repro.store.disk import DiskStore
 from repro.uarch.config import MachineConfig
 from repro.uarch.tables import TraceTables
@@ -57,16 +61,16 @@ def test_sigkill_chaos_converges_byte_identical(tmp_path):
         counters = dict(harness.broker.counters)
 
     assert report_json(report) == report_json(reference)
-    # Exactly-once commit under chaos: 8 cells, 8 commits, 8 progress
-    # events, no grid key seen twice, no cell failed out.
-    assert counters["commits"] == 8
+    # Exactly-once commit under chaos: 2 workload blocks, 2 commits, 8
+    # progress events, no grid key seen twice, no block failed out.
+    assert counters["commits"] == 2
     assert counters["failures"] == 0
     assert len(seen) == 8
     assert len(set(seen)) == 8
 
 
 def test_stalled_worker_leases_migrate_to_a_fresh_worker(tmp_path):
-    """SIGSTOP the only worker mid-cell; a newcomer finishes the grid."""
+    """SIGSTOP the only worker mid-block; a newcomer finishes the grid."""
     reference = serial_report(CHAOS_WORKLOADS, scale=2)
     with FleetHarness(tmp_path / "cache") as harness:
         first = harness.spawn_worker()
@@ -84,7 +88,7 @@ def test_stalled_worker_leases_migrate_to_a_fresh_worker(tmp_path):
                 break
             time.sleep(0.02)
         else:
-            pytest.fail("first worker never leased a cell")
+            pytest.fail("first worker never leased a task")
         harness.stall_worker(first)      # alive but silent: lease expires
         harness.spawn_worker()
         thread.join(timeout=120.0)
@@ -93,7 +97,7 @@ def test_stalled_worker_leases_migrate_to_a_fresh_worker(tmp_path):
 
     assert report_json(box["report"]) == report_json(reference)
     assert counters["retries"] >= 1      # the stalled lease was reassigned
-    assert counters["commits"] == 8      # still exactly once per cell
+    assert counters["commits"] == 2      # still exactly once per block
 
 
 def test_desynced_worker_hello_mid_grid_is_rejected_cleanly(tmp_path):
@@ -120,60 +124,87 @@ def test_desynced_worker_hello_mid_grid_is_rejected_cleanly(tmp_path):
     assert report_json(report) == report_json(reference)
 
 
-def test_checkpoint_migrates_between_workers(tmp_path):
-    """An abandoning worker parks a checkpoint; its successor resumes it."""
-    name = "micro_addi_chain"
-    program = get_workload(name).build(1)
-    machine = MachineConfig()
-    reference = simulate(program, machine, None, collect_timing=True)
-    assert reference.timing.cycles >= 8  # multi-slice at the chosen budget
-    slice_cycles = max(1, reference.timing.cycles // 4)
+def block_task(cache_root, collect_timing=True):
+    """One fig8-shaped workload block: 2 machines x 2 RENO configs."""
+    return build_tasks(
+        [get_workload("micro_addi_chain")],
+        {"4wide": MachineConfig.default_4wide(),
+         "6wide": MachineConfig.default_6wide()},
+        {"BASE": None, "RENO": RenoConfig.reno_default()},
+        collect_timing=collect_timing, cache_root=str(cache_root))[0]
 
+
+def cell_keys(task):
+    """The store keys of ``task``'s cells, in grid order."""
+    digest = shared_program_digest(task.workload, task.scale)
+    return [outcome_key(digest, machine, reno, task.max_instructions,
+                        task.collect_timing, task.record_stats)
+            for _, machine in task.machines for _, reno in task.renos]
+
+
+def outcome_fields(outcome) -> dict:
+    """Every report-relevant field of an outcome, as plain data."""
+    return {"stats": asdict(outcome.timing.stats),
+            "final_registers": outcome.timing.final_registers,
+            "timing_records": outcome.timing.timing_records}
+
+
+def test_abandoned_block_keeps_its_stored_cells_for_the_next_owner(
+        tmp_path, monkeypatch):
+    """Told to abandon after its first cell, worker A posts nothing and
+    leaves that one cell stored; worker B's lease of the same block reads
+    it as a hit and finishes the block equal to the serial run."""
     cache_root = tmp_path / "cache"
-    checkpoint = tmp_path / "ckpt" / "cell.ckpt"
-    key = outcome_key(program_digest(program), machine, None,
-                      2_000_000, True, False)
-    cell = {
-        "workload": name, "scale": 1,
-        "machine_label": "m", "machine": machine.to_dict(),
-        "reno_label": "r", "reno": None,
-        "collect_timing": True, "record_stats": False,
-        "max_instructions": 2_000_000,
-        "outcome_key": key,
-        "cache_root": str(cache_root),
-        "checkpoint_path": str(checkpoint),
-        "slice_cycles": slice_cycles,
-    }
-
-    # Worker A is told to abandon before its first slice boundary: it must
-    # stop, leave the checkpoint on disk, and post nothing.
+    task = block_task(cache_root)
+    keys = cell_keys(task)
     worker_a = FleetWorker("http://127.0.0.1:1", worker_id="wa")
-    abandon = threading.Event()
-    abandon.set()
-    lease_a = TaskLease(lease_id="lease-a", job_tag="migrate", cell=cell,
-                        lease_ttl_s=30.0, heartbeat_every_s=30.0)
-    with pytest.raises(worker_mod._Abandoned):
-        worker_a._run_cell(lease_a, abandon)
-    assert checkpoint.exists()
+    lease_a = TaskLease(lease_id="lease-a", job_tag="abandon",
+                        task=task.to_wire(), lease_ttl_s=30.0,
+                        heartbeat_every_s=0.05)
+    first_stored = threading.Event()
+    posts = []
 
-    # Worker B picks the requeued cell up mid-simulation and finishes it
-    # with results byte-identical to the uninterrupted run.
+    def fake_post(path, payload, timeout=None):
+        posts.append(path)
+        directive = "abandon" if first_stored.is_set() else "keep"
+        return {"directives": {lease_a.lease_id: directive}}
+
+    class AbandonAfterFirstPut(DiskStore):
+        """Hold the first put until the heartbeat has delivered abandon."""
+
+        def put(self, key, outcome):
+            stored = super().put(key, outcome)
+            if not first_stored.is_set():
+                first_stored.set()
+                for thread in threading.enumerate():
+                    if thread.name == f"heartbeat-{lease_a.lease_id}":
+                        thread.join(timeout=30)
+            return stored
+
+    monkeypatch.setattr(worker_a, "_post", fake_post)
+    worker_a._stores[str(cache_root)] = AbandonAfterFirstPut(cache_root)
+    worker_a._execute_lease(lease_a)
+
+    assert "/fleet/result" not in posts  # abandoned: nothing posted
+    store = DiskStore(cache_root)
+    assert [store.get(key) is not None for key in keys] == \
+        [True, False, False, False]
+
     worker_b = FleetWorker("http://127.0.0.1:1", worker_id="wb")
-    lease_b = TaskLease(lease_id="lease-b", job_tag="migrate", cell=cell,
-                        lease_ttl_s=30.0, heartbeat_every_s=30.0)
-    result = worker_b._run_cell(lease_b, threading.Event())
-    assert result.ok and not result.cached
-    assert result.outcome_key == key
-    assert not checkpoint.exists()       # consumed on completion
+    lease_b = TaskLease(lease_id="lease-b", job_tag="abandon",
+                        task=task.to_wire(), lease_ttl_s=30.0,
+                        heartbeat_every_s=30.0)
+    result = worker_b._run_task(lease_b, threading.Event())
+    assert result.ok
+    assert result.cached == [True, False, False, False]
 
-    outcome = DiskStore(cache_root).get(key)
-    assert outcome is not None
-    assert outcome.timing.cycles == reference.timing.cycles
-    assert outcome.timing.final_registers == reference.timing.final_registers
+    [serial] = SerialExecutor().execute([block_task(cache_root)], None)
+    assert [outcome_fields(store.get(key)) for key in keys] == \
+        [outcome_fields(outcome) for _, outcome in serial]
 
 
-def test_worker_builds_trace_tables_once_per_workload(tmp_path, monkeypatch):
-    """Two cells of one workload share the worker's memoised trace tables."""
+def test_worker_builds_trace_tables_once_per_lease(tmp_path, monkeypatch):
+    """The cells of one leased block share one trace and its tables."""
     builds = []
     original = TraceTables.__init__
 
@@ -182,33 +213,47 @@ def test_worker_builds_trace_tables_once_per_workload(tmp_path, monkeypatch):
         original(self, program, trace)
 
     monkeypatch.setattr(TraceTables, "__init__", counting_init)
-    name = "micro_addi_chain"
-    program = get_workload(name).build(1)
-    machine = MachineConfig()
+    task = build_tasks(
+        [get_workload("micro_addi_chain")],
+        {"4wide": MachineConfig.default_4wide()},
+        {"BASE": None, "RENO": RenoConfig.reno_default()},
+        cache_root=str(tmp_path / "cache"))[0]
     worker = FleetWorker("http://127.0.0.1:1", worker_id="tables")
-    for label, reno in (("BASE", None), ("RENO", RenoConfig.reno_default())):
-        key = outcome_key(program_digest(program), machine, reno,
-                          2_000_000, False, False)
-        cell = {
-            "workload": name, "scale": 1,
-            "machine_label": "m", "machine": machine.to_dict(),
-            "reno_label": label,
-            "reno": reno.to_dict() if reno is not None else None,
-            "collect_timing": False, "record_stats": False,
-            "max_instructions": 2_000_000,
-            "outcome_key": key,
-            "cache_root": str(tmp_path / "cache"),
-            "checkpoint_path": str(tmp_path / f"{label}.ckpt"),
-        }
-        lease = TaskLease(lease_id=f"lease-{label}", job_tag="tables",
-                          cell=cell, lease_ttl_s=30.0, heartbeat_every_s=30.0)
-        result = worker._run_cell(lease, threading.Event())
-        assert result.ok and not result.cached
-    assert builds == [program.name]
+    lease = TaskLease(lease_id="lease-tables", job_tag="tables",
+                      task=task.to_wire(), lease_ttl_s=30.0,
+                      heartbeat_every_s=30.0)
+    result = worker._run_task(lease, threading.Event())
+    assert result.ok and result.cached == [False, False]
+    assert builds == ["micro_addi_chain"]
+
+
+def test_a_request_whose_cells_are_all_stored_grants_no_lease(tmp_path):
+    """A warm grid is answered from the store by the executor itself."""
+    swapped = list(reversed(CHAOS_WORKLOADS))
+    seen = []
+    with FleetHarness(tmp_path / "cache") as harness:
+        harness.spawn_worker()
+        fleet_report(harness.executor, CHAOS_WORKLOADS,
+                     cache=harness.cache_root)
+        leases = harness.broker.counters["leases_granted"]
+        # Another request (so the report memo misses) over the same cells.
+        report = fleet_report(harness.executor, swapped,
+                              cache=harness.cache_root,
+                              progress=lambda key, cached:
+                                  seen.append((key, cached)))
+        counters = dict(harness.broker.counters)
+
+    assert leases == 2
+    assert counters["leases_granted"] == leases
+    assert report_json(report) == report_json(serial_report(swapped))
+    assert len(seen) == 8 and all(cached for _, cached in seen)
 
 
 def test_cancel_mid_grid_drops_queued_cells(tmp_path):
     """Cancelling a fleet job empties the broker queue, not just the flag."""
+    # Four blocks and one worker: at the first commit at most one more
+    # block is leased, so at least two are still queued.
+    workloads = CHAOS_WORKLOADS + ["micro_store_load", "micro_sum"]
     with FleetHarness(tmp_path / "cache") as harness:
         harness.spawn_worker()
         session = Session(executor=harness.executor,
@@ -219,7 +264,7 @@ def test_cancel_mid_grid_drops_queued_cells(tmp_path):
 
             job = session.submit(
                 ExperimentRequest("fig8", suite="micro",
-                                  workloads=CHAOS_WORKLOADS),
+                                  workloads=workloads),
                 on_progress=watcher)
             with pytest.raises(JobCancelled):
                 job.result(timeout=120.0)

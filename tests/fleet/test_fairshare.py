@@ -21,9 +21,8 @@ from repro.api.session import Session
 from harness import fleet_report, report_json, serial_report
 
 
-def cells(tag, n):
-    return [((f"{tag}-{i}", "m", "r"), {"outcome_key": f"key-{tag}-{i}"})
-            for i in range(n)]
+def tasks(tag, n):
+    return [(f"{tag}-{i}", {"workload": f"{tag}-{i}"}, 1) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -34,15 +33,14 @@ def cells(tag, n):
 def test_leases_round_robin_across_concurrent_jobs():
     broker = FleetBroker()
     broker.register(WorkerHello(worker_id="w"))
-    broker.submit_cells("big", cells("big", 6))
-    broker.submit_cells("small", cells("small", 2))
+    broker.submit_tasks("big", tasks("big", 6))
+    broker.submit_tasks("small", tasks("small", 2))
     order = []
     for _ in range(8):
         lease = broker.lease("w")
         order.append(lease.job_tag)
         broker.complete(TaskResult(lease_id=lease.lease_id, worker_id="w",
-                                   ok=True,
-                                   outcome_key=lease.cell["outcome_key"]))
+                                   ok=True, cached=[False]))
     # While both jobs have work the grants alternate; the small job is
     # done after four grants even though the big one was submitted first.
     assert order[:4] == ["big", "small", "big", "small"]
@@ -54,14 +52,13 @@ def test_leases_round_robin_across_concurrent_jobs():
 def test_both_jobs_make_monotonic_progress():
     broker = FleetBroker()
     broker.register(WorkerHello(worker_id="w"))
-    broker.submit_cells("a", cells("a", 4))
-    broker.submit_cells("b", cells("b", 4))
+    broker.submit_tasks("a", tasks("a", 4))
+    broker.submit_tasks("b", tasks("b", 4))
     remaining = {"a": [], "b": []}
     for _ in range(8):
         lease = broker.lease("w")
         broker.complete(TaskResult(lease_id=lease.lease_id, worker_id="w",
-                                   ok=True,
-                                   outcome_key=lease.cell["outcome_key"]))
+                                   ok=True, cached=[False]))
         stats = broker.stats()
         for tag in ("a", "b"):
             remaining[tag].append(stats["jobs"][tag]["remaining"])
@@ -150,9 +147,14 @@ def test_fleet_report_matches_serial_byte_for_byte(tmp_path):
     # serial ground truth as canonical JSON.
     workloads = ["micro_addi_chain", "micro_store_load"]
     reference = serial_report(workloads)
+    seen = []
     with FleetExecutor(workers=2, cache=tmp_path / "cache") as fleet:
-        report = fleet_report(fleet, workloads, cache=tmp_path / "cache")
+        report = fleet_report(fleet, workloads, cache=tmp_path / "cache",
+                              progress=lambda key, cached: seen.append(key))
         counters = fleet.broker.stats()["counters"]
     assert report_json(report) == report_json(reference)
-    assert counters["commits"] == 8      # 2 workloads x 2 machines x 2 renos
+    assert counters["commits"] == 2      # one lease per workload block
     assert counters["late_results"] == 0
+    # ...and each of the 2 workloads x 2 machines x 2 renos cells is
+    # reported exactly once.
+    assert len(seen) == len(set(seen)) == 8

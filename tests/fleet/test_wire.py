@@ -1,8 +1,8 @@
 """Wire-schema compatibility tests for the fleet messages.
 
-Mirrors ``tests/api/test_session.py`` style: round-trips for the additive
-version-2 messages (``WorkerHello`` / ``TaskLease`` / ``TaskResult``),
-malformed-payload rejection, and the two directions of version
+Mirrors ``tests/api/test_session.py`` style: round-trips for the fleet
+messages (``WorkerHello`` / ``TaskLease`` / ``TaskResult``) and the lease's
+``WorkloadTask`` wire form, malformed-payload rejection, and the two directions of version
 negotiation — an *older* worker gets a structured HTTP 426 rejection, a
 *newer* one is refused by the existing newer-than-us ``SchemaError``
 policy (HTTP 400).
@@ -23,6 +23,10 @@ from repro.api.schema import (
     TaskResult,
     WorkerHello,
 )
+from repro.core.config import RenoConfig
+from repro.harness.executors import WorkloadTask, build_tasks
+from repro.uarch.config import MachineConfig
+from repro.workloads.base import get_workload
 
 # ---------------------------------------------------------------------------
 # Round-trips
@@ -39,15 +43,15 @@ def test_worker_hello_roundtrip():
 def test_task_lease_roundtrip():
     lease = TaskLease(
         lease_id="lease-000042", job_tag="grid-1-7",
-        cell={"workload": "micro_addi_chain", "scale": 1,
-              "outcome_key": "abc123", "cache_root": "/tmp/c"},
+        task={"workload": "micro_addi_chain", "scale": 1,
+              "cache_root": "/tmp/c"},
         attempt=3, lease_ttl_s=2.5, heartbeat_every_s=0.5)
     assert TaskLease.from_dict(lease.to_dict()) == lease
 
 
 def test_task_result_roundtrip():
     ok = TaskResult(lease_id="lease-000001", worker_id="w1", ok=True,
-                    outcome_key="deadbeef", cached=True)
+                    cached=[True, False, True])
     assert TaskResult.from_dict(ok.to_dict()) == ok
     failed = TaskResult(lease_id="lease-000002", worker_id="w1", ok=False,
                         error="ValueError: boom")
@@ -60,13 +64,17 @@ def test_task_result_roundtrip():
                              "worker_id": ""}),
     (WorkerHello.from_dict, "not-an-object"),
     (TaskLease.from_dict, {"schema_version": WIRE_SCHEMA_VERSION,
-                           "lease_id": "x", "cell": "not-a-dict"}),
+                           "lease_id": "x", "task": "not-a-dict"}),
     (TaskLease.from_dict, {"schema_version": WIRE_SCHEMA_VERSION,
-                           "lease_id": "", "cell": {}}),
+                           "lease_id": "", "task": {}}),
     (TaskResult.from_dict, {"schema_version": WIRE_SCHEMA_VERSION,
                             "lease_id": "x", "ok": "yes"}),
     (TaskResult.from_dict, {"schema_version": WIRE_SCHEMA_VERSION,
                             "lease_id": "", "ok": True}),
+    (TaskResult.from_dict, {"schema_version": WIRE_SCHEMA_VERSION,
+                            "lease_id": "x", "ok": True, "cached": True}),
+    (TaskResult.from_dict, {"schema_version": WIRE_SCHEMA_VERSION,
+                            "lease_id": "x", "ok": True, "cached": [1, 0]}),
 ])
 def test_malformed_fleet_messages_are_rejected(factory, payload):
     with pytest.raises(SchemaError):
@@ -80,8 +88,64 @@ def test_newer_than_us_messages_follow_schema_error_policy():
                     TaskResult.from_dict):
         with pytest.raises(SchemaError, match="wire schema"):
             factory({"schema_version": WIRE_SCHEMA_VERSION + 1,
-                     "worker_id": "w", "lease_id": "l", "cell": {},
+                     "worker_id": "w", "lease_id": "l", "task": {},
                      "ok": True})
+
+
+# ---------------------------------------------------------------------------
+# The lease's task: WorkloadTask.to_wire / from_wire
+# ---------------------------------------------------------------------------
+
+
+def wire_task() -> WorkloadTask:
+    return build_tasks(
+        [get_workload("micro_addi_chain")],
+        {"4wide": MachineConfig.default_4wide(),
+         "6wide": MachineConfig.default_6wide()},
+        {"BASE": None, "RENO": RenoConfig.reno_default()},
+        scale=2, collect_timing=True, record_stats=True,
+        max_instructions=50_000, cache_root="sqlite:///tmp/s.sqlite3",
+        backend="compiled")[0]
+
+
+def test_workload_task_wire_roundtrip():
+    task = wire_task()
+    payload = json.loads(json.dumps(task.to_wire()))
+    assert payload["workload"] == "micro_addi_chain"
+    assert payload["machines"][0][0] == "4wide"
+    assert payload["renos"][0] == ["BASE", None]
+    assert WorkloadTask.from_wire(payload) == task
+
+
+@pytest.mark.parametrize("change", [
+    {"workload": "no_such_workload"},
+    {"workload": 7},
+    {"scale": "1"},
+    {"scale": True},
+    {"collect_timing": 1},
+    {"max_instructions": None},
+    {"backend": 3},
+    {"cache_root": ["/tmp"]},
+    {"machines": {"4wide": {}}},
+    {"machines": [["4wide"]]},
+    {"machines": [["4wide", None]]},
+    {"machines": [["4wide", {"no_such_field": 1}]]},
+    {"renos": [[None, None]]},
+    {"renos": [["RENO", {"no_such_field": 1}]]},
+])
+def test_malformed_task_is_a_schema_error(change):
+    payload = dict(wire_task().to_wire(), **change)
+    with pytest.raises(SchemaError):
+        WorkloadTask.from_wire(payload)
+
+
+def test_task_missing_a_field_is_a_schema_error():
+    payload = wire_task().to_wire()
+    del payload["record_stats"]
+    with pytest.raises(SchemaError):
+        WorkloadTask.from_wire(payload)
+    with pytest.raises(SchemaError):
+        WorkloadTask.from_wire("not-an-object")
 
 
 # ---------------------------------------------------------------------------
