@@ -926,19 +926,24 @@ class FleetExecutor:
         cache_root = store_locator(cache)
         blocks: list[Block | None] = [None] * len(tasks)
         # Per leased task: each cell's grid key, store key and pre-read.
+        # The pre-read stops at a task's first miss: the worker reads
+        # every cell again, and the commit reads what was not pre-read.
         cells: dict[int, list[tuple[GridKey, str, object]]] = {}
         pending: list[tuple[tuple[int, str], dict, int]] = []
         for index, task in enumerate(tasks):
             digest = shared_program_digest(task.workload, task.scale)
             read = []
+            missed = False
             for machine_label, machine in task.machines:
                 for reno_label, reno in task.renos:
                     key = outcome_key(digest, machine, reno,
                                       task.max_instructions,
                                       task.collect_timing, task.record_stats)
+                    outcome = None if missed else cache.get(key)
+                    missed = outcome is None
                     read.append(((task.workload.name, machine_label,
-                                  reno_label), key, cache.get(key)))
-            if any(outcome is None for _, _, outcome in read):
+                                  reno_label), key, outcome))
+            if missed:
                 cells[index] = read
                 pending.append(((index, task.workload.name), replace(
                     task, cache_root=cache_root).to_wire(), task.cells))

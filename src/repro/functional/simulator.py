@@ -80,6 +80,7 @@ class FunctionalSimulator:
                 unavailable ``compiled`` runs the interpreter.
         """
         from repro.uarch.backend import resolve_backend
+        from repro.uarch.tables import program_tables
 
         self.program = program
         self.max_instructions = max_instructions
@@ -90,8 +91,8 @@ class FunctionalSimulator:
         self.state.write(R.GP, DATA_BASE)
         #: The interpreter's memory; a compiled run starts from the
         #: program's page image instead, and builds this only to rerun.
-        self.memory = (None if self.backend == "compiled"
-                       else Memory(program.initial_memory))
+        self.memory = (None if self.backend == "compiled" else
+                       Memory.from_image(program_tables(program).memory_image))
 
     def run(self, record_trace: bool = True) -> ExecutionResult:
         """Run the program to completion (or to the instruction budget).

@@ -167,22 +167,18 @@ class TraceColumns(Sequence):
         arrays: Column name -> column, all of the trace's length: an
             ``array``, or a ``memoryview`` over the compiled run's buffers
             (both index, iterate, ``tolist`` and ``tobytes`` alike).
-        memory_image: The page image the run started from, or None.
         store_pages: Every page a store in the trace wrote (both pages of a
             store that straddles two).
     """
 
-    __slots__ = ("instructions", "arrays", "memory_image", "store_pages",
-                 "_records")
+    __slots__ = ("instructions", "arrays", "store_pages", "_records")
 
     def __init__(self, instructions, arrays: dict,
-                 memory_image: dict[int, bytes] | None = None,
                  store_pages: frozenset[int] = frozenset(),
                  records: list[DynamicInstruction] | None = None):
         """Wrap finished columns (``records`` when they are already built)."""
         self.instructions = instructions
         self.arrays = arrays
-        self.memory_image = memory_image
         self.store_pages = store_pages
         self._records = records
 
@@ -243,8 +239,8 @@ class TraceColumns(Sequence):
         """Pickle the columns as arrays (a ``memoryview`` does not pickle)."""
         arrays = {name: array(TRACE_COLUMNS[name], column.tobytes())
                   for name, column in self.arrays.items()}
-        return (TraceColumns, (self.instructions, arrays, self.memory_image,
-                               self.store_pages, self._records))
+        return (TraceColumns, (self.instructions, arrays, self.store_pages,
+                               self._records))
 
     def __getitem__(self, index):
         return self.records[index]

@@ -85,7 +85,7 @@ from repro.store.base import (
 )
 from repro.store.disk import CACHE_DIR_ENV, DiskStore
 from repro.uarch.config import MachineConfig
-from repro.uarch.tables import TraceTables
+from repro.uarch.tables import TraceTables, share_program_tables
 from repro.workloads.base import Workload, get_workload
 
 #: Environment variable supplying the default worker count for ``jobs=None``
@@ -139,7 +139,8 @@ def program_digest(program: Program) -> str:
 #: registered workload at one scale fits.
 PROGRAM_SLOTS = 64
 
-#: ``(workload, scale) -> [Program, program digest or None]``, oldest first.
+#: ``(workload, scale) -> [Program, program digest or None, ProgramTables]``,
+#: oldest first.
 _programs: dict[tuple[Workload, int], list] = {}
 _programs_lock = threading.Lock()
 
@@ -159,7 +160,8 @@ def _program_slot(workload: Workload, scale: int) -> list:
     key = (workload, scale)
     slot = _programs.get(key)
     if slot is None:
-        slot = [workload.build(scale), None]
+        program = workload.build(scale)
+        slot = [program, None, share_program_tables(program)]
         if len(_programs) >= PROGRAM_SLOTS:
             del _programs[next(iter(_programs))]
         _programs[key] = slot
@@ -170,7 +172,8 @@ def shared_program(workload: Workload, scale: int) -> Program:
     """``workload.build(scale)``, built once per process and shared.
 
     Every caller gets the same :class:`Program` object (so do the outcomes
-    simulated from it): treat it as read-only.
+    simulated from it): treat it as read-only.  Its
+    :class:`~repro.uarch.tables.ProgramTables` live in its memo slot.
     """
     with _programs_lock:
         return _program_slot(workload, scale)[0]

@@ -11,17 +11,19 @@ so it is marshalled once per such key and kept as a :class:`FreshImage`:
   writes for a fresh pipeline, built on the first cell's trace and then
   dropped, so the Python constructors stay the one definition of initial
   state;
-* it is compact: an array holding one value is kept as its typecode,
-  length and value, any other array as a copy;
-* the trace's values are written per cell (:data:`_TRACE_SCALARS`, the
+* it is one arena laid out at capture: the arrays of one value, grouped
+  by value and kept as fill runs, then the other arrays, kept as one copy;
+* the trace's values are not in it (:data:`_TRACE_SCALARS`, the
   violation log, the ``T_*``/``S_*``/``O_*`` columns, the page pool and,
   for a timed cell, the trace-sized ``TR_*`` output columns).
 
-Every cell allocates its own buffers from the image, so no state outlives
-the call and nothing refers to the trace's columns afterwards.  Stats,
-final registers, occupancy and ``finished`` are read straight out of the
-buffers; a timed cell's records are a
-:class:`~repro.uarch.inflight.TimingColumns` over its own ``TR_*`` buffers
+A cell costs one zeroed arena, a fill per run, one copy of the tail and
+copies of its trace's pointer-block template and page pool
+(:class:`~repro.uarch.compiled.marshal.KernelTables`); its ``TR_*``
+outputs are buffers of their own, so a result never keeps an arena
+alive.  Stats, final registers, occupancy and ``finished`` are read out
+of the scalars and the arena; a timed cell's records are a
+:class:`~repro.uarch.inflight.TimingColumns` over its ``TR_*`` buffers
 and the trace's per-seq static fields
 (:attr:`~repro.uarch.tables.TraceTables.record_columns`).
 The images live in a per-process memo of :data:`IMAGE_SLOTS` entries keyed
@@ -36,7 +38,7 @@ import threading
 from array import array
 
 from repro.isa.semantics import MASK64
-from repro.uarch.compiled.emit import ERR_OK, POINTERS, SC
+from repro.uarch.compiled.emit import ERR_OK, PT, SC
 from repro.uarch.compiled.marshal import (
     KernelState,
     KernelTables,
@@ -96,21 +98,25 @@ _STATS = tuple((attribute, tuple(SC[name] for name in scalars))
 
 
 class FreshImage:
-    """The kernel's starting buffers for one image key.
+    """The kernel's starting buffers for one image key, as one arena.
 
     Attributes:
         scalars: The scalar block, :data:`_TRACE_SCALARS` zeroed.
-        arrays: ``(name, array)`` for an array kept as a copy and
-            ``(name, (typecode, length, value))`` for one holding a single
-            value, for every pointer-block member the trace does not own.
-        timing: Whether the cell collects timing records (its ``TR_*``
-            columns are then the trace's length and allocated per cell).
+        layout: Name -> ``(typecode, offset, length)`` of every
+            pointer-block member the trace does not own: arrays of one
+            value first, grouped by value, then the arrays kept as copies.
+        size: The arena's size in bytes.
+        fills: ``(offset, length, 8-byte pattern)`` per non-zero value.
+        tail: The copied arrays' bytes, which end the arena.
+        timing: Whether the cell collects timing records (in ``TR_*``
+            columns of the trace's length, allocated per cell).
     """
 
-    __slots__ = ("scalars", "arrays", "timing")
+    __slots__ = ("scalars", "layout", "size", "fills", "tail", "timing",
+                 "_slots")
 
     def __init__(self, state: KernelState, tables) -> None:
-        """Keep the buffers of ``state``, just marshalled in from a fresh
+        """Lay out the buffers of ``state``, just marshalled in from a fresh
         pipeline over ``tables``, except what the trace owns."""
         self.scalars = state.sc[:]
         for name in _TRACE_SCALARS:
@@ -119,44 +125,66 @@ class FreshImage:
         owned = {*KernelTables.of(tables).arrays, *state.pool.arrays,
                  "VIO_LOG",
                  *(TIMING_COLUMNS.values() if self.timing else ())}
-        self.arrays = tuple((name, _compact(column))
-                            for name, column in state.arr.items()
-                            if name not in owned)
+        zero = bytes(8)
+        runs, copies = {zero: []}, []       # 8-byte pattern -> its arrays
+        for name, column in state.arr.items():
+            if name in owned:
+                continue
+            if column.count(column[0]) == len(column):
+                pattern = array(column.typecode, column[:1]).tobytes()
+                runs.setdefault(pattern, []).append((name, column))
+            else:
+                copies.append((name, column))
+        self.layout, self.fills, offset = {}, [], 0
+        for pattern, members in (*runs.items(), (None, copies)):
+            start = offset
+            for name, column in members:
+                self.layout[name] = (column.typecode, offset, len(column))
+                offset += 8 * len(column)
+            if pattern not in (None, zero):
+                self.fills.append((start, offset - start, pattern))
+        self.size = offset
+        self.tail = b"".join(column.tobytes() for _, column in copies)
+        self._slots = tuple((PT[name], offset)
+                            for name, (_, offset, _) in self.layout.items())
 
-    def buffers(self, tables) -> tuple[array, dict[str, array], PagePool]:
-        """New scalar block, arrays and page pool for one cell over
-        ``tables``: exactly what marshal-in writes for a fresh pipeline."""
+    def buffers(self, tables) -> tuple[array, bytearray, dict[str, array],
+                                       PagePool, PointerBlock]:
+        """New scalar block, arena, per-cell arrays (``VIO_LOG`` and a timed
+        cell's ``TR_*`` outputs), page pool and pointer block for one cell
+        over ``tables``: exactly what marshal-in writes for a fresh
+        pipeline."""
         static = KernelTables.of(tables)
-        arrays = {name: (column[:] if isinstance(column, array)
-                         else array(column[0], [column[2]]) * column[1])
-                  for name, column in self.arrays}
-        arrays.update(static.arrays)
+        arena = bytearray(self.size)
+        for offset, length, pattern in self.fills:
+            arena[offset:offset + length] = pattern * (length >> 3)
+        arena[self.size - len(self.tail):] = self.tail
+        pointers = PointerBlock.from_buffer_copy(static.pointers)
+        base = address_of(arena)
+        for index, offset in self._slots:
+            pointers[index] = base + offset
         total = len(tables.trace)
         vio_cap = violation_log_size(total)
-        arrays["VIO_LOG"] = array("q", bytes(8 * vio_cap))
+        arrays = {"VIO_LOG": array("q", bytes(8 * vio_cap))}
         if self.timing:
             arrays.update((name, array("q", bytes(8 * max(total, 1))))
                           for name in TIMING_COLUMNS.values())
-        image = tables.memory_image
-        pool = PagePool()
-        pool.load(sorted(set(image) | static.store_pages), image)
+        pool = static.pool.copy()
         arrays.update(pool.arrays)
+        for name, column in arrays.items():
+            pointers[PT[name]] = address_of(column)
         sc = self.scalars[:]
         sc[SC["TOTAL"]] = total
         sc[SC["VIO_CAP"]] = vio_cap
         sc[SC["NPOOL"]] = pool.count
         sc[SC["PH_MASK"]] = pool.mask
         sc[SC["STOP"]] = _NO_STOP
-        return sc, arrays, pool
+        return sc, arena, arrays, pool, pointers
 
-
-def _compact(column: array):
-    """``column`` as ``(typecode, length, value)`` when it holds one value,
-    else a copy."""
-    value = column[0]
-    if column.count(value) == len(column):
-        return column.typecode, len(column), value
-    return column[:]
+    def view(self, arena: bytearray, name: str) -> memoryview:
+        """Member ``name`` of a cell's ``arena``, as its typecode's items."""
+        typecode, offset, length = self.layout[name]
+        return memoryview(arena)[offset:offset + 8 * length].cast(typecode)
 
 
 #: ``(machine digest, RENO digest or None, timing, occupancy) ->
@@ -206,10 +234,9 @@ def run_cell(kernel, image: FreshImage, tables, machine,
     Returns:
         The cell's :class:`~repro.uarch.core.SimResult`.
     """
-    sc, arrays, pool = image.buffers(tables)
-    pt = PointerBlock(*[address_of(arrays[name]) for name in POINTERS])
+    sc, arena, arrays, pool, pointers = image.buffers(tables)
     sc_ptr = ctypes.cast(sc.buffer_info()[0], ctypes.POINTER(ctypes.c_int64))
-    code = kernel(sc_ptr, pt, pool.view)
+    code = kernel(sc_ptr, pointers, pool.view)
     if code != ERR_OK:
         kernel_failed(code, reference)
     stats = SimStats()
@@ -217,13 +244,16 @@ def run_cell(kernel, image: FreshImage, tables, machine,
         setattr(stats, attribute, sum(sc[index] for index in indices))
     if sc[SC["RECORD_STATS"]]:
         stats.occupancy = OccupancyStats.for_config(machine)
-        read_occupancy(stats.occupancy, sc, arrays)
-    values = arrays["PRF_VAL"]
+        read_occupancy(stats.occupancy, sc, {
+            name: image.view(arena, name) for name in image.layout
+            if name.startswith("OC_")})
+    values = image.view(arena, "PRF_VAL")
     if sc[SC["MODE"]]:
         registers = [(values[preg] + disp) & MASK64 for preg, disp
-                     in zip(arrays["RN_PREG"], arrays["RN_DISP"])]
+                     in zip(image.view(arena, "RN_PREG"),
+                            image.view(arena, "RN_DISP"))]
     else:
-        registers = [values[preg] for preg in arrays["BMAP"]]
+        registers = [values[preg] for preg in image.view(arena, "BMAP")]
     committed = sc[SC["COMMITTED"]]
     records = None
     if image.timing:

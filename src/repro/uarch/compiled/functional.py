@@ -1,22 +1,24 @@
 """The compiled functional run: ``repro_functional`` behind
 :meth:`repro.functional.simulator.FunctionalSimulator.run`.
 
-:func:`run_compiled` lays the program out as per-static-instruction
-columns (the ``F_*`` kind/register/target columns beside the ``S_*``
-decoded-op columns the cycle loop reads too), loads the program's page
-image into a :class:`~repro.uarch.compiled.pages.PagePool`, and calls the
-entry until the program halts.  The trace columns start at
+:func:`run_compiled` takes the program's per-static-instruction columns
+(the ``F_*`` kind/register/target columns beside the ``S_*`` decoded-op
+columns the cycle loop reads too) and page image from its
+:class:`~repro.uarch.tables.ProgramTables`, loads the image into a
+:class:`~repro.uarch.compiled.pages.PagePool`, and calls the entry until
+the program halts.  The trace columns start at
 :data:`START_RECORDS` records and double when the entry reports them full;
 the pool gains a page whenever a store needs one it lacks.  Neither is
 ever sized from the instruction budget.
 
-Each column lives in an anonymous memory map of its own, and the trace
-keeps a ``memoryview`` of its used prefix.  Grown by doubling as heap
-``array`` objects, the fifteen interleaved columns left about 8 MiB of
+The columns lie end to end in one anonymous memory map (fifteen maps
+cost about 0.1 ms per run to map and unmap), each ``F_CAP`` records long,
+and the trace keeps a ``memoryview`` of each column's used prefix.  Grown
+by doubling as heap ``array`` objects, the columns left about 8 MiB of
 free heap behind after each request, which a long-running ``repro serve``
-kept resident (serve-mixed peak RSS rose 13%); a map is returned to the
-system whole when the trace is dropped, and the unwritten tail of its
-last doubling is never resident.
+kept resident (serve-mixed peak RSS rose 13%); the map is returned to the
+system whole when the trace is dropped, and the unwritten tail of each
+column is never resident.
 
 The result is the interpreter's :class:`~repro.functional.simulator.ExecutionResult`
 with a :class:`~repro.functional.trace.TraceColumns` trace: no
@@ -34,11 +36,10 @@ import mmap
 from array import array
 from itertools import compress
 
-from repro.functional.memory import Memory, page_image
+from repro.functional.memory import Memory
 from repro.functional.simulator import ExecutionResult
 from repro.functional.state import ArchState
 from repro.functional.trace import TRACE_COLUMNS, TraceColumns
-from repro.isa.instruction import decode_program
 from repro.isa.opcodes import OpClass
 from repro.isa.program import DATA_BASE, STACK_BASE, Program
 from repro.isa.registers import NUM_LOGICAL_REGS, ZERO_REG
@@ -46,16 +47,20 @@ from repro.isa.registers import RegisterNames as R
 from repro.uarch.compiled import build, emit
 from repro.uarch.compiled.emit import PT, SC, SCALARS
 from repro.uarch.compiled.marshal import (
-    MarshalError,
     PointerBlock,
     address_of,
     opcode_columns,
-    static_columns,
 )
 from repro.uarch.compiled.pages import PagePool
+from repro.uarch.tables import program_tables
 
-#: Records the trace columns hold before their first growth.
-START_RECORDS = 4096
+#: Records the trace columns hold before their first growth: more than
+#: any registered workload runs at scale 1 (the map is address space
+#: until written).
+START_RECORDS = 1 << 15
+
+#: Bytes one trace record takes across the trace columns.
+_WIDTH = 8 * len(TRACE_COLUMNS)
 
 #: Op class -> ``F_KIND`` code.
 _KINDS = {
@@ -80,8 +85,11 @@ _INT64 = range(-(1 << 63), 1 << 63)
 _STATIC = ("S_OPC", "S_IMM", "S_MEMB", "S_FLAGS")
 
 
-def _functional_columns(program: Program) -> dict[str, array]:
-    """The ``F_KIND``/``F_RS1``/``F_RS2``/``F_RD``/``F_TGT`` columns.
+def program_columns(tables) -> dict[str, array]:
+    """Every static column ``repro_functional`` reads for the program of
+    ``tables`` (a :class:`~repro.uarch.tables.ProgramTables` that fits the
+    ``S_*`` columns): four ``S_*`` ones, ``O_BRANCH`` and the
+    ``F_KIND``/``F_RS1``/``F_RS2``/``F_RD``/``F_TGT`` columns.
 
     An instruction the entry must not run as the interpreter would (an
     operand that is no register, a missing link register, an unresolved
@@ -89,6 +97,7 @@ def _functional_columns(program: Program) -> dict[str, array]:
     :data:`~repro.uarch.compiled.emit.FK_UNSUPPORTED`, so executing it
     hands the run to the interpreter.
     """
+    program = tables.program
     registers = range(NUM_LOGICAL_REGS)
     kinds, firsts, seconds, dests, targets = [], [], [], [], []
     for instruction in program.instructions:
@@ -114,7 +123,9 @@ def _functional_columns(program: Program) -> dict[str, array]:
         seconds.append(second)
         dests.append(rd if writes and rd != ZERO_REG else -1)
         targets.append(target)
-    return {"F_KIND": array("q", kinds), "F_RS1": array("q", firsts),
+    return {**{name: tables.static[name] for name in _STATIC},
+            "O_BRANCH": opcode_columns()["O_BRANCH"],
+            "F_KIND": array("q", kinds), "F_RS1": array("q", firsts),
             "F_RS2": array("q", seconds), "F_RD": array("q", dests),
             "F_TGT": array("q", targets)}
 
@@ -131,23 +142,18 @@ def run_compiled(program: Program,
     kernel = build.load_functional()
     if kernel is None:
         return None
-    try:
-        static = static_columns(decode_program(program.instructions))
-    except MarshalError:    # an immediate no int64 column holds
+    tables = program_tables(program)
+    if tables.functional is None:   # an immediate no int64 column holds
         return None
-    fixed = {name: static[name] for name in _STATIC}
-    fixed.update(_functional_columns(program))
-    fixed["O_BRANCH"] = opcode_columns()["O_BRANCH"]
     registers = array("Q", bytes(8 * NUM_LOGICAL_REGS))
     registers[R.SP] = STACK_BASE
     registers[R.GP] = DATA_BASE
-    fixed["F_REGS"] = registers
+    fixed = {**tables.functional, "F_REGS": registers}
 
-    image = page_image(program.initial_memory)
     pool = PagePool()
-    pool.load(sorted(image), image)
+    pool.load(tables.pages, tables.memory_image)
     capacity = START_RECORDS
-    buffers = {name: mmap.mmap(-1, 8 * capacity) for name in TRACE_COLUMNS}
+    columns = mmap.mmap(-1, _WIDTH * capacity)
 
     sc = array("q", bytes(8 * len(SCALARS)))
     sc[SC["F_PC"]] = program.pc_of(program.entry)
@@ -155,30 +161,39 @@ def run_compiled(program: Program,
     sc[SC["F_NCODE"]] = len(program.instructions)
     sc_ptr = ctypes.cast(sc.buffer_info()[0], ctypes.POINTER(ctypes.c_int64))
     pt = PointerBlock()
+    for name, column in fixed.items():
+        pt[PT[name]] = address_of(column)
     while True:
         sc[SC["F_CAP"]] = capacity
         sc[SC["NPOOL"]] = pool.count
         sc[SC["PH_MASK"]] = pool.mask
-        for group in (fixed, buffers, pool.arrays):
-            for name, column in group.items():
-                pt[PT[name]] = address_of(column)
+        base = address_of(columns)
+        for index, name in enumerate(TRACE_COLUMNS):
+            pt[PT[name]] = base + 8 * capacity * index
+        for name, column in pool.arrays.items():
+            pt[PT[name]] = address_of(column)
         code = kernel(sc_ptr, pt, pool.view)
         if code == emit.FN_OK:
             break
         if code == emit.FN_NEED_PAGE:
             pool.add(sc[SC["F_PAGE"]])
         elif code == emit.FN_FULL:
-            for name, buffer in buffers.items():
-                buffers[name] = mmap.mmap(-1, 16 * capacity)
-                buffers[name][:8 * capacity] = buffer
-                buffer.close()
+            grown = mmap.mmap(-1, 2 * _WIDTH * capacity)
+            for start in range(0, _WIDTH * capacity, 8 * capacity):
+                grown[2 * start:2 * start + 8 * capacity] = (
+                    columns[start:start + 8 * capacity])
+            columns.close()
+            columns = grown
             capacity *= 2
         else:
             return None
 
     count = sc[SC["F_SEQ"]]
-    columns = {name: memoryview(buffers[name])[:8 * count].cast(typecode)
-               for name, typecode in TRACE_COLUMNS.items()}
+    view = memoryview(columns)
+    columns = {name: view[start:start + 8 * count].cast(typecode)
+               for start, (name, typecode) in zip(
+                   range(0, _WIDTH * capacity, 8 * capacity),
+                   TRACE_COLUMNS.items())}
     numbers = pool.arrays["PAGE_NUM"][:pool.count]
     stored = frozenset(compress(numbers, pool.arrays["PAGE_DIRTY"]))
     state = ArchState(pc=sc[SC["F_PC"]])
@@ -187,5 +202,5 @@ def run_compiled(program: Program,
         {number: pool.page(slot) for slot, number in enumerate(numbers)})
     return ExecutionResult(
         program=program,
-        trace=TraceColumns(program.instructions, columns, image, stored),
+        trace=TraceColumns(program.instructions, columns, stored),
         state=state, memory=memory, halted=True, dynamic_count=count)

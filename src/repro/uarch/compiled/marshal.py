@@ -1,8 +1,8 @@
 """Marshalling between the :class:`~repro.uarch.core.Pipeline` object graph
 and the compiled kernel's flat int64 ABI.
 
-The static columns — the dynamic trace, the decoded-op tables and the
-per-opcode tables — are gathered once per trace into a
+The static columns — the dynamic trace, the program's decoded-op tables
+and the per-opcode tables — are gathered once per trace into a
 :class:`KernelTables` that every pipeline replaying that trace shares
 (a trace from the compiled functional run already is columns).
 One :class:`KernelState` is built per pipeline (cached by the backend in a
@@ -214,24 +214,30 @@ class KernelTables:
 
     Attributes:
         arrays: Pointer-block name -> array for every ``T_*``, ``S_*`` and
-            ``O_*`` member (the ``T_*`` arrays are the trace's own columns).
+            ``O_*`` member (the ``T_*`` arrays are the trace's own columns,
+            the ``S_*`` ones the program's).
         store_pages: Every page any store in the trace can create or
             dirty, so each marshal-in can build a page pool covering all
             pages the kernel might write, including straddles.
+        pool: A fresh cell's page pool (image and store pages), to copy.
+        pointers: A pointer block holding the addresses of ``arrays``.
         fits: Whether the program fits the ``S_*`` columns (else
             ``arrays`` lacks them, and the backend declines every cell).
     """
 
     def __init__(self, tables):
-        """Adopt the trace columns; build the decoded-op and per-opcode ones."""
+        """Adopt the trace and program columns; build the page pool."""
         columns = trace_columns(tables.trace)
-        try:
-            static = static_columns(tables.decoded)
-        except MarshalError:
-            static = {}
+        static = tables.shared.static
         self.fits = bool(static)
         self.arrays = {**columns.arrays, **static, **opcode_columns()}
         self.store_pages = columns.store_pages
+        image = tables.memory_image
+        self.pool = PagePool()
+        self.pool.load(sorted(set(image) | self.store_pages), image)
+        self.pointers = PointerBlock()
+        for name, column in self.arrays.items():
+            self.pointers[PT[name]] = address_of(column)
 
     @classmethod
     def of(cls, tables) -> "KernelTables":

@@ -6,8 +6,9 @@ page numbers in ``PAGE_NUM``, a store-written flag per page in
 ``PAGE_DIRTY``, and an open-addressing table (``PH_KEY``/``PH_VAL``, size
 ``PH_MASK + 1``) from page number to pool slot that the C side probes with
 ``pool_find``.  :class:`PagePool` owns those buffers: the cycle loop's
-marshal-in refills it before every slice, and the functional run grows it
-a page at a time as stores reach pages it lacks.
+marshal-in refills it before every slice, a fresh cell copies one, and
+the functional run grows it a page at a time as stores reach pages it
+lacks.
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ class PagePool:
         self.count = 0
         for number in numbers:
             self._place(number, pages.get(number))
+
+    def copy(self) -> "PagePool":
+        """A pool with its own copy of these buffers."""
+        pool = PagePool()
+        pool.arrays = {name: column[:] for name, column in self.arrays.items()}
+        pool.buffer = self.buffer[:]
+        pool.view = ctypes.byref(ctypes.c_ubyte.from_buffer(pool.buffer))
+        pool.count = self.count
+        pool._capacity = self._capacity
+        return pool
 
     def add(self, number: int) -> None:
         """Append a zero page, doubling the pool (contents and dirty flags

@@ -1,10 +1,12 @@
 """Tests for the per-process memos behind a warm request.
 
-A process builds each ``(workload, scale)`` program and computes its
-digest once (:func:`repro.harness.executors.shared_program`), and computes
-each config digest once (:func:`repro.confighash.dataclass_digest`).  These
-tests pin what the memos must not change: a warm request rebuilds and
-re-digests nothing, the shared ``Program`` stays as built, config digests
+A process builds each ``(workload, scale)`` program, computes its digest
+and derives its tables once (:func:`repro.harness.executors.shared_program`,
+:class:`repro.uarch.tables.ProgramTables`), and computes each config
+digest once (:func:`repro.confighash.dataclass_digest`).  These tests pin
+what the memos must not change: a warm request rebuilds, re-digests and
+re-derives nothing, with or without a store, program tables serve only
+their own program, the shared ``Program`` stays as built, config digests
 equal the unmemoised computation, and distinct workloads never share a
 slot.
 """
@@ -29,8 +31,11 @@ from repro.harness.executors import (
     shared_program,
     shared_program_digest,
 )
+from repro.uarch import tables
+from repro.uarch.compiled import marshal
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
+from repro.uarch.tables import program_tables
 from repro.workloads.base import Workload, get_workload, list_workloads
 
 SMALL = ["micro_addi_chain", "micro_call_spill"]
@@ -54,16 +59,36 @@ def unmemoised_digest(config) -> str:
     return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
 
-def test_second_identical_request_builds_and_digests_nothing(monkeypatch):
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize("cache", ["sqlite://:memory:", False],
+                         ids=["memo", "cold"])
+def test_second_identical_request_builds_and_digests_nothing(
+        monkeypatch, cache, backend):
     request = ExperimentRequest("fig8", suite="micro", workloads=SMALL)
-    with Session(jobs=1, cache="sqlite://:memory:") as session:
+    with Session(jobs=1, cache=cache, backend=backend) as session:
         first = session.run(request)
         calls = []
         count_calls(monkeypatch, Workload, "build", calls)
         count_calls(monkeypatch, executors, "program_digest", calls)
+        # With no store every cell runs again, on the program tables the
+        # first request built.
+        count_calls(monkeypatch, tables, "decode_program", calls)
+        count_calls(monkeypatch, tables, "page_image", calls)
+        count_calls(monkeypatch, marshal, "static_columns", calls)
         second = session.run(request)
     assert calls == []
     assert second.rows == first.rows
+
+
+def test_program_tables_serve_only_their_own_program(monkeypatch):
+    shared = shared_program(get_workload("micro_addi_chain"), 1)
+    assert program_tables(shared) is program_tables(shared)
+    assert program_tables(shared).program is shared
+    other = copy.deepcopy(shared)
+    assert program_tables(other) is not program_tables(other)
+    # An entry under an id that another object now has is never served.
+    monkeypatch.setitem(tables._shared, id(other), program_tables(shared))
+    assert program_tables(other).program is other
 
 
 def test_shared_program_is_unchanged_by_every_kind_of_run(tmp_path):

@@ -4,7 +4,8 @@ The acceptance shape of the store subsystem: a ``FleetExecutor`` with two
 real worker subprocesses where every outcome travels through a
 token-authenticated ``repro store-serve`` — the workers share *no*
 directory with the broker — must reproduce ``SerialExecutor`` reports
-byte-for-byte, and a second identical run must be pure store hits.
+byte-for-byte, a cold run must miss no more than once per cell and once
+per task, and a second identical run must be pure store hits.
 """
 
 import json
@@ -55,6 +56,9 @@ def test_fleet_over_http_store_matches_serial_byte_for_byte(store_server):
         stats = store_server.backing.stats_payload()
         assert stats["entries"] == EXPECTED_CELLS + 1   # and the report memo
         assert stats["stores"] == EXPECTED_CELLS
+        # Each cell misses once, on the worker; the executor's pre-read
+        # stops at each task's first miss.
+        assert stats["misses"] <= EXPECTED_CELLS + len(WORKLOADS)
 
         # Second identical run: the report memo answers it over HTTP
         # before any cell key is derived or any cell reaches the broker.

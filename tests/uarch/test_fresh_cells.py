@@ -17,7 +17,9 @@ routes:
   ``fig9`` report on the compiled backend is the committed golden table;
 * a timed fresh outcome survives the result store's payload encoding;
 * an image captured on one workload and applied to another equals, byte
-  for byte, a fresh marshal-in on the second;
+  for byte, a fresh marshal-in on the second, read back through the
+  arena's layout; an image keeps its single-valued arrays as fill runs,
+  and a timed cell's timing columns lie outside its arena;
 * a cell the kernel cannot finish raises the python backend's exception;
 * ``simulate`` builds no pipeline for a compiled cell, with or without
   occupancy, and leaves the trace's decoded ops unbuilt: a ``bottleneck``
@@ -54,7 +56,8 @@ from repro.store.base import decode_payload, encode_payload
 from repro.uarch.backend import get_backend
 from repro.uarch.compiled import fresh
 from repro.uarch.compiled.backend import CompiledBackend
-from repro.uarch.compiled.marshal import KernelState, KernelTables
+from repro.uarch.compiled.emit import PT
+from repro.uarch.compiled.marshal import KernelState, KernelTables, address_of
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
 from repro.uarch.inflight import TIMING_COLUMNS, TimingColumns
@@ -311,38 +314,89 @@ def test_an_image_from_one_workload_fits_another(reno, timing):
     image = fresh.FreshImage(
         fresh_marshal_in(*first, machine, reno, timing), first[2])
     assert image.timing is timing
-    sc, arrays, pool = image.buffers(second[2])
+    sc, arena, arrays, pool, pointers = image.buffers(second[2])
     expected = fresh_marshal_in(*second, machine, reno, timing)
     assert sc.tobytes() == expected.sc.tobytes()
-    assert sorted(arrays) == sorted(expected.arr)
+    # Every member lives in exactly one place: the arena, the trace's
+    # shared columns or the cell's own arrays (the violation log, the page
+    # pool and a timed cell's outputs).
+    shared = second[2].kernel.arrays
+    assert sorted([*image.layout, *shared, *arrays]) == sorted(expected.arr)
     for name, column in expected.arr.items():
-        assert bytes(arrays[name]) == bytes(column), name
+        if name in image.layout:
+            member = image.view(arena, name)
+        else:
+            member = arrays[name] if name in arrays else shared[name]
+        assert bytes(member) == bytes(column), name
+        assert pointers[PT[name]] == address_of(member), name
+    assert len(arena) == image.size
     assert pool.buffer == expected.pool.buffer
-    # The image keeps none of the trace's own values.
-    owned = {name for name, _ in image.arrays} & {
-        *second[2].kernel.arrays, *pool.arrays, "VIO_LOG"}
-    assert not owned
     # A timed image leaves the trace-sized timing columns to the cell.
     outputs = set(TIMING_COLUMNS.values())
-    kept = {name for name, _ in image.arrays} & outputs
+    kept = set(image.layout) & outputs
     assert kept == (set() if timing else outputs)
     assert len(image.scalars) == len(sc)
 
 
 @needs_compiled
 def test_images_are_compact():
-    program, functional, tables = block("micro_addi_chain")
+    program, functional, tables = block("gzip_like")
     backend = get_backend("compiled")
-    machine, reno = MachineConfig.default_4wide(), RenoConfig.reno_default()
-    image = fresh.FreshImage(backend._marshal_fresh(
-        program, functional.trace, tables, machine, reno, False, False),
-        tables)
-    copies = [name for name, column in image.arrays
-              if not isinstance(column, tuple)]
+    spec = get_experiment("fig8").build_spec("specint", None, 1)
+    kept = single_valued = 0
+    for _, machine in spec.machines:
+        for _, reno in spec.renos:
+            state = backend._marshal_fresh(program, functional.trace, tables,
+                                           machine, reno, False, False)
+            image = fresh.FreshImage(state, tables)
+            copied = image.size - len(image.tail)
+            for name, (_, offset, length) in image.layout.items():
+                column = state.arr[name]
+                uniform = column.count(column[0]) == len(column)
+                # Arrays of one value come first; only the others are
+                # copied, into the tail.
+                assert uniform is (offset < copied), name
+                single_valued += uniform
+            # One run per value: the zeros need none, and no two runs
+            # hold the same pattern.
+            patterns = [pattern for _, _, pattern in image.fills]
+            assert len(set(patterns)) == len(patterns)
+            assert bytes(8) not in patterns
+            assert sum(length for _, length, _ in image.fills) < copied
+            kept += len(image.tail) + 8 * len(image.fills)
     # The wakeup ring, the waiter chains and most tables hold one value.
-    assert {"WK_CYCLE", "WT_HEAD", "SSIT"}.isdisjoint(copies)
-    assert {"PRF_VAL", "NODE_NEXT"} <= set(copies)
-    assert len(copies) < len(image.arrays) // 4
+    assert {"WK_CYCLE", "WT_HEAD", "SSIT"}.isdisjoint(
+        name for name, (_, offset, _) in image.layout.items()
+        if offset >= copied)
+    # Before the arena, the four fig8 images copied 27,648 bytes of arrays
+    # and kept at least one 8-byte value per single-valued array.
+    assert kept <= 27_648 + 8 * single_valued
+
+
+@needs_compiled
+def test_a_timed_cells_columns_lie_outside_its_arena(monkeypatch):
+    program, functional, tables = block("micro_call_spill")
+    arenas = []
+    buffers = fresh.FreshImage.buffers
+
+    def recorded(image, cell_tables):
+        cell = buffers(image, cell_tables)
+        arenas.append(cell[1])
+        return cell
+
+    monkeypatch.setattr(fresh.FreshImage, "buffers", recorded)
+    result = get_backend("compiled").run_fresh(
+        program, functional.trace, tables, MachineConfig.default_4wide(),
+        RenoConfig.reno_default(), collect_timing=True)
+    [arena] = arenas
+    low = address_of(arena)
+    high = low + len(arena)
+    for name in TIMING_COLUMNS:
+        start, length = result.timing_records.column(name).buffer_info()
+        assert start + 8 * length <= low or start >= high, name
+    # Nothing the result holds keeps the arena alive: only the list, this
+    # name and the call's argument refer to it.
+    assert sys.getrefcount(arena) == 3
 
 
 def test_a_kernel_error_raises_the_python_exception():
