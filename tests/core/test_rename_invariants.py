@@ -17,7 +17,6 @@ generators, so every case is reproducible from its seed.
 """
 
 import dataclasses
-import random
 
 import pytest
 
@@ -25,14 +24,10 @@ from repro.core import RenoConfig, RenoRenamer
 from repro.core.refcount import ReferenceCountError
 from repro.core.simulator import simulate
 from repro.functional.simulator import FunctionalSimulator
-from repro.isa.assembler import Assembler
 from repro.isa.registers import NUM_LOGICAL_REGS
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
-
-#: General-purpose registers the generator may use as sources/destinations
-#: (temporaries + callee-saved + argument registers; avoids sp/gp/ra/zero).
-USABLE_REGS = list(range(0, 26))
+from tests.uarch.test_scheduler_equivalence import random_program
 
 SEEDS = [7, 23, 101, 481, 1105, 2821]
 
@@ -44,36 +39,14 @@ CONFIGS = {
 }
 
 
-def random_program(seed: int, length: int = 300) -> Assembler:
-    """A random straight-line kernel exercising every elimination idiom."""
-    rng = random.Random(seed)
-    asm = Assembler(f"random_{seed}")
-    asm.word_array("data", [rng.randrange(0, 1 << 16) for _ in range(32)])
-    asm.la(26, "data")                     # base pointer in ra's slot (usable)
-    for reg in USABLE_REGS[:8]:
-        asm.li(reg, rng.randrange(0, 1 << 12))
-    for _ in range(length):
-        choice = rng.random()
-        rd = rng.choice(USABLE_REGS)
-        rs = rng.choice(USABLE_REGS)
-        if choice < 0.20:
-            asm.mov(rd, rs)
-        elif choice < 0.45:
-            asm.addi(rd, rs, rng.randrange(0, 256))
-        elif choice < 0.55:
-            asm.subi(rd, rs, rng.randrange(0, 256))
-        elif choice < 0.70:
-            asm.add(rd, rs, rng.choice(USABLE_REGS))
-        elif choice < 0.85:
-            asm.ld(rd, 8 * rng.randrange(0, 32), 26)
-        else:
-            asm.st(rs, 8 * rng.randrange(0, 32), 26)
-    asm.halt()
-    return asm
+def straight_line_program(seed: int):
+    """A random straight-line kernel of the shared generator, exercising
+    every elimination idiom."""
+    return random_program(seed, length=300, loop=False).assemble()
 
 
 def trace_for(seed: int):
-    return FunctionalSimulator(random_program(seed).assemble()).run().trace
+    return FunctionalSimulator(straight_line_program(seed)).run().trace
 
 
 def commit(renamer, result) -> None:
@@ -101,7 +74,7 @@ def rename_with_rob_window(renamer: RenoRenamer, trace, group_size=4, window=16)
 def rename_in_pipeline(renamer: RenoRenamer, seed: int, machine: MachineConfig):
     """Run the whole program through ``Pipeline.run()`` on the python cycle
     loop, so rename and commit take the pipeline's own renamer calls."""
-    program = random_program(seed).assemble()
+    program = straight_line_program(seed)
     trace = FunctionalSimulator(program).run().trace
     pipeline = Pipeline(program, trace, machine, renamer=renamer,
                         backend="python")
@@ -195,7 +168,7 @@ def test_architectural_state_preserved_end_to_end(seed, config_name):
     from the (shared) physical registers and map-table displacements and
     compares it against the functional simulator — the end-to-end proof that
     no RENO transformation corrupted a value."""
-    program = random_program(seed).assemble()
+    program = straight_line_program(seed)
     outcome = simulate(program, MachineConfig.default_4wide(),
                        CONFIGS[config_name], verify=True)
     assert outcome.stats.committed == outcome.functional.dynamic_count

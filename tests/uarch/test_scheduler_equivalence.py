@@ -19,6 +19,9 @@ twenty seeds and three machines, the python loop, a sliced run handed
 between backends through pickled snapshots at random cycles, a fresh
 compiled cell and that cell's store-payload round trip must give equal
 :class:`~repro.uarch.inflight.TimingColumns` and equal critical paths.
+:func:`random_program` is the repository's one random-program generator:
+the rename invariants, the functional C-vs-python test and the route fuzzer
+(``test_fuzz_routes.py``, with ``rich=True``) draw their programs from it.
 
 Seeds come from ``random.Random``, so every case is reproducible without a
 hypothesis dependency.
@@ -159,19 +162,58 @@ class ReferenceIssueQueue(IssueQueue):
 # ---------------------------------------------------------------------------
 
 
-def random_program(seed: int, length: int = 240) -> Assembler:
-    """A random kernel with ALU ops, moves, folds, loads, stores and loops."""
+#: Registers a ``rich`` program keeps out of the random body: INT64_MIN and
+#: -1 (the overflowing division's operands) and the data base pointer, which
+#: moves off ``ra`` so that calls can link through it.
+INT64_MIN_REG, MINUS_ONE_REG, RICH_BASE_REG = 24, 28, 27
+
+#: Register-immediate ops of a rich program's repeated op/immediate pairs.
+_PAIR_OPS = ("addi", "subi", "xori", "andi", "slli", "muli", "cmplti")
+
+#: Register-register ops a rich program draws besides add, mul and div.
+_RR_OPS = ("sub", "and_", "or_", "xor", "sll", "srl", "sra", "cmpeq",
+           "cmplt", "cmple", "cmpult")
+
+
+def random_program(seed: int, length: int = 240, *, loop: bool = True,
+                   rich: bool = False) -> Assembler:
+    """A random kernel with ALU ops, moves, folds, loads, stores and loops.
+
+    ``loop=False`` leaves the body straight-line, run once.  ``rich=True``
+    (the differential fuzz programs) also draws nested calls and returns
+    (three levels of ``jsr``/``ret``, so the return stack nests), byte,
+    word and quad loads and stores over overlapping addresses (store to
+    load aliasing and store-set training), repeated op/immediate pairs and
+    repeated loads (integration-table hits, set conflicts and entries
+    invalidated when their registers are freed), add-immediate chains that
+    overflow RENO's displacement field, division by zero and
+    ``INT64_MIN / -1``, other register-register ALU ops, and forward
+    branches.  Without it, the instruction stream of a seed is the one the
+    equivalence tests were written against.
+    """
     rng = random.Random(seed)
     asm = Assembler(f"sched_equiv_{seed}")
     asm.word_array("data", [rng.randrange(0, 1 << 16) for _ in range(32)])
-    asm.la(BASE_REG, "data")
+    base = RICH_BASE_REG if rich else BASE_REG
+    asm.la(base, "data")
     for reg in USABLE_REGS[:8]:
         asm.li(reg, rng.randrange(0, 1 << 12))
+    if rich:
+        asm.li(INT64_MIN_REG, 1)
+        asm.slli(INT64_MIN_REG, INT64_MIN_REG, 63)
+        asm.li(MINUS_ONE_REG, -1)
+        pairs = [(rng.choice(_PAIR_OPS), rng.randrange(1, 64))
+                 for _ in range(6)]
+        body = _RichBody(asm, rng, base, pairs)
     # A short counted loop wrapped around a random body exercises branches,
     # the front-end stall machinery and repeated wakeups on the same pregs.
-    asm.li(25, rng.randrange(2, 5))
-    asm.label("loop")
+    if loop:
+        asm.li(25, rng.randrange(2, 5))
+        asm.label("loop")
     for _ in range(length):
+        if rich:
+            body.emit_one(top_level=True)
+            continue
         choice = rng.random()
         rd = rng.choice(USABLE_REGS)
         rs = rng.choice(USABLE_REGS)
@@ -186,13 +228,95 @@ def random_program(seed: int, length: int = 240) -> Assembler:
         elif choice < 0.70:
             asm.mul(rd, rs, rng.choice(USABLE_REGS))
         elif choice < 0.85:
-            asm.ld(rd, 8 * rng.randrange(0, 32), BASE_REG)
+            asm.ld(rd, 8 * rng.randrange(0, 32), base)
         else:
-            asm.st(rs, 8 * rng.randrange(0, 32), BASE_REG)
-    asm.subi(25, 25, 1)
-    asm.bne(25, "loop")
+            asm.st(rs, 8 * rng.randrange(0, 32), base)
+    if loop:
+        asm.subi(25, 25, 1)
+        asm.bne(25, "loop")
     asm.halt()
+    if rich:
+        body.emit_functions()
     return asm
+
+
+class _RichBody:
+    """The instruction mix of a ``rich`` :func:`random_program`."""
+
+    #: Subroutines: ``fn0`` calls ``fn1``, which calls the leaf ``fn2``.
+    FUNCTIONS = 3
+
+    def __init__(self, asm, rng, base, pairs):
+        self.asm, self.rng, self.base, self.pairs = asm, rng, base, pairs
+        self.labels = 0
+
+    def emit_one(self, top_level: bool) -> None:
+        """One random instruction, or one short idiom; calls and forward
+        branches only at the top level."""
+        asm, rng = self.asm, self.rng
+        rd, rs = rng.choice(USABLE_REGS), rng.choice(USABLE_REGS)
+        choice = rng.random()
+        if choice < 0.12:
+            asm.mov(rd, rs)
+        elif choice < 0.24:
+            asm.addi(rd, rs, rng.randrange(0, 256))
+        elif choice < 0.28:
+            asm.subi(rd, rs, rng.randrange(0, 256))
+        elif choice < 0.34:
+            asm.add(rd, rs, rng.choice(USABLE_REGS))
+        elif choice < 0.37:
+            asm.mul(rd, rs, rng.choice(USABLE_REGS))
+        elif choice < 0.41:
+            divisor = rng.choice((*USABLE_REGS[:4], 31, MINUS_ONE_REG))
+            dividend = INT64_MIN_REG if rng.random() < 0.5 else rs
+            asm.div(rd, dividend, divisor)
+        elif choice < 0.46:
+            getattr(asm, rng.choice(_RR_OPS))(rd, rs, rng.choice(USABLE_REGS))
+        elif choice < 0.54:
+            # A repeated op/immediate pair over a few sources.
+            op, imm = rng.choice(self.pairs)
+            getattr(asm, op)(rd, rng.choice(USABLE_REGS[:4]), imm)
+        elif choice < 0.66:
+            width = rng.choice((8, 4, 1))
+            load = {8: asm.ld, 4: asm.ldw, 1: asm.ldbu}[width]
+            load(rd, width * rng.randrange(0, 256 // width), self.base)
+        elif choice < 0.76:
+            width = rng.choice((8, 4, 1))
+            store = {8: asm.st, 4: asm.stw, 1: asm.stb}[width]
+            store(rs, width * rng.randrange(0, 256 // width), self.base)
+        elif choice < 0.81:
+            # An add-immediate chain whose displacement outgrows 16 bits.
+            for _ in range(rng.randrange(2, 5)):
+                asm.addi(rd, rd, rng.randrange(16_000, 32_768))
+        elif choice < 0.88 and top_level:
+            asm.jsr(f"fn{rng.randrange(self.FUNCTIONS)}")
+        elif choice < 0.96 and top_level:
+            self.labels += 1
+            label = f"skip{self.labels}"
+            branch = rng.choice((asm.beq, asm.bne, asm.blt, asm.bge))
+            branch(rs, label)
+            for _ in range(rng.randrange(1, 5)):
+                self.emit_one(top_level=False)
+            asm.label(label)
+        else:
+            asm.ld(rd, 8 * rng.randrange(0, 4), self.base)
+
+    def emit_functions(self) -> None:
+        """The subroutines: each saves ``ra`` in a stack frame, runs a few
+        random instructions and calls the next; the last is a leaf."""
+        asm = self.asm
+        for index in range(self.FUNCTIONS):
+            asm.label(f"fn{index}")
+            leaf = index == self.FUNCTIONS - 1
+            if not leaf:
+                asm.prologue(16)
+            for _ in range(self.rng.randrange(2, 6)):
+                self.emit_one(top_level=False)
+            if leaf:
+                asm.ret()
+            else:
+                asm.jsr(f"fn{index + 1}")
+                asm.epilogue(16)
 
 
 def run_pipeline(program, trace, machine, reno, reference: bool):
