@@ -1,13 +1,11 @@
-"""The `repro.api` facade end to end: jobs, coalescing, checkpointed slices.
+"""The `repro.api` facade end to end: jobs, coalescing and HTTP.
 
-Demonstrates the three pieces of the public API:
+Demonstrates two pieces of the public API:
 
 1. a ``Session`` running experiment jobs with per-cell progress and
-   content-addressed coalescing of identical submissions,
+   content-addressed coalescing of identical submissions, and
 2. the same session driven over HTTP through an in-process
-   ``repro serve`` server (what ``python -m repro serve`` runs), and
-3. incremental simulation: a pipeline advanced in bounded cycle slices
-   with a disk checkpoint, finishing byte-identical to a one-shot run.
+   ``repro serve`` server (what ``python -m repro serve`` runs).
 
 Run with:  python examples/service_session.py
 """
@@ -17,11 +15,7 @@ import tempfile
 import threading
 import urllib.request
 
-from repro.api import ExperimentRequest, Session, make_server, run_sliced
-from repro.functional.simulator import FunctionalSimulator
-from repro.uarch.config import MachineConfig
-from repro.uarch.core import Pipeline
-from repro.workloads.base import get_workload
+from repro.api import ExperimentRequest, Session, make_server
 
 WORKLOADS = ["gzip_like", "vortex_like"]
 
@@ -57,20 +51,6 @@ def main():
               f"{status['cells_cached']}/{status['cells_total']} cells from cache")
         server.shutdown()
         server.server_close()
-
-    print("\n== 3. Checkpointed incremental simulation ==")
-    program = get_workload("mcf_like").build(1)
-    trace = FunctionalSimulator(program).run().trace
-    one_shot = Pipeline(program, trace, MachineConfig.default_4wide()).run()
-    sliced = run_sliced(
-        Pipeline(program, trace, MachineConfig.default_4wide()),
-        slice_cycles=500,
-        checkpoint_path=f"{cache_dir}/mcf.ckpt",
-        on_slice=lambda p, r: print(
-            f"  slice -> cycle {r.stats.cycles}, "
-            f"{r.stats.committed}/{len(trace)} retired"),
-    )
-    print("sliced == one-shot:", sliced.stats == one_shot.stats)
 
 
 if __name__ == "__main__":

@@ -107,8 +107,7 @@ class CycleLoopProbe:
             probe.instructions += result.stats.committed
             return result
 
-        uarch_core.Pipeline.run = (
-            lambda pipeline, max_cycles=None: timed(run, pipeline, max_cycles))
+        uarch_core.Pipeline.run = lambda pipeline: timed(run, pipeline)
         CompiledBackend.run_fresh = (
             lambda backend, *args: timed(run_fresh, backend, *args))
         return self

@@ -13,7 +13,7 @@ The package is organised as:
   figures (declarative sweep specs, a registry, pluggable executors),
 * :mod:`repro.api` — the stable public surface: the ``Session``/``Job``
   facade, the versioned wire schema, the ``repro serve`` HTTP service and
-  checkpointable incremental simulation,
+  the worker fleet,
 * :mod:`repro.cli` — the unified ``python -m repro`` command line
   (``run`` / ``list`` / ``cache`` / ``serve`` / ``submit`` / ``status``).
 """

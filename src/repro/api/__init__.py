@@ -1,7 +1,7 @@
 """``repro.api`` — the stable public API of the reproduction.
 
 This package is the supported integration surface; everything else is
-library internals that may change between versions.  It has four pieces:
+library internals that may change between versions.  Its pieces:
 
 * :class:`~repro.api.session.Session` / :class:`~repro.api.session.Job` —
   the submission facade: ``submit(request) -> Job`` with progress
@@ -13,9 +13,6 @@ library internals that may change between versions.  It has four pieces:
 * The HTTP front-end behind ``python -m repro serve``
   (:mod:`repro.api.service`), on the HTTP layer it shares with the fleet
   broker and ``repro store-serve`` (:mod:`repro.api.http`).
-* Incremental simulation — time-sliced, checkpointable pipeline runs
-  (:mod:`repro.api.checkpoint`, re-exporting
-  :class:`~repro.uarch.snapshot.PipelineSnapshot`).
 * The distributed worker fleet — a lease broker plus ``python -m repro
   worker`` pullers executing experiment grids across processes with
   byte-identical results (:mod:`repro.api.fleet`, :mod:`repro.api.worker`;
@@ -50,8 +47,6 @@ _EXPORTS = {
     "repro.api.session": ("Session", "Job", "JobCancelled", "JobFailed",
                           "default_session"),
     "repro.api.service": ("serve", "make_server"),
-    "repro.api.checkpoint": ("run_sliced", "resume_sliced"),
-    "repro.uarch.snapshot": ("PipelineSnapshot", "SnapshotError"),
     "repro.api.fleet": ("FleetBroker", "FleetServer", "FleetExecutor",
                         "FleetError", "FleetSaturated", "FleetStalled",
                         "FleetTaskError", "WorkerRejected",

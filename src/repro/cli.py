@@ -41,8 +41,8 @@ Six subcommands cover the whole harness without writing Python:
   — fetch one job's status/report from a running server.
 * ``python -m repro lint [paths] [--rule R] [--json [PATH]]
   [--update-baseline [--force]]`` — run the AST-based invariant linter
-  (:mod:`repro.lint`): determinism, lock discipline, wire-schema freeze,
-  snapshot coverage, plus the docs/docstring gates.  Exits 1 on findings;
+  (:mod:`repro.lint`): determinism, lock discipline, wire-schema and
+  store-schema freeze, plus the docs/docstring gates.  Exits 1 on findings;
   see ``docs/linting.md``.
 
 Caching follows the library defaults: enabled when ``$REPRO_STORE`` or

@@ -1,6 +1,6 @@
 """``repro.lint`` — the AST-based invariant linter.
 
-A plugin-style static-analysis framework enforcing the repo's four
+A plugin-style static-analysis framework enforcing the repo's
 correctness invariants *as a class*, before any test runs:
 
 * ``determinism`` — no builtin ``hash()``, wall-clock or RNG reads in
@@ -11,8 +11,6 @@ correctness invariants *as a class*, before any test runs:
 * ``schema-freeze`` — additive-only wire-schema evolution against the
   committed ``scripts/schema_baseline.json``
   (:mod:`repro.lint.schema_freeze`);
-* ``snapshot-coverage`` — every mutable ``__init__`` attribute is
-  snapshotted or explicitly exempt (:mod:`repro.lint.snapshot`);
 * ``store-schema`` — the result-store wire contract and auth constants
   are frozen against the baseline's ``"store"`` section
   (:mod:`repro.lint.store_schema`);

@@ -5,8 +5,7 @@ enforces one repository invariant (rule) and yields structured
 :class:`Finding` records.  Two checker scopes exist:
 
 * **file** checkers receive one parsed :class:`FileContext` per Python
-  file and inspect its AST (determinism, lock discipline, snapshot
-  coverage);
+  file and inspect its AST (determinism, lock discipline);
 * **project** checkers run once per lint invocation against the repo root
   (schema freeze against the committed baseline, docstring coverage,
   markdown docs).

@@ -26,7 +26,6 @@ import repro.lint.docs          # noqa: F401  (registration import)
 import repro.lint.docstrings    # noqa: F401  (registration import)
 import repro.lint.locks         # noqa: F401  (registration import)
 import repro.lint.schema_freeze # noqa: F401  (registration import)
-import repro.lint.snapshot      # noqa: F401  (registration import)
 import repro.lint.store_schema  # noqa: F401  (registration import)
 from repro.lint.base import (
     LINT_SCHEMA_VERSION,

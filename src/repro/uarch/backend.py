@@ -1,12 +1,12 @@
 """Pluggable cycle-loop backends.
 
-A backend runs a whole cell (:meth:`CycleLoopBackend.run_fresh`, what
-:func:`repro.core.simulator.simulate` calls) and each slice of a live
-:class:`~repro.uarch.core.Pipeline` (:meth:`CycleLoopBackend.run_cycles`).
-Two backends ship with the repo:
+A backend runs whole cells (:meth:`CycleLoopBackend.run_fresh`, what
+:func:`repro.core.simulator.simulate` calls): a simulation is never cut
+short and resumed.  Two backends ship with the repo:
 
 * ``python`` — the reference implementation, the inlined interpreter-style
-  loop in :meth:`repro.uarch.core.Pipeline._run_cycles`, always available.
+  loop in :meth:`repro.uarch.core.Pipeline._run_cycles`, always available;
+  ``Pipeline.run()`` runs it.
 * ``compiled`` — a generated-C kernel over the same structure-of-arrays
   state (:mod:`repro.uarch.compiled`), compiled on first use with the
   system C compiler; a whole cell runs in the kernel with no pipeline,
@@ -14,12 +14,9 @@ Two backends ship with the repo:
   :mod:`repro.uarch.compiled.backend`).
 
 Backends are cycle-exact by contract: for any (program, trace, config,
-renamer) the statistics, final architectural registers, occupancy
-histograms and the results of any sliced/snapshotted continuation must be
-identical whichever backend ran the cycles, including across a mid-run
-switch.  (Internal container *layout* with no behavioural meaning — e.g.
-which valid binary-heap ordering the wakeup heap happens to be in — may
-differ; everything observable may not.)  The equivalence property tests in
+renamer) the statistics, final architectural registers, timing records
+and occupancy histograms must be identical whichever backend ran the
+cell.  The differential tests in ``tests/uarch/test_fuzz_routes.py`` and
 ``tests/uarch/test_backends.py`` enforce this.
 
 Selection order: an explicit ``backend=`` argument (CLI ``--backend``,
@@ -49,13 +46,11 @@ DEFAULT_BACKEND = "python"
 class CycleLoopBackend:
     """Interface for cycle-loop implementations.
 
-    A backend runs slices of the simulation loop over a live
-    :class:`~repro.uarch.core.Pipeline`'s mutable state (the
-    :class:`~repro.uarch.inflight.InFlightWindow`, scheduler, renamer,
-    memory system and statistics).  It must honor ``stop_cycle`` slice
-    boundaries, leave every piece of snapshot-covered state exactly as the
-    reference loop would, and keep the opt-in observability probes
-    (``record_stats`` histograms, timeline rows) identical.
+    A backend runs whole cells (:meth:`run_fresh`), and its
+    :meth:`run_cycles` is what ``Pipeline.run()`` calls on a pipeline
+    built with it.  Results, the opt-in observability probes
+    (``record_stats`` histograms, timing records) included, must be the
+    reference loop's.
 
     Attributes:
         name: Lookup key and user-facing selector for this backend.
@@ -68,16 +63,6 @@ class CycleLoopBackend:
 
         Called once per resolution; an unavailable backend resolves to
         ``python`` silently.  The base implementation says yes.
-        """
-        return True
-
-    def supports(self, pipeline: "Pipeline") -> bool:
-        """Whether this backend can run *this* pipeline's cycles.
-
-        Checked per :meth:`run_cycles` call by backends with partial
-        feature coverage; a backend that answers False for a pipeline must
-        delegate that pipeline's slices to the ``python`` reference.  The
-        base implementation supports everything.
         """
         return True
 
@@ -103,22 +88,12 @@ class CycleLoopBackend:
         return self.fresh_pipeline(program, trace, tables, machine, reno,
                                    collect_timing, record_stats).run()
 
-    def prepare(self, pipeline: "Pipeline") -> None:
-        """Per-pipeline hook, called from ``Pipeline.__init__`` and again
-        from ``Pipeline.restore`` (which replaces the components, the
-        renamer included) to build per-pipeline state before the next
-        slice.  The base implementation does nothing."""
-
-    def run_cycles(self, pipeline: "Pipeline", stop_cycle: int | None) -> None:
-        """Run the cycle loop until the trace retires or ``stop_cycle``.
-
-        Semantics are exactly those of
-        :meth:`repro.uarch.core.Pipeline._run_cycles`: simulate whole
-        cycles, cut the slice only at the top of a cycle once
-        ``cycle >= stop_cycle``, mirror all cursors back onto the pipeline,
-        and raise the same errors (``RuntimeError`` past ``max_cycles``,
-        :class:`~repro.uarch.core.CommitMismatchError` on a value check).
-        """
+    def run_cycles(self, pipeline: "Pipeline") -> None:
+        """Run a live pipeline's cycle loop until its trace retires, with
+        the semantics and errors of
+        :meth:`repro.uarch.core.Pipeline._run_cycles` (``RuntimeError``
+        past ``max_cycles``, :class:`~repro.uarch.core.CommitMismatchError`
+        on a value check)."""
         raise NotImplementedError
 
 
@@ -129,9 +104,9 @@ class PythonBackend(CycleLoopBackend):
 
     name = "python"
 
-    def run_cycles(self, pipeline: "Pipeline", stop_cycle: int | None) -> None:
+    def run_cycles(self, pipeline: "Pipeline") -> None:
         """Delegate to the pipeline's own interpreter loop."""
-        pipeline._run_cycles(stop_cycle)
+        pipeline._run_cycles()
 
 
 _BACKENDS: "dict[str, CycleLoopBackend] | None" = None

@@ -27,7 +27,7 @@ Neither entry mutates Python state or allocates: every buffer is provided
 by :mod:`repro.uarch.compiled.marshal` or
 :mod:`repro.uarch.compiled.functional`.  On any error ``repro_run``
 returns a nonzero code *without* side effects visible to Python, so the
-backend can replay the slice through the reference loop to reproduce the
+backend can replay the cell through the reference loop to reproduce the
 exact Python behaviour (including exception messages).
 ``repro_functional`` is resumable instead: it returns :data:`FN_NEED_PAGE`
 or :data:`FN_FULL` when the page pool or the columns must grow, and the
@@ -90,12 +90,12 @@ FK_HALT = 8
 #: Scalar block layout (``int64_t *sc``).  Three groups: static geometry
 #: and configuration, loop cursors (read and written), and statistics
 #: (D_* are deltas seeded with zero, the rest absolute values seeded from
-#: the live objects and written back on success).
+#: a fresh pipeline's objects and read out on success).
 SCALARS: tuple[str, ...] = (
     # -- geometry / static configuration ------------------------------
     "TOTAL", "WSIZE", "WMASK", "NUM_PREGS", "COMMIT_WIDTH", "RENAME_WIDTH",
     "RETIRE_PORTS", "TAKEN_LIMIT", "SCHED_LAT", "FE_DEPTH", "VIO_PENALTY",
-    "MAX_CYCLES", "STOP", "MODE", "RECORD_STATS", "TIMING", "FB_SHIFT",
+    "MAX_CYCLES", "MODE", "RECORD_STATS", "TIMING", "FB_SHIFT",
     "TOTAL_ISSUE", "W_INT", "W_LOAD", "W_STORE", "W_FP",
     "IQ_CAP", "SQ_CAP", "LQ_CAP", "RSTRIDE",
     "L1I_SETS", "L1I_ASSOC", "L1I_LAT", "L1I_BSHIFT",
@@ -1143,16 +1143,16 @@ static i64 sq_find(Ctx *c, i64 seq) {
 
 /* ---------------- the cycle loop ---------------- */
 
-/* Cycle-exact port of Pipeline._run_cycles.  Returns 0 on success with
- * the cursor/stat scalars updated; any nonzero return leaves no
- * Python-visible state change (the backend replays the slice). */
+/* Cycle-exact port of Pipeline._run_cycles, run over a whole cell.
+ * Returns 0 on success with the cursor/stat scalars updated; any nonzero
+ * return leaves no Python-visible state change (the backend replays the
+ * cell). */
 __attribute__((visibility("default")))
 i64 repro_run(i64 *sc_blk, i64 **pt_blk, uint8_t *pages_blk) {
     Ctx ctx = { sc_blk, pt_blk, pages_blk };
     Ctx *c = &ctx;
     const i64 total = SC(TOTAL);
     const i64 wmask = SC(WMASK);
-    const i64 stop = SC(STOP);
     const i64 max_cycles = SC(MAX_CYCLES);
     const int reno = (int)SC(MODE);
     const int record = (int)SC(RECORD_STATS);
@@ -1168,7 +1168,6 @@ i64 repro_run(i64 *sc_blk, i64 **pt_blk, uint8_t *pages_blk) {
 
     while (committed < total) {
         if (cycle >= max_cycles) return ERR_MAX_CYCLES;
-        if (cycle >= stop) break;
 
         /* ---------------- Commit ---------------- */
         i64 slot = committed & wmask;
@@ -1783,7 +1782,6 @@ _KERNEL += r"""
         }
         i64 head_ready = P(W_COMPLETE)[committed & wmask] + 1;
         if (head_ready < tgt) tgt = head_ready;
-        if (tgt > stop) tgt = stop;
         if (tgt <= cycle) continue;
         if (tgt > max_cycles) tgt = max_cycles;
         if (fetching) SC(D_FETCH_STALLS) += tgt - cycle;

@@ -1,7 +1,7 @@
 """Fresh cells: a whole cell in the kernel, with no pipeline.
 
-A cell that runs to completion in one call (no slice boundary, no
-snapshot) starts from the state a freshly constructed
+Every compiled cell runs to completion in one kernel call, starting
+from the state a freshly constructed
 :class:`~repro.uarch.core.Pipeline` holds.  Apart from a few values its
 trace owns, that state depends only on the machine and RENO
 configurations and on its two switches (timing records, occupancy),
@@ -59,10 +59,7 @@ from repro.uarch.stats import SimStats
 IMAGE_SLOTS = 64
 
 #: Scalars a cell's trace owns: zero in an image, written per cell.
-_TRACE_SCALARS = ("TOTAL", "VIO_CAP", "NPOOL", "PH_MASK", "STOP")
-
-#: ``STOP`` of a cell that runs to completion.
-_NO_STOP = 1 << 62
+_TRACE_SCALARS = ("TOTAL", "VIO_CAP", "NPOOL", "PH_MASK")
 
 #: ``(SimStats attribute, scalar indices)``: after a fresh cell each
 #: attribute is the sum of its scalars.  Every counter started at zero, so
@@ -178,7 +175,6 @@ class FreshImage:
         sc[SC["VIO_CAP"]] = vio_cap
         sc[SC["NPOOL"]] = pool.count
         sc[SC["PH_MASK"]] = pool.mask
-        sc[SC["STOP"]] = _NO_STOP
         return sc, arena, arrays, pool, pointers
 
     def view(self, arena: bytearray, name: str) -> memoryview:

@@ -5,21 +5,17 @@ The static columns — the dynamic trace, the program's decoded-op tables
 and the per-opcode tables — are gathered once per trace into a
 :class:`KernelTables` that every pipeline replaying that trace shares
 (a trace from the compiled functional run already is columns).
-One :class:`KernelState` is built per pipeline (cached by the backend in a
-``WeakKeyDictionary``): it registers pointers to the shared columns, writes
-the machine geometry and allocates every dynamic buffer once, so a
-``run_cycles`` call only copies the *live* simulation state in and out.
-
-The failure rule (:func:`kernel_failed`) rests on one contract:
-:meth:`KernelState.marshal_in` never mutates any Python object — it only
-reads the pipeline and writes the flat buffers — so a failed slice can
-be replayed on the python reference loop from the state the kernel
-started from.
+A :class:`KernelState` is built for a fresh pipeline when a cell's image
+is captured (:mod:`repro.uarch.compiled.fresh`): it registers pointers to
+the shared columns, writes the machine geometry, allocates every dynamic
+buffer and copies the pipeline's initial state in
+(:meth:`KernelState.marshal_in`, which never mutates the pipeline).
+Nothing is ever copied back: a cell's results are read out of its own
+buffers.
 
 The in-flight window holds only int columns, each with its kernel buffer
-named in :data:`~repro.uarch.inflight.WINDOW_COLUMNS`, so both directions
-copy it as plain arrays; a timed pipeline's records are copied out of the
-buffers :data:`~repro.uarch.inflight.TIMING_COLUMNS` names.
+named in :data:`~repro.uarch.inflight.WINDOW_COLUMNS`, so marshal-in
+copies it as plain arrays.
 """
 
 from __future__ import annotations
@@ -29,15 +25,11 @@ import functools
 from array import array
 from itertools import compress
 
-from repro.core.integration import IntegrationEntry
-from repro.core.maptable import Mapping
 from repro.functional.trace import trace_columns
-from repro.isa.instruction import DF_LOAD
 from repro.uarch.compiled import emit
 from repro.uarch.compiled.emit import PT, POINTERS, SC, SCALARS, VALUE_TO_ID
 from repro.uarch.compiled.pages import PagePool, fill_neg1, fill_zero
 from repro.uarch.inflight import TIMING_COLUMNS, WINDOW_COLUMNS
-from repro.uarch.lsq import StoreQueueEntry
 
 #: RN_* scalar names, index-aligned with :data:`_RN_STAT_KEYS`.
 _RN_SCALARS = (
@@ -49,12 +41,11 @@ _RN_SCALARS = (
 #: Wakeup-ring size exponent.  The ring must give every outstanding wakeup
 #: cycle a distinct slot; pending ready cycles span at most one load's
 #: latency (far below 2**13 on the paper's machines), and a collision
-#: raises :class:`KernelError` (at marshal-in, or after ERR_INTERNAL).
+#: makes the kernel return ERR_INTERNAL (a :class:`KernelError`).
 _WK_BITS = 13
 
 #: IntegrationEntry.origin encodings (index == kernel id).
-_ORIGINS = ("load", "store", "alu")
-_ORIGIN_IDS = {name: i for i, name in enumerate(_ORIGINS)}
+_ORIGIN_IDS = {name: i for i, name in enumerate(("load", "store", "alu"))}
 
 #: RenoRenamer.stats keys in the order of the RN_* scalar block.
 _RN_STAT_KEYS = (
@@ -62,18 +53,6 @@ _RN_STAT_KEYS = (
     "eliminated_ra", "overflow_cancellations",
     "dependent_elimination_blocks", "it_lookups", "it_hits",
     "it_insertions", "it_value_mismatches",
-)
-
-#: (scalar name, SimStats attribute) for the delta counters the python
-#: loop accumulates in locals and folds in via ``+=`` at flush time.
-_DELTA_STATS = (
-    ("D_ISSUED", "issued"), ("D_FETCHED", "fetched"),
-    ("D_FETCH_STALLS", "fetch_stall_cycles"),
-    ("D_PREGS_ALLOC", "pregs_allocated"), ("D_FUSED", "fused_operations"),
-    ("D_FUSE_PEN", "fusion_penalty_cycles"),
-    ("D_STORE_FWD", "store_forwards"), ("D_ELIM_MOVES", "eliminated_moves"),
-    ("D_ELIM_FOLDS", "eliminated_folds"), ("D_ELIM_CSE", "eliminated_cse"),
-    ("D_ELIM_RA", "eliminated_ra"),
 )
 
 #: (scalar name, SimStats attribute) for the absolute counters the loop
@@ -95,10 +74,9 @@ class MarshalError(Exception):
 
 
 class KernelError(Exception):
-    """A compiled cell or slice failed where the python loop does not: the
-    kernel returned a nonzero code on one the python loop finishes
-    (:func:`kernel_failed`), or a live state exceeded a capacity of the
-    flat buffers at marshal-in."""
+    """A compiled cell failed where the python loop does not: the kernel
+    returned a nonzero code on a cell the python loop finishes
+    (:func:`kernel_failed`)."""
 
 
 #: Kernel return code -> its ``ERR_*`` name.
@@ -108,10 +86,10 @@ _ERROR_NAMES = {getattr(emit, name): name for name in dir(emit)
 
 def kernel_failed(code: int, reference) -> None:
     """The failure rule for a nonzero kernel return ``code``: replay the
-    same slice or cell once on the python loop (``reference()``, from the
-    state the kernel started from), so a real simulation error (a
-    ``max_cycles`` overrun, a trace mismatch) raises the python loop's
-    own exception, and raise :class:`KernelError` if it finishes."""
+    same cell once on the python loop (``reference()``), so a real
+    simulation error (a ``max_cycles`` overrun, a trace mismatch) raises
+    the python loop's own exception, and raise :class:`KernelError` if it
+    finishes."""
     reference()
     raise KernelError(f"the kernel returned {_ERROR_NAMES.get(code)} ({code}) "
                       f"where the python reference loop finishes")
@@ -130,16 +108,6 @@ def address_of(column) -> int:
     if isinstance(column, array):
         return column.buffer_info()[0]
     return ctypes.addressof(ctypes.c_char.from_buffer(column))
-
-
-def _occupied(sets: list[list], lens: array) -> list[int]:
-    """Indices of the sets that hold ways in Python or in the buffers.
-
-    Marshal-out rebuilds only these: a set empty on both sides needs no
-    work, and one that is empty on just one side must still be rewritten.
-    """
-    indices = range(len(sets))
-    return sorted({*compress(indices, sets), *compress(indices, lens)})
 
 
 @functools.cache
@@ -249,7 +217,7 @@ class KernelTables:
 
 
 class KernelState:
-    """Flat ABI buffers for one pipeline over shared static columns.
+    """Flat ABI buffers for one fresh pipeline over shared static columns.
 
     Attributes:
         sc: The scalar block (``int64_t *sc``), indexed by :data:`emit.SC`.
@@ -479,27 +447,29 @@ class KernelState:
     # Marshal in (read-only with respect to the pipeline)
     # ------------------------------------------------------------------
 
-    def marshal_in(self, pipeline, stop_cycle) -> None:
-        """Copy the live simulation state into the flat buffers.
+    def marshal_in(self, pipeline) -> None:
+        """Copy a fresh pipeline's initial state into the flat buffers.
 
-        Never mutates the pipeline.  Raises :class:`KernelError` when the
-        state exceeds a capacity of the flat buffers.
+        Never mutates the pipeline.  Raises :class:`ValueError` for a
+        pipeline that has run: cells start at cycle 0 with nothing in
+        flight, and only the kernel ever advances one.
         """
+        iq = pipeline.issue_queue
+        if (pipeline._cycle or pipeline._fetch_index or iq._count
+                or iq._waiters or iq._wakeups or any(iq._ready)
+                or pipeline.store_queue.entries
+                or pipeline.load_queue.entries):
+            raise ValueError("marshal-in takes a fresh pipeline: cycle 0, "
+                             "nothing in flight and empty queues")
         sc = self.sc
         a = self.arr
         window = pipeline.window
-        iq = pipeline.issue_queue
 
         # -- cursors ---------------------------------------------------
-        sc[SC["CYCLE"]] = pipeline._cycle
-        sc[SC["COMMITTED"]] = pipeline._committed
-        sc[SC["FETCH_INDEX"]] = pipeline._fetch_index
         sc[SC["FETCH_RESUME"]] = pipeline._fetch_resume_cycle
         sc[SC["WAITING_BRANCH"]] = pipeline._waiting_branch
         sc[SC["LAST_FETCH_BLOCK"]] = pipeline._last_fetch_block
         sc[SC["STALL_REASON"]] = pipeline._fetch_stall_reason
-        sc[SC["STOP"]] = stop_cycle if stop_cycle is not None else 1 << 62
-        self._in_committed = pipeline._committed
 
         # -- window (structure of arrays) ------------------------------
         for column in self.window_columns:
@@ -510,84 +480,14 @@ class KernelState:
         a["PRF_VAL"][:] = array("Q", pipeline.prf.values)
         a["PRF_RDY"][:] = array("q", pipeline.prf.ready_cycle)
 
-        # -- scheduler: ready lists, waiter chains, wakeup ring --------
-        sc[SC["IQ_COUNT"]] = iq._count
-        sc[SC["IQ_READY_TOTAL"]] = iq._ready_total
-        rlen = a["RLEN"]
-        ready_flat = a["READY"]
-        for cls in range(4):
-            entries = iq._ready[cls]
-            if len(entries) > self.rstride:
-                raise KernelError("ready list exceeds its stride")
-            rlen[cls] = len(entries)
-            base = cls * self.rstride
-            ready_flat[base:base + len(entries)] = array("q", entries)
-
-        node_seq, node_next = a["NODE_SEQ"], a["NODE_NEXT"]
-        next_node = 0
-
-        def build_chain(seqs):
-            nonlocal next_node
-            head = next_node
-            last = -1
-            for seq in seqs:
-                if next_node >= self.node_cap:
-                    raise KernelError("waiter/wakeup node pool exhausted")
-                node_seq[next_node] = seq
-                if last >= 0:
-                    node_next[last] = next_node
-                last = next_node
-                next_node += 1
-            node_next[last] = -1
-            return head, last
-
+        # -- scheduler: no waiters or wakeups; every node is free -------
         fill_neg1(a["WT_HEAD"])
         fill_neg1(a["WT_TAIL"])
-        wt_head, wt_tail = a["WT_HEAD"], a["WT_TAIL"]
-        for preg, seqs in iq._waiters.items():
-            if not seqs:
-                continue
-            head, tail = build_chain(seqs)
-            wt_head[preg] = head
-            wt_tail[preg] = tail
-
         fill_neg1(a["WK_CYCLE"])
-        wk_cycle, wk_head, wk_tail = a["WK_CYCLE"], a["WK_HEAD"], a["WK_TAIL"]
-        for ready_cycle, seqs in iq._wakeups.items():
-            index = ready_cycle & self.wk_mask
-            if wk_cycle[index] != -1:
-                raise KernelError("wakeup-ring collision at marshal-in")
-            head, tail = build_chain(seqs)
-            wk_cycle[index] = ready_cycle
-            wk_head[index] = head
-            wk_tail[index] = tail
-        # Every heap entry owns a bucket and vice versa, so the sorted
-        # bucket keys *are* the heap contents in array form.
-        heap_cycles = sorted(iq._wakeups)
-        a["HEAP"][:len(heap_cycles)] = array("q", heap_cycles)
-        sc[SC["HEAP_LEN"]] = len(heap_cycles)
-        # Chain the unused nodes into the free list.
-        sc[SC["NODE_FREE"]] = next_node if next_node < self.node_cap else -1
-        for i in range(next_node, self.node_cap - 1):
-            node_next[i] = i + 1
-        if next_node < self.node_cap:
-            node_next[self.node_cap - 1] = -1
-
-        # -- store / load queues ---------------------------------------
-        entries = pipeline.store_queue.entries
-        sc[SC["SQ_HEAD"]] = 0
-        sc[SC["SQ_LEN"]] = len(entries)
-        for i, entry in enumerate(entries):
-            a["SQ_SEQ"][i] = entry.seq
-            a["SQ_PC"][i] = entry.pc
-            a["SQ_SIZE"][i] = entry.size
-            a["SQ_TADDR"][i] = entry.trace_addr
-            a["SQ_ADDR"][i] = 0 if entry.addr is None else entry.addr
-            a["SQ_AHAS"][i] = 0 if entry.addr is None else 1
-            a["SQ_VAL"][i] = 0 if entry.value is None else entry.value
-            a["SQ_EXEC"][i] = 1 if entry.executed else 0
-            a["SQ_COMP"][i] = entry.complete_cycle
-        sc[SC["LQ_LEN"]] = len(pipeline.load_queue.entries)
+        node_next = a["NODE_NEXT"]
+        node_next[:] = array("q", range(1, self.node_cap + 1))
+        node_next[self.node_cap - 1] = -1
+        sc[SC["NODE_FREE"]] = 0
 
         # -- renaming --------------------------------------------------
         self._marshal_in_rename(pipeline)
@@ -643,14 +543,11 @@ class KernelState:
             "q", (-1 if s is None else s for s in store_sets._ssit))
         sc[SC["SS_NEXT_ID"]] = store_sets._next_set_id
         sc[SC["SS_TRAINED"]] = store_sets.violations_trained
-        sc[SC["VIO_LEN"]] = 0
 
-        # -- statistics ------------------------------------------------
+        # -- statistics (the D_* deltas start at zero) -----------------
         stats = pipeline.stats
         for name, attr in _ABS_STATS:
             sc[SC[name]] = getattr(stats, attr)
-        for name, _attr in _DELTA_STATS:
-            sc[SC[name]] = 0
 
         # -- memory page pool ------------------------------------------
         self._marshal_in_pages(pipeline)
@@ -762,287 +659,17 @@ class KernelState:
         self.sc[SC["NPOOL"]] = pool.count
         self.sc[SC["PH_MASK"]] = pool.mask
 
-    # ------------------------------------------------------------------
-    # Marshal out (only after the kernel returns ERR_OK)
-    # ------------------------------------------------------------------
-
+    # Defined here only because perfbench/spans.py patches it by name.
     def marshal_out(self, pipeline) -> None:
-        """Copy the flat buffers back into the live simulation state.
-
-        Mirrors everything the python loop's exit path writes, including
-        the loop-exit mirror (cursors, issue-queue counters) and the
-        ``_flush_loop_stats`` / component-counter routing.
-        """
-        sc = self.sc
-        a = self.arr
-        window = pipeline.window
-        iq = pipeline.issue_queue
-
-        # -- cursors + loop-exit mirror --------------------------------
-        cycle = sc[SC["CYCLE"]]
-        committed = sc[SC["COMMITTED"]]
-        fetch_index = sc[SC["FETCH_INDEX"]]
-        pipeline._cycle = cycle
-        pipeline._committed = committed
-        pipeline._fetch_index = fetch_index
-        pipeline._fetch_resume_cycle = sc[SC["FETCH_RESUME"]]
-        pipeline._waiting_branch = sc[SC["WAITING_BRANCH"]]
-        pipeline._last_fetch_block = sc[SC["LAST_FETCH_BLOCK"]]
-        pipeline._fetch_stall_reason = sc[SC["STALL_REASON"]]
-        iq._count = sc[SC["IQ_COUNT"]]
-        iq._ready_total = sc[SC["IQ_READY_TOTAL"]]
-
-        # -- statistics ------------------------------------------------
-        stats = pipeline.stats
-        for name, attr in _DELTA_STATS:
-            setattr(stats, attr, getattr(stats, attr) + sc[SC[name]])
-        for name, attr in _ABS_STATS:
-            setattr(stats, attr, sc[SC[name]])
-        stats.cycles = cycle
-        stats.committed = committed
-
-        branch = pipeline.branch_unit
-        branch.conditional_branches = sc[SC["BR_COND"]]
-        branch.mispredictions = sc[SC["BR_MISPRED"]]
-        branch.btb_misses = sc[SC["BTB_MISSES"]]
-        branch.ras_mispredictions = sc[SC["RAS_MISPRED"]]
-        for short, cache, _cfg in self._cache_map(pipeline):
-            cache.hits = sc[SC[f"{short}_HITS"]]
-            cache.misses = sc[SC[f"{short}_MISSES"]]
-        store_sets = pipeline.store_sets
-        store_sets.violations_trained = sc[SC["SS_TRAINED"]]
-        store_sets._next_set_id = sc[SC["SS_NEXT_ID"]]
-
-        # -- window (structure of arrays) ------------------------------
-        for column in self.window_columns:
-            getattr(window, column.name)[:] = a[column.pointer].tolist()
-
-        # -- physical register file ------------------------------------
-        pipeline.prf.values[:] = a["PRF_VAL"].tolist()
-        pipeline.prf.ready_cycle[:] = a["PRF_RDY"].tolist()
-
-        # -- scheduler -------------------------------------------------
-        rlen, ready_flat = a["RLEN"], a["READY"]
-        for cls in range(4):
-            base = cls * self.rstride
-            iq._ready[cls][:] = ready_flat[base:base + rlen[cls]].tolist()
-        node_seq, node_next = a["NODE_SEQ"], a["NODE_NEXT"]
-
-        def read_chain(node):
-            seqs = []
-            while node >= 0:
-                seqs.append(node_seq[node])
-                node = node_next[node]
-            return seqs
-
-        waiters = iq._waiters  # pipeline._iq_waiters aliases this dict
-        waiters.clear()
-        wt_head = a["WT_HEAD"]
-        for preg in range(self.num_pregs):
-            node = wt_head[preg]
-            if node >= 0:
-                waiters[preg] = read_chain(node)
-        wakeups = iq._wakeups
-        wakeups.clear()
-        heap = a["HEAP"][:sc[SC["HEAP_LEN"]]].tolist()
-        wk_head = a["WK_HEAD"]
-        for ready_cycle in heap:
-            wakeups[ready_cycle] = read_chain(wk_head[ready_cycle & self.wk_mask])
-        # The kernel keeps its heap as a sorted array; a sorted list is a
-        # valid binary heap, so it can be adopted directly.
-        iq._wakeup_heap[:] = heap
-
-        # -- store / load queues ---------------------------------------
-        sq = pipeline.store_queue
-        head, length = sc[SC["SQ_HEAD"]], sc[SC["SQ_LEN"]]
-        entries = []
-        for k in range(length):
-            i = (head + k) % self.sq_cap
-            entry = StoreQueueEntry(
-                seq=a["SQ_SEQ"][i], pc=a["SQ_PC"][i], size=a["SQ_SIZE"][i],
-                trace_addr=a["SQ_TADDR"][i],
-                addr=a["SQ_ADDR"][i] if a["SQ_AHAS"][i] else None,
-                value=a["SQ_VAL"][i] if a["SQ_AHAS"][i] else None,
-                executed=bool(a["SQ_EXEC"][i]),
-                complete_cycle=a["SQ_COMP"][i],
-            )
-            entries.append(entry)
-        sq.entries[:] = entries
-        sq._by_seq.clear()
-        sq._by_seq.update((entry.seq, entry) for entry in entries)
-        lq = pipeline.load_queue
-        lq.entries.clear()
-        trace_ops = pipeline._trace_ops
-        w_elim, mask = window.elim_info, self.wmask
-        lq.entries.update(
-            seq for seq in range(committed, fetch_index)
-            if trace_ops[seq][0] & DF_LOAD and not w_elim[seq & mask])
-
-        # -- renaming --------------------------------------------------
-        renamer = pipeline.renamer
-        head, length = sc[SC["FREE_HEAD"]], sc[SC["FREE_LEN"]]
-        ring = a["FREE_RING"]
-        cap = len(ring)
-        free_pregs = [ring[(head + k) % cap] for k in range(length)]
-        if not self.reno:
-            renamer.map_table[:] = a["BMAP"][:32].tolist()
-            renamer.free_list.clear()
-            renamer.free_list.extend(free_pregs)
-        else:
-            rn_stats = renamer.stats
-            for name, key in zip(_RN_SCALARS, _RN_STAT_KEYS):
-                rn_stats[key] = sc[SC[name]]
-            rc = renamer.refcounts
-            rc.counts[:] = a["RC_COUNTS"].tolist()
-            rc.max_observed_count = sc[SC["RC_MAXOBS"]]
-            rc.total_allocations = sc[SC["RC_ALLOCS"]]
-            rc.total_shares = sc[SC["RC_SHARES"]]
-            rc._free.clear()  # renamer._free_list aliases this deque
-            rc._free.extend(free_pregs)
-            map_entries = renamer.map_table._entries
-            zero_maps = renamer._zero_maps
-            rn_preg, rn_disp = a["RN_PREG"], a["RN_DISP"]
-            for i in range(len(map_entries)):
-                preg, disp = rn_preg[i], rn_disp[i]
-                map_entries[i] = (zero_maps[preg] if disp == 0
-                                  else Mapping(preg, disp))
-            group = renamer._group_eliminated_logicals
-            group.clear()
-            group_mask = sc[SC["GROUP_MASK"]]
-            logical = 0
-            while group_mask:
-                if group_mask & 1:
-                    group.add(logical)
-                group_mask >>= 1
-                logical += 1
-            if renamer.integration_table is not None:
-                self._marshal_out_it(renamer.integration_table)
-
-        # -- branch prediction -----------------------------------------
-        predictor = branch.direction
-        predictor.bimodal._counters[:] = a["BP_BIM"].tolist()
-        predictor.gshare._counters[:] = a["BP_GSH"].tolist()
-        predictor.chooser._counters[:] = a["BP_CHOOSER"].tolist()
-        predictor.history = sc[SC["BP_HIST"]]
-        btb_tag, btb_tgt, btb_thas = a["BTB_TAG"], a["BTB_TGT"], a["BTB_THAS"]
-        btb_sets = branch.btb._sets
-        btb_len = a["BTB_LEN"]
-        assoc = self.btb_assoc
-        for set_index in _occupied(btb_sets, btb_len):
-            base = set_index * assoc
-            btb_sets[set_index][:] = [
-                (btb_tag[base + way],
-                 btb_tgt[base + way] if btb_thas[base + way] else None)
-                for way in range(btb_len[set_index])
-            ]
-        branch.ras._stack[:] = a["RAS_STACK"][:sc[SC["RAS_LEN"]]].tolist()
-
-        # -- caches + MSHR ---------------------------------------------
-        for short, cache, cfg in self._cache_map(pipeline):
-            tags, lens = a[f"CT_{short}"], a[f"CL_{short}"]
-            sets = cache._sets
-            cassoc = cfg.associativity
-            for set_index in _occupied(sets, lens):
-                base = set_index * cassoc
-                sets[set_index][:] = tags[base:base + lens[set_index]].tolist()
-        mshr = pipeline.caches._mshr
-        mshr.completion_times[:] = a["MSHR_T"][:sc[SC["MSHR_LEN"]]].tolist()
-
-        # -- store sets / violation log --------------------------------
-        store_sets._ssit[:] = [
-            None if entry < 0 else entry for entry in a["SSIT"]]
-        vio_log = a["VIO_LOG"]
-        pipeline._violated_loads.update(
-            vio_log[i] for i in range(sc[SC["VIO_LEN"]]))
-
-        # -- memory page write-back ------------------------------------
-        pages = pipeline.memory._pages
-        page_num, page_dirty = a["PAGE_NUM"], a["PAGE_DIRTY"]
-        for i in compress(range(self.pool.count), page_dirty):
-            data = self.pool.page(i)
-            existing = pages.get(page_num[i])
-            if existing is None:
-                pages[page_num[i]] = bytearray(data)
-            else:
-                existing[:] = data
-
-        # -- timing records --------------------------------------------
-        if self.timing:
-            self._marshal_out_timing(pipeline, committed)
-
-        # -- occupancy -------------------------------------------------
-        if self.record_stats:
-            read_occupancy(stats.occupancy, sc, a)
-
-    def _marshal_out_timing(self, pipeline, committed) -> None:
-        """Copy back ``_preg_writer`` and the ``TR_*`` entries of every seq
-        committed in the slice into the pipeline's
-        :attr:`~repro.uarch.core.Pipeline.timing_columns`."""
-        a = self.arr
-        pipeline._preg_writer[:] = a["PREG_WRITER"].tolist()
-        low = self._in_committed
-        columns = pipeline.timing_columns
-        for name, output in TIMING_COLUMNS.items():
-            columns[name][low:committed] = a[output][low:committed].tolist()
-
-    def _marshal_out_it(self, table) -> None:
-        """Rebuild the integration table object graph from the flat arrays."""
-        sc, a = self.sc, self.arr
-        assoc = self.it_assoc
-        it_len = a["IT_LEN"]
-        kop_a, imm_a, n_a = a["IT_KOP"], a["IT_IMM"], a["IT_N"]
-        p0_a, d0_a = a["IT_P0"], a["IT_D0"]
-        p1_a, d1_a = a["IT_P1"], a["IT_D1"]
-        outp_a, outd_a, orig_a = a["IT_OUTP"], a["IT_OUTD"], a["IT_ORIG"]
-        val_a, vhas_a = a["IT_VAL"], a["IT_VHAS"]
-        for set_index, ways in enumerate(table._sets):
-            base = set_index * assoc
-            rebuilt = []
-            for way in range(it_len[set_index]):
-                j = base + way
-                n = n_a[j]
-                if n == 0:
-                    inputs = ()
-                elif n == 1:
-                    inputs = ((p0_a[j], d0_a[j]),)
-                else:
-                    inputs = ((p0_a[j], d0_a[j]), (p1_a[j], d1_a[j]))
-                rebuilt.append(IntegrationEntry(
-                    key=(emit.OPCODES[kop_a[j]].value, imm_a[j], inputs),
-                    out_preg=outp_a[j], out_disp=outd_a[j],
-                    origin=_ORIGINS[orig_a[j]],
-                    value=val_a[j] if vhas_a[j] else None,
-                ))
-            ways[:] = rebuilt
-        index = table._preg_index
-        index.clear()
-        phas, pbits = a["IT_PHAS"], a["IT_PBITS"]
-        pbw = self.it_pbw
-        for preg in range(self.num_pregs):
-            if not phas[preg]:
-                continue
-            indices = set()
-            base = preg * pbw
-            for word in range(pbw):
-                bits = pbits[base + word]
-                while bits:
-                    low = bits & -bits
-                    indices.add((word << 6) + low.bit_length() - 1)
-                    bits ^= low
-            index[preg] = indices
-        table.lookups = sc[SC["ITC_LOOKUPS"]]
-        table.hits = sc[SC["ITC_HITS"]]
-        table.insertions = sc[SC["ITC_INS"]]
-        table.invalidations = sc[SC["ITC_INVAL"]]
+        """Refuse: nothing is copied back into a pipeline, since a kernel
+        cell reads its results out of its own buffers (``run_fresh``)."""
+        raise RuntimeError("the kernel runs whole cells only "
+                           "(CompiledBackend.run_fresh); nothing is "
+                           "marshalled out")
 
     @staticmethod
     def _cache_map(pipeline):
-        """(short name, live cache, config) triples, fetched per call.
-
-        Component objects are looked up through the pipeline on every
-        marshal because a snapshot restore replaces them wholesale; only
-        the geometry (fixed by the config digest) is safe to cache.
-        """
+        """(short name, cache, config) triples of ``pipeline``."""
         caches = pipeline.caches
         config = pipeline.config
         return (("L1I", caches.l1i, config.l1i),

@@ -5,9 +5,9 @@ same pool: ``NPOOL`` 4 KiB pages laid end to end in one byte buffer, their
 page numbers in ``PAGE_NUM``, a store-written flag per page in
 ``PAGE_DIRTY``, and an open-addressing table (``PH_KEY``/``PH_VAL``, size
 ``PH_MASK + 1``) from page number to pool slot that the C side probes with
-``pool_find``.  :class:`PagePool` owns those buffers: the cycle loop's
-marshal-in refills it before every slice, a fresh cell copies one, and
-the functional run grows it a page at a time as stores reach pages it
+``pool_find``.  :class:`PagePool` owns those buffers: marshal-in fills
+one when an image is captured, a fresh cell copies its trace's, and the
+functional run grows it a page at a time as stores reach pages it
 lacks.
 """
 

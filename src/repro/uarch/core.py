@@ -41,7 +41,6 @@ object-model full-scan reference to keep them honest.
 
 from __future__ import annotations
 
-import copy
 import gc
 from bisect import insort
 from collections.abc import Sequence
@@ -87,7 +86,6 @@ from repro.uarch.observe import (
 from repro.uarch.regfile import NOT_READY, PhysicalRegisterFile
 from repro.uarch.rename import BaselineRenamer, Renamer
 from repro.uarch.scheduler import IssueQueue
-from repro.uarch.snapshot import PipelineSnapshot
 from repro.uarch.stats import SimStats
 from repro.uarch.storesets import StoreSets
 from repro.uarch.tables import TraceTables
@@ -118,9 +116,8 @@ class CommitMismatchError(Exception):
 class SimResult:
     """Outcome of one timing simulation.
 
-    ``finished`` is False for a partial result returned by an incremental
-    ``Pipeline.run(max_cycles=...)`` call whose cycle budget ran out before
-    the whole trace retired; statistics then cover the simulated prefix.
+    ``finished`` is True: a run retires the whole trace or raises.  The
+    field stays because it is part of the stored cell payload.
 
     ``timeline`` carries the ordered rows of the opt-in cycle-timeline
     recorder (``timeline_stride > 0``), oldest first; None otherwise.
@@ -254,8 +251,7 @@ class Pipeline:
             if collect_timing else {})
 
         # Run cursors + front-end state (mirrored from the cycle loop's
-        # locals at the end of every _run_cycles call, so an incremental run
-        # resumes exactly where the previous slice stopped).
+        # locals when _run_cycles returns).
         self._cycle = 0
         self._committed = 0
         self._fetch_index = 0
@@ -274,36 +270,16 @@ class Pipeline:
         # Loads currently being held back because of an ordering violation.
         self._violated_loads: set[int] = set()
 
-        #: The cycle-loop implementation (see :mod:`repro.uarch.backend`).
-        #: Resolved once at construction; deliberately outside the snapshot
-        #: so a pipeline restored on another host keeps its own backend —
-        #: that is what makes a mid-run backend switch a pure
-        #: snapshot/restore hand-off.
+        #: The cycle-loop implementation (see :mod:`repro.uarch.backend`),
+        #: resolved once at construction.
         self.backend = resolve_backend(backend)
         #: The resolved backend's registry name (``"python"`` after a
         #: silent fallback, whatever was requested otherwise) — recorded in
         #: result provenance by the harness layers.
         self.backend_name = self.backend.name
 
-        self._bind_aliases()
-        self.backend.prepare(self)
-
-    @property
-    def _trace_ops(self) -> list[tuple]:
-        """The decoded-op tuple of every trace record, so dispatch reaches
-        it with one subscript on the fetch index (built by the shared
-        tables when a slice first needs it)."""
-        return self.tables.trace_ops
-
-    def _bind_aliases(self) -> None:
-        """(Re)derive the hot-loop aliases from the primary components.
-
-        Called at construction and after :meth:`restore` — the aliases must
-        point into whatever objects currently back the pipeline.  Everything
-        here is a pure re-read of stable attributes; no state is created.
-        """
-        # The value/readiness arrays are stable attributes of the register
-        # file.
+        # Hot-loop aliases of the components above.  The value/readiness
+        # arrays are stable attributes of the register file.
         self._prf_values = self.prf.values
         self._prf_ready = self.prf.ready_cycle
         # Producer-side wakeup aliases: most register writes have no
@@ -325,11 +301,18 @@ class Pipeline:
         self._w_dest = window.dest_preg
         self._w_fextra = window.fusion_extra
 
+    @property
+    def _trace_ops(self) -> list[tuple]:
+        """The decoded-op tuple of every trace record, so dispatch reaches
+        it with one subscript on the fetch index (built by the shared
+        tables when a run first needs it)."""
+        return self.tables.trace_ops
+
     # ------------------------------------------------------------------
     # Top level
     # ------------------------------------------------------------------
 
-    def run(self, max_cycles: int | None = None) -> SimResult:
+    def run(self) -> SimResult:
         """Simulate until every trace instruction has retired.
 
         The loop is event-driven: after the three pipeline phases run for a
@@ -341,23 +324,16 @@ class Pipeline:
         counter, which is credited in bulk, so all statistics are identical
         to the cycle-by-cycle loop's.
 
-        Args:
-            max_cycles: When given, simulate at most this many *additional*
-                cycles and return a partial :class:`SimResult`
-                (``finished=False`` if the trace has not fully retired).
-                Calling :meth:`run` again — on this pipeline, or on one
-                restored from a :meth:`snapshot` — continues exactly where
-                the slice stopped; the concatenation of sliced runs is
-                byte-identical to one uninterrupted run.  ``None`` (the
-                default) runs to completion.
+        The run is whole: it ends when the trace has retired, or raises.
+        On the ``python`` backend it is :meth:`_run_cycles`.  The
+        ``compiled`` backend runs whole cells only, without a pipeline
+        (:meth:`~repro.uarch.compiled.backend.CompiledBackend.run_fresh`,
+        what :func:`~repro.core.simulator.simulate` calls), so a pipeline
+        built on it raises here instead of running the python loop.
 
         Returns:
-            The (possibly partial) simulation result.  Statistics of a
-            partial result cover everything simulated so far.
+            The simulation result.
         """
-        if max_cycles is not None and max_cycles < 0:
-            raise ValueError(f"max_cycles must be >= 0, got {max_cycles}")
-        stop_cycle = None if max_cycles is None else self._cycle + max_cycles
         # The loop allocates short-lived, acyclic objects (rename results,
         # wakeup buckets); generational GC only burns time re-scanning
         # them.  Reference counting reclaims everything, so pause GC for
@@ -366,32 +342,22 @@ class Pipeline:
         if gc_was_enabled:
             gc.disable()
         try:
-            self.backend.run_cycles(self, stop_cycle)
+            self.backend.run_cycles(self)
         finally:
             if gc_was_enabled:
                 gc.enable()
         self._merge_component_stats()
-        finished = self.finished
-        stats = self.stats
-        columns = self.timing_columns
         timeline = self.timeline.ordered() if self.timeline is not None else None
-        if not finished:
-            # A partial result must be a point-in-time view: later slices
-            # keep mutating the live stats/columns, and callers (run_sliced
-            # callbacks, checkpointing services) naturally stash per-slice
-            # results.
-            stats = copy.deepcopy(stats)
-            columns = {name: column[:self._committed]
-                       for name, column in columns.items()}
-        records = (TimingColumns({**columns, **self.tables.record_columns},
+        records = (TimingColumns({**self.timing_columns,
+                                  **self.tables.record_columns},
                                  self._committed)
                    if self.collect_timing else None)
         return SimResult(
-            stats=stats,
+            stats=self.stats,
             config=self.config,
             final_registers=self._final_registers(),
             timing_records=records,
-            finished=finished,
+            finished=self.finished,
             timeline=timeline,
         )
 
@@ -400,88 +366,8 @@ class Pipeline:
         """Whether every trace instruction has retired."""
         return self._committed >= self._trace_length
 
-    # ------------------------------------------------------------------
-    # Snapshot / restore (incremental simulation)
-    # ------------------------------------------------------------------
-
-    #: Attributes captured by :meth:`snapshot` — every piece of state the
-    #: cycle loop mutates.  The immutable run inputs (program, trace,
-    #: config, decoded-op caches) and the hot-loop aliases re-derived by
-    #: :meth:`_bind_aliases` are deliberately absent.
-    _SNAPSHOT_STATE = (
-        "prf", "renamer", "branch_unit", "caches", "store_sets", "window",
-        "issue_queue", "store_queue", "load_queue", "memory",
-        "stats", "timeline", "timing_columns", "_cycle", "_committed",
-        "_fetch_index", "_fetch_resume_cycle", "_waiting_branch",
-        "_last_fetch_block", "_fetch_stall_reason",
-        "_preg_writer", "_violated_loads",
-    )
-
-    #: ``__init__`` attributes deliberately *outside* the snapshot: the
-    #: immutable run inputs, the decoded-op caches derived from them, and
-    #: the config scalars hoisted for the hot loop.  A rebuilt pipeline
-    #: reconstructs all of these from the same (program, trace, config)
-    #: inputs, so carrying them across a restore would be redundant — and
-    #: the ``snapshot-coverage`` lint rule insists every ``__init__``
-    #: attribute is accounted for in exactly one of the two tuples.
-    _SNAPSHOT_EXEMPT = (
-        "config", "program", "trace", "collect_timing", "record_stats",
-        "timeline_stride", "_trace_length", "tables",
-        "_sched_latency", "_commit_width", "_retire_dcache_ports",
-        "_rename_width", "_taken_branch_limit", "_fetch_block_bytes",
-        "_front_end_depth", "_rob_capacity", "backend", "backend_name",
-    )
-
-    def snapshot(self) -> PipelineSnapshot:
-        """Capture the complete mutable simulation state.
-
-        The capture is one deep copy, so aliasing *between* components (the
-        issue queue's window reference, the renamer's free list and its
-        refcounts, ...) is preserved inside the snapshot, and the snapshot is
-        fully detached from this pipeline — continuing to :meth:`run` after
-        snapshotting never mutates it.  Snapshots pickle cleanly
-        (:meth:`~repro.uarch.snapshot.PipelineSnapshot.save`), which is how
-        a service checkpoints a time-sliced simulation to disk.
-        """
-        state = {name: getattr(self, name) for name in self._SNAPSHOT_STATE}
-        return PipelineSnapshot(
-            state=copy.deepcopy(state),
-            config_digest=self.config.digest(),
-            trace_length=self._trace_length,
-            collect_timing=self.collect_timing,
-            cycle=self._cycle,
-            committed=self._committed,
-            record_stats=self.record_stats,
-            timeline_stride=self.timeline_stride,
-        )
-
-    def restore(self, snapshot: PipelineSnapshot) -> None:
-        """Adopt the state captured by :meth:`snapshot`.
-
-        This pipeline must have been constructed from the same
-        (program, trace, config, collect_timing) inputs as the snapshotted
-        one (:meth:`~repro.uarch.snapshot.PipelineSnapshot.validate_for`
-        raises otherwise; the renamer is *part of the snapshot* and replaces
-        whatever the constructor installed, so the backend prepares for the
-        restored components again).  The snapshot itself stays reusable:
-        restoring hands over a fresh copy every time.
-        """
-        snapshot.validate_for(self)
-        for name, value in snapshot.copy_state().items():
-            setattr(self, name, value)
-        self._bind_aliases()
-        self.backend.prepare(self)
-
-    def _run_cycles(self, stop_cycle: int | None = None) -> None:
+    def _run_cycles(self) -> None:
         """The cycle loop proper (see :meth:`run` for the event-driven model).
-
-        ``stop_cycle`` bounds an incremental slice: the loop exits (without
-        raising) before simulating that cycle, leaving all cursors mirrored
-        on ``self`` so the next call resumes exactly there.  Slices cut only
-        at loop-top boundaries, and the event-driven fast-forward clamps its
-        jump target to the boundary (crediting fetch stalls for exactly the
-        skipped stretch), so a resumed run replays the identical cycle
-        sequence an uninterrupted run would have executed.
 
         All phases — commit, wakeup/select, execute, dispatch — are inlined
         into this one function so every array, counter and piece of
@@ -519,8 +405,6 @@ class Pipeline:
         cycle = self._cycle
         committed = self._committed
         fetch_index = self._fetch_index
-        # Beyond every reachable cycle when no slice boundary was requested.
-        stop = stop_cycle if stop_cycle is not None else 1 << 62
         fetch_resume = self._fetch_resume_cycle
         waiting_branch = self._waiting_branch
         last_fetch_block = self._last_fetch_block
@@ -687,8 +571,6 @@ class Pipeline:
                     f"simulation exceeded {max_cycles} cycles "
                     f"({committed}/{total} instructions retired)"
                 )
-            if cycle >= stop:
-                break                 # slice budget exhausted; resume later
 
             # ---------------- Commit ----------------
             # Guarded: enter only when the head slot holds a completed
@@ -1457,8 +1339,6 @@ class Pipeline:
             # A waiting or absent head carries NO_COMPLETE (beyond every
             # target candidate): it cannot commit until it issues, and no
             # issue can happen before `idle` — already covered.
-            if target > stop:
-                target = stop         # never fast-forward past a slice cut
             if target <= cycle:
                 continue
             if target > max_cycles:
@@ -1471,8 +1351,7 @@ class Pipeline:
                 # commits or dispatches), so every skipped cycle would have
                 # sampled the frozen end-of-cycle state with zero issue and
                 # empty ready lists.  Credit the histograms in bulk so the
-                # event-driven run stays byte-identical to cycle-by-cycle
-                # (and to any sliced + resumed replay of it).
+                # event-driven run stays byte-identical to cycle-by-cycle.
                 skipped = target - cycle
                 if fetching:
                     occ_stall[stall_reason] += skipped

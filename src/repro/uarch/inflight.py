@@ -214,9 +214,8 @@ class TimingColumns(Sequence):
     """The timing records of one run, held as columns indexed by ``seq``.
 
     Every route gives its records in this form: the python loop's per-seq
-    columns, a sliced compiled run's copies of the kernel's ``TR_*``
-    columns, or a fresh compiled cell's ``TR_*`` buffers themselves (no
-    copy), each next to the trace's per-seq static fields
+    columns or a compiled cell's ``TR_*`` buffers themselves (no copy),
+    each next to the trace's per-seq static fields
     (:attr:`~repro.uarch.tables.TraceTables.record_columns`).  The
     critical-path walk reads the columns (:meth:`column`); records are
     built only when indexed or iterated (all of them at once, then kept).

@@ -15,10 +15,11 @@ loop when it runs with ``record_stats=True``:
   ``(cycle, committed, issued, rob, iq, prf, sq, lq)`` for plotting an
   execution timeline without holding one row per simulated cycle.
 
-Both are plain picklable containers: they deep-copy with the pipeline's
-snapshot state, so sliced + resumed runs accumulate byte-identical
-observability data (the property tests in
-``tests/uarch/test_snapshot_restore.py`` check exactly that).
+Both are plain picklable containers.  A compiled cell fills an
+:class:`OccupancyStats` from the kernel's histograms, byte-identical to
+the python loop's (``tests/uarch/test_fuzz_routes.py`` and
+``tests/uarch/test_fresh_cells.py`` check exactly that); timelines are
+recorded by the python loop only.
 
 Overhead model: with ``record_stats=False`` the pipeline allocates
 neither object and the cycle loop's only cost is one pre-bound local

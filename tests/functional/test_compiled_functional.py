@@ -30,7 +30,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.core import RenoConfig, RenoRenamer, simulate
+from repro.core import RenoConfig, simulate
 from repro.functional.memory import page_image
 from repro.functional.simulator import ExecutionLimitExceeded, FunctionalSimulator
 from repro.harness import run_experiment
@@ -50,7 +50,6 @@ from repro.uarch.compiled import functional as compiled_functional
 from repro.uarch.compiled import pages as pages_module
 from repro.uarch.compiled.marshal import KernelTables
 from repro.uarch.config import MachineConfig
-from repro.uarch.core import Pipeline
 from repro.uarch.tables import TraceTables
 from repro.workloads.base import get_workload, list_workloads
 from tests.uarch.test_scheduler_equivalence import random_program
@@ -471,35 +470,26 @@ def test_fallbacks_match_the_interpreter(build):
                          ids=["BASE", "RENO"])
 def test_wide_immediate_cells_run_on_the_python_loop(reno, monkeypatch):
     """An immediate no kernel column holds is declined before the kernel
-    starts, on both compiled routes, by the one check over the trace's
-    tables (``KernelTables.fits``, which ``supports()`` makes too); the
-    cell then runs on the python loop, with the python result."""
+    starts, by the one check over the trace's tables
+    (``KernelTables.fits``); the cell then runs on the python loop, with
+    the python result."""
     program = wide_immediate_program()
     machine = MachineConfig.default_4wide()
     reference = simulate(program, machine, reno, backend="python").timing
     functional = FunctionalSimulator(program, backend="compiled").run()
     tables = TraceTables(program, functional.trace)
-    renamer = (RenoRenamer(machine.num_physical_regs, reno)
-               if reno is not None else None)
-    pipeline = Pipeline(program, functional.trace, machine, renamer=renamer,
-                        backend="compiled", tables=tables)
-    compiled = get_backend("compiled")
-    assert pipeline.backend_name == compiled.name or not compiled.available()
     calls = []
-    if compiled.available():
+    if get_backend("compiled").available():
         assert not KernelTables.of(tables).fits
-        assert not compiled.supports(pipeline)
         kernel = build.load_kernel()
         monkeypatch.setattr(build, "load_kernel", lambda: (
             lambda *args: calls.append(args) or kernel(*args)))
-    fresh = simulate(program, machine, reno, trace=functional, tables=tables,
-                     backend="compiled").timing
-    sliced = pipeline.run()
+    result = simulate(program, machine, reno, trace=functional,
+                      tables=tables, backend="compiled").timing
     assert calls == []
-    for result in (fresh, sliced):
-        assert asdict(result.stats) == asdict(reference.stats)
-        assert result.final_registers == reference.final_registers
-        assert result.finished and result.cycles == reference.cycles
+    assert asdict(result.stats) == asdict(reference.stats)
+    assert result.final_registers == reference.final_registers
+    assert result.finished and result.cycles == reference.cycles
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Fixture tests for the four invariant checkers (plus the folded gates).
+"""Fixture tests for the invariant checkers (plus the folded gates).
 
 Every checker gets both directions: a *must-flag* fixture seeding exactly
 the violation the rule exists for (a builtin ``hash()``, an unlocked write
 to a ``_GUARDED_BY_LOCK`` attribute, a wire-schema field removal against
-the baseline, an unsnapshotted ``__init__`` attribute) and a *must-pass*
-fixture showing the sanctioned alternative stays silent.
+the baseline) and a *must-pass* fixture showing the sanctioned
+alternative stays silent.
 """
 
 import textwrap
@@ -292,53 +292,6 @@ def test_schema_freeze_flags_missing_baseline(tmp_path):
     assert len(findings) == 1
     assert "baseline" in findings[0].message
     assert "--update-baseline" in findings[0].message
-
-
-# ---------------------------------------------------------------------------
-# snapshot-coverage
-# ---------------------------------------------------------------------------
-
-
-def test_snapshot_coverage_flags_unlisted_init_attribute(tmp_path):
-    findings = lint_tree(tmp_path, {"uarch/pipe.py": """\
-        class Pipe:
-            _SNAPSHOT_STATE = ("cycle",)
-
-            def __init__(self):
-                self.cycle = 0
-                self.scoreboard = {}
-    """}, rules=["snapshot-coverage"])
-    assert len(findings) == 1
-    assert "self.scoreboard" in findings[0].message
-    assert "stale state" in findings[0].message
-
-
-def test_snapshot_coverage_accepts_exempt_tuple(tmp_path):
-    findings = lint_tree(tmp_path, {"uarch/pipe.py": """\
-        class Pipe:
-            _SNAPSHOT_STATE = ("cycle", "scoreboard")
-            _SNAPSHOT_EXEMPT = ("config",)
-
-            def __init__(self, config):
-                self.config = config
-                self.cycle = 0
-                self.scoreboard = {}
-    """}, rules=["snapshot-coverage"])
-    assert findings == []
-
-
-def test_snapshot_coverage_flags_stale_and_overlapping_entries(tmp_path):
-    findings = lint_tree(tmp_path, {"uarch/pipe.py": """\
-        class Pipe:
-            _SNAPSHOT_STATE = ("cycle", "ghost")
-            _SNAPSHOT_EXEMPT = ("cycle",)
-
-            def __init__(self):
-                self.cycle = 0
-    """}, rules=["snapshot-coverage"])
-    messages = [f.message for f in findings]
-    assert any("'ghost'" in m and "never assigns" in m for m in messages)
-    assert any("'cycle'" in m and "both" in m for m in messages)
 
 
 # ---------------------------------------------------------------------------

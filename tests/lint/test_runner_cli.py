@@ -255,7 +255,7 @@ def test_cli_list_rules():
     result = run_cli("--list-rules")
     assert result.returncode == 0
     for rule in ("determinism", "lock-discipline", "schema-freeze",
-                 "snapshot-coverage", "docstrings", "docs"):
+                 "store-schema", "docstrings", "docs"):
         assert rule in result.stdout
 
 

@@ -2,42 +2,29 @@
 
 The backend contract (:mod:`repro.uarch.backend`) is that backends differ
 in *speed only*: every simulation observable — final architectural state,
-statistics, occupancy histograms, snapshots — must be identical whichever
-backend ran the cycle loop.  Seeded random programs (reusing the scheduler
+statistics, timing records and occupancy histograms — must be identical
+whichever backend ran the cell.  Seeded random programs (the scheduler
 equivalence generator: ALU ops, moves, folds, loads, stores, loops) are
-run through both backends under several machine and RENO configurations,
-with and without timing-record collection (``collect_timing``).
+run as whole compiled cells (``CompiledBackend.run_fresh``, the kernel's
+one route) and on the python loop under several machine and RENO
+configurations, with and without timing records and occupancy, on
+machines with a 20,000-cycle memory and with every structure tiny.
 
-The strongest property here is the **lockstep snapshot** test: both
-backends run the same program in slices and the
-:meth:`~repro.uarch.core.Pipeline.snapshot` states must match value for
-value at every slice boundary — full mutable-state equality at
-intermediate cycles, not just at the end.  Snapshot hand-offs *across*
-backends (python → compiled → python) certify that one run can change
-backend mid-run.
-
-The failure rule is tested here too: a kernel that returns a nonzero
-code on a cell the python loop finishes raises ``KernelError`` after one
-kernel call, on the fresh route and on a sliced pipeline, while a real
-simulation error raises the python backend's exception; and sliced runs
-cut at random cycles and handed between backends, on machines with a
-20,000-cycle memory and with every structure tiny, finish with no
-``KernelError`` and the python result.
+The failure rule is tested here too: a kernel that returns a nonzero code
+on a cell the python loop finishes raises ``KernelError`` after one
+kernel call.  A cell the kernel declines (an immediate outside int64)
+runs on the python loop with the python result, and a pipeline built on
+the compiled backend refuses to run.
 
 Compiled-specific tests skip (not fail) when no C toolchain is present;
 the fallback tests force that situation with ``REPRO_NO_CC=1`` and assert
 the degradation to python is silent and result-identical, while a kernel
-that fails to build with a compiler present raises.  A marshal round trip
-(marshal-in, then marshal-out, no kernel call) runs without a toolchain.
+that fails to build with a compiler present raises.
 """
 
 import dataclasses
-import io
-import pickle
-import random
 import threading
 from dataclasses import fields
-from enum import Enum
 
 import pytest
 from test_scheduler_equivalence import TINY, random_program
@@ -48,11 +35,12 @@ from repro.functional.trace import TraceColumns
 from repro.uarch import backend as backend_module
 from repro.uarch.backend import backend_names, get_backend, resolve_backend
 from repro.uarch.compiled import build, emit
-from repro.uarch.compiled.marshal import KernelError, KernelState
+from repro.uarch.compiled.backend import CompiledBackend
+from repro.uarch.compiled.marshal import KernelError, KernelState, KernelTables
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
-from repro.uarch.rename import RenameResult
-from repro.workloads import get_workload
+from repro.uarch.tables import TraceTables
+from tests.functional.test_compiled_functional import wide_immediate_program
 
 SEEDS = [3, 59, 977]
 
@@ -90,6 +78,15 @@ def make_pipeline(program, trace, reno, backend, machine=None,
                     collect_timing=collect_timing)
 
 
+def compiled_cell(program, trace, reno, machine=None, record_stats=False,
+                  collect_timing=False):
+    """The whole cell on the compiled backend (its fresh route)."""
+    machine = machine or MachineConfig.default_4wide()
+    return get_backend("compiled").run_fresh(
+        program, trace, TraceTables(program, trace), machine, reno,
+        collect_timing, record_stats)
+
+
 def stats_dict(result):
     return {f.name: getattr(result.stats, f.name) for f in fields(result.stats)}
 
@@ -116,20 +113,29 @@ def assert_timing_records_identical(compiled, python):
 def no_silent_replays(monkeypatch):
     """Fail the test when compiled work runs on the python reference.
 
-    The compiled backend runs a slice on ``Pipeline._run_cycles`` when
-    ``supports()`` declines its pipeline, and a compiled functional run it
-    cannot finish on ``FunctionalSimulator._interpret``; each produces the
+    The compiled backend runs a cell it declines on the python backend
+    (``Pipeline._run_cycles``), and a compiled functional run it cannot
+    finish on ``FunctionalSimulator._interpret``; each produces the
     reference's results, so without this guard an equivalence test would
     pass while the kernel never ran.  (A kernel failure cannot pass
     silently: its replay raises.)
     """
     reference_loop = Pipeline._run_cycles
     reference_interpreter = FunctionalSimulator._interpret
+    run_fresh = CompiledBackend.run_fresh
+    compiled_cells = []
 
-    def guarded(pipeline, stop_cycle=None):
-        if pipeline.backend_name == "compiled":
-            pytest.fail("a compiled slice fell back to Pipeline._run_cycles")
-        return reference_loop(pipeline, stop_cycle)
+    def compiled_cell(backend, *args, **kwargs):
+        compiled_cells.append(backend)
+        try:
+            return run_fresh(backend, *args, **kwargs)
+        finally:
+            compiled_cells.pop()
+
+    def guarded(pipeline):
+        if compiled_cells or pipeline.backend_name == "compiled":
+            pytest.fail("a compiled cell fell back to Pipeline._run_cycles")
+        return reference_loop(pipeline)
 
     def guarded_interpreter(simulator, record_trace):
         if simulator.backend == "compiled":
@@ -137,6 +143,7 @@ def no_silent_replays(monkeypatch):
                         "FunctionalSimulator._interpret")
         return reference_interpreter(simulator, record_trace)
 
+    monkeypatch.setattr(CompiledBackend, "run_fresh", compiled_cell)
     monkeypatch.setattr(Pipeline, "_run_cycles", guarded)
     monkeypatch.setattr(FunctionalSimulator, "_interpret", guarded_interpreter)
 
@@ -153,9 +160,7 @@ def no_silent_replays(monkeypatch):
 def test_compiled_matches_python(seed, config_name):
     program, trace = build_run(seed)
     reno = CONFIGS[config_name]
-    compiled_pipeline = make_pipeline(program, trace, reno, "compiled")
-    assert compiled_pipeline.backend_name == "compiled"
-    compiled = compiled_pipeline.run()
+    compiled = compiled_cell(program, trace, reno)
     python = make_pipeline(program, trace, reno, "python").run()
     assert_results_identical(compiled, python)
 
@@ -166,8 +171,8 @@ def test_compiled_matches_python(seed, config_name):
 def test_compiled_matches_python_across_machines(machine_name):
     program, trace = build_run(4242)
     machine = MACHINES[machine_name]
-    compiled = make_pipeline(program, trace, RenoConfig.reno_default(),
-                             "compiled", machine=machine).run()
+    compiled = compiled_cell(program, trace, RenoConfig.reno_default(),
+                             machine=machine)
     python = make_pipeline(program, trace, RenoConfig.reno_default(),
                            "python", machine=machine).run()
     assert_results_identical(compiled, python)
@@ -180,8 +185,7 @@ def test_occupancy_histograms_identical(config_name):
     """The observability layer sees the same per-cycle history either way."""
     program, trace = build_run(SEEDS[0])
     reno = CONFIGS[config_name]
-    compiled = make_pipeline(program, trace, reno, "compiled",
-                             record_stats=True).run()
+    compiled = compiled_cell(program, trace, reno, record_stats=True)
     python = make_pipeline(program, trace, reno, "python",
                            record_stats=True).run()
     assert compiled.stats.occupancy is not None
@@ -200,8 +204,8 @@ def test_timing_records_match_python(seed, config_name, machine_name):
     program, trace = build_run(seed)
     reno = CONFIGS[config_name]
     machine = MACHINES[machine_name]
-    compiled = make_pipeline(program, trace, reno, "compiled",
-                             machine=machine, collect_timing=True).run()
+    compiled = compiled_cell(program, trace, reno, machine=machine,
+                             collect_timing=True)
     python = make_pipeline(program, trace, reno, "python", machine=machine,
                            collect_timing=True).run()
     assert len(python.timing_records) == len(trace)
@@ -210,230 +214,55 @@ def test_timing_records_match_python(seed, config_name, machine_name):
     assert_results_identical(compiled, python)
 
 
-def to_plain(obj, on_path=None):
-    """A pure-data, aliasing-free projection of an object graph.
-
-    Pickle bytes are unusable for cross-backend comparison: marshal-out
-    rebuilds objects, so the python side's shared references become
-    distinct (equal) objects and the pickle memo encodes them differently.
-    This projection compares *values only* — primitives pass through,
-    containers recurse, arbitrary objects become ``(classname, attrs)``
-    pairs, and reference cycles collapse to a marker.
-    """
-    if isinstance(obj, (int, float, str, bytes, bool, type(None))):
-        return obj
-    if isinstance(obj, bytearray):           # memory pages
-        return bytes(obj)
-    if isinstance(obj, Enum):                # a member is its name
-        return (type(obj).__name__, obj.name)
-    on_path = on_path or set()
-    if id(obj) in on_path:
-        return "<cycle>"
-    on_path = on_path | {id(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [to_plain(item, on_path) for item in obj]
-    if isinstance(obj, (set, frozenset)):
-        return ["<set>", sorted((to_plain(item, on_path) for item in obj),
-                                key=repr)]
-    if isinstance(obj, dict):
-        # Insertion order is a rebuild artifact (marshal-out repopulates
-        # index dicts in scan order); only the mapping itself is state.
-        return sorted(((to_plain(k, on_path), to_plain(v, on_path))
-                       for k, v in obj.items()), key=repr)
-    attrs = {}
-    for klass in type(obj).__mro__:
-        for slot in getattr(klass, "__slots__", ()):
-            if hasattr(obj, slot):
-                attrs[slot] = getattr(obj, slot)
-    attrs.update(getattr(obj, "__dict__", {}))
-    return (type(obj).__name__,
-            [(name, to_plain(value, on_path))
-             for name, value in sorted(attrs.items())])
+#: A machine whose memory round trip outlasts the kernel's wakeup ring.
+SLOW_MEMORY = dataclasses.replace(MachineConfig.default_4wide(),
+                                  name="slow-memory", memory_latency=20_000)
 
 
 @pytest.mark.usefixtures("no_silent_replays")
 @needs_compiled
-@pytest.mark.parametrize("collect_timing", [False, True])
-@pytest.mark.parametrize("config_name", ["BASE", "RENO"])
-@pytest.mark.parametrize("seed", [SEEDS[0]])
-def test_lockstep_snapshots_match_every_slice(seed, config_name,
-                                              collect_timing):
-    """Full mutable-state equality at every slice boundary, both backends.
-
-    ``snapshot()`` captures everything the cycle loop mutates (and is
-    itself lint-enforced complete — ``snapshot-coverage``), so equal
-    snapshot states at cycle k mean the backends agree on *all*
-    intermediate state, not just on the final result: every window
-    column, stale slots included, field for field, with no
-    normalisation but one: the wakeup heap is compared sorted, since
-    marshal-out rebuilds it as the sorted list, one valid heap ordering of
-    the same cycles (its order is no state).  ``backend`` /
-    ``backend_name`` are snapshot-exempt, which is exactly what makes this
-    comparison well-defined.  With
-    ``collect_timing`` the snapshot also covers ``_preg_writer``, the
-    window's issue cycles and in-flight producers, and the record columns
-    of the seqs retired so far.
-    """
+@pytest.mark.parametrize("machine", [SLOW_MEMORY, TINY],
+                         ids=lambda machine: machine.name)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_extreme_machines_run_whole_in_the_kernel(seed, machine):
+    """A 20,000-cycle memory and a machine with every structure tiny run
+    whole cells in the kernel with no KernelError and the python run's
+    result, timing records included."""
     program, trace = build_run(seed)
-    reno = CONFIGS[config_name]
-    compiled_pipeline = make_pipeline(program, trace, reno, "compiled",
-                                      collect_timing=collect_timing)
-    python_pipeline = make_pipeline(program, trace, reno, "python",
-                                    collect_timing=collect_timing)
-    slice_cycles = 211          # a handful of mid-burst boundaries; the
-    slices = 0                  # projection cost is per boundary, not per cycle
-    producer_cuts = 0           # boundaries with producers in flight
-
-    def plain_state(pipeline):
-        state = pipeline.snapshot().state
-        state["issue_queue"]._wakeup_heap.sort()
-        return to_plain(state)
-
-    while True:
-        compiled = compiled_pipeline.run(max_cycles=slice_cycles)
-        python = python_pipeline.run(max_cycles=slice_cycles)
-        assert compiled.finished == python.finished
-        if compiled.finished:
-            break
-        slices += 1
-        window = python_pipeline.window
-        producer_cuts += any(
-            window.nprod[seq & window.mask] for seq in range(
-                python_pipeline._committed, python_pipeline._fetch_index))
-        assert (plain_state(compiled_pipeline)
-                == plain_state(python_pipeline)), (
-            f"state diverged by slice {slices} (seed={seed})")
-    assert slices > 1
-    assert_results_identical(compiled, python)
-    if collect_timing:
-        assert producer_cuts
-        assert_timing_records_identical(compiled.timing_records,
-                                        python.timing_records)
+    for reno in (None, RenoConfig.reno_default()):
+        reference = make_pipeline(program, trace, reno, "python",
+                                  machine=machine, collect_timing=True).run()
+        if machine is SLOW_MEMORY:
+            assert reference.stats.l2_misses
+        result = compiled_cell(program, trace, reno, machine=machine,
+                               collect_timing=True)
+        assert_results_identical(result, reference)
+        assert result.timing_records == reference.timing_records
 
 
-@pytest.mark.usefixtures("no_silent_replays")
-@needs_compiled
-@pytest.mark.parametrize("collect_timing", [False, True])
-@pytest.mark.parametrize("config_name", list(CONFIGS))
-def test_snapshot_handoff_across_backends(config_name, collect_timing):
-    """python → compiled → python hand-offs finish bit-identically."""
-    program, trace = build_run(SEEDS[1])
-    reno = CONFIGS[config_name]
-    reference = make_pipeline(program, trace, reno, "python",
-                              collect_timing=collect_timing).run()
-
-    chain = ["python", "compiled", "python", "compiled"]
-    pipeline = make_pipeline(program, trace, reno, chain[0],
-                             collect_timing=collect_timing)
-    hops = 0
-    result = pipeline.run(max_cycles=113)
-    while not result.finished:
-        hops += 1
-        snapshot = pickle.loads(pickle.dumps(pipeline.snapshot()))
-        pipeline = make_pipeline(program, trace, reno,
-                                 chain[hops % len(chain)],
-                                 collect_timing=collect_timing)
-        pipeline.restore(snapshot)
-        result = pipeline.run(max_cycles=113)
-    assert hops >= 2, "program too short to exercise a backend hand-off"
-    assert_results_identical(result, reference)
-    if collect_timing:
-        assert_timing_records_identical(result.timing_records,
-                                        reference.timing_records)
-
-
-@pytest.fixture(scope="module")
-def call_spill_run():
-    program = get_workload("micro_call_spill").build()
-    return program, FunctionalSimulator(program).run().trace
-
-
-@pytest.mark.parametrize("record_stats", [False, True])
-@pytest.mark.parametrize("collect_timing", [False, True])
-@pytest.mark.parametrize("config_name", ["BASE", "RENO"])
-@pytest.mark.parametrize("cut", [300, 425])
-def test_marshal_round_trip_keeps_the_state(call_spill_run, cut, config_name,
-                                            collect_timing, record_stats):
-    """Marshal-in then marshal-out, with no kernel call between them,
-    leaves a python-loop pipeline cut mid-run (instructions in flight, the
-    BTB and the return stack occupied) as it was: what marshal-out writes
-    back is exactly what marshal-in copied.  The wakeup heap is compared
-    sorted: marshal-out rebuilds it as the sorted list, which is one valid
-    heap ordering of the same cycles (a layout with no behavioural
-    meaning, see :mod:`repro.uarch.backend`).  Needs no toolchain."""
-    program, trace = call_spill_run
-    pipeline = make_pipeline(program, trace, CONFIGS[config_name], "python",
-                             record_stats=record_stats,
-                             collect_timing=collect_timing)
-    pipeline.run(max_cycles=cut)
-    assert pipeline._committed < pipeline._fetch_index
-    assert any(pipeline.branch_unit.btb._sets)
-
-    def plain_state():
-        state = pipeline.snapshot().state
-        state["issue_queue"]._wakeup_heap.sort()
-        return to_plain(state)
-
-    before = plain_state()
-    kernel_state = KernelState(pipeline)
-    kernel_state.marshal_in(pipeline, None)
-    kernel_state.marshal_out(pipeline)
-    assert plain_state() == before
-
-
-@pytest.fixture(scope="module")
-def gzip_run():
-    program = get_workload("gzip_like").build()
-    return program, FunctionalSimulator(program).run().trace
-
-
-@pytest.mark.usefixtures("no_silent_replays")
-@needs_compiled
-@pytest.mark.parametrize("snapshot_reno, built_reno", [
-    (RenoConfig.reno_me(), RenoConfig.reno_default()),
-    (RenoConfig.reno_default(), None),
-    (None, RenoConfig.reno_default()),
-], ids=["ME-into-RENO", "RENO-into-BASE", "BASE-into-RENO"])
-def test_restored_renamer_runs_in_the_kernel(gzip_run, snapshot_reno,
-                                             built_reno):
-    """The renamer is part of the snapshot: restored into a compiled
-    pipeline built with another renamer, the kernel runs the snapshot's
-    renamer (a restore re-prepares the backend), as the python loop does."""
-    program, trace = gzip_run
-    source = make_pipeline(program, trace, snapshot_reno, "python")
-    source.run(max_cycles=500)
-    snapshot = source.snapshot()
-    reference = source.run()
-
-    pipeline = make_pipeline(program, trace, built_reno, "compiled")
-    pipeline.restore(snapshot)
-    assert_results_identical(pipeline.run(), reference)
-
-
-def test_a_snapshot_holds_no_rename_result_or_decoded_op(monkeypatch):
-    """A mid-run RENO snapshot is plain data: the window keeps int columns,
-    so no ``RenameResult`` and no decoded-op tuple is pickled."""
-    program, trace = build_run(SEEDS[0])
-    pipeline = make_pipeline(program, trace, RenoConfig.reno_default(),
-                             "python")
-    pipeline.run(max_cycles=150)
-    assert not pipeline.finished
-    assert pipeline.stats.eliminated_moves + pipeline.stats.eliminated_folds
-    snapshot = pipeline.snapshot()
-    decoded = {id(op) for op in pipeline.tables.decoded}
-
-    def refuse(self, protocol):
-        raise AssertionError("a RenameResult was pickled")
-
-    monkeypatch.setattr(RenameResult, "__reduce_ex__", refuse, raising=False)
-
-    class Refusing(pickle.Pickler):
-        def persistent_id(self, obj):
-            if type(obj) is tuple and id(obj) in decoded:
-                raise AssertionError(f"a decoded-op tuple was pickled: {obj}")
-            return None
-
-    Refusing(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(snapshot)
+@pytest.mark.parametrize("reno", [None, RenoConfig.reno_default()],
+                         ids=["BASE", "RENO"])
+def test_a_declined_cell_matches_the_python_loop(reno, monkeypatch):
+    """A cell the kernel declines (its program does not fit the static
+    columns) runs on the python backend, with no kernel call, timed and
+    observed, and gives the python loop's result."""
+    program = wide_immediate_program()
+    trace = FunctionalSimulator(program, backend="python").run().trace
+    tables = TraceTables(program, trace)
+    assert not KernelTables.of(tables).fits
+    calls = []
+    kernel = build.load_kernel()
+    monkeypatch.setattr(build, "load_kernel", lambda: kernel and (
+        lambda *args: calls.append(args) or kernel(*args)))
+    machine = MachineConfig.default_4wide()
+    cell = (program, trace, tables, machine, reno, True, True)
+    declined = get_backend("compiled").run_fresh(*cell)
+    reference = get_backend("python").run_fresh(*cell)
+    assert calls == []
+    assert_results_identical(declined, reference)
+    assert declined.timing_records == reference.timing_records
+    assert (declined.stats.occupancy.to_dict()
+            == reference.stats.occupancy.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +378,16 @@ def test_no_silent_replays_catches_a_functional_fallback(no_silent_replays):
         FunctionalSimulator(program, 50, backend="compiled").run()
 
 
+@needs_compiled
+def test_no_silent_replays_catches_a_declined_cell(no_silent_replays):
+    """A compiled cell the kernel declines, which runs on the python
+    backend, fails the guard."""
+    program = wide_immediate_program()
+    trace = FunctionalSimulator(program, backend="python").run().trace
+    with pytest.raises(pytest.fail.Exception, match="compiled cell fell back"):
+        compiled_cell(program, trace, None)
+
+
 # ---------------------------------------------------------------------------
 # The failure rule
 # ---------------------------------------------------------------------------
@@ -573,108 +412,43 @@ def failing_kernel(monkeypatch, code):
 
 
 @needs_compiled
-@pytest.mark.parametrize("route", ["fresh", "sliced"])
 @pytest.mark.parametrize("code", ERROR_CODES)
-def test_a_failing_kernel_raises_kernel_error(code, route, monkeypatch):
+def test_a_failing_kernel_raises_kernel_error(code, monkeypatch):
     """A kernel that returns any nonzero code on a cell the python loop
     finishes fails loudly after one kernel call, with no result."""
     program = random_program(SEEDS[0], length=60).assemble()
     functional = FunctionalSimulator(program, backend="compiled").run()
-    pipeline = make_pipeline(program, functional.trace,
-                             RenoConfig.reno_default(), "compiled")
     calls = failing_kernel(monkeypatch, code)
     name = next(name for name, value in vars(emit).items()
                 if name.startswith("ERR_") and value == code)
     with pytest.raises(KernelError, match=name):
-        if route == "fresh":
-            simulate(program, reno=RenoConfig.reno_default(),
-                     trace=functional, backend="compiled")
-        else:
-            pipeline.run(max_cycles=100)
+        simulate(program, reno=RenoConfig.reno_default(), trace=functional,
+                 backend="compiled")
     assert calls == [emit.ERR_OK]
 
 
-@needs_compiled
-@pytest.mark.parametrize("collect_timing", [False, True])
-def test_a_sliced_overrun_raises_the_python_exception(collect_timing):
-    """A real failure in a kernel slice raises exactly the exception the
-    python backend raises at the same point."""
-    program, trace = build_run(SEEDS[1])
-    machine = dataclasses.replace(MachineConfig.default_4wide(),
-                                  name="short", max_cycles=150)
-    errors = []
-    for backend in ("python", "compiled"):
-        pipeline = make_pipeline(program, trace, RenoConfig.reno_default(),
-                                 backend, machine=machine,
-                                 collect_timing=collect_timing)
-        assert not pipeline.run(max_cycles=60).finished
-        with pytest.raises(Exception) as caught:
-            pipeline.run()
-        errors.append((type(caught.value), str(caught.value)))
-    assert errors[0] == errors[1]
-    assert errors[0][0] is RuntimeError
-
-
-#: A machine whose memory round trip outlasts the kernel's wakeup ring.
-SLOW_MEMORY = dataclasses.replace(MachineConfig.default_4wide(),
-                                  name="slow-memory", memory_latency=20_000)
-
-
-@pytest.mark.usefixtures("no_silent_replays")
-@needs_compiled
-@pytest.mark.parametrize("machine", [MachineConfig.default_4wide(),
-                                     SLOW_MEMORY, TINY],
-                         ids=lambda machine: machine.name)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_random_cuts_and_hand_offs_never_fail_the_kernel(seed, machine):
-    """Slices cut at random cycles, each on a backend drawn at random and
-    handed over through a pickled snapshot, finish with no KernelError
-    and the python run's result."""
-    program, trace = build_run(seed)
-    rng = random.Random(seed)
-    for reno in (None, RenoConfig.reno_default()):
-        reference = make_pipeline(program, trace, reno, "python",
-                                  machine=machine, collect_timing=True).run()
-        if machine is SLOW_MEMORY:
-            assert reference.stats.l2_misses
-        pipeline = make_pipeline(program, trace, reno, "compiled",
-                                 machine=machine, collect_timing=True)
-        longest = reference.cycles // 4         # at least four slices
-        hops = 0
-        while not (result := pipeline.run(
-                max_cycles=rng.randint(1, longest))).finished:
-            snapshot = pickle.loads(pickle.dumps(pipeline.snapshot()))
-            pipeline = make_pipeline(program, trace, reno,
-                                     rng.choice(("compiled", "python")),
-                                     machine=machine, collect_timing=True)
-            pipeline.restore(snapshot)
-            hops += 1
-        assert hops >= 3, (seed, machine.name)
-        assert_results_identical(result, reference)
-        assert result.timing_records == reference.timing_records
-
-
-@needs_compiled
-def test_timeline_pipelines_run_on_the_python_reference(monkeypatch):
-    """Timeline sampling is unsupported by the kernel: the compiled
-    backend's ``supports()`` hands such pipelines to the reference loop."""
+@pytest.mark.parametrize("timeline_stride", [0, 5])
+def test_a_compiled_pipeline_refuses_to_run(timeline_stride):
+    """The kernel runs whole cells only: a pipeline built on the compiled
+    backend (which exists to be captured into a cell's image) raises
+    instead of running the python loop under the ``compiled`` label, and
+    nothing is ever marshalled out of the kernel.  The same pipeline on
+    the python backend runs, timeline and all."""
     program, trace = build_run(SEEDS[0], length=60)
     machine = MachineConfig.default_4wide()
-    pipeline = Pipeline(program, trace, machine, timeline_stride=5,
-                        backend="compiled")
+    pipeline = Pipeline(program, trace, machine,
+                        timeline_stride=timeline_stride,
+                        backend=get_backend("compiled"))
     assert pipeline.backend_name == "compiled"
     assert not get_backend("compiled").supports(pipeline)
-    reference_loop = Pipeline._run_cycles
-    replayed = []
-
-    def counted(self, stop_cycle=None):
-        replayed.append(self.backend_name)
-        return reference_loop(self, stop_cycle)
-
-    monkeypatch.setattr(Pipeline, "_run_cycles", counted)
-    sampled = pipeline.run()
-    assert replayed == ["compiled"]
-    reference = Pipeline(program, trace, machine, timeline_stride=5,
+    with pytest.raises(RuntimeError, match="run_fresh"):
+        pipeline.run()
+    assert pipeline._cycle == 0
+    if KernelTables.of(pipeline.tables).fits:
+        with pytest.raises(RuntimeError, match="run_fresh"):
+            KernelState(pipeline).marshal_out(pipeline)
+    reference = Pipeline(program, trace, machine,
+                         timeline_stride=timeline_stride,
                          backend="python").run()
-    assert sampled.timeline and sampled.timeline == reference.timeline
-    assert_results_identical(sampled, reference)
+    assert reference.finished
+    assert bool(reference.timeline) is bool(timeline_stride)

@@ -2,16 +2,15 @@
 
 :meth:`~repro.uarch.compiled.backend.CompiledBackend.run_fresh` starts the
 kernel from a per-configuration image of a freshly constructed pipeline
-(:mod:`repro.uarch.compiled.fresh`).  These tests hold it to the two other
-routes:
+(:mod:`repro.uarch.compiled.fresh`).  These tests hold it to the python
+reference:
 
 * every configuration of the grid experiments that record no occupancy,
   on the ``micro`` suite and two ``specint`` kernels, gives the same
   statistics, final registers, cycles and ``finished`` on the fresh
-  route, the compiled pipeline route and the python reference, with and
-  without timing records and with and without occupancy; the timed
-  routes give the python loop's records, and the observed routes its
-  occupancy histograms;
+  route and the python loop, with and without timing records and with
+  and without occupancy; the timed cell gives the python loop's records,
+  and the observed cell its occupancy histograms;
 * the critical-path walk over a fresh cell's timing columns gives the
   python loop's breakdown on every ``fig9`` ``specint`` cell, and the
   ``fig9`` report on the compiled backend is the committed golden table;
@@ -27,8 +26,8 @@ routes:
   backend;
 * the image memo evicts its oldest entry, a cell keeps no reference to
   its trace, and a fork child gets an image lock of its own;
-* a compiled pipeline, a fresh cell and a compiled functional run leave
-  no cyclic garbage (no ctypes array type built per run).
+* an image capture, a fresh cell and a compiled functional run leave no
+  cyclic garbage (no ctypes array type built per run).
 """
 
 import gc
@@ -145,9 +144,6 @@ def test_fresh_cells_match_both_other_routes(workload):
         observed = backend.run_fresh(program, functional.trace, tables,
                                      machine, reno, record_stats=True)
         assert observed.timing_records is None
-        sliced = pipeline_result(program, functional, tables, machine, reno,
-                                 "compiled", collect_timing=True,
-                                 record_stats=True)
         python = pipeline_result(program, functional, tables, machine, reno,
                                  "python", collect_timing=True,
                                  record_stats=True)
@@ -155,14 +151,11 @@ def test_fresh_cells_match_both_other_routes(workload):
         assert observables(fresh_result) == observables(python), label
         assert observables(timed) == observables(python), label
         assert observables(observed) == observables(python), label
-        assert observables(sliced) == observables(python), label
         assert occupancy(observed) == occupancy(python), label
-        assert occupancy(sliced) == occupancy(python), label
         assert (fresh_result.final_registers
                 == list(functional.state.snapshot()))
         assert len(python.timing_records) == len(functional.trace)
         assert timed.timing_records == python.timing_records, label
-        assert sliced.timing_records == python.timing_records, label
         # Field types too (a 1 is not a True), on a prefix: every record
         # is built by the same code.
         assert_timing_records_identical(timed.timing_records[:64],
@@ -226,13 +219,13 @@ def test_a_timed_fresh_outcome_round_trips_through_a_store_payload():
     functional = outcome.functional
     reference = pipeline_result(
         program, functional, TraceTables(program, functional.trace),
-        MachineConfig.default_4wide(), reno, "compiled", collect_timing=True)
+        MachineConfig.default_4wide(), reno, "python", collect_timing=True)
     assert isinstance(reference.timing_records, TimingColumns)
     decoded = decode_payload(encode_payload(outcome))
     assert isinstance(decoded.timing.timing_records, TimingColumns)
     assert decoded.timing == reference
     assert outcome.timing == reference
-    # The other direction: a payload of the sliced pipeline route decodes
+    # The other direction: a payload of the python loop's outcome decodes
     # to an equal outcome.
     outcome.timing = reference
     assert decode_payload(encode_payload(outcome)).timing == \
@@ -299,7 +292,7 @@ def fresh_marshal_in(program, functional, tables, machine, reno,
                         collect_timing=collect_timing, backend="python",
                         tables=tables)
     state = KernelState(pipeline)
-    state.marshal_in(pipeline, None)
+    state.marshal_in(pipeline)
     return state
 
 
@@ -470,7 +463,7 @@ def test_fresh_cells_leave_the_trace_ops_unbuilt(monkeypatch):
     assert tables._trace_ops is None
     pipeline = Pipeline(program, functional.trace,
                         MachineConfig.default_4wide(), tables=tables,
-                        backend="compiled")
+                        backend="python")
     assert tables._trace_ops is None
     pipeline.run()
     assert tables._trace_ops is not None
@@ -575,14 +568,10 @@ def test_compiled_runs_leave_no_cyclic_garbage():
     machine, reno = MachineConfig.default_4wide(), RenoConfig.reno_default()
     backend = get_backend("compiled")
 
-    def compiled_pipeline():
-        pipeline = Pipeline(program, functional.trace, machine,
-                            renamer=RenoRenamer(machine.num_physical_regs, reno),
-                            backend="compiled", tables=tables)
-        pipeline.run()
-
     runs = {
-        "pipeline": compiled_pipeline,
+        "image capture": lambda: fresh.FreshImage(backend._marshal_fresh(
+            program, functional.trace, tables, machine, reno, False, False),
+            tables),
         "fresh cell": lambda: backend.run_fresh(
             program, functional.trace, tables, machine, reno),
         "functional": lambda: FunctionalSimulator(

@@ -15,9 +15,8 @@ both schedulers under several machine and RENO configurations, asserting:
 * identical final statistics (cycles, stalls, violations, eliminations...).
 
 The same generator drives a differential test of the timing records: on
-twenty seeds and three machines, the python loop, a sliced run handed
-between backends through pickled snapshots at random cycles, a fresh
-compiled cell and that cell's store-payload round trip must give equal
+twenty seeds and three machines, the python loop, a fresh compiled cell
+and that cell's store-payload round trip must give equal
 :class:`~repro.uarch.inflight.TimingColumns` and equal critical paths.
 :func:`random_program` is the repository's one random-program generator:
 the rename invariants, the functional C-vs-python test and the route fuzzer
@@ -28,7 +27,6 @@ hypothesis dependency.
 """
 
 import dataclasses
-import pickle
 import random
 from dataclasses import fields
 
@@ -42,6 +40,7 @@ from repro.isa.assembler import Assembler
 from repro.isa.instruction import CLASS_LOAD
 from repro.store.base import decode_payload, encode_payload
 from repro.uarch.backend import get_backend
+from repro.uarch.compiled import fresh
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
 from repro.uarch.inflight import TimingColumns
@@ -411,16 +410,11 @@ def test_compiled_backend_matches_the_event_driven_loop(machine_name,
     machine = MACHINES[machine_name]
     reno = CONFIGS[config_name]
 
-    def run(backend):
-        renamer = RenoRenamer(machine.num_physical_regs, reno) \
-            if reno is not None else None
-        pipeline = Pipeline(program, trace, machine, renamer=renamer,
-                            backend=backend)
-        assert pipeline.backend_name == backend
-        return pipeline.run()
-
-    compiled = run("compiled")
-    python = run("python")
+    tables = TraceTables(program, trace)
+    compiled = get_backend("compiled").run_fresh(program, trace, tables,
+                                                 machine, reno)
+    python = get_backend("python").run_fresh(program, trace, tables,
+                                             machine, reno)
     assert stats_dict(compiled) == stats_dict(python)
     assert compiled.final_registers == python.final_registers
 
@@ -447,53 +441,22 @@ DIFFERENTIAL_CELLS = {
 }
 
 
-def timed_pipeline(program, trace, tables, machine, reno, backend):
-    renamer = RenoRenamer(machine.num_physical_regs, reno) if reno is not None else None
-    pipeline = Pipeline(program, trace, machine, renamer=renamer,
-                        collect_timing=True, backend=backend, tables=tables)
-    assert pipeline.backend_name == backend
-    return pipeline
-
-
-def run_handed_off(program, trace, tables, machine, reno, rng):
-    """Finish a timed run in slices cut at random cycles, each on a backend
-    drawn at random (the first on the kernel), handing the run over through
-    a pickled snapshot between slices.  Returns (result, hand-offs)."""
-    pipeline = timed_pipeline(program, trace, tables, machine, reno,
-                              "compiled")
-    hops = 0
-    while True:
-        result = pipeline.run(max_cycles=rng.randint(1, 600))
-        if result.finished:
-            return result, hops
-        snapshot = pickle.loads(pickle.dumps(pipeline.snapshot()))
-        pipeline = timed_pipeline(program, trace, tables, machine, reno,
-                                  rng.choice(("compiled", "python")))
-        pipeline.restore(snapshot)
-        hops += 1
-
-
 @needs_compiled
 @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
 def test_timing_columns_agree_on_every_route(seed, monkeypatch):
-    """The python loop, a sliced run handed between backends, a fresh
-    compiled cell and its store payload round trip give equal timing
-    columns and critical paths, with no kernel slice replayed in python."""
-    reference_loop = Pipeline._run_cycles
-
-    def guarded(pipeline, stop_cycle=None):
-        if pipeline.backend_name == "compiled":
-            pytest.fail("a compiled slice fell back to Pipeline._run_cycles")
-        return reference_loop(pipeline, stop_cycle)
-
-    monkeypatch.setattr(Pipeline, "_run_cycles", guarded)
+    """The python loop, a fresh compiled cell and its store payload round
+    trip give equal timing columns and critical paths, with the compiled
+    cell run in the kernel."""
+    kernel_cells = []
+    run_cell = fresh.run_cell
+    monkeypatch.setattr(fresh, "run_cell", lambda *args: kernel_cells.append(
+        args) or run_cell(*args))
     program = random_program(seed, length=120).assemble()
     trace = FunctionalSimulator(program).run().trace
     tables = TraceTables(program, trace)
-    rng = random.Random(seed)
     for label, (machine, reno) in DIFFERENTIAL_CELLS.items():
-        python = timed_pipeline(program, trace, tables, machine, reno,
-                                "python").run()
+        python = get_backend("python").run_fresh(
+            program, trace, tables, machine, reno, collect_timing=True)
         expected = python.timing_records
         assert isinstance(expected, TimingColumns)
         assert len(expected) == len(trace)
@@ -504,15 +467,14 @@ def test_timing_columns_agree_on_every_route(seed, monkeypatch):
             assert python.stats.iq_stall_cycles, seed
             assert python.stats.lsq_stall_cycles, seed
 
-        sliced, hops = run_handed_off(program, trace, tables, machine, reno,
-                                      rng)
-        assert hops >= 2, (seed, label)
-        fresh = get_backend("compiled").run_fresh(
+        compiled = get_backend("compiled").run_fresh(
             program, trace, tables, machine, reno, collect_timing=True)
-        assert fresh is not None, (seed, label)
+        assert len(kernel_cells) == 1, (seed, label)
+        kernel_cells.clear()
         decoded = decode_payload(encode_payload(SimulationOutcome(
-            program=None, functional=None, timing=fresh, reno_config=reno)))
-        for route, result in (("sliced", sliced), ("fresh", fresh),
+            program=None, functional=None, timing=compiled,
+            reno_config=reno)))
+        for route, result in (("fresh", compiled),
                               ("payload", decoded.timing)):
             where = (seed, label, route)
             assert stats_dict(result) == stats_dict(python), where

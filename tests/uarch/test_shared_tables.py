@@ -9,9 +9,8 @@ both backends and on a workload that stores into its initial memory; the
 shared tables are byte-identical after every cell; and the block drops
 them when it ends.
 
-The marshal round trip checks the other half of this change: marshal-in
-and marshal-out copy only the cache and BTB sets in use, and a round trip
-with no kernel call in between must leave the pipeline exactly as it was.
+Marshal-in, which captures a fresh pipeline into a compiled cell's image,
+must leave the pipeline exactly as it was, and refuses one that has run.
 """
 
 import gc
@@ -25,7 +24,6 @@ from test_backends import (  # noqa: F401  (no_silent_replays is a fixture)
     make_pipeline,
     needs_compiled,
     no_silent_replays,
-    to_plain,
 )
 
 from repro.core import RenoRenamer
@@ -82,32 +80,41 @@ def test_cells_on_shared_tables_match_cells_built_from_scratch(backend):
     assert store_pages and store_pages <= set(tables.memory_image), \
         "the workload must store into its initial memory image"
     image = dict(tables.memory_image)
-    kernel_tables = columns = None
+    compiled = get_backend("compiled")
+    kernel_tables = columns = pool = None
     for machine_name, config_name in CELLS:
-        shared = cell_pipeline(program, trace, machine_name, config_name,
-                               backend, tables=tables)
-        assert shared.tables is tables
-        assert shared._trace_ops is tables.trace_ops
-        if backend == "compiled":
+        if backend == "python":
+            shared = cell_pipeline(program, trace, machine_name, config_name,
+                                   backend, tables=tables)
+            assert shared.tables is tables
+            assert shared._trace_ops is tables.trace_ops
+            result = shared.run()
+            assert shared.memory != Memory.from_image(image), \
+                "the cell's stores must land in its own memory"
+            scratch = cell_pipeline(program, trace, machine_name,
+                                    config_name, backend)
+            assert scratch.tables is not tables
+            expected = scratch.run()
+        else:
+            cell = (program, trace, MACHINES[machine_name],
+                    CONFIGS[config_name])
+            result = compiled.run_fresh(cell[0], cell[1], tables, *cell[2:])
             if kernel_tables is None:
                 kernel_tables, columns = tables.kernel, column_bytes(tables)
+                pool = bytes(kernel_tables.pool.buffer)
             assert tables.kernel is kernel_tables    # built once per trace
-            state = get_backend("compiled")._states[shared]
-            assert state.arr["T_PC"] is kernel_tables.arrays["T_PC"]
-        result = shared.run()
-        fresh = cell_pipeline(program, trace, machine_name, config_name,
-                              backend)
-        assert fresh.tables is not tables
-        assert_results_identical(result, fresh.run())
-        assert shared.memory != Memory.from_image(image), \
-            "the cell's stores must land in its own memory"
+            assert bytes(kernel_tables.pool.buffer) == pool, \
+                "the cell's stores must land in its own page pool"
+            expected = compiled.run_fresh(
+                cell[0], cell[1], TraceTables(program, trace), *cell[2:])
+        assert_results_identical(result, expected)
         assert tables.memory_image == image
     assert program.initial_memory == initial_memory
     assert page_image(program.initial_memory) == image
     if backend == "compiled":
         assert column_bytes(tables) == columns
     else:
-        assert tables.kernel is None    # built only for compiled pipelines
+        assert tables.kernel is None    # built only for compiled cells
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -142,33 +149,24 @@ def test_tables_from_another_trace_are_refused():
 
 
 @pytest.mark.parametrize("config_name", ["BASE", "RENO"])
-def test_marshal_round_trip_without_a_kernel_call_changes_nothing(
-        config_name):
+def test_marshal_in_reads_a_fresh_pipeline_and_changes_nothing(config_name):
+    """Marshal-in only reads: a fresh pipeline marshalled in then runs
+    whole to the result, timing records and occupancy of one never
+    marshalled.  A pipeline that has run is refused, since a cell starts
+    at cycle 0 with nothing in flight.  Needs no toolchain."""
     program, trace = storing_run()
-    pipeline = make_pipeline(program, trace, CONFIGS[config_name], "python")
-    pipeline.run(max_cycles=1000)
-    assert not pipeline.finished
-    l1d_sets = pipeline.caches.l1d._sets
-    btb_sets = pipeline.branch_unit.btb._sets
-    l1d_victim = next(i for i, ways in enumerate(l1d_sets) if ways)
-    btb_victim = next(i for i, ways in enumerate(btb_sets) if ways)
-    assert sum(map(bool, l1d_sets)) < len(l1d_sets), "need empty sets too"
-    before = to_plain(pipeline.snapshot().state)
+    reno = CONFIGS[config_name]
 
-    state = KernelState(pipeline)
-    state.marshal_in(pipeline, None)
-    state.marshal_out(pipeline)
-    assert to_plain(pipeline.snapshot().state) == before
+    def pipeline():
+        return make_pipeline(program, trace, reno, "python",
+                             record_stats=True, collect_timing=True)
 
-    # A set that holds ways in Python but has buffer length 0 must be
-    # rebuilt (here: emptied) — marshal-out visits sets occupied on
-    # either side, not just in the buffers.
-    l1d_ways, btb_ways = list(l1d_sets[l1d_victim]), list(btb_sets[btb_victim])
-    state.marshal_in(pipeline, None)
-    state.arr["CL_L1D"][l1d_victim] = 0
-    state.arr["BTB_LEN"][btb_victim] = 0
-    state.marshal_out(pipeline)
-    assert l1d_sets[l1d_victim] == [] and btb_sets[btb_victim] == []
-    l1d_sets[l1d_victim][:] = l1d_ways
-    btb_sets[btb_victim][:] = btb_ways
-    assert to_plain(pipeline.snapshot().state) == before
+    marshalled = pipeline()
+    KernelState(marshalled).marshal_in(marshalled)
+    result, reference = marshalled.run(), pipeline().run()
+    assert_results_identical(result, reference)
+    assert result.timing_records == reference.timing_records
+    assert (result.stats.occupancy.to_dict()
+            == reference.stats.occupancy.to_dict())
+    with pytest.raises(ValueError, match="fresh pipeline"):
+        KernelState(marshalled).marshal_in(marshalled)
