@@ -16,16 +16,28 @@ completion time:
 Every edge's latency contribution is charged to one of the paper's five
 buckets: ``fetch``, ``alu_exec``, ``load_exec`` (cache-hit dataflow),
 ``load_mem`` (miss dataflow) and ``commit``.
+
+The walk runs as the kernel library's ``repro_critpath`` (a C port of
+:func:`python_walk`) whenever the library loads, whichever backend made the
+records, so a python-backend run on a host with a C compiler compiles it;
+:func:`python_walk` runs only with no compiler or ``REPRO_NO_CC=1``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
+from repro.uarch.compiled import build
 from repro.uarch.inflight import TimingColumns
 
 #: Loads whose cache latency exceeds this are charged to the memory bucket.
 _MEMORY_LATENCY_THRESHOLD = 10
+
+#: The columns the walk reads, in order (the C walk's ``CP_*`` indices).
+WALK_COLUMNS = ("dispatch_cycle", "complete_cycle", "retire_cycle",
+                "dcache_latency", "eliminated", "is_load", "nprod", "prod0",
+                "prod1", "prod2")
 
 
 @dataclass
@@ -38,7 +50,6 @@ class CriticalPathBreakdown:
     load_mem: int = 0
     commit: int = 0
     path_length: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -71,10 +82,22 @@ def analyze_critical_path(records: TimingColumns) -> CriticalPathBreakdown:
     count = len(records)
     if not count:
         return CriticalPathBreakdown()
+    columns = [records.column(name) for name in WALK_COLUMNS]
+    walk = build.load_critpath()
+    if walk is None:
+        return CriticalPathBreakdown(*python_walk(count, columns))
+    # Python-loop and unpickled columns are copied into int64 buffers.
+    columns = [column if isinstance(column, array) and column.typecode == "q"
+               else array("q", column[:count]) for column in columns]
+    return CriticalPathBreakdown(*build.call(walk, [count] + [0] * 6,
+                                             columns)[1:])
+
+
+def python_walk(count: int, columns: list) -> tuple[int, ...]:
+    """The walk over ``count`` (> 0) records' :data:`WALK_COLUMNS`:
+    ``(fetch, alu_exec, load_exec, load_mem, commit, path_length)``."""
     (dispatch, complete, retire, dcache, eliminated, loads, nprod, prod0,
-     prod1, prod2) = map(records.column, (
-        "dispatch_cycle", "complete_cycle", "retire_cycle", "dcache_latency",
-        "eliminated", "is_load", "nprod", "prod0", "prod1", "prod2"))
+     prod1, prod2) = columns
     seq = count - 1
     done = complete[seq]
     # Commit bucket: the tail between the last completion and retirement.
@@ -82,27 +105,15 @@ def analyze_critical_path(records: TimingColumns) -> CriticalPathBreakdown:
     fetch = alu_exec = load_exec = load_mem = path_length = 0
 
     for _ in range(count + 8):
-        # The data predecessor is the producer whose result arrived last
-        # (the first one on a tie); ``arrival`` is its completion cycle.
-        # (Unrolled over the three producer columns: the walk is hot.)
+        # The data predecessor is the producer (of the first ``nprod``)
+        # whose result arrived last, the first one on a tie; ``arrival`` is
+        # its completion cycle.
         data_pred = -1
-        sources = nprod[seq]
-        if sources:
-            producer = prod0[seq]
-            if 0 <= producer < count:
+        for producers in (prod0, prod1, prod2)[:max(0, nprod[seq])]:
+            producer = producers[seq]
+            if 0 <= producer < count and (data_pred < 0
+                                          or complete[producer] > arrival):
                 data_pred, arrival = producer, complete[producer]
-            if sources > 1:
-                producer = prod1[seq]
-                if 0 <= producer < count:
-                    cycle = complete[producer]
-                    if data_pred < 0 or cycle > arrival:
-                        data_pred, arrival = producer, cycle
-                if sources > 2:
-                    producer = prod2[seq]
-                    if 0 <= producer < count:
-                        cycle = complete[producer]
-                        if data_pred < 0 or cycle > arrival:
-                            data_pred, arrival = producer, cycle
         path_length += 1
         if data_pred >= 0 and arrival >= dispatch[seq]:
             # A data edge, charged by the instruction's class (a producer
@@ -130,6 +141,4 @@ def analyze_critical_path(records: TimingColumns) -> CriticalPathBreakdown:
             if done > previous:
                 fetch += done - previous
             done = previous
-    return CriticalPathBreakdown(
-        fetch=fetch, alu_exec=alu_exec, load_exec=load_exec,
-        load_mem=load_mem, commit=commit, path_length=path_length)
+    return fetch, alu_exec, load_exec, load_mem, commit, path_length

@@ -1,8 +1,9 @@
 """Toolchain discovery and cached compilation of the generated kernel.
 
-One shared object holds both entries of the translation unit:
-:func:`load_kernel` hands out the cycle loop (``repro_run``) and
-:func:`load_functional` the functional run (``repro_functional``).
+One shared object holds the entries, each ``(int64_t *sc, int64_t **pt,
+uint8_t *)``: the cycle loop (:func:`load_kernel`), the functional run, the
+critical-path walk and the records' static-column gather (the last two run
+through :func:`call`).
 
 The kernel C source (:func:`repro.uarch.compiled.emit.kernel_source`) is
 compiled at most once per source digest: the shared object is cached under
@@ -38,9 +39,12 @@ _COMPILERS = ("cc", "gcc", "clang")
 #: Lines of the compiler's error output a :class:`KernelBuildError` keeps.
 _STDERR_TAIL = 20
 
-#: Memoised load result: [tried, repro_run or None, repro_functional or
-#: None, the build failure's message or None].
-_cached: list = [False, None, None, None]
+#: The library's entries, in :data:`_cached` order.
+_ENTRIES = ("repro_run", "repro_functional", "repro_critpath", "repro_gather")
+
+#: Memoised load result: [tried, one entry or None per :data:`_ENTRIES`,
+#: the build failure's message or None].
+_cached: list = [False, *[None] * len(_ENTRIES), None]
 
 
 class KernelBuildError(RuntimeError):
@@ -92,25 +96,26 @@ def _compile(cc: str, source: str, digest: str) -> str:
 
 
 def _load() -> list:
-    """Compile (once per source digest) and load both entries: ``[repro_run,
-    repro_functional, None]``, ``[None, None, None]`` with no toolchain, or
-    ``[None, None, message]`` when the kernel fails to build or load."""
+    """Compile (once per source digest) and load every entry: ``[*entries,
+    None]``, all None with no toolchain, or the entries None and the
+    message last when the kernel fails to build or load."""
+    missing = [None] * len(_ENTRIES)
     cc = toolchain()
     if cc is None:
-        return [None, None, None]
+        return [*missing, None]
     try:
         from repro.uarch.compiled.emit import kernel_source
 
         source = kernel_source()
         digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:20]
         library = ctypes.CDLL(_compile(cc, source, digest))
-        entries = [library.repro_run, library.repro_functional]
+        entries = [getattr(library, name) for name in _ENTRIES]
     except Exception as error:
         detail = str(error)
         if isinstance(error, subprocess.CalledProcessError):
             stderr = error.stderr.decode("utf-8", "replace").splitlines()
             detail = "\n".join(stderr[-_STDERR_TAIL:]) or detail
-        return [None, None,
+        return [*missing,
                 f"the compiled kernel failed to build or load with {cc}:\n"
                 f"{detail}\nSet {ENV_NO_CC}=1 to run on the python backend "
                 f"instead"]
@@ -130,8 +135,8 @@ def _entry(index: int):
     load)."""
     if not _cached[0]:
         _cached[:] = [True, *_load()]
-    if _cached[3] is not None:
-        raise KernelBuildError(_cached[3])
+    if _cached[-1] is not None:
+        raise KernelBuildError(_cached[-1])
     return _cached[index]
 
 
@@ -153,6 +158,26 @@ def load_functional():
     return _entry(2)
 
 
+def load_critpath():
+    """The compiled ``repro_critpath`` entry point (see :func:`load_kernel`)."""
+    return _entry(3)
+
+
+def load_gather():
+    """The compiled ``repro_gather`` entry point (see :func:`load_kernel`)."""
+    return _entry(4)
+
+
+def call(entry, scalars: list[int], columns) -> list[int]:
+    """Run ``entry`` on ``scalars`` and ``columns``; the scalars after."""
+    from repro.uarch.compiled.marshal import address_of
+
+    block = (ctypes.c_int64 * len(scalars))(*scalars)
+    entry(block, (ctypes.c_void_p * len(columns))(*map(address_of, columns)),
+          None)
+    return block[:]
+
+
 def reset_cache() -> None:
     """Forget the memoised load result (tests toggle REPRO_NO_CC)."""
-    _cached[:] = [False, None, None, None]
+    _cached[:] = [False, *[None] * len(_ENTRIES), None]

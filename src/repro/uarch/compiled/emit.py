@@ -21,9 +21,13 @@ This module is the single source of truth for the compiled kernel's ABI:
   - ``repro_functional``, a port of the functional simulator's
     interpreter (:class:`repro.functional.simulator.FunctionalSimulator`)
     that writes the trace straight into the ``T_*`` columns
-    (:data:`repro.functional.trace.TRACE_COLUMNS`).
+    (:data:`repro.functional.trace.TRACE_COLUMNS`);
 
-Neither entry mutates Python state or allocates: every buffer is provided
+  and, with small blocks of their own, ``repro_critpath`` (the walk of
+  :func:`repro.analysis.critpath.python_walk`) and ``repro_gather`` (it
+  fills :attr:`repro.uarch.tables.TraceTables.record_columns`).
+
+No entry mutates Python state or allocates: every buffer is provided
 by :mod:`repro.uarch.compiled.marshal` or
 :mod:`repro.uarch.compiled.functional`.  On any error ``repro_run``
 returns a nonzero code *without* side effects visible to Python, so the
@@ -233,6 +237,7 @@ def _prelude() -> str:
         DF_COND_BRANCH, DF_CONTROL, DF_IT_ALU, DF_LOAD, DF_MEM_SIGNED,
         DF_MOVE, DF_NO_EXECUTE, DF_REG_IMM_ADD, DF_STORE,
     )
+    from repro.analysis.critpath import WALK_COLUMNS, _MEMORY_LATENCY_THRESHOLD
     from repro.isa.program import CODE_BASE, INSTRUCTION_BYTES
 
     lines = ["/* Generated prelude -- do not edit; see repro.uarch."
@@ -261,14 +266,17 @@ def _prelude() -> str:
         "FK_BRANCH": FK_BRANCH, "FK_JUMP": FK_JUMP, "FK_CALL": FK_CALL,
         "FK_RET": FK_RET, "FK_NONE": FK_NONE, "FK_HALT": FK_HALT,
         "CODE_BASE": CODE_BASE, "INSTRUCTION_BYTES": INSTRUCTION_BYTES,
+        "MEMORY_LATENCY_THRESHOLD": _MEMORY_LATENCY_THRESHOLD,
     }
     for name, value in consts.items():
         lines.append(f"#define {name} {value}")
+    for index, name in enumerate(WALK_COLUMNS):
+        lines.append(f"#define CP_{name.upper()} {index}")
     return "\n".join(lines) + "\n"
 
 
 def kernel_source() -> str:
-    """The complete C translation unit: both entries and their prelude."""
+    """The complete C translation unit: every entry and their prelude."""
     return _prelude() + _KERNEL
 
 
@@ -607,23 +615,25 @@ static int btb_check_target(Ctx *c, u64 pc, i64 tgt, int tgt_has) {
 
 /* ---------------- integration table ---------------- */
 
+static inline i64 floormod(i64 x, i64 s) { i64 r = x % s; return r < 0 ? r + s : r; }
+
 /* Incremental floor-mod port of IntegrationTable._set_index's unbounded
  * Python integer hash: mixed = crc; mixed = mixed*1000003 + imm; then
- * per operand mixed = mixed*1000003 + preg*8191 + disp; mod num_sets. */
+ * per operand mixed = mixed*1000003 + preg*8191 + disp; mod num_sets.
+ * S = 2**k: wrapping u64 keeps the low k bits exact; else each term is
+ * reduced mod S in i64 (S < 2**31 for IT_* to fit; pregs are small). */
 static inline i64 it_set_index(Ctx *c, i64 kop, i64 imm, i64 n,
                                i64 p0, i64 d0, i64 p1, i64 d1) {
     i64 S = SC(IT_SETS);
-    i64 m = P(O_CRC)[kop] % S;
-    i128 acc = (i128)m * 1000003 + imm;
-    m = (i64)(acc % S); if (m < 0) m += S;
-    if (n > 0) {
-        acc = (i128)m * 1000003 + (i128)p0 * 8191 + d0;
-        m = (i64)(acc % S); if (m < 0) m += S;
+    if ((S & (S - 1)) == 0) {
+        u64 h = (u64)P(O_CRC)[kop] * 1000003u + (u64)imm;
+        if (n > 0) h = h * 1000003u + (u64)p0 * 8191u + (u64)d0;
+        if (n > 1) h = h * 1000003u + (u64)p1 * 8191u + (u64)d1;
+        return (i64)(h & (u64)(S - 1));
     }
-    if (n > 1) {
-        acc = (i128)m * 1000003 + (i128)p1 * 8191 + d1;
-        m = (i64)(acc % S); if (m < 0) m += S;
-    }
+    i64 mul = 1000003 % S, m = (P(O_CRC)[kop] % S * mul + floormod(imm, S)) % S;
+    if (n > 0) m = (m * mul + p0 * (8191 % S) + floormod(d0, S)) % S;
+    if (n > 1) m = (m * mul + p1 * (8191 % S) + floormod(d1, S)) % S;
     return m;
 }
 
@@ -1920,5 +1930,71 @@ i64 repro_functional(i64 *sc_blk, i64 **pt_blk, uint8_t *pages_blk) {
     SC(F_PC) = (i64)pc;
     SC(F_SEQ) = seq;
     return code;
+}
+"""
+
+_KERNEL += r"""
+/* ---------------- report reduction ---------------- */
+
+/* Port of repro.analysis.critpath.python_walk, line for line.  sc: the
+ * record count (positive), then the outputs fetch, alu_exec, load_exec,
+ * load_mem, commit, path_length; pt: critpath.WALK_COLUMNS (CP_*). */
+__attribute__((visibility("default")))
+i64 repro_critpath(i64 *sc, i64 **pt, uint8_t *unused) {
+    const i64 count = sc[0], *complete = pt[CP_COMPLETE_CYCLE];
+    const i64 *prods[3] = { pt[CP_PROD0], pt[CP_PROD1], pt[CP_PROD2] };
+    i64 seq = count - 1, done = complete[seq];
+    i64 commit = pt[CP_RETIRE_CYCLE][seq] - done;
+    i64 fetch = 0, alu_exec = 0, load_exec = 0, load_mem = 0, path_length = 0;
+
+    for (i64 step = 0; step < count + 8; step++) {
+        /* The producer whose result arrived last (the first on a tie). */
+        i64 data_pred = -1, arrival = 0, sources = pt[CP_NPROD][seq];
+        for (int k = 0; k < sources && k < 3; k++) {
+            i64 producer = prods[k][seq];
+            if (0 <= producer && producer < count
+                && (data_pred < 0 || complete[producer] > arrival)) {
+                data_pred = producer;
+                arrival = complete[producer];
+            }
+        }
+        path_length++;
+        if (data_pred >= 0 && arrival >= pt[CP_DISPATCH_CYCLE][seq]) {
+            if (data_pred >= seq) { fetch += done > 0 ? done : 0; break; }
+            i64 edge_cost = done - arrival;
+            if (edge_cost > 0) {
+                if (!pt[CP_IS_LOAD][seq] || pt[CP_ELIMINATED][seq])
+                    alu_exec += edge_cost;
+                else if (pt[CP_DCACHE_LATENCY][seq] > MEMORY_LATENCY_THRESHOLD)
+                    load_mem += edge_cost;
+                else load_exec += edge_cost;
+            }
+            seq = data_pred;
+            done = arrival;
+        } else {
+            if (seq == 0) { fetch += done > 0 ? done : 0; break; }
+            seq--;
+            if (done > complete[seq]) fetch += done - complete[seq];
+            done = complete[seq];
+        }
+    }
+    sc[1] = fetch; sc[2] = alu_exec; sc[3] = load_exec; sc[4] = load_mem;
+    sc[5] = commit > 0 ? commit : 0; sc[6] = path_length;
+    return 0;
+}
+
+/* TraceTables.record_columns: for each of sc[0] records, through its
+ * static index pt[0], the opcode id (pt[1], S_OPC) and the load, store
+ * and control flags (pt[2], S_FLAGS) into pt[3]..pt[6]. */
+__attribute__((visibility("default")))
+i64 repro_gather(i64 *sc, i64 **pt, uint8_t *unused) {
+    for (i64 i = 0; i < sc[0]; i++) {
+        i64 sidx = pt[0][i], flags = pt[2][sidx];
+        pt[3][i] = pt[1][sidx];
+        pt[4][i] = (flags & DF_LOAD) != 0;
+        pt[5][i] = (flags & DF_STORE) != 0;
+        pt[6][i] = (flags & DF_CONTROL) != 0;
+    }
+    return 0;
 }
 """

@@ -188,6 +188,10 @@ class FreshImage:
 _images: dict[tuple, FreshImage] = {}
 _images_lock = threading.Lock()
 
+#: ``id(config) -> (config, digest)``, oldest first.  An entry holds its
+#: config, so a recycled ``id`` fails the identity check.
+_digests: dict[int, tuple] = {}
+
 
 def _reset_images_lock() -> None:
     # A fork child inherits the lock in whatever state another parent
@@ -207,9 +211,9 @@ def image_of(machine, reno, timing: bool, occupancy: bool,
     ``capture()`` builds the image; it runs only on a memo miss, and
     whatever it raises propagates.
     """
-    key = (machine.digest(), None if reno is None else reno.digest(),
-           timing, occupancy)
     with _images_lock:
+        key = (_digest(machine), None if reno is None else _digest(reno),
+               timing, occupancy)
         image = _images.get(key)
         if image is None:
             image = capture()
@@ -217,6 +221,16 @@ def image_of(machine, reno, timing: bool, occupancy: bool,
                 del _images[next(iter(_images))]
             _images[key] = image
     return image
+
+
+def _digest(config) -> str:
+    """``config.digest()``, once per object (hold :data:`_images_lock`)."""
+    entry = _digests.get(id(config))
+    if entry is None or entry[0] is not config:
+        if len(_digests) >= IMAGE_SLOTS:
+            del _digests[next(iter(_digests))]
+        entry = _digests[id(config)] = (config, config.digest())
+    return entry[1]
 
 
 def run_cell(kernel, image: FreshImage, tables, machine,

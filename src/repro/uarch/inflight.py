@@ -60,6 +60,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from repro.isa.opcodes import Opcode
+
 #: ``complete_cycle`` sentinel: the slot is empty, or its instruction has
 #: not completed execution yet.  Beyond any reachable cycle count.
 NO_COMPLETE = 1 << 60
@@ -205,6 +207,14 @@ TIMING_COLUMNS: dict[str, str] = {
 #: The columns a trace determines (the opcode and class of each seq).
 STATIC_COLUMNS = ("opcode", "is_load", "is_store", "is_branch")
 
+#: The opcode value of each kernel opcode id (``emit.OP_ID`` numbers
+#: :class:`~repro.isa.opcodes.Opcode` in declaration order).
+OPCODE_VALUES = tuple(op.value for op in Opcode)
+
+#: How an ``array`` column of :data:`STATIC_COLUMNS` reads as record fields.
+_STATIC_FIELDS = {"opcode": OPCODE_VALUES.__getitem__, "is_load": bool,
+                  "is_store": bool, "is_branch": bool}
+
 #: Records built per batch (bounds the temporary lists; the records
 #: themselves are kept).
 _RECORD_CHUNK = 1024
@@ -238,25 +248,30 @@ class TimingColumns(Sequence):
         :data:`STATIC_COLUMNS`), indexed by seq."""
         return self._columns[name]
 
+    def _slice(self, name: str, first: int, last: int) -> list:
+        """Items ``first:last`` of column ``name`` as record field values."""
+        column = self._columns[name][first:last]
+        if not isinstance(column, array):
+            return column
+        field = _STATIC_FIELDS.get(name)
+        return column.tolist() if field is None else list(map(field, column))
+
     def _plain(self) -> dict[str, list]:
         """Every column as a list of exactly ``len(self)`` values."""
-        length = self._length
-        return {name: (column[:length].tolist() if isinstance(column, array)
-                       else column[:length])
-                for name, column in self._columns.items()}
+        return {name: self._slice(name, 0, self._length)
+                for name in self._columns}
 
     @property
     def records(self) -> list[TimingRecord]:
         """The records, built from the columns on first use."""
         if self._records is None:
             self._records = records = []
-            columns = self._columns
             for first in range(0, self._length, _RECORD_CHUNK):
                 last = min(first + _RECORD_CHUNK, self._length)
                 (dispatch, issue, complete, retire, dcache, latency,
                  mispredicted, eliminated, counts, prod0, prod1, prod2,
                  opcodes, loads, stores, branches) = (
-                    columns[name][first:last]
+                    self._slice(name, first, last)
                     for name in (*TIMING_COLUMNS, *STATIC_COLUMNS))
                 records.extend(map(
                     TimingRecord, range(first, last), opcodes, dispatch,

@@ -40,6 +40,7 @@ from repro.functional.memory import page_image
 from repro.functional.trace import DynamicInstruction, TraceColumns
 from repro.isa.instruction import DF_CONTROL, DF_LOAD, DF_STORE, decode_program
 from repro.isa.program import Program
+from repro.uarch.compiled import build
 from repro.uarch.inflight import STATIC_COLUMNS
 
 
@@ -135,8 +136,8 @@ class TraceTables:
         """The static instruction index of every trace record."""
         trace = self.trace
         if isinstance(trace, TraceColumns):
-            return trace.arrays["T_SIDX"].tolist()
-        return list(map(attrgetter("index"), trace))
+            return trace.arrays["T_SIDX"]
+        return array("q", map(attrgetter("index"), trace))
 
     @property
     def trace_ops(self) -> list[tuple]:
@@ -148,20 +149,30 @@ class TraceTables:
         return self._trace_ops
 
     @property
-    def record_columns(self) -> dict[str, list]:
+    def record_columns(self) -> dict[str, array | list]:
         """Name -> column by seq for each of
-        :data:`~repro.uarch.inflight.STATIC_COLUMNS` (opcode value,
-        is_load, is_store, is_branch), built on first use by a timed cell
-        and shared by the timing columns of every timed cell on this
-        trace."""
+        :data:`~repro.uarch.inflight.STATIC_COLUMNS`, built on first use by
+        a timed cell and shared by the timing columns of every timed cell
+        on this trace.
+
+        With the kernel library, ``repro_gather`` fills them from ``S_*``
+        as ``array('q')`` (opcode ids, 0/1 flags); else they are lists of
+        opcode values and bools.  ``TimingColumns`` reads both alike."""
         if self._record_columns is None:
-            decoded = self.decoded
-            by_static = ([op[6].value for op in decoded],
-                         [bool(op[0] & DF_LOAD) for op in decoded],
-                         [bool(op[0] & DF_STORE) for op in decoded],
-                         [bool(op[0] & DF_CONTROL) for op in decoded])
             indices = self._static_indices()
-            self._record_columns = {
-                name: list(map(values.__getitem__, indices))
-                for name, values in zip(STATIC_COLUMNS, by_static)}
+            gather = build.load_gather()
+            static = self.shared.static if gather is not None else None
+            if static:
+                columns = [array("q", bytes(8 * len(indices)))
+                           for _ in STATIC_COLUMNS]
+                build.call(gather, [len(indices)], [
+                    indices, static["S_OPC"], static["S_FLAGS"], *columns])
+            else:
+                decoded = self.decoded
+                columns = [list(map(values.__getitem__, indices)) for values
+                           in ([op[6].value for op in decoded],
+                               [bool(op[0] & DF_LOAD) for op in decoded],
+                               [bool(op[0] & DF_STORE) for op in decoded],
+                               [bool(op[0] & DF_CONTROL) for op in decoded])]
+            self._record_columns = dict(zip(STATIC_COLUMNS, columns))
         return self._record_columns

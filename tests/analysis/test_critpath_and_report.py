@@ -7,9 +7,11 @@ from array import array
 import pytest
 
 from repro.analysis import analyze_critical_path, format_percent, format_table
+from repro.analysis.critpath import WALK_COLUMNS, python_walk
 from repro.core import RenoConfig, simulate_workload
 from repro.store.base import decode_payload, encode_payload
 from repro.uarch import inflight
+from repro.uarch.compiled import build
 from repro.uarch.inflight import (
     STATIC_COLUMNS,
     TIMING_COLUMNS,
@@ -39,6 +41,24 @@ def columns_of(records):
     for index in range(3):
         columns[f"prod{index}"] = [sources[index] for sources in padded]
     return TimingColumns(columns, len(records))
+
+
+#: The C walk (``repro_critpath``) is what :func:`analyze_critical_path`
+#: runs whenever the kernel library loads.
+needs_kernel_walk = pytest.mark.skipif(
+    build.load_critpath() is None, reason="no C toolchain on this runner")
+
+
+def walks(records):
+    """``(analyze_critical_path, python_walk)`` over ``records``, each as
+    the walk's six-tuple (the first is the C walk when the kernel loads)."""
+    breakdown = analyze_critical_path(records)
+    production = (breakdown.fetch, breakdown.alu_exec, breakdown.load_exec,
+                  breakdown.load_mem, breakdown.commit, breakdown.path_length)
+    if not len(records):
+        return production, (0, 0, 0, 0, 0, 0)
+    return production, python_walk(
+        len(records), [records.column(name) for name in WALK_COLUMNS])
 
 
 @pytest.fixture
@@ -206,6 +226,72 @@ def test_python_loop_and_store_payload_timing_records_are_columns(no_records):
     assert breakdown.path_length > 1
     assert analyze_critical_path(decoded) == breakdown
     assert records._records is None and decoded._records is None
+
+
+def as_arrays(columns):
+    """``columns`` (a :class:`TimingColumns`) with every column an int64
+    buffer two entries longer than the run, as the kernel's are."""
+    return TimingColumns(
+        {name: array("q", [*map(int, column), 7, 7]) if name != "opcode"
+         else column for name, column in columns._columns.items()},
+        len(columns))
+
+
+@needs_kernel_walk
+@pytest.mark.parametrize("case", [
+    "empty", "one", "one_own_producer", "producer_after_seq",
+    "dangling_producers", "three_tied", "last_two_tied", "later_beats_tie"])
+def test_the_c_walk_equals_the_python_walk_on_edge_cases(case):
+    tied = [record(0, 0, 1, 5), record(1, 0, 1, 5), record(2, 0, 1, 5)]
+    records = {
+        "empty": [],
+        "one": [record(0, 3, 4, 9)],
+        "one_own_producer": [record(0, 0, 1, 4, producers=(0,))],
+        "producer_after_seq": [record(0, 0, 1, 2),
+                               record(1, 0, 3, 9, producers=(2,)),
+                               record(2, 0, 1, 8)],
+        "dangling_producers": [record(0, 0, 1, 2),
+                               record(1, 0, 2, 6, producers=(-1, 2, 99))],
+        "three_tied": tied + [record(3, 1, 6, 9, producers=(2, 1, 0),
+                                     is_load=True, dcache=4)],
+        "last_two_tied": [record(0, 0, 1, 3)] + tied[1:] + [
+            record(3, 1, 6, 9, producers=(0, 2, 1), is_load=True,
+                   dcache=120)],
+        "later_beats_tie": tied + [record(3, 1, 7, 12,
+                                          producers=(0, 1, 3))],
+    }[case]
+    if case == "three_tied":
+        # The first of three producers completing together (seq 2) wins:
+        # the path runs 3, 2, 1, 0 (through seq 0 it would end at once).
+        assert python_walk(4, [columns_of(records).column(name)
+                               for name in WALK_COLUMNS])[5] == 4
+    for columns in (columns_of(records), as_arrays(columns_of(records))):
+        production, python = walks(columns)
+        assert production == python, case
+        restored = pickle.loads(pickle.dumps(columns))
+        assert walks(restored) == (production, python), case
+
+
+@needs_kernel_walk
+def test_the_c_walk_equals_the_python_walk_on_random_columns():
+    """List, int64 and unpickled columns of random records (ties,
+    dangling and forward producers) walk alike in C and in python."""
+    rng = random.Random(99)
+    for _ in range(200):
+        count = rng.randint(1, 30)
+        records = [record(seq, rng.randint(0, 6), 0, rng.randint(0, 6),
+                          producers=[rng.randrange(-2, count + 2)
+                                     for _ in range(rng.randint(0, 3))],
+                          is_load=rng.random() < 0.5,
+                          dcache=rng.choice([1, 10, 11]),
+                          eliminated=rng.random() < 0.2)
+                   for seq in range(count)]
+        columns = columns_of(records)
+        production, python = walks(columns)
+        assert production == python
+        assert walks(as_arrays(columns)) == (production, python)
+        restored = pickle.loads(pickle.dumps(as_arrays(columns)))
+        assert walks(restored) == (production, python)
 
 
 def test_format_percent():

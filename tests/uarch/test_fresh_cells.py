@@ -30,12 +30,14 @@ reference:
   cyclic garbage (no ctypes array type built per run).
 """
 
+import collections
 import gc
 import os
 import pickle
 import sys
 import threading
 from dataclasses import asdict
+from array import array
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,7 @@ from test_backends import (  # noqa: F401  (no_silent_replays is a fixture)
 )
 
 from repro.analysis import analyze_critical_path
+from repro.isa.instruction import DF_CONTROL, DF_LOAD, DF_STORE
 from repro.core import RenoConfig, RenoRenamer, simulate
 from repro.functional.simulator import FunctionalSimulator
 from repro.harness import run_experiment
@@ -63,6 +66,7 @@ from repro.uarch.inflight import TIMING_COLUMNS, TimingColumns
 from repro.uarch.tables import TraceTables
 from repro.workloads.base import get_workload
 from repro.workloads.suites import suite_by_name
+from tests.analysis.test_critpath_and_report import walks
 
 #: The grid experiments whose cells record no occupancy (``fig9``'s
 #: collect timing records).
@@ -160,6 +164,81 @@ def test_fresh_cells_match_both_other_routes(workload):
         # is built by the same code.
         assert_timing_records_identical(timed.timing_records[:64],
                                         python.timing_records[:64])
+
+
+def list_record_columns(program, trace):
+    """``TraceTables.record_columns`` as the python list build makes them
+    (the form without a toolchain): opcode values and bools."""
+    decoded = TraceTables(program, trace).decoded
+    ops = [decoded[index] for index in
+           (trace.arrays["T_SIDX"] if hasattr(trace, "arrays")
+            else [dyn.index for dyn in trace])]
+    return {"opcode": [op[6].value for op in ops],
+            "is_load": [bool(op[0] & DF_LOAD) for op in ops],
+            "is_store": [bool(op[0] & DF_STORE) for op in ops],
+            "is_branch": [bool(op[0] & DF_CONTROL) for op in ops]}
+
+
+@needs_compiled
+@pytest.mark.parametrize("workload", ["micro_call_spill", "mcf_like"])
+def test_gathered_record_columns_equal_the_list_build(workload):
+    """On an interpreter trace and on a C trace the kernel's gather gives
+    int64 columns that read as the list build's values."""
+    program = shared_program(get_workload(workload), 1)
+    for backend in ("python", "compiled"):
+        trace = FunctionalSimulator(program, backend=backend).run().trace
+        gathered = TraceTables(program, trace).record_columns
+        assert all(isinstance(column, array) for column in gathered.values())
+        plain = TimingColumns(gathered, len(trace))._plain()
+        assert plain == list_record_columns(program, trace), backend
+
+
+@pytest.mark.usefixtures("no_silent_replays")
+@needs_compiled
+@pytest.mark.parametrize("workload",
+                         [workload.name for workload in suite_by_name("specint")])
+def test_fig9_cells_walk_and_read_alike_in_every_column_form(workload):
+    """Every ``fig9`` ``specint`` cell: the C walk equals the python walk
+    over the kernel's columns, their lists and an unpickled payload; the
+    RENO cell's records and pickled bytes equal those over the python
+    list build of the static columns."""
+    program, functional, tables = block(workload)
+    spec = get_experiment("fig9").build_spec("specint", [workload], 1)
+    for _, machine in spec.machines:
+        for label, reno in spec.renos:
+            records = get_backend("compiled").run_fresh(
+                program, functional.trace, tables, machine, reno,
+                collect_timing=True).timing_records
+            production, python = walks(records)
+            assert production == python, label
+            listed = TimingColumns(records._plain(), len(records))
+            restored = pickle.loads(pickle.dumps(records))
+            assert walks(listed) == walks(restored) == (production, python)
+            if label != "RENO":
+                continue
+            reference = TimingColumns(
+                {name: records.column(name) for name in TIMING_COLUMNS}
+                | list_record_columns(program, functional.trace),
+                len(records))
+            assert records.records == reference.records
+            assert pickle.dumps(records) == pickle.dumps(reference)
+
+
+@needs_compiled
+def test_a_fig8_request_digests_each_config_once_per_block(monkeypatch):
+    """The image memo keys a block's cells by config objects it has
+    digested already: one ``digest()`` per config per block, at most."""
+    monkeypatch.setattr(fresh, "_digests", {})
+    calls = collections.Counter()
+    for config_type in (MachineConfig, RenoConfig):
+        monkeypatch.setattr(config_type, "digest", lambda config, digest=(
+            config_type.digest): calls.update([id(config)]) or digest(config))
+    workloads = ["micro_addi_chain", "micro_call_spill"]
+    run_experiment("fig8", suite="micro", workloads=workloads, jobs=1,
+                   cache=False, backend="compiled")
+    spec = get_experiment("fig8").build_spec("micro", workloads, 1)
+    assert len(calls) >= len(spec.renos) - 1      # BASE has no RENO config
+    assert max(calls.values()) <= len(workloads)
 
 
 def test_every_fig9_config_is_a_cell():

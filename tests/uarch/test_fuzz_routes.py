@@ -42,7 +42,16 @@ from repro.uarch.compiled import fresh
 from repro.uarch.compiled.marshal import KernelTables
 from repro.uarch.config import MachineConfig
 from repro.uarch.tables import TraceTables
-from tests.analysis.test_critpath_and_report import columns_of, record_walk
+from repro.isa.assembler import Assembler
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Opcode
+from repro.isa.registers import RegisterNames as R
+from tests.analysis.test_critpath_and_report import (
+    columns_of,
+    needs_kernel_walk,
+    record_walk,
+    walks,
+)
 from tests.functional.test_compiled_functional import assert_same_run, run_in_c
 
 #: The fuzz seeds.
@@ -181,3 +190,70 @@ def test_fresh_kernel_cells_match_the_python_loop(seed, machine_name,
 
     assert observed.stats.occupancy.to_dict() \
         == expected.stats.occupancy.to_dict()
+
+
+@needs_kernel_walk
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_c_walk_equals_the_python_walk_on_fuzz_records(seed):
+    """Each configuration's records of ``seed``, real and with cycles
+    coarsened so that producers tie."""
+    for machine in MACHINES.values():
+        for reno_name, reno in RENOS.items():
+            records = python_cell(seed, machine, reno).timing_records
+            production, python = walks(records)
+            assert production == python, reno_name
+            for grain in (2, 4, 8, 16):
+                tied = columns_of(coarsened(list(records), grain))
+                production, python = walks(tied)
+                assert production == python, (reno_name, grain)
+
+
+#: Immediates at both ends of int64 and negative ones, for the
+#: integration table's set hash.
+EXTREME_IMMEDIATES = (-(1 << 63), -(1 << 63) + 1, -1000003, -8191, -2, -1,
+                      (1 << 63) - 2, (1 << 63) - 1)
+
+
+def extreme_immediate_program():
+    """A loop of integrable ALU ops on :data:`EXTREME_IMMEDIATES`, over a
+    register and a displaced (constant-folded) copy of it, and loads at
+    negative offsets."""
+    asm = Assembler("extreme_immediates")
+    asm.word_array("data", list(range(16)))
+    asm.la(R.S0, "data")
+    asm.addi(R.S0, R.S0, 64)
+    asm.li(R.T0, 6)
+    asm.li(R.T1, 77)
+    asm.label("loop")
+    asm.addi(R.T5, R.T1, -30000)
+    for imm in EXTREME_IMMEDIATES:
+        # Raw instructions: the assembler's own helpers cap immediates.
+        for opcode, rd, rs1 in ((Opcode.XORI, R.T2, R.T1),
+                                (Opcode.ANDI, R.T3, R.T5),
+                                (Opcode.CMPLTI, R.T4, R.T1)):
+            asm.emit(Instruction(opcode, rd=rd, rs1=rs1, imm=imm))
+    for offset in (-64, -8, 0):
+        asm.ld(R.T6, offset, R.S0)
+    asm.subi(R.T0, R.T0, 1)
+    asm.bne(R.T0, "loop")
+    asm.halt()
+    return asm.assemble()
+
+
+@needs_compiled
+@pytest.mark.parametrize("reno_name", ["RENO", "FullInteg"])
+@pytest.mark.parametrize("it_entries", [6, 8, 512])
+def test_extreme_immediates_hash_to_the_same_sets(reno_name, it_entries):
+    """The kernel's set index reduces every term mod the set count in
+    int64; with a table of 3, 4 or 256 sets the fresh kernel cell and the
+    python loop must place (and so evict and hit) the same entries."""
+    reno = dataclasses.replace(RENOS[reno_name], it_entries=it_entries)
+    program = extreme_immediate_program()
+    functional = FunctionalSimulator(program, backend="python").run()
+    machine = MACHINES["4wide"]
+    cell = (program, functional.trace,
+            TraceTables(program, functional.trace), machine, reno)
+    expected = get_backend("python").run_fresh(*cell)
+    result = get_backend("compiled").run_fresh(*cell)
+    assert expected.stats.it_insertions > 0
+    assert observables(result) == observables(expected)
